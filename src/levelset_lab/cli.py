@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -193,6 +194,9 @@ def _cmd_batch(args) -> int:
                     sum(p.multiplicity for p in report.points), len(failed))
         except LevelSetLabError as err:
             return (path.stem, f"error: {err}", "", "", "")
+        except Exception as err:  # one broken scenario must not end the batch
+            traceback.print_exc()
+            return (path.stem, f"error: {type(err).__name__}: {err}", "", "", "")
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -22,46 +22,13 @@ from .errors import (
     OutsideDomainError,
     RadiusExhaustedError,
 )
-from .geometry import TWO_PI
-from .solver import SolutionField
+from .geometry import TWO_PI, winding_turns
+from .solver import ResolvedTolerances, SolutionField, resolve_tolerances
 
 _WINDING_SAMPLES = 256
 _INTEGER_SLACK = 0.05
 _MAX_NEWTON_STEPS = 50
 _MAX_DOUBLINGS = 8
-
-
-@dataclass(frozen=True)
-class ResolvedTolerances:
-    """All-concrete tolerance values for one solved field."""
-
-    grad_zero_tol: float
-    value_zero_tol: float
-    dedup_radius: float
-    equal_extrema_tol: float
-    interior_margin: float
-    value_scale: float
-
-    @property
-    def equal_value_tol(self) -> float:
-        return self.equal_extrema_tol * self.value_scale
-
-
-def resolve_tolerances(field: SolutionField, tol: ToleranceSet | None = None) -> ResolvedTolerances:
-    """Fill scale-aware defaults: gradient threshold from the field range and
-    domain diameter, dedup radius from three median grid cells."""
-    tol = tol if tol is not None else field.spec.tolerances
-    rng = field.u_range()
-    diam = field.diameter()
-    scale = rng if rng > 0 else 1.0
-    return ResolvedTolerances(
-        grad_zero_tol=tol.grad_zero_tol if tol.grad_zero_tol is not None else 1e-6 * scale / diam,
-        value_zero_tol=tol.value_zero_tol if tol.value_zero_tol is not None else 2e-3 * scale,
-        dedup_radius=tol.dedup_radius if tol.dedup_radius is not None else 3.0 * field.median_cell_diag(),
-        equal_extrema_tol=tol.equal_extrema_tol,
-        interior_margin=tol.interior_margin,
-        value_scale=scale,
-    )
 
 
 @dataclass(frozen=True)
@@ -94,10 +61,7 @@ def winding_on_closed_curve(field: SolutionField, xs, ys) -> float:
     """Continuous angle turned by the interpolated gradient along a closed
     polyline (first point not repeated); returned in turns (total / 2pi)."""
     gx, gy = field.gradient(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    ang = np.arctan2(gy, gx)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = np.mod(inc + np.pi, TWO_PI) - np.pi
-    return float(np.sum(inc) / TWO_PI)
+    return winding_turns(np.arctan2(gy, gx))
 
 
 def _circle_winding(field: SolutionField, cx: float, cy: float, radius: float, tol: ResolvedTolerances):
@@ -110,10 +74,7 @@ def _circle_winding(field: SolutionField, cx: float, cy: float, radius: float, t
     gmin = float(np.min(np.hypot(gx, gy)))
     if gmin <= 5.0 * tol.grad_zero_tol:
         return None, gmin
-    ang = np.arctan2(gy, gx)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = np.mod(inc + np.pi, TWO_PI) - np.pi
-    return float(np.sum(inc) / TWO_PI), gmin
+    return winding_turns(np.arctan2(gy, gx)), gmin
 
 
 def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
@@ -288,22 +249,14 @@ def find_critical_zero_points(field: SolutionField, tol: ToleranceSet | None = N
 # --------------------------------------------------------------------------
 # clustering
 
-def _marked_level_cells(field: SolutionField, t: float, band: float, refine: int = 2):
-    """Boolean refined-cell marks for the level network u = t: corner sign
+def _marked_level_cells(field: SolutionField, t: float, band: float):
+    """Boolean lattice-cell marks for the level network u = t: corner sign
     change or |centre - t| within the band."""
-    nrt, nrs = refine * field.n_theta, refine * field.n_s
-    th_nodes = np.arange(nrt + 1) * (TWO_PI / nrt)
-    s_nodes = np.arange(nrs + 1) / nrs
-    Tn, Sn = np.meshgrid(th_nodes, s_nodes, indexing="ij")
-    un = field.evaluate_ref(Tn.ravel(), Sn.ravel()).reshape(Tn.shape) - t
+    lat = field.lattice()
+    un = lat.nodes - t
     corner = np.stack([un[:-1, :-1], un[1:, :-1], un[:-1, 1:], un[1:, 1:]], axis=0)
     sign_change = (corner.min(axis=0) <= 0) & (corner.max(axis=0) >= 0)
-
-    th_c = (np.arange(nrt) + 0.5) * (TWO_PI / nrt)
-    s_c = (np.arange(nrs) + 0.5) / nrs
-    Tc, Sc = np.meshgrid(th_c, s_c, indexing="ij")
-    uc = field.evaluate_ref(Tc.ravel(), Sc.ravel()).reshape(Tc.shape)
-    near = np.abs(uc - t) <= band
+    near = np.abs(lat.centres - t) <= band
     return sign_change | near, near & ~sign_change
 
 
@@ -351,8 +304,7 @@ def cluster_critical_sets(field: SolutionField, points, t: float,
             raise ValueError(f"point value {val!r} is not at level {t!r} within tolerance")
     if band is None:
         band = 2.0 * field.interp_error_estimate()
-    refine = 2
-    marked, band_only = _marked_level_cells(field, t, band, refine)
+    marked, band_only = _marked_level_cells(field, t, band)
 
     # resolution guard: a wide band gluing far-apart sign-change cells means
     # the grid cannot separate the clusters
@@ -365,34 +317,31 @@ def cluster_critical_sets(field: SolutionField, points, t: float,
                     "level band bridges cells more than 10 cells away from the level line"
                 )
     labels, _ = label_wrapped(marked)
-    hit = set()
+    return len(_labels_at(field, labels, points))
+
+
+def _labels_at(field: SolutionField, labels: np.ndarray, points) -> set:
+    """Nonzero labels of the lattice cells holding the given points; a point
+    on a cell corner takes the first labelled cell of its 4-neighbourhood."""
+    nrt, nrs = labels.shape
+    found = set()
     for p in points:
         x, y = (p.x, p.y) if isinstance(p, CriticalPoint) else p
         theta, s = field.domain.invert_point(x, y)
-        i = int(np.mod(theta, TWO_PI) / (TWO_PI / (refine * field.n_theta))) % (refine * field.n_theta)
-        j = min(int(np.clip(s, 0.0, 1.0) * refine * field.n_s), refine * field.n_s - 1)
+        i = int(np.mod(theta, TWO_PI) / (TWO_PI / nrt)) % nrt
+        j = min(int(np.clip(s, 0.0, 1.0) * nrs), nrs - 1)
         lab = labels[i, j]
         if lab == 0:
-            # point sits on a cell corner; look at the 4-neighbourhood
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                lab = labels[(i + di) % (refine * field.n_theta), min(max(j + dj, 0), refine * field.n_s - 1)]
+                lab = labels[(i + di) % nrt, min(max(j + dj, 0), nrs - 1)]
                 if lab:
                     break
         if lab:
-            hit.add(int(lab))
-    return len(hit)
+            found.add(int(lab))
+    return found
 
 
-def _point_cell(field: SolutionField, x: float, y: float, refine: int):
-    theta, s = field.domain.invert_point(x, y)
-    nrt, nrs = refine * field.n_theta, refine * field.n_s
-    i = int(np.mod(theta, TWO_PI) / (TWO_PI / nrt)) % nrt
-    j = min(int(np.clip(s, 0.0, 1.0) * nrs), nrs - 1)
-    return i, j
-
-
-def separating_network_through(field: SolutionField, points, t: float,
-                               tol: ToleranceSet | None = None, refine: int = 2) -> bool:
+def separating_network_through(field: SolutionField, points, t: float) -> bool:
     """Does the level network u = t, restricted to the components carrying the
     given critical points, separate the interior rim from the exterior rim?
 
@@ -402,23 +351,10 @@ def separating_network_through(field: SolutionField, points, t: float,
     """
     if field.domain.is_disk or not points:
         return False
-    rt = resolve_tolerances(field, tol)
     band = 2.0 * field.interp_error_estimate()
-    marked, _ = _marked_level_cells(field, t, band, refine)
+    marked, _ = _marked_level_cells(field, t, band)
     labels, _ = label_wrapped(marked)
-    keep = set()
-    nrt, nrs = refine * field.n_theta, refine * field.n_s
-    for p in points:
-        x, y = (p.x, p.y) if isinstance(p, CriticalPoint) else p
-        i, j = _point_cell(field, x, y, refine)
-        lab = labels[i, j]
-        if lab == 0:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                lab = labels[(i + di) % nrt, min(max(j + dj, 0), nrs - 1)]
-                if lab:
-                    break
-        if lab:
-            keep.add(int(lab))
+    keep = _labels_at(field, labels, points)
     if not keep:
         return False
     passable = ~np.isin(labels, list(keep))

@@ -340,7 +340,7 @@ def load_scenario(path, validate: bool = True) -> ScenarioSpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValidationFailure([_violation("file", f"cannot read scenario {path}: {err}")])
     spec = scenario_from_dict(data, name=path.stem)
     if validate:

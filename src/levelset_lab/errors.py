@@ -88,10 +88,6 @@ class BandTooWideError(LevelSetLabError):
     """Level-band width exceeds what the grid resolution can separate."""
 
 
-class DegenerateTraceError(LevelSetLabError):
-    """Boundary trace is constant; extrema counts are undefined."""
-
-
 class UnstableCountsError(LevelSetLabError):
     """Critical-point counts disagree between the two finest grids."""
 
@@ -102,7 +98,3 @@ class UnstableCountsError(LevelSetLabError):
             "critical point counts differ between grids: "
             f"coarse={[(p.multiplicity) for p in coarse]} fine={[(p.multiplicity) for p in fine]}"
         )
-
-
-class ResolutionWarning(UserWarning):
-    """Feature near or below grid resolution; result may be unreliable."""

@@ -22,13 +22,20 @@ from .errors import OutsideDomainError, SingularMapError
 TWO_PI = 2.0 * np.pi
 
 
+def winding_turns(angles) -> float:
+    """Turns made by a closed sequence of angles (first not repeated): the
+    increments, each wrapped into [-pi, pi), summed and divided by 2 pi."""
+    inc = np.diff(np.concatenate([angles, angles[:1]]))
+    inc = np.mod(inc + np.pi, TWO_PI) - np.pi
+    return float(np.sum(inc) / TWO_PI)
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     """Polar-graph boundary r = radius_expr(theta)."""
 
     radius_expr: tuple
     source: str
-    samples: int = 4096
 
     def radius(self, theta):
         return ex.evaluate_theta(self.radius_expr, theta)
@@ -48,8 +55,8 @@ class BoundaryCurve:
         return ex.differentiate(self._d1, "theta")
 
     @staticmethod
-    def from_source(src: str, samples: int = 4096) -> "BoundaryCurve":
-        return BoundaryCurve(ex.parse_expression(src), src, samples)
+    def from_source(src: str) -> "BoundaryCurve":
+        return BoundaryCurve(ex.parse_expression(src), src)
 
 
 _ZERO_CURVE = BoundaryCurve(("num", 0.0), "0")
@@ -69,9 +76,6 @@ class DomainSpec:
     @property
     def inner(self) -> BoundaryCurve:
         return self.interior if self.interior is not None else _ZERO_CURVE
-
-    def local_gap(self, theta):
-        return self.exterior.radius(theta) - self.inner.radius(theta)
 
     def diameter(self) -> float:
         theta = np.linspace(0.0, TWO_PI, 2048, endpoint=False)

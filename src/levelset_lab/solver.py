@@ -20,11 +20,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import expressions as ex
-from .domain import ScenarioSpec
-from .errors import AssemblyError, NoConvergenceError, OutsideDomainError
+from .domain import ScenarioSpec, ToleranceSet
+from .errors import AssemblyError, NoConvergenceError
 from .geometry import TWO_PI
 
 _DISK_S_FLOOR = 1e-9
+
+# Level-set routines read u on the solve grid refined this many times in
+# each direction.
+REFINE = 2
 
 # Hermite-to-monomial matrix: p(xi) = [1, xi, xi^2, xi^3] . (A @ [f0, f1, m0, m1])
 _HERMITE_A = np.array([
@@ -85,12 +89,6 @@ class DiscreteSystem:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def index(self, i: int, j: int) -> int:
-        i = i % self.n_theta
-        if not self.is_disk:
-            return j * self.n_theta + i
-        return 0 if j == 0 else 1 + (j - 1) * self.n_theta + i
 
     def interior_rows(self) -> np.ndarray:
         return np.where(~self.dirichlet_mask)[0]
@@ -253,8 +251,67 @@ def solve(system: DiscreteSystem, tol: float | None = None) -> "SolutionField":
     return SolutionField(system.spec, values, residual=rel)
 
 
+@dataclass(frozen=True)
+class ResolvedTolerances:
+    """All-concrete tolerance values for one solved field."""
+
+    grad_zero_tol: float
+    value_zero_tol: float
+    dedup_radius: float
+    equal_extrema_tol: float
+    interior_margin: float
+    value_scale: float
+
+    @property
+    def equal_value_tol(self) -> float:
+        return self.equal_extrema_tol * self.value_scale
+
+
+def resolve_tolerances(field: "SolutionField", tol: ToleranceSet | None = None) -> ResolvedTolerances:
+    """Fill scale-aware defaults: gradient threshold from the field range and
+    domain diameter, dedup radius from three median grid cells.  Without
+    `tol` the field's own tolerance set is resolved, once per field."""
+    if tol is None:
+        if field._tolerances is None:
+            field._tolerances = resolve_tolerances(field, field.spec.tolerances)
+        return field._tolerances
+    rng = field.u_range()
+    diam = field.diameter()
+    scale = rng if rng > 0 else 1.0
+    return ResolvedTolerances(
+        grad_zero_tol=tol.grad_zero_tol if tol.grad_zero_tol is not None else 1e-6 * scale / diam,
+        value_zero_tol=tol.value_zero_tol if tol.value_zero_tol is not None else 2e-3 * scale,
+        dedup_radius=tol.dedup_radius if tol.dedup_radius is not None else 3.0 * field.median_cell_diag(),
+        equal_extrema_tol=tol.equal_extrema_tol,
+        interior_margin=tol.interior_margin,
+        value_scale=scale,
+    )
+
+
+@dataclass(frozen=True)
+class RefinedLattice:
+    """u on the solve grid refined REFINE times in each direction, sampled at
+    the nodes and at the cell centres."""
+
+    theta: np.ndarray    # node angles, (nrt + 1,); the last one is 2 pi
+    s: np.ndarray        # node radial coordinates, (nrs + 1,)
+    nodes: np.ndarray    # u at the nodes, (nrt + 1, nrs + 1)
+    centres: np.ndarray  # u at the cell centres, (nrt, nrs)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class SolutionField:
-    """Discrete solution on the reference grid plus a C^1 interpolant."""
+    """Discrete solution on the reference grid plus a C^1 interpolant.
+
+    Everything derived from the solved values (interpolant coefficients,
+    node geometry, refined lattice, default tolerances) is computed on
+    first use and cached with the field; cached arrays are read-only.
+    """
 
     def __init__(self, spec: ScenarioSpec, values: np.ndarray, residual: float = 0.0):
         nt, ns = spec.grid
@@ -270,6 +327,11 @@ class SolutionField:
         self.ds = 1.0 / ns
         self._coeffs = None
         self._node_grad = None
+        self._nodes = None
+        self._diagonals = None
+        self._median_diag = None
+        self._lattice = None
+        self._tolerances = None
 
     # ------------------------------------------------------------ builders
     @classmethod
@@ -282,19 +344,17 @@ class SolutionField:
             vals[:, 0] = float(np.mean(vals[:, 0]))
         return cls(spec, vals)
 
-    @classmethod
-    def from_expression(cls, spec: ScenarioSpec, expr) -> "SolutionField":
-        return cls.from_function(spec, lambda x, y: ex.evaluate_xy(expr, x, y))
-
     # ------------------------------------------------------------ geometry
     @property
     def domain(self):
         return self.spec.domain
 
     def node_positions(self):
-        T, S = _grid_nodes(self.spec)
-        X, Y = self.domain.map_point(T, S)
-        return T, S, X, Y
+        """(theta, s, x, y) at the grid nodes, each (n_theta, n_s + 1)."""
+        if self._nodes is None:
+            T, S = _grid_nodes(self.spec)
+            self._nodes = _frozen(T, S, *self.domain.map_point(T, S))
+        return self._nodes
 
     def u_range(self) -> float:
         return float(np.max(self.values) - np.min(self.values))
@@ -304,13 +364,36 @@ class SolutionField:
 
     def cell_diagonals(self) -> np.ndarray:
         """Physical diagonal length per cell (n_theta, n_s)."""
-        _, _, X, Y = self.node_positions()
-        dx = np.roll(X, -1, axis=0)[:, 1:] - X[:, :-1]
-        dy = np.roll(Y, -1, axis=0)[:, 1:] - Y[:, :-1]
-        return np.hypot(dx, dy)
+        if self._diagonals is None:
+            _, _, X, Y = self.node_positions()
+            dx = np.roll(X, -1, axis=0)[:, 1:] - X[:, :-1]
+            dy = np.roll(Y, -1, axis=0)[:, 1:] - Y[:, :-1]
+            (self._diagonals,) = _frozen(np.hypot(dx, dy))
+        return self._diagonals
 
     def median_cell_diag(self) -> float:
-        return float(np.median(self.cell_diagonals()))
+        if self._median_diag is None:
+            self._median_diag = float(np.median(self.cell_diagonals()))
+        return self._median_diag
+
+    def lattice(self) -> RefinedLattice:
+        """u on the refined lattice that every level-set routine reads,
+        evaluated once per field."""
+        if self._lattice is None:
+            nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
+            theta = np.arange(nrt + 1) * (TWO_PI / nrt)
+            s = np.arange(nrs + 1) / nrs
+            # nodes and centres in separate calls: the per-point cell
+            # coefficients of one call over both would double peak memory
+            nodes = self._evaluate_grid(theta, s)
+            centres = self._evaluate_grid((np.arange(nrt) + 0.5) * (TWO_PI / nrt), (np.arange(nrs) + 0.5) / nrs)
+            self._lattice = RefinedLattice(*_frozen(theta, s, nodes, centres))
+        return self._lattice
+
+    def _evaluate_grid(self, theta, s) -> np.ndarray:
+        """u at the tensor grid theta x s, shaped (len(theta), len(s))."""
+        T, S = np.meshgrid(theta, s, indexing="ij")
+        return self.evaluate_ref(T.ravel(), S.ravel()).reshape(T.shape)
 
     def interp_error_estimate(self) -> float:
         """Scale of the cell-interpolation error, from second differences."""

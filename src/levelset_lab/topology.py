@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from . import expressions as ex
 from .critical import ResolvedTolerances, label_wrapped, resolve_tolerances
 from .domain import ToleranceSet
 from .errors import RadiusExhaustedError
-from .geometry import TWO_PI
-from .solver import SolutionField
+from .geometry import TWO_PI, winding_turns
+from .solver import REFINE, SolutionField
 
 
 # --------------------------------------------------------------------------
@@ -29,7 +28,6 @@ class LevelComponent:
     extremal_contact_value: float | None
     all_uncertain: bool
     euler_char: int | None = None
-    cells: tuple | None = None  # (i_array, j_array) on the refined grid
 
     @property
     def simply_connected(self) -> bool | None:
@@ -59,34 +57,29 @@ def _component_euler(i_arr: np.ndarray, j_arr: np.ndarray, n_theta: int) -> int:
     """Euler characteristic of a 4-connected cell set on the theta cylinder.
 
     chi = 1 for a disk-like component, 0 for one wrapping the annulus or
-    enclosing a hole.
+    enclosing a hole.  Vertices and edges are counted as distinct integer
+    ids: vertex (i, j) is i * stride + j, and an edge is twice the id of its
+    lower-left vertex, plus one for an edge along theta.  A sorted id list
+    holds one distinct id more than it has rises between neighbours; the
+    two extra ones cancel in chi.
     """
-    verts = set()
-    edges = set()
-    for i, j in zip(i_arr.tolist(), j_arr.tolist()):
-        i1 = (i + 1) % n_theta
-        c00 = (i, j)
-        c10 = (i1, j)
-        c01 = (i, j + 1)
-        c11 = (i1, j + 1)
-        verts.update((c00, c10, c01, c11))
-        edges.update((("h", i, j), ("h", i, j + 1), ("v", i, j), ("v", i1, j)))
-    return len(verts) - len(edges) + len(i_arr)
+    stride = int(j_arr.max()) + 2
+    i1 = (i_arr + 1) % n_theta
+    v00, v10 = i_arr * stride + j_arr, i1 * stride + j_arr
+    verts = np.sort(np.concatenate([v00, v10, v00 + 1, v10 + 1]))
+    edges = np.sort(np.concatenate([2 * v00 + 1, 2 * v00 + 3, 2 * v00, 2 * v10]))
+    return int(np.count_nonzero(np.diff(verts)) - np.count_nonzero(np.diff(edges))) + len(i_arr)
 
 
-def level_census(field: SolutionField, t: float, refine: int = 2,
-                 want_topology: bool = False, keep_cells: bool = False) -> LevelSetCensus:
-    """Classify refined-grid cells by sign of u - t and flood-fill components.
+def level_census(field: SolutionField, t: float, want_topology: bool = False) -> LevelSetCensus:
+    """Classify lattice cells by sign of u - t and flood-fill components.
 
     Cells whose centre value lies within the interpolation-error band are
     flagged uncertain; components made only of uncertain cells are excluded
     from the M1/M2 counts.
     """
-    nrt, nrs = refine * field.n_theta, refine * field.n_s
-    th_c = (np.arange(nrt) + 0.5) * (TWO_PI / nrt)
-    s_c = (np.arange(nrs) + 0.5) / nrs
-    Tc, Sc = np.meshgrid(th_c, s_c, indexing="ij")
-    uc = field.evaluate_ref(Tc.ravel(), Sc.ravel()).reshape(Tc.shape)
+    uc = field.lattice().centres
+    nrt, nrs = uc.shape
     band = field.interp_error_estimate()
     uncertain = np.abs(uc - t) <= band
 
@@ -113,19 +106,13 @@ def level_census(field: SolutionField, t: float, refine: int = 2,
             )
             if want_topology:
                 comp.euler_char = _component_euler(i_arr, j_arr, nrt)
-            if keep_cells:
-                comp.cells = (i_arr, j_arr)
             comps.append(comp)
-    return LevelSetCensus(t=t, refine=refine, components=comps, uncertain_band=band)
+    return LevelSetCensus(t=t, refine=REFINE, components=comps, uncertain_band=band)
 
 
-def region_components(field: SolutionField, lo: float, hi: float, refine: int = 2) -> int:
-    """Number of 4-connected components of {lo < u < hi} on the refined grid."""
-    nrt, nrs = refine * field.n_theta, refine * field.n_s
-    th_c = (np.arange(nrt) + 0.5) * (TWO_PI / nrt)
-    s_c = (np.arange(nrs) + 0.5) / nrs
-    Tc, Sc = np.meshgrid(th_c, s_c, indexing="ij")
-    uc = field.evaluate_ref(Tc.ravel(), Sc.ravel()).reshape(Tc.shape)
+def region_components(field: SolutionField, lo: float, hi: float) -> int:
+    """Number of 4-connected components of {lo < u < hi} on the lattice."""
+    uc = field.lattice().centres
     _, n = label_wrapped((uc > lo) & (uc < hi))
     return n
 
@@ -284,7 +271,6 @@ def _count_zero_structure(values: np.ndarray, ztol: float):
 def _closure_relative(field: SolutionField, which: str, theta0: float, value: float,
                       kind: str, rt: ResolvedTolerances, depth_cells: int = 5) -> bool:
     """Collar test: the extremum dominates the interior patch behind it."""
-    nt, ns = field.n_theta, field.n_s
     dtheta, ds = field.dtheta, field.ds
     half = depth_cells * dtheta
     th = np.linspace(theta0 - half, theta0 + half, 4 * depth_cells + 1)
@@ -356,20 +342,18 @@ def boundary_profile(field: SolutionField, tol: ToleranceSet | None = None,
 
 
 # --------------------------------------------------------------------------
-# level-line tracing (marching squares on the refined grid)
+# level-line tracing (marching squares on the lattice)
 
-def trace_level_lines(field: SolutionField, t: float, refine: int = 2):
+def trace_level_lines(field: SolutionField, t: float):
     """Marching-squares polylines of {u = t} in physical coordinates.
 
     Returns (polylines, warnings); each polyline is an (n, 2) array, closed
     when its first and last vertices coincide.
     """
-    nrt, nrs = refine * field.n_theta, refine * field.n_s
-    dth, dss = TWO_PI / nrt, 1.0 / nrs
-    th_nodes = np.arange(nrt + 1) * dth
-    s_nodes = np.arange(nrs + 1) * dss
-    Tn, Sn = np.meshgrid(th_nodes, s_nodes, indexing="ij")
-    un = field.evaluate_ref(Tn.ravel() % TWO_PI, Sn.ravel()).reshape(Tn.shape) - t
+    lat = field.lattice()
+    th_nodes, s_nodes = lat.theta, lat.s
+    un = lat.nodes - t
+    nrt, nrs = lat.centres.shape
 
     pos = un > 0.0
     warnings = []
@@ -406,7 +390,7 @@ def trace_level_lines(field: SolutionField, t: float, refine: int = 2):
             }
             if code in (5, 10):
                 saddle_cells += 1
-                centre = field.evaluate_ref((th_nodes[i] + 0.5 * dth) % TWO_PI, s_nodes[j] + 0.5 * dss) - t
+                centre = lat.centres[i, j] - t
                 # connect the quadrant diagonal matching the centre sign
                 bl_tr_connected = (centre > 0) == (code == 5)
                 if bl_tr_connected:
@@ -480,10 +464,7 @@ def polyline_closed(poly: np.ndarray, tol: float = 1e-9) -> bool:
 def polyline_winds_hole(poly: np.ndarray) -> bool:
     """True when a closed polyline encircles the origin (separates the
     domain boundaries of an annulus)."""
-    ang = np.arctan2(poly[:, 1], poly[:, 0])
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = np.mod(inc + np.pi, TWO_PI) - np.pi
-    return abs(round(float(np.sum(inc) / TWO_PI))) >= 1
+    return abs(round(winding_turns(np.arctan2(poly[:, 1], poly[:, 0])))) >= 1
 
 
 # --------------------------------------------------------------------------

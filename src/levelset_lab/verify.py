@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import expressions as ex
 from .critical import (
-    CriticalPoint,
     cluster_critical_sets,
     find_critical_points_report,
     resolve_tolerances,
@@ -316,7 +317,7 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
         report["reason"] = f"cluster banding failed: {err}"
         return report
     eps = min(10.0 * eq, 0.25 * _gap_to_next_breakpoint(t, points, profile, eq))
-    sep = separating_network_through(field, at_t, t, tol)
+    sep = separating_network_through(field, at_t, t)
     report["details"].update({"sum_m": sum_m, "q": q, "epsilon": eps, "separating_curve": sep})
     report["applicable"] = True
 
@@ -495,21 +496,15 @@ def fingerprint_scenario(path_or_text) -> str:
 
 
 def _stable_points(coarse, fine, cell: float):
-    """Same count, and a one-to-one nearest match with equal multiplicities
-    within one coarse cell of drift."""
+    """Same count, and a one-to-one match with equal multiplicities within
+    one coarse cell of drift (a perfect bipartite matching, whatever the
+    order of the points)."""
     if len(coarse) != len(fine):
         return False
-    remaining = list(coarse)
-    for b in fine:
-        best = None
-        for a in remaining:
-            d = math.hypot(a.x - b.x, a.y - b.y)
-            if best is None or d < best[0]:
-                best = (d, a)
-        if best is None or best[0] > cell or best[1].multiplicity != b.multiplicity:
-            return False
-        remaining.remove(best[1])
-    return True
+    allowed = [[math.hypot(a.x - b.x, a.y - b.y) <= cell and a.multiplicity == b.multiplicity
+                for b in fine] for a in coarse]
+    graph = sp.csr_matrix(np.array(allowed, dtype=bool).reshape(len(coarse), len(fine)))
+    return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
 
 
 def run_scenario(spec: ScenarioSpec, fingerprint: str = "", refine_factor: int = 2) -> VerificationReport:

@@ -173,3 +173,36 @@ def test_unwritable_output_path(scen, tmp_path, capsys):
                      "--out", str(blocker)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_batch_survives_unreadable_file(scen, tmp_path, capsys):
+    batch_dir = tmp_path / "in"
+    batch_dir.mkdir()
+    shutil.copy(scen / "log_annulus.json", batch_dir / "good.json")
+    (batch_dir / "latin1.json").write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    code = cli.main(["batch", str(batch_dir), "--out", str(tmp_path / "out")])
+    assert code == 1
+    rows = {r["scenario"]: r["status"] for r in csv.DictReader((tmp_path / "out" / "batch_summary.csv").open())}
+    assert rows["good"] == "ok"
+    assert rows["latin1"].startswith("error:") and "cannot read scenario" in rows["latin1"]
+    assert cli.main(["verify", str(batch_dir / "latin1.json"), "--out", str(tmp_path)]) == 1
+
+
+def test_batch_records_unexpected_exception(scen, tmp_path, monkeypatch, capsys):
+    real = cli._verify_one
+
+    def flaky(path, args):
+        if path.endswith("z_plus_inv.json"):
+            raise RuntimeError("boom")
+        return real(path, args)
+
+    monkeypatch.setattr(cli, "_verify_one", flaky)
+    batch_dir = tmp_path / "in"
+    batch_dir.mkdir()
+    for name in ("log_annulus", "z_plus_inv"):
+        shutil.copy(scen / f"{name}.json", batch_dir / f"{name}.json")
+    code = cli.main(["batch", str(batch_dir), "--out", str(tmp_path / "out")])
+    assert code == 1
+    rows = {r["scenario"]: r["status"] for r in csv.DictReader((tmp_path / "out" / "batch_summary.csv").open())}
+    assert rows == {"log_annulus": "ok", "z_plus_inv": "error: RuntimeError: boom"}
+    assert "Traceback" in capsys.readouterr().err

@@ -241,3 +241,29 @@ def test_field_csv_dump(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "theta,s,x,y,u"
     assert len(lines) == 1 + fld.n_theta * (fld.n_s + 1)
+
+
+# ------------------------------------------------------------ cached derivatives
+
+def test_derived_quantities_cached_and_read_only():
+    from levelset_lab.solver import REFINE, resolve_tolerances
+    fld = solve_scenario(log_annulus_spec())
+    assert fld.node_positions() is fld.node_positions()
+    assert fld.cell_diagonals() is fld.cell_diagonals()
+    assert resolve_tolerances(fld) is resolve_tolerances(fld)
+    lat = fld.lattice()
+    assert lat is fld.lattice()
+    nrt, nrs = REFINE * fld.n_theta, REFINE * fld.n_s
+    assert lat.nodes.shape == (nrt + 1, nrs + 1) and lat.centres.shape == (nrt, nrs)
+    for arr in (*fld.node_positions(), fld.cell_diagonals(), lat.nodes, lat.centres):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_lattice_matches_pointwise_evaluation():
+    fld = solved_field("z_plus_inv", 64, 32)
+    lat = fld.lattice()
+    i, j = 37, 11
+    assert lat.nodes[i, j] == fld.evaluate_ref(lat.theta[i], lat.s[j])
+    centre = fld.evaluate_ref(0.5 * (lat.theta[i] + lat.theta[i + 1]), 0.5 * (lat.s[j] + lat.s[j + 1]))
+    assert lat.centres[i, j] == pytest.approx(float(centre), rel=1e-12)

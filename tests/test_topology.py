@@ -310,3 +310,47 @@ def test_contact_clause_synthetic_violation():
     report = check_component_contact(fake, prof)
     assert report["applicable"] and report["holds"] is False
     assert report["failures"][0]["label"] == 1
+
+
+# ------------------------------------------------------- Euler characteristic
+
+def euler_by_sets(i_arr, j_arr, n_theta):
+    """Reference: vertices and edges of the cell set collected one cell at a time."""
+    verts = set()
+    edges = set()
+    for i, j in zip(i_arr.tolist(), j_arr.tolist()):
+        i1 = (i + 1) % n_theta
+        verts.update(((i, j), (i1, j), (i, j + 1), (i1, j + 1)))
+        edges.update((("h", i, j), ("h", i, j + 1), ("v", i, j), ("v", i1, j)))
+    return len(verts) - len(edges) + len(i_arr)
+
+
+def test_component_euler_matches_reference():
+    from levelset_lab.critical import label_wrapped
+    from levelset_lab.topology import _component_euler
+
+    n_theta, n_s = 24, 10
+    ring = np.zeros((n_theta, n_s), dtype=bool)
+    ring[:, 3:6] = True                          # wraps the seam: chi = 0
+    frame = np.zeros((n_theta, n_s), dtype=bool)
+    frame[20:, 2:7] = True
+    frame[:4, 2:7] = True                        # straddles the seam
+    frame[22:, 4] = frame[:2, 4] = False         # with a hole: chi = 0
+    blob = np.zeros((n_theta, n_s), dtype=bool)
+    blob[5:9, 0:3] = True                        # disk-like: chi = 1
+    for mask, chi in ((ring, 0), (frame, 0), (blob, 1)):
+        i_arr, j_arr = np.nonzero(mask)
+        assert _component_euler(i_arr, j_arr, n_theta) == euler_by_sets(i_arr, j_arr, n_theta) == chi
+
+    rng = np.random.default_rng(20261017)
+    seen = set()
+    for _ in range(60):
+        mask = rng.random((n_theta, n_s)) < rng.uniform(0.3, 0.8)
+        labels, n = label_wrapped(mask)
+        for k in range(1, n + 1):
+            i_arr, j_arr = np.nonzero(labels == k)
+            chi = euler_by_sets(i_arr, j_arr, n_theta)
+            assert _component_euler(i_arr, j_arr, n_theta) == chi
+            seen.add((chi, bool(np.any(i_arr == 0) and np.any(i_arr == n_theta - 1))))
+    # the random sets include seam-crossing components and ones with holes
+    assert (1, True) in seen and any(chi < 1 for chi, _ in seen)

@@ -1,6 +1,7 @@
 """Theorem/lemma verdicts: applicability gates, bounds, counting identities."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from levelset_lab.solver import solve_scenario
 from levelset_lab.topology import boundary_profile
 from levelset_lab.verify import (
     VERDICT_IDS,
+    _stable_points,
     check_counting_identities,
     check_lemma_2_4,
     check_remark_5_1,
@@ -322,3 +324,61 @@ def test_maximum_principle_surrogate_holds_on_builtins():
     for name in ("log_annulus", "z_plus_inv", "band_annulus"):
         v = builtin_report(name).verdict("rem_1_5")
         assert v.applicable and v.holds, name
+
+
+# ------------------------------------------------------- grid stability gate
+
+def test_stable_points_match_does_not_depend_on_order():
+    """A greedy nearest match pairs (0.6, 0) with (1, 0) and strands (1.7, 0);
+    the one-to-one match (0, 0)-(0.6, 0), (1, 0)-(1.7, 0) is within one cell."""
+    coarse = [fake_point(0.0, 0.0, 0.0, 1), fake_point(1.0, 0.0, 0.0, 1)]
+    fine = [fake_point(0.6, 0.0, 0.0, 1), fake_point(1.7, 0.0, 0.0, 1)]
+    assert _stable_points(coarse, fine, 0.75)
+    assert _stable_points(coarse, fine[::-1], 0.75)
+    assert not _stable_points(coarse, fine, 0.65)
+    assert not _stable_points(coarse, [fine[0], fake_point(1.7, 0.0, 0.0, 2)], 0.75)
+    assert not _stable_points(coarse, fine[:1], 0.75)
+    assert _stable_points([], [], 0.75)
+
+
+# ------------------------------------------------------ sampling per field
+
+def test_run_scenario_derives_field_quantities_once(monkeypatch):
+    """Censuses, clusters, the separating-network test and the contact
+    counts all read one lattice evaluation of the solved field; node
+    geometry and default tolerances are computed once per field."""
+    from levelset_lab.geometry import DomainSpec
+    from levelset_lab.solver import SolutionField
+
+    seen = Counter()
+    real_eval, real_range, real_map = SolutionField.evaluate_ref, SolutionField.u_range, DomainSpec.map_point
+
+    def evaluate_ref(self, theta, s, derivatives=False):
+        nt, ns = self.n_theta, self.n_s
+        if np.size(theta) == (2 * nt + 1) * (2 * ns + 1):
+            seen["lattice nodes", nt] += 1
+        elif np.size(theta) == 4 * nt * ns:
+            seen["lattice centres", nt] += 1
+        return real_eval(self, theta, s, derivatives)
+
+    def u_range(self):
+        seen["tolerances", self.n_theta] += 1
+        return real_range(self)
+
+    def map_point(self, theta, s):
+        seen["nodes", np.shape(theta)] += 1
+        return real_map(self, theta, s)
+
+    monkeypatch.setattr(SolutionField, "evaluate_ref", evaluate_ref)
+    monkeypatch.setattr(SolutionField, "u_range", u_range)
+    monkeypatch.setattr(DomainSpec, "map_point", map_point)
+    spec = make_scenario("3*(1 + 0.04*cos(4*theta))", "1 + 0.1*cos(2*theta)",
+                         "1 + 0.75*cos(2*theta)", "0.15*cos(2*theta)", grid=(64, 32), name="sym2")
+    report = run_scenario(spec)
+    (identity,) = report.identity_reports
+    assert identity["applicable"] and identity["details"]["separating_curve"]
+    assert len(report.censuses) == 4
+    for part in ("lattice nodes", "lattice centres"):
+        assert seen[part, 64] == 0 and seen[part, 128] == 1
+    assert seen["tolerances", 64] == seen["tolerances", 128] == 1
+    assert seen["nodes", (64, 33)] == seen["nodes", (128, 65)] == 1
