@@ -25,7 +25,7 @@ from .domain import (
     validate_scenario,
 )
 from .expressions import evaluate_expr, parse_expression
-from .geometry import BoundaryCurve, DomainSpec, map_reference
+from .geometry import BoundaryCurve, DomainSpec
 from .render import render_svg
 from .solver import (
     DiscreteSystem,

@@ -15,8 +15,10 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
+from . import domain
 from .critical import find_critical_points_report
 from .domain import ScenarioSpec, load_scenario
 from .errors import LevelSetLabError, ValidationFailure
@@ -81,25 +83,23 @@ def emit_report(report_dict: dict, path) -> None:
     Path(path).write_text(json.dumps(report_dict, indent=1) + "\n", encoding="utf-8")
 
 
-def _load(path: str) -> ScenarioSpec:
-    return load_scenario(path, validate=True)
-
-
-def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
-    if getattr(args, "grid", None):
+def _load(path: str, args) -> ScenarioSpec:
+    """The scenario at path with the --grid and --tol-grad overrides applied,
+    validated as a whole."""
+    spec = load_scenario(path, validate=False)
+    if args.grid:
         try:
             nt, ns = (int(v) for v in args.grid.lower().split("x"))
         except ValueError:
             raise ValidationFailure([{"check": "cli", "message": f"bad --grid value {args.grid!r}, want NxM"}])
         spec = spec.with_grid(nt, ns)
-    if getattr(args, "tol_grad", None) is not None:
-        from dataclasses import replace
+    if args.tol_grad is not None:
         spec = replace(spec, tolerances=replace(spec.tolerances, grad_zero_tol=args.tol_grad))
-    return spec
+    return domain.validate_scenario(spec)
 
 
 def _cmd_solve(args) -> int:
-    spec = _apply_overrides(_load(args.scenario), args)
+    spec = _load(args.scenario, args)
     field = solve(assemble(spec))
     out = Path(args.out) / f"{spec.name}_field.csv"
     field.to_csv(out)
@@ -108,7 +108,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    spec = _apply_overrides(_load(args.scenario), args)
+    spec = _load(args.scenario, args)
     field = solve(assemble(spec))
     points, suspects, warnings = find_critical_points_report(field)
     out = Path(args.out) / "critical.csv"
@@ -125,7 +125,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    spec = _apply_overrides(_load(args.scenario), args)
+    spec = _load(args.scenario, args)
     field = solve(assemble(spec))
     census = level_census(field, args.t)
     payload = _round_floats({
@@ -146,7 +146,7 @@ def _cmd_census(args) -> int:
 
 
 def _verify_one(path: str, args) -> tuple:
-    spec = _apply_overrides(_load(path), args)
+    spec = _load(path, args)
     fp = fingerprint_scenario(Path(path).read_bytes())
     report = run_scenario(spec, fingerprint=fp)
     return spec, report
@@ -165,7 +165,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    spec = _apply_overrides(_load(args.scenario), args)
+    spec = _load(args.scenario, args)
     field = solve(assemble(spec))
     points, _, _ = find_critical_points_report(field)
     thresholds = args.t if args.t else []
@@ -182,7 +182,11 @@ def _cmd_batch(args) -> int:
     if not files:
         print(f"no scenario files in {directory}", file=sys.stderr)
         return 1
-    workers = int(os.environ.get("LEVELSET_LAB_THREADS", "1") or "1")
+    threads = os.environ.get("LEVELSET_LAB_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValidationFailure([{"check": "cli", "message": f"bad LEVELSET_LAB_THREADS value {threads!r}, want an integer"}])
     rows = []
 
     def one(path):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndi
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .domain import ToleranceSet
 from .errors import (
@@ -261,36 +263,13 @@ def _marked_level_cells(field: SolutionField, t: float, band: float):
 
 
 def label_wrapped(mask: np.ndarray):
-    """4-connected labels with wrap-around along axis 0 (theta)."""
+    """4-connected labels with wrap-around along axis 0 (theta), numbered in
+    the order of the smallest ndi.label label in each component."""
     labels, n = ndi.label(mask)
-    if n == 0:
-        return labels, 0
-    # merge labels across the theta seam
-    parent = np.arange(n + 1)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    top, bot = labels[0, :], labels[-1, :]
-    for a, b in zip(top, bot):
-        if a and b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(k) for k in range(n + 1)])
-    # canonical consecutive numbering, stable in first-appearance order
-    uniq = []
-    remap = np.zeros(n + 1, dtype=int)
-    for k in range(1, n + 1):
-        r = roots[k]
-        if remap[r] == 0:
-            uniq.append(r)
-            remap[r] = len(uniq)
-        remap[k] = remap[r]
-    return remap[labels], len(uniq)
+    seam = (labels[0] > 0) & (labels[-1] > 0)
+    pairs = sp.coo_matrix((np.ones(np.count_nonzero(seam)), (labels[0][seam], labels[-1][seam])), shape=(n + 1, n + 1))
+    count, merged = connected_components(pairs, directed=False)
+    return merged[labels], count - 1
 
 
 def cluster_critical_sets(field: SolutionField, points, t: float,

@@ -188,8 +188,3 @@ class DomainSpec:
         s = (rho - r0) / (r1 - r0)
         lo = margin if not self.is_disk else 0.0
         return (s >= lo) & (s <= 1.0 - margin)
-
-
-def map_reference(spec: DomainSpec, ref_pt):
-    """Module-level convenience wrapper around DomainSpec.map_reference."""
-    return spec.map_reference(ref_pt)

@@ -344,114 +344,98 @@ def boundary_profile(field: SolutionField, tol: ToleranceSet | None = None,
 # --------------------------------------------------------------------------
 # level-line tracing (marching squares on the lattice)
 
+def _case_table() -> np.ndarray:
+    """Marching-squares segments, indexed by (corner code, centre above t).
+
+    Corner bits: 1 = (i, j), 2 = (i+1, j), 4 = (i+1, j+1), 8 = (i, j+1).
+    Sides: 0 bottom, 1 right, 2 top, 3 left, so side k joins corners k and
+    k+1 mod 4.  Each case lists up to two segments as side pairs, padded
+    with -1, joining the sign-change sides around each cut-off corner.  Only
+    the saddle codes 5 and 10 read the centre: when it has the sign of
+    corners (i, j) and (i+1, j+1), the other two corners are cut off.
+    """
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for code, pair in {1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2), 7: (3, 2), 8: (2, 3),
+                       9: (2, 0), 11: (2, 1), 12: (1, 3), 13: (0, 1), 14: (3, 0)}.items():
+        table[code, :, 0] = pair
+    table[5, 1] = table[10, 0] = ((0, 1), (2, 3))
+    table[5, 0] = table[10, 1] = ((3, 0), (1, 2))
+    return table
+
+
+_CASES = _case_table()
+
+
+def _edge_points(v0, v1, p0, p1):
+    """Zero of u - t on each lattice edge from p0 (value v0) to p1 (value
+    v1) by linear interpolation, clipped to the edge; the midpoint when the
+    end values are equal."""
+    d = v0 - v1
+    lam = np.clip(np.divide(v0, d, out=np.full(d.shape, 0.5), where=d != 0), 0.0, 1.0)
+    return p0 + lam[..., None] * (p1 - p0)
+
+
 def trace_level_lines(field: SolutionField, t: float):
     """Marching-squares polylines of {u = t} in physical coordinates.
 
     Returns (polylines, warnings); each polyline is an (n, 2) array, closed
-    when its first and last vertices coincide.
+    when its first and last vertices coincide.  Chains that start on the
+    s = 0 or s = 1 rim come first, then closed loops, each in the cell order
+    (i-major) of its first segment.
     """
     lat = field.lattice()
-    th_nodes, s_nodes = lat.theta, lat.s
     un = lat.nodes - t
     nrt, nrs = lat.centres.shape
+    pos = (un > 0.0).astype(np.intp)
+    code = pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+    saddle_cells = int(np.count_nonzero((code == 5) | (code == 10)))
+    warnings = [f"{saddle_cells} saddle cell(s) resolved by centre value"] if saddle_cells else []
 
-    pos = un > 0.0
-    warnings = []
+    # edge ids: horizontal edge (i, j), from node (i, j) to (i+1, j), is
+    # i * (nrs + 1) + j; vertical edge (i, j), from node (i, j) to (i, j+1),
+    # is n_h + i * nrs + j, the seam column nrt counting as column 0
+    n_h = nrt * (nrs + 1)
+    cells = np.flatnonzero((code != 0) & (code != 15))
+    i, j = np.divmod(cells, nrs)
+    sides = np.stack([i * (nrs + 1) + j, n_h + (i + 1) % nrt * nrs + j,
+                      i * (nrs + 1) + j + 1, n_h + i * nrs + j], axis=1)
+    case = _CASES[code.flat[cells], (lat.centres.flat[cells] > t).astype(np.intp)]
+    live = case.reshape(-1, 2)[:, 0] >= 0
+    ends = np.take_along_axis(sides, case.reshape(-1, 4), axis=1).reshape(-1, 2)[live].ravel()
 
-    def edge_point(i0, j0, i1, j1):
-        v0, v1 = un[i0, j0], un[i1, j1]
-        lam = 0.5 if v1 == v0 else v0 / (v0 - v1)
-        lam = min(max(lam, 0.0), 1.0)
-        th = th_nodes[i0] + lam * (th_nodes[i1] - th_nodes[i0])
-        s = s_nodes[j0] + lam * (s_nodes[j1] - s_nodes[j0])
-        return th, s
+    # node column nrt (theta = 2 pi) samples the same points as column 0
+    node = np.stack(np.meshgrid(lat.theta, lat.s, indexing="ij"), axis=-1)
+    h_pts = _edge_points(un[:-1], un[1:], node[:-1], node[1:])
+    v_pts = _edge_points(un[:-1, :-1], un[:-1, 1:], node[:-1, :-1], node[:-1, 1:])
+    pts = np.concatenate([h_pts.reshape(-1, 2), v_pts.reshape(-1, 2)])
 
-    # edge keys: ("h", i, j) bottom edge of cell (i, j); ("v", i, j) left edge
-    segments = []
-    saddle_cells = 0
-    for i in range(nrt):
-        i1 = i + 1
-        for j in range(nrs):
-            j1 = j + 1
-            code = (int(pos[i, j]) | int(pos[i1, j]) << 1 | int(pos[i1, j1]) << 2 | int(pos[i, j1]) << 3)
-            if code in (0, 15):
-                continue
-            bottom = (("h", i % nrt, j), edge_point(i, j, i1, j))
-            top = (("h", i % nrt, j1), edge_point(i, j1, i1, j1))
-            left = (("v", i % nrt, j), edge_point(i, j, i, j1))
-            right = (("v", i1 % nrt, j), edge_point(i1, j, i1, j1))
-            # corner bits: 1 = (i,j), 2 = (i1,j), 4 = (i1,j1), 8 = (i,j1);
-            # each case pairs the sign-change edges around the cut-off corners
-            pairs = {
-                1: [(left, bottom)], 2: [(bottom, right)], 3: [(left, right)],
-                4: [(right, top)], 6: [(bottom, top)], 7: [(left, top)],
-                8: [(top, left)], 9: [(top, bottom)], 11: [(top, right)],
-                12: [(right, left)], 13: [(bottom, right)], 14: [(left, bottom)],
-            }
-            if code in (5, 10):
-                saddle_cells += 1
-                centre = lat.centres[i, j] - t
-                # connect the quadrant diagonal matching the centre sign
-                bl_tr_connected = (centre > 0) == (code == 5)
-                if bl_tr_connected:
-                    conn = [(bottom, right), (top, left)]
-                else:
-                    conn = [(left, bottom), (right, top)]
-                segments.extend(conn)
-            else:
-                segments.extend(pairs[code])
-    if saddle_cells:
-        warnings.append(f"{saddle_cells} saddle cell(s) resolved by centre value")
+    # segment k has ends 2k and 2k + 1; other[e] is the end of the other
+    # segment on the same edge as end e, or -1 (an edge is a side of at most
+    # two cells, and of at most one segment in each)
+    order = np.argsort(ends, kind="stable")
+    shared = ends[order[:-1]] == ends[order[1:]]
+    a, b = order[:-1][shared], order[1:][shared]
+    other = np.full(len(ends), -1)
+    other[a], other[b] = b, a
+    edge_of, other = ends.tolist(), other.tolist()
+    used = [False] * (len(ends) // 2)
 
-    # chain segments into polylines through shared edge keys
-    by_key: dict = {}
-    for sid, (a, b) in enumerate(segments):
-        by_key.setdefault(a[0], []).append(sid)
-        by_key.setdefault(b[0], []).append(sid)
+    def walk(e):
+        chain = [edge_of[e]]
+        while e >= 0 and not used[e >> 1]:
+            used[e >> 1] = True
+            e ^= 1
+            chain.append(edge_of[e])
+            e = other[e]
+        return chain
 
-    used = [False] * len(segments)
-
-    def walk(start_sid, start_key):
-        chain = [start_key]
-        sid = start_sid
-        key = start_key
-        while True:
-            used[sid] = True
-            a, b = segments[sid]
-            nxt = b[0] if a[0] == key else a[0]
-            chain.append(nxt)
-            key = nxt
-            candidates = [c for c in by_key.get(key, []) if not used[c]]
-            if not candidates:
-                return chain
-            sid = candidates[0]
-
-    # open chains start on boundary edges (s = 0 or s = 1 horizontal edges)
-    def is_boundary_key(key):
-        return key[0] == "h" and (key[2] == 0 or key[2] == nrs)
-
-    coords = {}
-    for a, b in segments:
-        coords[a[0]] = a[1]
-        coords[b[0]] = b[1]
-
-    polylines = []
-    for sid in range(len(segments)):
-        if used[sid]:
-            continue
-        a, b = segments[sid]
-        if is_boundary_key(a[0]) or is_boundary_key(b[0]):
-            start = a[0] if is_boundary_key(a[0]) else b[0]
-            chain = walk(sid, start)
-            polylines.append(chain)
-    for sid in range(len(segments)):
-        if not used[sid]:
-            chain = walk(sid, segments[sid][0][0])
-            polylines.append(chain)
+    on_rim = (ends < n_h) & (ends % (nrs + 1) % nrs == 0)
+    chains = [walk(e) for e in np.flatnonzero(on_rim).tolist() if not used[e >> 1]]
+    chains += [walk(2 * k) for k in range(len(used)) if not used[k]]
 
     out = []
-    for chain in polylines:
-        ref = np.array([coords[k] for k in chain])
+    for chain in chains:
+        ref = pts[chain]
         x, y = field.domain.map_point(np.mod(ref[:, 0], TWO_PI), np.clip(ref[:, 1], 0.0, 1.0))
         out.append(np.stack([x, y], axis=1))
     return out, warnings

@@ -99,6 +99,24 @@ def test_usage_error_exit_one(capsys):
     assert cli.main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv, check", [
+    (["render", "z_plus_inv.json", "--grid", "2x2", "--t", "0"], "grid"),
+    (["critical", "z_plus_inv.json", "--grid", "2x2"], "grid"),
+    (["census", "log_annulus.json", "--grid", "2x2", "--t", "0.5"], "grid"),
+    (["solve", "log_annulus.json", "--grid", "0x0"], "grid"),
+    (["solve", "log_annulus.json", "--grid", "8x4"], "grid"),
+    (["critical", "z_plus_inv.json", "--tol-grad", "-1"], "tolerances"),
+])
+def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
+    """--grid and --tol-grad values go through scenario validation: exit 1
+    with structured error lines, no traceback and no run below the limits."""
+    command, name, *rest = argv
+    assert cli.main([command, str(scen / name), *rest, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith(f"error: {scen / name}: {check}: ") for line in lines)
+    assert not any(tmp_path.iterdir())
+
+
 def test_census_subcommand(scen, tmp_path):
     code = cli.main(["census", str(scen / "log_annulus.json"), "--t", "0.5", "--out", str(tmp_path)])
     assert code == 0
@@ -164,6 +182,14 @@ def test_batch_subcommand(scen, tmp_path, monkeypatch):
     assert all(r["status"] == "ok" for r in rows)
     for r in rows:
         assert (tmp_path / f"{r['scenario']}_report.json").exists()
+
+
+def test_batch_rejects_malformed_thread_count(scen, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEVELSET_LAB_THREADS", "abc")
+    assert cli.main(["batch", str(scen), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {scen}: cli: ") and "LEVELSET_LAB_THREADS" in lines[0]
 
 
 def test_unwritable_output_path(scen, tmp_path, capsys):

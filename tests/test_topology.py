@@ -5,13 +5,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
-from conftest import make_scenario, solved_field
+from conftest import BUILTIN_NAMES, make_scenario, solved_field
 from levelset_lab import expressions as ex
-from levelset_lab.critical import find_critical_points
+from levelset_lab.critical import find_critical_points, label_wrapped
 from levelset_lab.geometry import TWO_PI
 from levelset_lab.solver import SolutionField, solve_scenario
 from levelset_lab.topology import (
+    _CASES,
     LevelComponent,
     LevelSetCensus,
     boundary_profile,
@@ -202,6 +204,167 @@ def test_trace_endpoints_on_level():
         assert np.max(np.abs(vals - t)) <= tol
 
 
+def trace_by_cells(field, t):
+    """Reference: marching squares one lattice cell at a time, edges keyed
+    by tuples and chained through a dict."""
+    lat = field.lattice()
+    th_nodes, s_nodes = lat.theta, lat.s
+    un = lat.nodes - t
+    nrt, nrs = lat.centres.shape
+
+    pos = un > 0.0
+    warnings = []
+
+    def edge_point(i0, j0, i1, j1):
+        v0, v1 = un[i0, j0], un[i1, j1]
+        lam = 0.5 if v1 == v0 else v0 / (v0 - v1)
+        lam = min(max(lam, 0.0), 1.0)
+        th = th_nodes[i0] + lam * (th_nodes[i1] - th_nodes[i0])
+        s = s_nodes[j0] + lam * (s_nodes[j1] - s_nodes[j0])
+        return th, s
+
+    # edge keys: ("h", i, j) bottom edge of cell (i, j); ("v", i, j) left edge
+    segments = []
+    saddle_cells = 0
+    for i in range(nrt):
+        i1 = i + 1
+        for j in range(nrs):
+            j1 = j + 1
+            code = (int(pos[i, j]) | int(pos[i1, j]) << 1 | int(pos[i1, j1]) << 2 | int(pos[i, j1]) << 3)
+            if code in (0, 15):
+                continue
+            bottom = (("h", i % nrt, j), edge_point(i, j, i1, j))
+            top = (("h", i % nrt, j1), edge_point(i, j1, i1, j1))
+            left = (("v", i % nrt, j), edge_point(i, j, i, j1))
+            right = (("v", i1 % nrt, j), edge_point(i1, j, i1, j1))
+            pairs = {
+                1: [(left, bottom)], 2: [(bottom, right)], 3: [(left, right)],
+                4: [(right, top)], 6: [(bottom, top)], 7: [(left, top)],
+                8: [(top, left)], 9: [(top, bottom)], 11: [(top, right)],
+                12: [(right, left)], 13: [(bottom, right)], 14: [(left, bottom)],
+            }
+            if code in (5, 10):
+                saddle_cells += 1
+                centre = lat.centres[i, j] - t
+                bl_tr_connected = (centre > 0) == (code == 5)
+                if bl_tr_connected:
+                    conn = [(bottom, right), (top, left)]
+                else:
+                    conn = [(left, bottom), (right, top)]
+                segments.extend(conn)
+            else:
+                segments.extend(pairs[code])
+    if saddle_cells:
+        warnings.append(f"{saddle_cells} saddle cell(s) resolved by centre value")
+
+    by_key: dict = {}
+    for sid, (a, b) in enumerate(segments):
+        by_key.setdefault(a[0], []).append(sid)
+        by_key.setdefault(b[0], []).append(sid)
+
+    used = [False] * len(segments)
+
+    def walk(start_sid, start_key):
+        chain = [start_key]
+        sid = start_sid
+        key = start_key
+        while True:
+            used[sid] = True
+            a, b = segments[sid]
+            nxt = b[0] if a[0] == key else a[0]
+            chain.append(nxt)
+            key = nxt
+            candidates = [c for c in by_key.get(key, []) if not used[c]]
+            if not candidates:
+                return chain
+            sid = candidates[0]
+
+    def is_boundary_key(key):
+        return key[0] == "h" and (key[2] == 0 or key[2] == nrs)
+
+    coords = {}
+    for a, b in segments:
+        coords[a[0]] = a[1]
+        coords[b[0]] = b[1]
+
+    polylines = []
+    for sid in range(len(segments)):
+        if used[sid]:
+            continue
+        a, b = segments[sid]
+        if is_boundary_key(a[0]) or is_boundary_key(b[0]):
+            start = a[0] if is_boundary_key(a[0]) else b[0]
+            polylines.append(walk(sid, start))
+    for sid in range(len(segments)):
+        if not used[sid]:
+            polylines.append(walk(sid, segments[sid][0][0]))
+
+    out = []
+    for chain in polylines:
+        ref = np.array([coords[k] for k in chain])
+        x, y = field.domain.map_point(np.mod(ref[:, 0], TWO_PI), np.clip(ref[:, 1], 0.0, 1.0))
+        out.append(np.stack([x, y], axis=1))
+    return out, warnings
+
+
+def assert_same_trace(field, t):
+    polys, warnings = trace_level_lines(field, t)
+    ref_polys, ref_warnings = trace_by_cells(field, t)
+    assert warnings == ref_warnings, t
+    assert len(polys) == len(ref_polys), t
+    for poly, ref in zip(polys, ref_polys):
+        assert np.array_equal(poly, ref), t
+
+
+@pytest.mark.parametrize("grid", [(64, 32), (128, 64)])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_trace_matches_cell_loop(name, grid):
+    """Same polylines, in the same order and from the same first vertex,
+    and the same saddle warning as the cell-by-cell reference, also at a
+    threshold equal to a lattice node value and to a cell-centre value."""
+    fld = solved_field(name, *grid)
+    lat = fld.lattice()
+    nrt, nrs = lat.centres.shape
+    lo, hi = float(np.min(lat.nodes)), float(np.max(lat.nodes))
+    for t in (lo + 0.3 * (hi - lo), lo + 0.55 * (hi - lo),
+              float(lat.nodes[nrt // 3, nrs // 2]), float(lat.centres[nrt // 2, nrs // 3])):
+        assert_same_trace(fld, t)
+
+
+def test_trace_matches_cell_loop_on_noisy_field():
+    """A seeded noisy field is full of saddle cells, resolved both ways by
+    the centre value; the traces still match the reference exactly."""
+    spec = make_scenario("3", "1", "1", "0", grid=(32, 16))
+    rng = np.random.default_rng(20261018)
+    saddles_by_centre = [0, 0]
+    for _ in range(4):
+        fld = SolutionField(spec, rng.standard_normal((32, 17)))
+        lat = fld.lattice()
+        for t in (0.0, 0.4, float(lat.nodes[5, 7]), float(lat.centres[9, 3])):
+            above = lat.nodes > t
+            diagonal = (above[:-1, :-1] == above[1:, 1:]) & (above[1:, :-1] == above[:-1, 1:])
+            saddle = diagonal & (above[:-1, :-1] != above[1:, :-1])
+            saddles_by_centre[0] += int(np.count_nonzero(saddle & (lat.centres <= t)))
+            saddles_by_centre[1] += int(np.count_nonzero(saddle & (lat.centres > t)))
+            assert_same_trace(fld, t)
+    assert min(saddles_by_centre) >= 5, saddles_by_centre
+
+
+def test_case_table_joins_sign_change_sides():
+    """For every mixed corner code and either centre sign, each case joins
+    each side whose two corners differ in sign exactly once, and no other."""
+    assert np.all(_CASES[0] == -1) and np.all(_CASES[15] == -1)
+    for code in range(1, 15):
+        above = [(code >> k) & 1 for k in range(4)]
+        crossed = sorted(k for k in range(4) if above[k] != above[(k + 1) % 4])
+        for centre in (0, 1):
+            segs = [tuple(seg) for seg in _CASES[code, centre].tolist() if seg[0] >= 0]
+            assert all(a != b for a, b in segs)
+            assert sorted(k for seg in segs for k in seg) == crossed, (code, centre)
+        if code not in (5, 10):
+            assert np.array_equal(_CASES[code, 0], _CASES[code, 1]), code
+
+
 # -------------------------------------------------------- boundary profiles
 
 def test_profile_single_cos_mode():
@@ -326,7 +489,6 @@ def euler_by_sets(i_arr, j_arr, n_theta):
 
 
 def test_component_euler_matches_reference():
-    from levelset_lab.critical import label_wrapped
     from levelset_lab.topology import _component_euler
 
     n_theta, n_s = 24, 10
@@ -354,3 +516,57 @@ def test_component_euler_matches_reference():
             seen.add((chi, bool(np.any(i_arr == 0) and np.any(i_arr == n_theta - 1))))
     # the random sets include seam-crossing components and ones with holes
     assert (1, True) in seen and any(chi < 1 for chi, _ in seen)
+
+
+# ------------------------------------------------------------ seam labelling
+
+def label_wrapped_by_union_find(mask):
+    """Reference: ndi.label, a union-find over the labels that meet across
+    the theta seam, then a renumbering loop in first-appearance order."""
+    labels, n = ndi.label(mask)
+    if n == 0:
+        return labels, 0
+    parent = np.arange(n + 1)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    top, bot = labels[0, :], labels[-1, :]
+    for a, b in zip(top, bot):
+        if a and b:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array([find(k) for k in range(n + 1)])
+    uniq = []
+    remap = np.zeros(n + 1, dtype=int)
+    for k in range(1, n + 1):
+        r = roots[k]
+        if remap[r] == 0:
+            uniq.append(r)
+            remap[r] = len(uniq)
+        remap[k] = remap[r]
+    return remap[labels], len(uniq)
+
+
+def test_label_wrapped_matches_union_find():
+    rng = np.random.default_rng(20261018)
+    masks = [np.zeros((12, 7), dtype=bool), np.ones((12, 7), dtype=bool),
+             rng.random((1, 9)) < 0.5, np.ones((1, 9), dtype=bool)]
+    stripes = np.zeros((16, 6), dtype=bool)
+    stripes[:3, ::2] = stripes[-2:, ::2] = True      # seam-wrapping pieces
+    stripes[-1, 1] = stripes[0, 1] = True
+    masks.append(stripes)
+    masks += [rng.random(rng.integers(2, 20, size=2)) < rng.uniform(0.2, 0.8) for _ in range(400)]
+    wrapped = 0
+    for mask in masks:
+        labels, n = label_wrapped(mask)
+        ref_labels, ref_n = label_wrapped_by_union_find(mask)
+        assert n == ref_n and type(n) is int
+        assert np.array_equal(labels, ref_labels)
+        wrapped += n < ndi.label(mask)[1]
+    # the seeded masks merge components across the seam
+    assert wrapped > 50
