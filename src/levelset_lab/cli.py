@@ -83,9 +83,9 @@ def emit_report(report_dict: dict, path) -> None:
     Path(path).write_text(json.dumps(report_dict, indent=1) + "\n", encoding="utf-8")
 
 
-def _load(path: str, args) -> ScenarioSpec:
+def _load(path: str, args, validate: bool = True) -> ScenarioSpec:
     """The scenario at path with the --grid and --tol-grad overrides applied,
-    validated as a whole."""
+    validated as a whole unless the caller validates it itself."""
     spec = load_scenario(path, validate=False)
     if args.grid:
         try:
@@ -95,7 +95,7 @@ def _load(path: str, args) -> ScenarioSpec:
         spec = spec.with_grid(nt, ns)
     if args.tol_grad is not None:
         spec = replace(spec, tolerances=replace(spec.tolerances, grad_zero_tol=args.tol_grad))
-    return domain.validate_scenario(spec)
+    return domain.validate_scenario(spec) if validate else spec
 
 
 def _cmd_solve(args) -> int:
@@ -146,7 +146,7 @@ def _cmd_census(args) -> int:
 
 
 def _verify_one(path: str, args) -> tuple:
-    spec = _load(path, args)
+    spec = _load(path, args, validate=False)  # run_scenario validates it
     fp = fingerprint_scenario(Path(path).read_bytes())
     report = run_scenario(spec, fingerprint=fp)
     return spec, report

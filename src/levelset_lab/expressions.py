@@ -288,19 +288,55 @@ def evaluate_theta(expr, theta):
     return np.broadcast_to(np.asarray(out, dtype=float), theta.shape).copy()
 
 
+_ZERO = ("num", 0.0)
+_ONE = ("num", 1.0)
+
+
+# Smart constructors for derivative trees: they fold the identities
+# 0*x = 0, 1*x = x, x +- 0 = x, 0/x = 0, x^1 = x and -0 = 0, so a derivative
+# carries no zero subtrees (exact for finite operands).
+def _neg(a):
+    if a == _ZERO:
+        return _ZERO
+    return ("num", -a[1]) if a[0] == "num" else ("neg", a)
+
+
+def _add(a, b):
+    return b if a == _ZERO else a if b == _ZERO else ("bin", "+", a, b)
+
+
+def _sub(a, b):
+    return _neg(b) if a == _ZERO else a if b == _ZERO else ("bin", "-", a, b)
+
+
+def _mul(a, b):
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else ("bin", "*", a, b)
+
+
+def _div(a, b):
+    return _ZERO if a == _ZERO else ("bin", "/", a, b)
+
+
+def _pow(a, b):
+    return a if b == _ONE else ("bin", "^", a, b)
+
+
 def differentiate(expr, var: str = "theta"):
-    """Symbolic derivative with respect to a single free variable.
+    """Symbolic derivative with respect to a single free variable, with the
+    constant identities above folded away.
 
     Intended for boundary-curve expressions in ``theta``; the other
     variables are treated as independent of ``var``.
     """
     kind = expr[0]
     if kind == "num":
-        return ("num", 0.0)
+        return _ZERO
     if kind == "var":
-        return ("num", 1.0) if expr[1] == var else ("num", 0.0)
+        return _ONE if expr[1] == var else _ZERO
     if kind == "neg":
-        return ("neg", differentiate(expr[1], var))
+        return _neg(differentiate(expr[1], var))
     if kind == "call":
         name, arg = expr[1], expr[2]
         da = differentiate(arg, var)
@@ -309,38 +345,37 @@ def differentiate(expr, var: str = "theta"):
         elif name == "cos":
             outer = ("neg", ("call", "sin", arg))
         elif name == "tan":
-            outer = ("bin", "/", ("num", 1.0), ("bin", "^", ("call", "cos", arg), ("num", 2.0)))
+            outer = ("bin", "/", _ONE, ("bin", "^", ("call", "cos", arg), ("num", 2.0)))
         elif name == "exp":
             outer = expr
         elif name == "log":
-            outer = ("bin", "/", ("num", 1.0), arg)
+            outer = ("bin", "/", _ONE, arg)
         elif name == "sqrt":
             outer = ("bin", "/", ("num", 0.5), expr)
         elif name == "abs":
             outer = ("call", "sign", arg)
         elif name == "sign":
-            outer = ("num", 0.0)
+            outer = _ZERO
         else:  # pragma: no cover - grammar forbids others
             raise UnknownIdentifierError(name, 0)
-        return ("bin", "*", outer, da)
+        return _mul(outer, da)
     op, a, b = expr[1], expr[2], expr[3]
     da, db = differentiate(a, var), differentiate(b, var)
     if op == "+":
-        return ("bin", "+", da, db)
+        return _add(da, db)
     if op == "-":
-        return ("bin", "-", da, db)
+        return _sub(da, db)
     if op == "*":
-        return ("bin", "+", ("bin", "*", da, b), ("bin", "*", a, db))
+        return _add(_mul(da, b), _mul(a, db))
     if op == "/":
-        num = ("bin", "-", ("bin", "*", da, b), ("bin", "*", a, db))
-        return ("bin", "/", num, ("bin", "^", b, ("num", 2.0)))
+        return _div(_sub(_mul(da, b), _mul(a, db)), ("bin", "^", b, ("num", 2.0)))
     # power: general a^b with d/dv = a^b * (db*log a + b*da/a); constant
     # exponents take the standard short form to avoid spurious log domain.
     if is_constant(b):
-        p = evaluate_env(b, {})
-        return ("bin", "*", ("bin", "*", ("num", float(p)), ("bin", "^", a, ("num", float(p) - 1.0))), da)
-    inner = ("bin", "+", ("bin", "*", db, ("call", "log", a)), ("bin", "/", ("bin", "*", b, da), a))
-    return ("bin", "*", expr, inner)
+        p = float(evaluate_env(b, {}))
+        return _mul(_mul(("num", p), _pow(a, ("num", p - 1.0))), da)
+    inner = _add(_mul(db, ("call", "log", a)), _div(_mul(b, da), a))
+    return _mul(expr, inner)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

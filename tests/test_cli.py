@@ -117,6 +117,29 @@ def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
     assert not any(tmp_path.iterdir())
 
 
+def test_verify_validates_once(scen, tmp_path, capsys, monkeypatch):
+    """verify validates the scenario once (inside run_scenario), and a bad
+    override still exits 1 with structured error lines."""
+    import levelset_lab.domain as domain_mod
+    import levelset_lab.verify as verify_mod
+    calls = []
+
+    def counting(fn):
+        return lambda spec, *a, **k: calls.append(spec.name) or fn(spec, *a, **k)
+
+    monkeypatch.setattr(domain_mod, "validate_scenario", counting(domain_mod.validate_scenario))
+    monkeypatch.setattr(verify_mod, "validate_scenario", counting(verify_mod.validate_scenario))
+    path = scen / "log_annulus.json"
+    assert cli.main(["verify", str(path), "--grid", "32x16", "--out", str(tmp_path)]) == 0
+    assert calls == ["log_annulus"]
+    capsys.readouterr()
+    out = tmp_path / "bad"
+    assert cli.main(["verify", str(path), "--grid", "2x2", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith(f"error: {path}: grid: ") for line in lines)
+    assert not any(out.iterdir())
+
+
 def test_census_subcommand(scen, tmp_path):
     code = cli.main(["census", str(scen / "log_annulus.json"), "--t", "0.5", "--out", str(tmp_path)])
     assert code == 0

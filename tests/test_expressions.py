@@ -172,3 +172,112 @@ def test_differentiate_theta(src, dsrc_at):
     for t in (0.3, 1.1, 2.9, 4.2):
         got = float(ex.evaluate_env(d, {"theta": np.asarray(t)}))
         assert got == pytest.approx(dsrc_at(t), rel=1e-12, abs=1e-12)
+
+
+def differentiate_unfolded(expr, var="theta"):
+    """Reference: the derivative rules without constant folding, as
+    `ex.differentiate` built them before it folded zero and unit factors."""
+    kind = expr[0]
+    if kind == "num":
+        return ("num", 0.0)
+    if kind == "var":
+        return ("num", 1.0) if expr[1] == var else ("num", 0.0)
+    if kind == "neg":
+        return ("neg", differentiate_unfolded(expr[1], var))
+    if kind == "call":
+        name, arg = expr[1], expr[2]
+        outer = {
+            "sin": ("call", "cos", arg),
+            "cos": ("neg", ("call", "sin", arg)),
+            "tan": ("bin", "/", ("num", 1.0), ("bin", "^", ("call", "cos", arg), ("num", 2.0))),
+            "exp": expr,
+            "log": ("bin", "/", ("num", 1.0), arg),
+            "sqrt": ("bin", "/", ("num", 0.5), expr),
+            "abs": ("call", "sign", arg),
+            "sign": ("num", 0.0),
+        }[name]
+        return ("bin", "*", outer, differentiate_unfolded(arg, var))
+    op, a, b = expr[1], expr[2], expr[3]
+    da, db = differentiate_unfolded(a, var), differentiate_unfolded(b, var)
+    if op in "+-":
+        return ("bin", op, da, db)
+    if op == "*":
+        return ("bin", "+", ("bin", "*", da, b), ("bin", "*", a, db))
+    if op == "/":
+        num = ("bin", "-", ("bin", "*", da, b), ("bin", "*", a, db))
+        return ("bin", "/", num, ("bin", "^", b, ("num", 2.0)))
+    if ex.is_constant(b):
+        p = float(ex.evaluate_env(b, {}))
+        return ("bin", "*", ("bin", "*", ("num", p), ("bin", "^", a, ("num", p - 1.0))), da)
+    inner = ("bin", "+", ("bin", "*", db, ("call", "log", a)), ("bin", "/", ("bin", "*", b, da), a))
+    return ("bin", "*", expr, inner)
+
+
+def tree_size(expr) -> int:
+    return 1 + sum(tree_size(child) for child in expr[1:] if isinstance(child, tuple))
+
+
+def _subtrees(expr):
+    yield expr
+    for child in expr[1:]:
+        if isinstance(child, tuple):
+            yield from _subtrees(child)
+
+
+# Boundary radii of the seed-0 symmetric annuli (k-fold, k = 2, 3, 4) that the
+# perfbench symmetric_annuli generator draws: inner and outer of sym0..sym7.
+SYMMETRIC_SEED0_RADII = (
+    "1.1378*(1 + 0.1258*cos(2*theta))", "2.9365*(1 + 0.0304*cos(4*theta))",
+    "0.9213*(1 + 0.0977*cos(3*theta))", "3.0667*(1 + 0.0563*cos(6*theta))",
+    "1.0473*(1 + 0.0751*cos(4*theta))", "3.3278*(1 + 0.0593*cos(8*theta))",
+    "1.0919*(1 + 0.1399*cos(2*theta))", "3.1472*(1 + 0.0389*cos(4*theta))",
+    "1.1652*(1 + 0.1467*cos(3*theta))", "2.9816*(1 + 0.0546*cos(6*theta))",
+    "0.8056*(1 + 0.1220*cos(4*theta))", "2.9191*(1 + 0.0530*cos(8*theta))",
+    "1.1470*(1 + 0.0744*cos(2*theta))", "2.8602*(1 + 0.0548*cos(4*theta))",
+    "1.1870*(1 + 0.1303*cos(3*theta))", "2.9584*(1 + 0.0232*cos(6*theta))",
+)
+
+
+def _builtin_radii():
+    from conftest import BUILTIN_NAMES, builtin_spec
+    out = []
+    for name in BUILTIN_NAMES:
+        dom = builtin_spec(name).domain
+        out += [c.source for c in (dom.exterior, dom.interior) if c is not None]
+    return out
+
+
+def test_folded_derivatives_match_unfolded():
+    """Folding constants changes the derivative trees, not their values."""
+    theta = np.linspace(0.0, 2.0 * math.pi, 1001)
+    for src in (*_builtin_radii(), *SYMMETRIC_SEED0_RADII):
+        tree = ex.parse_expression(src)
+        folded, unfolded = tree, tree
+        for _ in range(2):
+            folded = ex.differentiate(folded, "theta")
+            unfolded = differentiate_unfolded(unfolded, "theta")
+            want = ex.evaluate_theta(unfolded, theta)
+            got = ex.evaluate_theta(folded, theta)
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, src
+            assert tree_size(folded) <= tree_size(unfolded), src
+
+
+def test_folded_second_derivative_is_smaller():
+    """The radii of sym0_k2 carry no zero subtrees in their folded d2."""
+    from levelset_lab.geometry import BoundaryCurve
+    for src in SYMMETRIC_SEED0_RADII[:2]:
+        curve = BoundaryCurve.from_source(src)
+        unfolded = differentiate_unfolded(differentiate_unfolded(curve.radius_expr))
+        assert tree_size(curve._d2) < tree_size(unfolded)
+        assert ("num", 0.0) not in _subtrees(curve._d2)
+
+
+def test_folding_identities():
+    zero, one = ("num", 0.0), ("num", 1.0)
+    assert ex.differentiate(ex.parse_expression("3*theta")) == ("num", 3.0)
+    assert ex.differentiate(ex.parse_expression("theta - 2")) == one
+    assert ex.differentiate(ex.parse_expression("-(x + 2)")) == zero
+    assert ex.differentiate(ex.parse_expression("x / (1 + x)")) == zero
+    assert ex.differentiate(ex.parse_expression("theta^2")) == ("bin", "*", ("num", 2.0), ("var", "theta"))
+    assert ex.differentiate(("var", "x"), "x") == one

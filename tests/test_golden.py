@@ -8,6 +8,9 @@ match to a relative tolerance of 1e-9.
 Re-record after an intended change of behaviour with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every path that moved (as `differences` reports it) before
+it overwrites a golden file.
 """
 
 import json
@@ -65,6 +68,10 @@ def test_differences_tolerance():
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in BUILTIN_NAMES:
-        text = json.dumps(report_payload(name), indent=1) + "\n"
-        (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
-        print(f"wrote {GOLDEN_DIR / name}.json")
+        path = GOLDEN_DIR / f"{name}.json"
+        payload = json.loads(json.dumps(report_payload(name)))
+        if path.exists():
+            for diff in differences(json.loads(path.read_text(encoding="utf-8")), payload):
+                print(f"{name}: {diff}")
+        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path}")

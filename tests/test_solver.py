@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_scenario, solved_field
+from conftest import builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
 from levelset_lab.errors import NoConvergenceError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI
@@ -11,6 +11,7 @@ from levelset_lab.solver import (
     SolutionField,
     assemble,
     convergence_study,
+    nested_dissection,
     solve,
     solve_scenario,
 )
@@ -129,6 +130,50 @@ def test_zero_pivot_reports_no_convergence():
     system.matrix = A.tocsr()
     with pytest.raises(NoConvergenceError):
         solve(system)
+
+
+def test_corrupted_solution_fails_residual_gate(monkeypatch):
+    """The gate checks the solution it is handed: an LU solve that returns
+    a perturbed vector raises instead of passing."""
+    import levelset_lab.solver as solver_mod
+    real_splu = solver_mod.spla.splu
+
+    class Corrupted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            x[len(x) // 3] += 1e-6 * np.max(np.abs(x))
+            return x
+
+    system = assemble(log_annulus_spec())
+    assert solve(system).residual <= 1e-13
+    monkeypatch.setattr(solver_mod.spla, "splu", lambda *a, **k: Corrupted(real_splu(*a, **k)))
+    with pytest.raises(NoConvergenceError):
+        solve(system)
+
+
+@pytest.mark.parametrize("n_theta, n_s, disk", [
+    (64, 32, False), (65, 32, False), (64, 33, True), (37, 16, True), (512, 256, False),
+])
+def test_nested_dissection_is_a_bijection(n_theta, n_s, disk):
+    """The elimination order visits every interior unknown exactly once."""
+    order = nested_dissection(n_theta, n_s, disk)
+    n_interior = n_theta * (n_s - 1) + (1 if disk else 0)
+    assert np.array_equal(np.sort(order), np.arange(n_interior))
+    if disk:
+        assert order[-1] == 0  # the centre couples to the whole first ring
+
+
+@pytest.mark.parametrize("name", ["z_plus_inv", "disk_z3"])
+def test_fine_grid_passes_residual_gate(name):
+    """At 512x256 the reduced-system residual stays at round-off, far
+    below the 1e-10 gate that the full-system measure crossed."""
+    spec = builtin_spec(name).with_grid(512, 256)
+    assert spec.tolerances.linear_residual_tol == 1e-10
+    fld = solve(assemble(spec))
+    assert fld.residual <= 1e-13
 
 
 # ------------------------------------------------------------- interpolation
