@@ -172,15 +172,14 @@ def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     theta_c = (np.arange(nt) + 0.5) * field.dtheta
     s_c = (np.arange(ns) + 0.5) * field.ds
     Tc, Sc = np.meshgrid(theta_c, s_c, indexing="ij")
-    Xc, Yc = field.domain.map_point(Tc, Sc)
-    gcx, gcy = field.gradient(Xc.ravel(), Yc.ravel())
-    small = (np.hypot(gcx, gcy) < 10.0 * tol.grad_zero_tol).reshape(nt, ns)
+    gcx, gcy = field.gradient_ref(Tc, Sc)
+    small = np.hypot(gcx, gcy) < 10.0 * tol.grad_zero_tol
 
     lo = tol.interior_margin if not field.domain.is_disk else 0.0
     hi = 1.0 - tol.interior_margin
     band_ok = (Sc >= lo) & (Sc <= hi)
     flagged = (sign_flip | small) & band_ok
-    return [(Xc[i, j], Yc[i, j]) for i, j in zip(*np.nonzero(flagged))]
+    return list(zip(*field.domain.map_point(Tc[flagged], Sc[flagged])))
 
 
 def find_critical_points_report(field: SolutionField, tol: ToleranceSet | None = None):

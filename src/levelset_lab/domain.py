@@ -22,6 +22,12 @@ from .geometry import TWO_PI, BoundaryCurve, DomainSpec
 # a channel thinner than this fraction of the outer radius cannot be
 # resolved by the admissible grids.
 REL_GAP_MIN = 0.02
+# validate_scenario samples each boundary curve at this many angles, and
+# the operator on a square (theta, s) patch with this many points a side.
+_CURVE_SAMPLES = 4096
+_INTERIOR_SAMPLES = 256
+# Relative size below which b and c count as zero in is_pure_diffusion.
+_PURE_DIFFUSION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,11 @@ class EllipticOperator:
             out["c"] = np.zeros(shape)
         return out
 
-    def is_pure_diffusion(self, x, y, tol: float = 1e-13) -> bool:
+    def is_pure_diffusion(self, x, y) -> bool:
         """True when b == 0 and c == 0 on the given sample."""
         co = self.coefficients_at(x, y)
         scale = max(float(np.max(np.abs(co["a11"]))), float(np.max(np.abs(co["a22"]))), 1.0)
-        return all(float(np.max(np.abs(co[k]))) <= tol * scale for k in ("b1", "b2", "c"))
+        return all(float(np.max(np.abs(co[k]))) <= _PURE_DIFFUSION_TOL * scale for k in ("b1", "b2", "c"))
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def _violation(check: str, message: str, witness=None) -> dict:
     return out
 
 
-def validate_scenario(spec: ScenarioSpec, curve_samples: int = 4096, interior_samples: int = 256) -> ScenarioSpec:
+def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """Check every scenario invariant on dense samples.
 
     Returns the spec unchanged when everything holds, otherwise raises
@@ -122,7 +128,7 @@ def validate_scenario(spec: ScenarioSpec, curve_samples: int = 4096, interior_sa
     points).  Never aborts on the first failure.
     """
     bad: list[dict] = []
-    theta = np.linspace(0.0, TWO_PI, curve_samples, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, _CURVE_SAMPLES, endpoint=False)
 
     curves = [("exterior", spec.domain.exterior)]
     if spec.domain.interior is not None:
@@ -184,8 +190,8 @@ def validate_scenario(spec: ScenarioSpec, curve_samples: int = 4096, interior_sa
 
     # interior sample for operator checks (skip if curves already broken)
     if not any(v["check"].startswith("curve") or v["check"] == "curves_separated" for v in bad):
-        ts = np.linspace(0.0, TWO_PI, interior_samples, endpoint=False)
-        ss = np.linspace(0.0, 1.0, interior_samples)
+        ts = np.linspace(0.0, TWO_PI, _INTERIOR_SAMPLES, endpoint=False)
+        ss = np.linspace(0.0, 1.0, _INTERIOR_SAMPLES)
         T, S = np.meshgrid(ts, ss, indexing="ij")
         X, Y = spec.domain.map_point(T, S)
         try:

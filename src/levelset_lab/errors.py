@@ -46,10 +46,6 @@ class ValidationFailure(LevelSetLabError):
         super().__init__(f"{len(self.violations)} validation error(s): {lines}")
 
 
-class SingularMapError(LevelSetLabError):
-    """Reference-to-physical map has a (near-)singular Jacobian at the request."""
-
-
 class AssemblyError(LevelSetLabError):
     """Non-finite metric or coefficient data while assembling the system."""
 

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .errors import OutsideDomainError, SingularMapError
+from .errors import OutsideDomainError
 
 TWO_PI = 2.0 * np.pi
+# invert_point accepts points up to this far outside s in [0, 1].
+_S_TOL = 1e-9
 
 
 def winding_turns(angles) -> float:
@@ -144,47 +146,26 @@ class DomainSpec:
             out[f"{name}_yy"] = -(T_tt * t_y * t_y + 2.0 * T_ts * t_y * s_y)
         return out
 
-    def map_reference(self, ref_pt):
-        """Physical point and Jacobian d(x,y)/d(theta,s) at one reference point.
-
-        Raises SingularMapError when |det J| < 1e-14 (disk centre).
-        """
-        theta, s = ref_pt
-        R, Rt, Rs, _, _ = self.blend(theta, s)
-        c, sn = np.cos(theta), np.sin(theta)
-        point = (float(R * c), float(R * sn))
-        J = np.array([[Rt * c - R * sn, Rs * c], [Rt * sn + R * c, Rs * sn]], dtype=float)
-        if abs(float(np.linalg.det(J))) < 1e-14:
-            raise SingularMapError(f"map Jacobian singular at theta={float(theta)!r}, s={float(s)!r}")
-        return point, J
-
     # ------------------------------------------------------------- invert
-    def invert_point(self, x, y, s_tol: float = 1e-9):
-        """Reference coordinates (theta, s) of physical points.
-
-        theta = atan2(y, x) wrapped to [0, 2pi); the blend is linear in s so
-        the radial equation solves in closed form.  Raises OutsideDomainError
-        when any point falls outside s in [0, 1] (within `s_tol`).
-        """
+    def _unclipped_reference(self, x, y):
+        """theta = atan2(y, x) wrapped to [0, 2pi), and s from the blend,
+        which is linear in s, so the radial equation solves in closed form."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         theta = np.mod(np.arctan2(y, x), TWO_PI)
-        rho = np.hypot(x, y)
         r0 = self.inner.radius(theta)
-        r1 = self.exterior.radius(theta)
-        s = (rho - r0) / (r1 - r0)
-        if np.any(s < -s_tol) or np.any(s > 1.0 + s_tol):
+        return theta, (np.hypot(x, y) - r0) / (self.exterior.radius(theta) - r0)
+
+    def invert_point(self, x, y):
+        """Reference coordinates (theta, s) of physical points.  Raises
+        OutsideDomainError when any point falls outside s in [0, 1] (within
+        _S_TOL)."""
+        theta, s = self._unclipped_reference(x, y)
+        if np.any(s < -_S_TOL) or np.any(s > 1.0 + _S_TOL):
             worst = float(np.max(np.abs(s - 0.5)) - 0.5)
             raise OutsideDomainError(f"point outside domain (s overflow {worst:.3e})")
         return theta, np.clip(s, 0.0, 1.0)
 
-    def contains(self, x, y, margin: float = 0.0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        theta = np.mod(np.arctan2(y, x), TWO_PI)
-        rho = np.hypot(x, y)
-        r0 = self.inner.radius(theta)
-        r1 = self.exterior.radius(theta)
-        s = (rho - r0) / (r1 - r0)
-        lo = margin if not self.is_disk else 0.0
-        return (s >= lo) & (s <= 1.0 - margin)
+    def contains(self, x, y) -> np.ndarray:
+        s = self._unclipped_reference(x, y)[1]
+        return (s >= 0.0) & (s <= 1.0)

@@ -8,6 +8,8 @@ from .geometry import TWO_PI
 from .solver import SolutionField
 from .topology import trace_level_lines
 
+# Width and height of the SVG document, in pixels.
+_SIZE = 640
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -22,7 +24,7 @@ def _path(points: np.ndarray) -> str:
     return f"{head} {rest}" if len(points) > 1 else head
 
 
-def render_svg(field: SolutionField, thresholds, points, size: int = 640) -> str:
+def render_svg(field: SolutionField, thresholds, points) -> str:
     """SVG document with boundary curves, one polyline group per threshold
     and one circle marker per critical point (radius scaled by multiplicity)."""
     theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
@@ -31,7 +33,7 @@ def render_svg(field: SolutionField, thresholds, points, size: int = 640) -> str
     lo, span = -(radius + pad), 2.0 * (radius + pad)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="{_fmt(lo)} {_fmt(lo)} {_fmt(span)} {_fmt(span)}">',
         f'<g id="boundaries" fill="none" stroke="#000000" stroke-width="{_fmt(0.004 * span)}">',
     ]

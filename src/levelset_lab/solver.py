@@ -25,6 +25,9 @@ from .errors import AssemblyError, NoConvergenceError
 from .geometry import TWO_PI
 
 _DISK_S_FLOOR = 1e-9
+# Off-diagonal entries of -A up to this fraction of its largest entry count
+# as non-positive in is_m_matrix.
+_M_MATRIX_TOL = 1e-12
 
 # Level-set routines read u on the solve grid refined this many times in
 # each direction.
@@ -37,6 +40,16 @@ _HERMITE_A = np.array([
     [-3.0, 3.0, -2.0, -1.0],
     [2.0, -2.0, 1.0, 1.0],
 ])
+
+# d^k/dx^k x^n = _FALLING[k, n] * x^_DROP[k, n], for k = 0, 1, 2 and n = 0..3
+_FALLING = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 6.0]])
+_DROP = np.maximum(np.arange(4) - np.arange(3)[:, None], 0)
+
+
+def _power_rows(x, order: int) -> np.ndarray:
+    """The monomial row [1, x, x^2, x^3] and its first `order` derivatives
+    at each x, shaped x.shape + (order + 1, 4)."""
+    return _FALLING[:order + 1] * np.asarray(x, dtype=float)[..., None, None] ** _DROP[:order + 1]
 
 
 def fd_weights(offsets, order: int) -> np.ndarray:
@@ -93,7 +106,7 @@ class DiscreteSystem:
     def interior_rows(self) -> np.ndarray:
         return np.where(~self.dirichlet_mask)[0]
 
-    def is_m_matrix(self, tol: float = 1e-12) -> bool:
+    def is_m_matrix(self) -> bool:
         """True when every interior row of -A has a positive diagonal and
         non-positive off-diagonal entries (discrete maximum principle)."""
         A = self.matrix.tocsr()
@@ -105,7 +118,7 @@ class DiscreteSystem:
             diag = vals[cols == row]
             if diag.size != 1 or diag[0] <= 0:
                 return False
-            if np.any(vals[cols != row] > tol * scale):
+            if np.any(vals[cols != row] > _M_MATRIX_TOL * scale):
                 return False
         return True
 
@@ -429,22 +442,28 @@ class SolutionField:
 
     def lattice(self) -> RefinedLattice:
         """u on the refined lattice that every level-set routine reads,
-        evaluated once per field."""
+        evaluated once per field: each solve cell at its fixed local
+        offsets, as one tensor product per cell."""
         if self._lattice is None:
             nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
             theta = np.arange(nrt + 1) * (TWO_PI / nrt)
             s = np.arange(nrs + 1) / nrs
-            # nodes and centres in separate calls: the per-point cell
-            # coefficients of one call over both would double peak memory
-            nodes = self._evaluate_grid(theta, s)
-            centres = self._evaluate_grid((np.arange(nrt) + 0.5) * (TWO_PI / nrt), (np.arange(nrs) + 0.5) / nrs)
+            # node offsets 0 .. 1 in s, so the last cell also gives the s = 1 rim
+            rows = _power_rows(np.arange(REFINE + 1) / REFINE, 0)[:, 0]
+            at_nodes = self._cell_samples(rows[:-1], rows)
+            nodes = np.empty((nrt + 1, nrs + 1))
+            nodes[:-1, :-1] = at_nodes[..., :-1].transpose(0, 2, 1, 3).reshape(nrt, nrs)
+            nodes[:-1, -1] = at_nodes[:, -1, :, -1].ravel()
+            nodes[-1] = nodes[0]
+            rows = _power_rows((np.arange(REFINE) + 0.5) / REFINE, 0)[:, 0]
+            centres = self._cell_samples(rows, rows).transpose(0, 2, 1, 3).reshape(nrt, nrs)
             self._lattice = RefinedLattice(*_frozen(theta, s, nodes, centres))
         return self._lattice
 
-    def _evaluate_grid(self, theta, s) -> np.ndarray:
-        """u at the tensor grid theta x s, shaped (len(theta), len(s))."""
-        T, S = np.meshgrid(theta, s, indexing="ij")
-        return self.evaluate_ref(T.ravel(), S.ravel()).reshape(T.shape)
+    def _cell_samples(self, rows_theta, rows_s) -> np.ndarray:
+        """u in every cell at the local offsets whose power rows are given,
+        shaped (n_theta, n_s, len(rows_theta), len(rows_s))."""
+        return rows_theta @ self._hermite() @ rows_s.T
 
     def interp_error_estimate(self) -> float:
         """Scale of the cell-interpolation error, from second differences."""
@@ -492,8 +511,7 @@ class SolutionField:
         F[:, :, 0:2, 2:4] = dsn
         F[:, :, 2:4, 0:2] = dtn
         F[:, :, 2:4, 2:4] = dts
-        A = _HERMITE_A
-        self._coeffs = np.einsum("ab,ijbc,dc->ijad", A, F, A)
+        self._coeffs = _HERMITE_A @ F @ _HERMITE_A.T
         return self._coeffs
 
     def _locate(self, theta, s):
@@ -506,32 +524,24 @@ class SolutionField:
         return i, j, xi, eta
 
     def evaluate_ref(self, theta, s, derivatives: bool = False):
-        """Interpolated u (and reference derivatives) at reference points."""
-        C = self._hermite()
+        """Interpolated u at reference points; with `derivatives`, a dict of
+        u and its reference derivatives ut, us, utt, uts and uss."""
         i, j, xi, eta = self._locate(theta, s)
-        scalar = np.ndim(xi) == 0
-        i, j, xi, eta = np.atleast_1d(i, j, xi, eta)
-        cells = C[i, j]  # (K, 4, 4)
-        X0 = np.stack([np.ones_like(xi), xi, xi ** 2, xi ** 3], axis=-1)
-        E0 = np.stack([np.ones_like(eta), eta, eta ** 2, eta ** 3], axis=-1)
-        u = np.einsum("ka,kab,kb->k", X0, cells, E0)
+        order = 2 if derivatives else 0
+        w = _power_rows(xi, order) @ self._hermite()[i, j] @ np.swapaxes(_power_rows(eta, order), -1, -2)
+        # w[a, b] = d^a/dxi^a d^b/deta^b of the cell polynomial at each point
+        w = np.moveaxis(w, (-2, -1), (0, 1))
         if not derivatives:
-            return u[0] if scalar else u
-        X1 = np.stack([np.zeros_like(xi), np.ones_like(xi), 2.0 * xi, 3.0 * xi ** 2], axis=-1)
-        X2 = np.stack([np.zeros_like(xi), np.zeros_like(xi), 2.0 * np.ones_like(xi), 6.0 * xi], axis=-1)
-        E1 = np.stack([np.zeros_like(eta), np.ones_like(eta), 2.0 * eta, 3.0 * eta ** 2], axis=-1)
-        E2 = np.stack([np.zeros_like(eta), np.zeros_like(eta), 2.0 * np.ones_like(eta), 6.0 * eta], axis=-1)
-        out = {
-            "u": u,
-            "ut": np.einsum("ka,kab,kb->k", X1, cells, E0) / self.dtheta,
-            "us": np.einsum("ka,kab,kb->k", X0, cells, E1) / self.ds,
-            "utt": np.einsum("ka,kab,kb->k", X2, cells, E0) / self.dtheta ** 2,
-            "uts": np.einsum("ka,kab,kb->k", X1, cells, E1) / (self.dtheta * self.ds),
-            "uss": np.einsum("ka,kab,kb->k", X0, cells, E2) / self.ds ** 2,
+            return w[0, 0]
+        dt, ds = self.dtheta, self.ds
+        return {
+            "u": w[0, 0],
+            "ut": w[1, 0] / dt,
+            "us": w[0, 1] / ds,
+            "utt": w[2, 0] / dt ** 2,
+            "uts": w[1, 1] / (dt * ds),
+            "uss": w[0, 2] / ds ** 2,
         }
-        if scalar:
-            out = {k: v[0] for k, v in out.items()}
-        return out
 
     # ------------------------------------------------------- physical eval
     def _invert(self, x, y):
@@ -545,14 +555,17 @@ class SolutionField:
         theta, s = self._invert(x, y)
         return self.evaluate_ref(theta, s)
 
-    def gradient(self, x, y):
-        """Physical gradient (u_x, u_y) at physical points."""
-        theta, s = self._invert(x, y)
+    def gradient_ref(self, theta, s):
+        """Physical gradient (u_x, u_y) at reference points."""
         d = self.evaluate_ref(theta, s, derivatives=True)
         met = self.domain.metric(theta, s)
         gx = met["t_x"] * d["ut"] + met["s_x"] * d["us"]
         gy = met["t_y"] * d["ut"] + met["s_y"] * d["us"]
         return gx, gy
+
+    def gradient(self, x, y):
+        """Physical gradient (u_x, u_y) at physical points."""
+        return self.gradient_ref(*self._invert(x, y))
 
     def hessian(self, x, y):
         """Physical Hessian entries (u_xx, u_xy, u_yy)."""
@@ -618,7 +631,7 @@ def convergence_study(spec: ScenarioSpec, grids) -> list:
         if reference is not None:
             exact = ex.evaluate_xy(reference, X, Y)
         else:
-            exact = ref_field.evaluate_ref(T.ravel(), S.ravel()).reshape(T.shape)
+            exact = ref_field.evaluate_ref(T, S)
         err = float(np.max(np.abs(fld.values - exact)))
         rows.append({"grid": (nt, ns), "error": err, "order": None})
     for k in range(1, len(rows)):

@@ -10,7 +10,7 @@ from . import expressions as ex
 from .critical import ResolvedTolerances, label_wrapped, resolve_tolerances
 from .domain import ToleranceSet
 from .errors import RadiusExhaustedError
-from .geometry import TWO_PI, winding_turns
+from .geometry import TWO_PI
 from .solver import REFINE, SolutionField
 
 
@@ -119,6 +119,12 @@ def region_components(field: SolutionField, lo: float, hi: float) -> int:
 
 # --------------------------------------------------------------------------
 # boundary profiles
+
+# Each boundary trace is sampled at this many equally spaced angles.
+_TRACE_SAMPLES = 4096
+# The collar test reads this many solve cells around a boundary extremum.
+_COLLAR_CELLS = 5
+
 
 @dataclass
 class BoundaryExtremum:
@@ -269,30 +275,28 @@ def _count_zero_structure(values: np.ndarray, ztol: float):
 
 
 def _closure_relative(field: SolutionField, which: str, theta0: float, value: float,
-                      kind: str, rt: ResolvedTolerances, depth_cells: int = 5) -> bool:
-    """Collar test: the extremum dominates the interior patch behind it."""
-    dtheta, ds = field.dtheta, field.ds
-    half = depth_cells * dtheta
-    th = np.linspace(theta0 - half, theta0 + half, 4 * depth_cells + 1)
-    depth = depth_cells * ds
-    if which == "exterior":
-        ss = np.linspace(max(0.0, 1.0 - depth), 1.0, 2 * depth_cells + 1)
-    else:
-        ss = np.linspace(0.0, min(1.0, depth), 2 * depth_cells + 1)
-    T, S = np.meshgrid(np.mod(th, TWO_PI), ss, indexing="ij")
-    patch = field.evaluate_ref(T.ravel(), S.ravel())
+                      kind: str, rt: ResolvedTolerances) -> bool:
+    """Collar test: the extremum dominates the lattice nodes behind it, up
+    to _COLLAR_CELLS solve cells to either side of the lattice column
+    nearest theta0 and as deep behind the rim."""
+    lat = field.lattice()
+    nrt = len(lat.theta) - 1
+    reach = _COLLAR_CELLS * REFINE
+    nearest = round(theta0 * nrt / TWO_PI)
+    cols = np.arange(nearest - reach, nearest + reach + 1) % nrt
+    rows = slice(-reach - 1, None) if which == "exterior" else slice(0, reach + 1)
+    patch = lat.nodes[cols, rows]
     slack = rt.equal_value_tol
     if kind == "max":
         return bool(value >= float(np.max(patch)) - slack)
     return bool(value <= float(np.min(patch)) + slack)
 
 
-def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances,
-                   samples: int = 4096) -> TraceProfile:
+def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances) -> TraceProfile:
     spec = field.spec
     curve = spec.domain.interior if which == "interior" else spec.domain.exterior
     expr = spec.psi_interior if which == "interior" else spec.psi_exterior
-    theta = np.arange(samples) * (TWO_PI / samples)
+    theta = np.arange(_TRACE_SAMPLES) * (TWO_PI / _TRACE_SAMPLES)
     rr = curve.radius(theta)
     values = ex.evaluate_xy(expr, rr * np.cos(theta), rr * np.sin(theta))
 
@@ -329,15 +333,14 @@ def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances,
     )
 
 
-def boundary_profile(field: SolutionField, tol: ToleranceSet | None = None,
-                     samples: int = 4096) -> BoundaryProfile:
+def boundary_profile(field: SolutionField, tol: ToleranceSet | None = None) -> BoundaryProfile:
     """Extrema/zero profile of both boundary traces (from the closed-form
     boundary data; the solved field supplies the interior collar test)."""
     rt = resolve_tolerances(field, tol)
-    exterior = _trace_profile(field, "exterior", rt, samples)
+    exterior = _trace_profile(field, "exterior", rt)
     interior = None
     if field.spec.domain.interior is not None:
-        interior = _trace_profile(field, "interior", rt, samples)
+        interior = _trace_profile(field, "interior", rt)
     return BoundaryProfile(exterior=exterior, interior=interior)
 
 
@@ -441,26 +444,20 @@ def trace_level_lines(field: SolutionField, t: float):
     return out, warnings
 
 
-def polyline_closed(poly: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(np.hypot(*(poly[0] - poly[-1])) <= tol * (1.0 + np.max(np.abs(poly))))
-
-
-def polyline_winds_hole(poly: np.ndarray) -> bool:
-    """True when a closed polyline encircles the origin (separates the
-    domain boundaries of an annulus)."""
-    return abs(round(winding_turns(np.arctan2(poly[:, 1], poly[:, 0])))) >= 1
-
-
 # --------------------------------------------------------------------------
 # local structure around a critical point
 
-def local_structure(field: SolutionField, cp: CriticalPoint,
-                    n_radial: int = 24, n_angular: int = 512):
+# Polar patch of local_structure: radii and angles sampled.
+_LOCAL_RADII = 24
+_LOCAL_ANGLES = 512
+
+
+def local_structure(field: SolutionField, cp: CriticalPoint):
     """Component counts (supers, subs) of {u > u(cp)} / {u < u(cp)} on the
     annular patch between degree_radius / 4 and degree_radius around cp."""
     rho = cp.degree_radius
-    radii = np.linspace(rho / 4.0, rho, n_radial)
-    phi = np.arange(n_angular) * (TWO_PI / n_angular)
+    radii = np.linspace(rho / 4.0, rho, _LOCAL_RADII)
+    phi = np.arange(_LOCAL_ANGLES) * (TWO_PI / _LOCAL_ANGLES)
     Rg, Pg = np.meshgrid(radii, phi, indexing="ij")
     xs = cp.x + Rg * np.cos(Pg)
     ys = cp.y + Rg * np.sin(Pg)

@@ -35,6 +35,9 @@ from .topology import (
     region_components,
 )
 
+# run_scenario solves on the configured grid and on this refinement of it.
+FINE_FACTOR = 2
+
 VERDICT_IDS = (
     "thm_1_1", "thm_1_2", "cor_4_1", "thm_1_3", "thm_1_4", "rem_5_1",
     "lem_2_1", "lem_2_2", "lem_2_4", "lem_2_5_2_7", "rem_1_5",
@@ -293,13 +296,7 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
         report["reason"] = "no critical point at t"
         return report
 
-    z1, Z1, z2, Z2 = profile.z1, profile.Z1, profile.z2, profile.Z2
-    if case == "separated":
-        band = "upper" if z2 < t < Z2 else ("lower" if z1 < t < Z1 else None)
-    else:
-        band = ("upper" if Z1 <= t < Z2 else
-                ("middle" if z2 < t < Z1 else
-                 ("lower" if z1 < t <= z2 else None)))
+    band = _value_band(t, profile, case)
     if band is None:
         report["reason"] = f"critical value {t:.6g} outside the lemma bands"
         return report
@@ -316,7 +313,7 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
     except BandTooWideError as err:
         report["reason"] = f"cluster banding failed: {err}"
         return report
-    eps = min(10.0 * eq, 0.25 * _gap_to_next_breakpoint(t, points, profile, eq))
+    eps = _census_offset(t, points, profile, eq)
     sep = separating_network_through(field, at_t, t)
     report["details"].update({"sum_m": sum_m, "q": q, "epsilon": eps, "separating_curve": sep})
     report["applicable"] = True
@@ -347,7 +344,7 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
                 report["holds"] = lhs == rhs
             else:
                 report["clause"] = "band components: M~1 + M~2 = 2 sum_m + q + 1 (lower band)"
-                M1t = region_components(field, t + eps, z2 - eps)
+                M1t = region_components(field, t + eps, profile.z2 - eps)
                 M2t = level_census(field, t - eps).M2
                 report["details"].update({"M1_tilde": M1t, "M2_tilde": M2t})
                 lhs = M1t + M2t
@@ -412,15 +409,17 @@ def _value_band(v: float, profile: BoundaryProfile, case: str) -> str | None:
     return None
 
 
-def _gap_to_next_breakpoint(t: float, points, profile: BoundaryProfile, same_tol: float) -> float:
-    """Distance from t to the nearest other critical or boundary-extreme
-    value; values within `same_tol` of t count as t itself."""
+def _census_offset(t: float, points, profile: BoundaryProfile, same_tol: float) -> float:
+    """Offset epsilon of the censuses at t -/+ epsilon: ten times `same_tol`,
+    but at most a quarter of the distance from t to the nearest other
+    critical or boundary-extreme value (values within `same_tol` of t count
+    as t itself)."""
     marks = {p.value for p in points}
     for v in (profile.z1, profile.Z1, profile.z2, profile.Z2):
         if v is not None:
             marks.add(v)
     gaps = [abs(v - t) for v in marks if abs(v - t) > same_tol]
-    return min(gaps) if gaps else abs(t) + 1.0
+    return min(10.0 * same_tol, 0.25 * (min(gaps) if gaps else abs(t) + 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -507,11 +506,11 @@ def _stable_points(coarse, fine, cell: float):
     return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
 
 
-def run_scenario(spec: ScenarioSpec, fingerprint: str = "", refine_factor: int = 2) -> VerificationReport:
+def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationReport:
     """Solve, detect, census and check one scenario on its grid and one refinement."""
     validate_scenario(spec)
     coarse_spec = spec
-    fine_spec = spec.with_grid(refine_factor * spec.n_theta, refine_factor * spec.n_s)
+    fine_spec = spec.with_grid(FINE_FACTOR * spec.n_theta, FINE_FACTOR * spec.n_s)
 
     coarse_field = solve(assemble(coarse_spec))
     fine_field = solve(assemble(fine_spec))
@@ -539,7 +538,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "", refine_factor: int =
         if all(abs(p.value - v) > eq for v in distinct_values):
             distinct_values.append(p.value)
     for t in distinct_values:
-        eps = min(10.0 * eq, 0.25 * _gap_to_next_breakpoint(t, points, profile, eq))
+        eps = _census_offset(t, points, profile, eq)
         censuses.append((f"critical@{t:.9g}-eps", level_census(field, t - eps)))
         censuses.append((f"critical@{t:.9g}+eps", level_census(field, t + eps)))
     for tag, lo, hi in _probe_intervals(profile):

@@ -312,3 +312,63 @@ def test_lattice_matches_pointwise_evaluation():
     assert lat.nodes[i, j] == fld.evaluate_ref(lat.theta[i], lat.s[j])
     centre = fld.evaluate_ref(0.5 * (lat.theta[i] + lat.theta[i + 1]), 0.5 * (lat.s[j] + lat.s[j + 1]))
     assert lat.centres[i, j] == pytest.approx(float(centre), rel=1e-12)
+
+
+# ------------------------------------------------- Hermite kernel reference
+
+def reference_evaluate_ref(fld, theta, s):
+    """The per-point evaluator that `SolutionField.evaluate_ref` replaced:
+    four hand-built power stacks and six separate einsum contractions over
+    the field's cell coefficients.  Returns u and its five reference
+    derivatives."""
+    C = fld._hermite()
+    i, j, xi, eta = np.atleast_1d(*fld._locate(theta, s))
+    cells = C[i, j]  # (K, 4, 4)
+    X0 = np.stack([np.ones_like(xi), xi, xi ** 2, xi ** 3], axis=-1)
+    E0 = np.stack([np.ones_like(eta), eta, eta ** 2, eta ** 3], axis=-1)
+    X1 = np.stack([np.zeros_like(xi), np.ones_like(xi), 2.0 * xi, 3.0 * xi ** 2], axis=-1)
+    X2 = np.stack([np.zeros_like(xi), np.zeros_like(xi), 2.0 * np.ones_like(xi), 6.0 * xi], axis=-1)
+    E1 = np.stack([np.zeros_like(eta), np.ones_like(eta), 2.0 * eta, 3.0 * eta ** 2], axis=-1)
+    E2 = np.stack([np.zeros_like(eta), np.zeros_like(eta), 2.0 * np.ones_like(eta), 6.0 * eta], axis=-1)
+    return {
+        "u": np.einsum("ka,kab,kb->k", X0, cells, E0),
+        "ut": np.einsum("ka,kab,kb->k", X1, cells, E0) / fld.dtheta,
+        "us": np.einsum("ka,kab,kb->k", X0, cells, E1) / fld.ds,
+        "utt": np.einsum("ka,kab,kb->k", X2, cells, E0) / fld.dtheta ** 2,
+        "uts": np.einsum("ka,kab,kb->k", X1, cells, E1) / (fld.dtheta * fld.ds),
+        "uss": np.einsum("ka,kab,kb->k", X0, cells, E2) / fld.ds ** 2,
+    }
+
+
+@pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])
+def test_evaluate_ref_matches_reference(name):
+    """u and all five reference derivatives from the one contraction agree
+    with the six-einsum evaluator on random points, the seam theta = 0 and
+    both rims, arrays and scalars alike."""
+    fld = solved_field(name, 48, 24)
+    rng = np.random.default_rng(7)
+    theta = np.concatenate([[0.0, 0.0, 0.0, 2.5, 4.0], rng.uniform(0.0, TWO_PI, 500)])
+    s = np.concatenate([[0.0, 1.0, 0.4, 0.0, 1.0], rng.uniform(0.0, 1.0, 500)])
+    bound = 1e-13 * fld.u_range()
+    got, want = fld.evaluate_ref(theta, s, derivatives=True), reference_evaluate_ref(fld, theta, s)
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key].shape == theta.shape
+        assert np.max(np.abs(got[key] - want[key])) <= bound, key
+    assert np.max(np.abs(fld.evaluate_ref(theta, s) - want["u"])) <= bound
+    one = fld.evaluate_ref(theta[3], s[3], derivatives=True)
+    for key in want:
+        assert np.ndim(one[key]) == 0 and abs(one[key] - want[key][3]) <= bound, key
+
+
+@pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])
+def test_lattice_matches_evaluate_ref_off_power_of_two(name):
+    """At 48x24 every lattice node and cell centre equals the pointwise
+    evaluation at its (theta, s) within round-off."""
+    fld = solved_field(name, 48, 24)
+    lat = fld.lattice()
+    bound = 1e-13 * fld.u_range()
+    T, S = np.meshgrid(lat.theta, lat.s, indexing="ij")
+    assert np.max(np.abs(lat.nodes - fld.evaluate_ref(T, S))) <= bound
+    T, S = np.meshgrid(0.5 * (lat.theta[1:] + lat.theta[:-1]), 0.5 * (lat.s[1:] + lat.s[:-1]), indexing="ij")
+    assert np.max(np.abs(lat.centres - fld.evaluate_ref(T, S))) <= bound

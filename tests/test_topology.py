@@ -1,27 +1,26 @@
 """Censuses, level lines, boundary profiles; brute-force cross-checks."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from conftest import BUILTIN_NAMES, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
-from levelset_lab.critical import find_critical_points, label_wrapped
-from levelset_lab.geometry import TWO_PI
+from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
+from levelset_lab.geometry import TWO_PI, winding_turns
 from levelset_lab.solver import SolutionField, solve_scenario
 from levelset_lab.topology import (
     _CASES,
     LevelComponent,
     LevelSetCensus,
+    _closure_relative,
     boundary_profile,
     check_component_contact,
     level_census,
     local_structure,
-    polyline_closed,
-    polyline_winds_hole,
     trace_level_lines,
 )
 
@@ -169,8 +168,8 @@ def test_trace_circle_level_line():
     polys, _ = trace_level_lines(fld, 0.5)
     assert len(polys) == 1
     poly = polys[0]
-    assert polyline_closed(poly)
-    assert polyline_winds_hole(poly)
+    assert np.hypot(*(poly[0] - poly[-1])) <= 1e-9 * (1.0 + np.max(np.abs(poly)))
+    assert abs(round(winding_turns(np.arctan2(poly[:, 1], poly[:, 0])))) >= 1
     radii = np.hypot(poly[:, 0], poly[:, 1])
     assert np.max(np.abs(radii - math.exp(0.5))) <= 1e-2
 
@@ -410,6 +409,64 @@ def test_profile_counterexample1():
     assert prof.z2 == pytest.approx(math.log(5), abs=1e-6)
     assert prof.Z2 == pytest.approx(math.log(7), abs=1e-6)
     assert prof.ordering_case() == "separated"
+
+
+def collar_patch(field, which, theta0, depth_cells=5):
+    """u on the collar patch that `topology._closure_relative` used to
+    sample itself: (4 d + 1) x (2 d + 1) points at half-cell spacing,
+    centred on theta0 itself, evaluated point by point with `evaluate_ref`."""
+    half = depth_cells * field.dtheta
+    th = np.linspace(theta0 - half, theta0 + half, 4 * depth_cells + 1)
+    depth = depth_cells * field.ds
+    if which == "exterior":
+        ss = np.linspace(max(0.0, 1.0 - depth), 1.0, 2 * depth_cells + 1)
+    else:
+        ss = np.linspace(0.0, min(1.0, depth), 2 * depth_cells + 1)
+    T, S = np.meshgrid(np.mod(th, TWO_PI), ss, indexing="ij")
+    return field.evaluate_ref(T.ravel(), S.ravel())
+
+
+def closure_relative_on_patch(field, which, theta0, value, kind, rt):
+    """The collar test that `topology._closure_relative` replaced."""
+    patch = collar_patch(field, which, theta0)
+    slack = rt.equal_value_tol
+    if kind == "max":
+        return bool(value >= float(np.max(patch)) - slack)
+    return bool(value <= float(np.min(patch)) + slack)
+
+
+def test_collar_test_on_lattice_matches_patch_reference():
+    """On the refined field of every built-in, each boundary extremum gets
+    the same closure-relative flag from the lattice nodes as from the
+    off-lattice patch around its own angle."""
+    seen = Counter()
+    for name in BUILTIN_NAMES:
+        nt, ns = builtin_spec(name).grid
+        fld = solved_field(name, 2 * nt, 2 * ns)
+        rt = resolve_tolerances(fld)
+        prof = boundary_profile(fld)
+        for trace in filter(None, (prof.interior, prof.exterior)):
+            for e in trace.maxima + trace.minima:
+                want = closure_relative_on_patch(fld, trace.which, e.theta, e.value, e.kind, rt)
+                assert e.relative_to_closure is want, (name, trace.which, e)
+                seen[want] += 1
+    assert seen[True] >= 10 and seen[False] >= 10, seen
+
+
+def test_collar_on_lattice_column_reads_the_reference_patch():
+    """At an angle on a lattice column the two collars sample the same
+    points, so both flags flip at the same value, within round-off."""
+    fld = solved_field("counterexample1", 64, 32)
+    rt = resolve_tolerances(fld)
+    slack, delta = rt.equal_value_tol, 1e-9 * fld.u_range()
+    theta = fld.lattice().theta
+    for which in ("interior", "exterior"):
+        for col in range(0, 128, 9):
+            patch = collar_patch(fld, which, theta[col])
+            for kind, edge in (("max", float(np.max(patch)) - slack), ("min", float(np.min(patch)) + slack)):
+                inside = delta if kind == "max" else -delta
+                assert _closure_relative(fld, which, theta[col], edge + inside, kind, rt), (which, col, kind)
+                assert not _closure_relative(fld, which, theta[col], edge - inside, kind, rt), (which, col, kind)
 
 
 def test_profile_constant_trace_degenerate():

@@ -351,15 +351,13 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     from levelset_lab.solver import SolutionField
 
     seen = Counter()
-    real_eval, real_range, real_map = SolutionField.evaluate_ref, SolutionField.u_range, DomainSpec.map_point
+    real_samples, real_range, real_map = SolutionField._cell_samples, SolutionField.u_range, DomainSpec.map_point
 
-    def evaluate_ref(self, theta, s, derivatives=False):
-        nt, ns = self.n_theta, self.n_s
-        if np.size(theta) == (2 * nt + 1) * (2 * ns + 1):
-            seen["lattice nodes", nt] += 1
-        elif np.size(theta) == 4 * nt * ns:
-            seen["lattice centres", nt] += 1
-        return real_eval(self, theta, s, derivatives)
+    def cell_samples(self, rows_theta, rows_s):
+        # the nodes take one offset more in s, for the s = 1 rim
+        part = "lattice nodes" if len(rows_s) > len(rows_theta) else "lattice centres"
+        seen[part, self.n_theta] += 1
+        return real_samples(self, rows_theta, rows_s)
 
     def u_range(self):
         seen["tolerances", self.n_theta] += 1
@@ -369,7 +367,7 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
         seen["nodes", np.shape(theta)] += 1
         return real_map(self, theta, s)
 
-    monkeypatch.setattr(SolutionField, "evaluate_ref", evaluate_ref)
+    monkeypatch.setattr(SolutionField, "_cell_samples", cell_samples)
     monkeypatch.setattr(SolutionField, "u_range", u_range)
     monkeypatch.setattr(DomainSpec, "map_point", map_point)
     spec = make_scenario("3*(1 + 0.04*cos(4*theta))", "1 + 0.1*cos(2*theta)",
