@@ -20,8 +20,6 @@ from .domain import ToleranceSet
 from .errors import (
     BandTooWideError,
     DegreeAmbiguousError,
-    NewtonStallError,
-    OutsideDomainError,
     RadiusExhaustedError,
 )
 from .geometry import TWO_PI, winding_turns
@@ -117,47 +115,74 @@ def multiplicity(field: SolutionField, p, tol: ToleranceSet | None = None) -> in
 # --------------------------------------------------------------------------
 # detection
 
-def _newton_refine(field: SolutionField, x0: float, y0: float, tol: ResolvedTolerances, max_step: float):
-    x, y = float(x0), float(y0)
-    gx, gy = field.gradient(x, y)
-    gnorm = math.hypot(float(gx), float(gy))
+def _newton_refine(field: SolutionField, x0, y0, tol: ResolvedTolerances, max_step: float):
+    """Damped Newton on the physical gradient from every seed at once.
+
+    Returns (x, y, gnorm, converged), one entry per seed.  Each seed follows
+    its own iteration: at most 50 steps, each clipped to `max_step`; a step
+    is halved (up to 8 times) while the trial point is outside the domain or
+    neither lowers |grad u| nor reaches the tolerance.  A seed stalls when it
+    starts outside the domain, when its Hessian is singular, when no halving
+    is accepted, or when 50 steps do not converge.  Seeds that converged or
+    stalled drop out of the arrays that later steps evaluate.
+    """
+    x, y = np.array(x0, dtype=float), np.array(y0, dtype=float)
+    theta, s, active = field._invert(x, y)
+    gx, gy = np.zeros_like(x), np.zeros_like(x)
+    gx[active], gy[active] = field.gradient_ref(theta[active], s[active])
+    gnorm = np.hypot(gx, gy)
+    converged = np.zeros(x.shape, dtype=bool)
     for _ in range(_MAX_NEWTON_STEPS):
-        if gnorm <= tol.grad_zero_tol:
-            return x, y, gnorm
-        uxx, uxy, uyy = field.hessian(x, y)
-        det = float(uxx) * float(uyy) - float(uxy) ** 2
-        if abs(det) < 1e-300:
-            raise NewtonStallError("singular Hessian")
-        dx = -(float(uyy) * float(gx) - float(uxy) * float(gy)) / det
-        dy = -(-float(uxy) * float(gx) + float(uxx) * float(gy)) / det
-        step = math.hypot(dx, dy)
-        if step > max_step:
-            dx *= max_step / step
-            dy *= max_step / step
-        # damped update: halve until the gradient norm does not grow
-        lam = 1.0
+        done = active & (gnorm <= tol.grad_zero_tol)
+        converged |= done
+        active &= ~done
+        k = np.flatnonzero(active)
+        if k.size == 0:
+            break
+        uxx, uxy, uyy = field.hessian_ref(theta[k], s[k])
+        det = uxx * uyy - uxy ** 2
+        singular = np.abs(det) < 1e-300
+        active[k[singular]] = False
+        k, uxx, uxy, uyy, det = (a[~singular] for a in (k, uxx, uxy, uyy, det))
+        dx = -(uyy * gx[k] - uxy * gy[k]) / det
+        dy = -(-uxy * gx[k] + uxx * gy[k]) / det
+        step = np.hypot(dx, dy)
+        clip = step > max_step
+        dx[clip] *= max_step / step[clip]
+        dy[clip] *= max_step / step[clip]
+        lam = np.ones(k.size)
+        searching = np.ones(k.size, dtype=bool)
         for _ in range(8):
-            xn, yn = x + lam * dx, y + lam * dy
-            try:
-                gxn, gyn = field.gradient(xn, yn)
-            except OutsideDomainError:
-                lam *= 0.5
-                continue
-            gn = math.hypot(float(gxn), float(gyn))
-            if gn < gnorm or gn <= tol.grad_zero_tol:
-                x, y, gx, gy, gnorm = xn, yn, gxn, gyn, gn
+            m = np.flatnonzero(searching)
+            km = k[m]
+            xn, yn = x[km] + lam[m] * dx[m], y[km] + lam[m] * dy[m]
+            tn, sn, ok = field._invert(xn, yn)
+            gxn, gyn = np.zeros(m.size), np.zeros(m.size)
+            gxn[ok], gyn[ok] = field.gradient_ref(tn[ok], sn[ok])
+            gn = np.hypot(gxn, gyn)
+            ok &= (gn < gnorm[km]) | (gn <= tol.grad_zero_tol)
+            a = km[ok]
+            x[a], y[a], theta[a], s[a] = xn[ok], yn[ok], tn[ok], sn[ok]
+            gx[a], gy[a], gnorm[a] = gxn[ok], gyn[ok], gn[ok]
+            searching[m[ok]] = False
+            lam[m[~ok]] *= 0.5
+            if not searching.any():
                 break
-            lam *= 0.5
-        else:
-            raise NewtonStallError("no descent step")
-    if gnorm <= tol.grad_zero_tol:
-        return x, y, gnorm
-    raise NewtonStallError(f"gradient norm {gnorm:.3e} after {_MAX_NEWTON_STEPS} steps")
+        active[k[searching]] = False
+    converged |= active & (gnorm <= tol.grad_zero_tol)
+    return x, y, gnorm, converged
+
+
+def _interior_band(field: SolutionField, tol: ResolvedTolerances):
+    """The s range where critical points are reported: the margin off each
+    rim, except at the centre of a disk."""
+    return (0.0 if field.domain.is_disk else tol.interior_margin), 1.0 - tol.interior_margin
 
 
 def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     """Cells flagged by sign changes of both gradient components on their
-    corners, or by a small centre gradient; restricted to the interior band."""
+    corners, or by a small centre gradient; restricted to the interior band.
+    Returns the flagged cell centres as physical (x, y) arrays."""
     gx, gy = field.node_gradients()
     nt, ns = field.n_theta, field.n_s
     ip1 = np.r_[1:nt, 0]
@@ -168,52 +193,39 @@ def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     cgx, cgy = corners(gx), corners(gy)
     sign_flip = (cgx.min(axis=0) <= 0) & (cgx.max(axis=0) >= 0) & \
                 (cgy.min(axis=0) <= 0) & (cgy.max(axis=0) >= 0)
+    small = np.hypot(*field.centre_gradients()) < 10.0 * tol.grad_zero_tol
 
-    theta_c = (np.arange(nt) + 0.5) * field.dtheta
     s_c = (np.arange(ns) + 0.5) * field.ds
-    Tc, Sc = np.meshgrid(theta_c, s_c, indexing="ij")
-    gcx, gcy = field.gradient_ref(Tc, Sc)
-    small = np.hypot(gcx, gcy) < 10.0 * tol.grad_zero_tol
-
-    lo = tol.interior_margin if not field.domain.is_disk else 0.0
-    hi = 1.0 - tol.interior_margin
-    band_ok = (Sc >= lo) & (Sc <= hi)
-    flagged = (sign_flip | small) & band_ok
-    return list(zip(*field.domain.map_point(Tc[flagged], Sc[flagged])))
+    lo, hi = _interior_band(field, tol)
+    i, j = np.nonzero((sign_flip | small) & ((s_c >= lo) & (s_c <= hi)))
+    return field.domain.map_point((i + 0.5) * field.dtheta, s_c[j])
 
 
 def find_critical_points_report(field: SolutionField, tol: ToleranceSet | None = None):
     """Full detector: (points, near_boundary_suspects, warnings)."""
     rt = resolve_tolerances(field, tol)
-    seeds = _scan_cells(field, rt)
-    max_step = 4.0 * field.median_cell_diag()
-    converged = []
+    x0, y0 = _scan_cells(field, rt)
+    xs, ys, gs, ok = _newton_refine(field, x0, y0, rt, 4.0 * field.median_cell_diag())
     warnings = []
-    stalled = 0
-    for x0, y0 in seeds:
-        try:
-            x, y, g = _newton_refine(field, x0, y0, rt, max_step)
-        except (NewtonStallError, OutsideDomainError):
-            stalled += 1  # non-fatal: seed discarded
-            continue
-        converged.append((x, y, g))
+    stalled = int(np.count_nonzero(~ok))
     if stalled:
-        warnings.append(f"{stalled} of {len(seeds)} Newton seed(s) stalled and were discarded")
+        warnings.append(f"{stalled} of {ok.size} Newton seed(s) stalled and were discarded")
 
     # deduplicate within dedup_radius, keeping the best-converged representative
-    converged.sort(key=lambda t: (t[2], t[0], t[1]))
     kept = []
-    for x, y, g in converged:
+    for g, x, y in sorted(zip(gs[ok].tolist(), xs[ok].tolist(), ys[ok].tolist())):
         if all(math.hypot(x - kx, y - ky) > rt.dedup_radius for kx, ky, _ in kept):
             kept.append((x, y, g))
 
     points = []
     suspects = []
-    for x, y, g in kept:
-        theta, s = field.domain.invert_point(x, y)
-        lo = rt.interior_margin if not field.domain.is_disk else 0.0
-        if s < lo or s > 1.0 - rt.interior_margin:
-            suspects.append({"x": float(x), "y": float(y), "s": float(s), "grad_norm": float(g)})
+    kept_x, kept_y = np.array([p[0] for p in kept]), np.array([p[1] for p in kept])
+    s_kept = field.domain.invert_point(kept_x, kept_y)[1].tolist()
+    values = np.asarray(field.evaluate(kept_x, kept_y)).tolist()
+    lo, hi = _interior_band(field, rt)
+    for (x, y, g), s, value in zip(kept, s_kept, values):
+        if s < lo or s > hi:
+            suspects.append({"x": x, "y": y, "s": s, "grad_norm": g})
             continue
         try:
             m, radius, raw = winding_multiplicity(field, (x, y), rt)
@@ -226,11 +238,10 @@ def find_critical_points_report(field: SolutionField, tol: ToleranceSet | None =
                 "is not a saddle-type zero"
             )
             continue
-        value = float(field.evaluate(x, y))
         points.append(CriticalPoint(
-            x=float(x), y=float(y), value=value, multiplicity=int(m),
+            x=x, y=y, value=value, multiplicity=int(m),
             is_zero=bool(abs(value) <= rt.value_zero_tol),
-            degree_radius=float(radius), grad_norm=float(g), winding_raw=float(raw),
+            degree_radius=float(radius), grad_norm=g, winding_raw=float(raw),
         ))
 
     points.sort(key=lambda p: (p.value, np.mod(math.atan2(p.y, p.x), TWO_PI), math.hypot(p.x, p.y)))

@@ -64,10 +64,6 @@ class OutsideDomainError(LevelSetLabError):
     """Requested point lies outside the solved domain."""
 
 
-class NewtonStallError(LevelSetLabError):
-    """Newton refinement of a critical-point seed failed to converge."""
-
-
 class DegreeAmbiguousError(LevelSetLabError):
     """Gradient winding number was not close enough to an integer."""
 

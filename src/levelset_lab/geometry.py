@@ -20,7 +20,7 @@ from . import expressions as ex
 from .errors import OutsideDomainError
 
 TWO_PI = 2.0 * np.pi
-# invert_point accepts points up to this far outside s in [0, 1].
+# DomainSpec.reference counts points up to this far outside s in [0, 1] as inside.
 _S_TOL = 1e-9
 
 
@@ -103,6 +103,31 @@ class DomainSpec:
         R = self.blend(theta, s)[0]
         return R * np.cos(theta), R * np.sin(theta)
 
+    def _jacobian(self, theta, s):
+        """The blend terms, cos and sin of theta, and the dict of Jacobian
+        entries of the map and first derivatives of its inverse."""
+        theta = np.asarray(theta, dtype=float)
+        s = np.asarray(s, dtype=float)
+        blend = self.blend(theta, s)
+        R, Rt, Rs = blend[:3]
+        c, sn = np.cos(theta), np.sin(theta)
+        x_t = Rt * c - R * sn
+        y_t = Rt * sn + R * c
+        x_s = Rs * c
+        y_s = Rs * sn
+        det = x_t * y_s - x_s * y_t  # equals -R * Rs
+        return blend, c, sn, {
+            "x_t": x_t, "y_t": y_t, "x_s": x_s, "y_s": y_s,
+            "det": det,
+            "t_x": y_s / det, "t_y": -x_s / det, "s_x": -y_t / det, "s_y": x_t / det,
+        }
+
+    def inverse_jacobian(self, theta, s) -> dict:
+        """The Jacobian entries and the inverse-map first derivatives
+        (theta_x, ..., s_y) at (theta, s): the part of `metric` that a
+        physical gradient needs."""
+        return self._jacobian(theta, s)[3]
+
     def metric(self, theta, s) -> dict:
         """Map derivatives and inverse-map derivatives at (theta, s).
 
@@ -110,34 +135,17 @@ class DomainSpec:
         first derivatives (theta_x, ..., s_y) and second derivatives
         (theta_xx, theta_xy, theta_yy, s_xx, s_xy, s_yy).
         """
-        theta = np.asarray(theta, dtype=float)
-        s = np.asarray(s, dtype=float)
-        R, Rt, Rs, Rtt, Rts = self.blend(theta, s)
-        c, sn = np.cos(theta), np.sin(theta)
-        x = R * c
-        y = R * sn
-        x_t = Rt * c - R * sn
-        y_t = Rt * sn + R * c
-        x_s = Rs * c
-        y_s = Rs * sn
+        (R, Rt, Rs, Rtt, Rts), c, sn, out = self._jacobian(theta, s)
+        out["x"] = R * c
+        out["y"] = R * sn
         x_tt = Rtt * c - 2.0 * Rt * sn - R * c
         y_tt = Rtt * sn + 2.0 * Rt * c - R * sn
         x_ts = Rts * c - Rs * sn
         y_ts = Rts * sn + Rs * c
-        det = x_t * y_s - x_s * y_t  # equals -R * Rs
-        t_x = y_s / det
-        t_y = -x_s / det
-        s_x = -y_t / det
-        s_y = x_t / det
+        t_x, t_y, s_x, s_y = out["t_x"], out["t_y"], out["s_x"], out["s_y"]
         # second derivatives of the inverse map:
         #   xi_(ab) = - sum_{beta,gamma} T^xi_(beta gamma) xi^beta_a xi^gamma_b
         # with T^xi_(bg) = xi_x * x_(bg) + xi_y * y_(bg); x_ss = y_ss = 0.
-        out = {
-            "x": x, "y": y,
-            "x_t": x_t, "y_t": y_t, "x_s": x_s, "y_s": y_s,
-            "det": det,
-            "t_x": t_x, "t_y": t_y, "s_x": s_x, "s_y": s_y,
-        }
         for name, g_x, g_y in (("t", t_x, t_y), ("s", s_x, s_y)):
             T_tt = g_x * x_tt + g_y * y_tt
             T_ts = g_x * x_ts + g_y * y_ts
@@ -156,15 +164,20 @@ class DomainSpec:
         r0 = self.inner.radius(theta)
         return theta, (np.hypot(x, y) - r0) / (self.exterior.radius(theta) - r0)
 
+    def reference(self, x, y):
+        """(theta, s, inside) of physical points: s clipped to [0, 1], and
+        inside where the point lies within _S_TOL of s in [0, 1]."""
+        theta, s = self._unclipped_reference(x, y)
+        inside = (s >= -_S_TOL) & (s <= 1.0 + _S_TOL)
+        return theta, np.clip(s, 0.0, 1.0), inside
+
     def invert_point(self, x, y):
         """Reference coordinates (theta, s) of physical points.  Raises
-        OutsideDomainError when any point falls outside s in [0, 1] (within
-        _S_TOL)."""
-        theta, s = self._unclipped_reference(x, y)
-        if np.any(s < -_S_TOL) or np.any(s > 1.0 + _S_TOL):
-            worst = float(np.max(np.abs(s - 0.5)) - 0.5)
-            raise OutsideDomainError(f"point outside domain (s overflow {worst:.3e})")
-        return theta, np.clip(s, 0.0, 1.0)
+        OutsideDomainError when any point falls outside the domain."""
+        theta, s, inside = self.reference(x, y)
+        if not np.all(inside):
+            raise OutsideDomainError("point outside domain")
+        return theta, s
 
     def contains(self, x, y) -> np.ndarray:
         s = self._unclipped_reference(x, y)[1]

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from levelset_lab import cli, domain
+from levelset_lab import cli, domain, expressions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,15 +31,16 @@ def _workloads():
 
 
 wl = _workloads()
-REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["symmetric_annuli"]
+RECORDED = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+REFERENCE = RECORDED["symmetric_annuli"]
 # symmetric seed 15 sym0_k2 raises UnstableCountsError and seed 26 sym0_k2
 # has an applicable lem_2_5_2_7 FAIL; both are recorded as they are
 RECORDED_FAILURES = {"15/sym0_k2", "26/sym0_k2"}
 
 
-def _items(seed, tmp_path):
-    lab = SimpleNamespace(cli=cli, domain=domain)
-    return lab, wl.setup(lab, "symmetric_annuli", seed, tmp_path / f"seed{seed}")
+def _items(seed, tmp_path, workload="symmetric_annuli"):
+    lab = SimpleNamespace(cli=cli, domain=domain, expressions=expressions)
+    return lab, wl.setup(lab, workload, seed, tmp_path / f"seed{seed}")
 
 
 def _outcome(lab, item, tmp_path):
@@ -74,3 +75,13 @@ def test_recorded_failures_reproduce(key, tmp_path):
     (item,) = [it for it in items if it.key == key]
     verdict = _check(_outcome(lab, item, tmp_path), REFERENCE[key])
     assert not verdict.ok, verdict.reason
+
+
+def test_render_sweep_matches_reference(tmp_path):
+    """Polyline counts per threshold and critical-point markers of every
+    built-in render match the recorded render_sweep fingerprints."""
+    lab, items = _items(0, tmp_path, "render_sweep")
+    assert sorted(it.key for it in items) == sorted(RECORDED["render_sweep"])
+    for item in items:
+        verdict = _check(_outcome(lab, item, tmp_path), RECORDED["render_sweep"][item.key])
+        assert verdict.ok, (item.key, verdict.reason)

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab.critical import (
+    _MAX_NEWTON_STEPS,
+    _newton_refine,
+    _scan_cells,
     cluster_critical_sets,
     find_critical_points,
     find_critical_points_report,
@@ -17,8 +20,10 @@ from levelset_lab.critical import (
     winding_on_closed_curve,
 )
 from levelset_lab.domain import ToleranceSet
+from levelset_lab.errors import LevelSetLabError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI
-from levelset_lab.solver import SolutionField, solve_scenario
+from levelset_lab.solver import ResolvedTolerances, SolutionField, solve_scenario
+from levelset_lab.verify import FINE_FACTOR
 
 
 def test_z_plus_inv_two_saddles():
@@ -189,3 +194,183 @@ def test_band_too_wide_guard():
         cluster_critical_sets(fld, probe, 1.5, tol=ToleranceSet(value_zero_tol=1.0,
                                                                 equal_extrema_tol=1.0),
                               band=0.45)
+
+
+# ------------------------------------------------ batched detection references
+
+def builtin_fields():
+    """(name, field) for every built-in at its configured grid and at the
+    refinement that `run_scenario` adds."""
+    for name in BUILTIN_NAMES:
+        nt, ns = builtin_spec(name).grid
+        for factor in (1, FINE_FACTOR):
+            yield f"{name}@{factor * nt}x{factor * ns}", solved_field(name, factor * nt, factor * ns)
+
+
+class NewtonStallError(LevelSetLabError):
+    """Raised by the scalar reference refinement when a seed stalls."""
+
+
+def reference_newton_refine(field: SolutionField, x0: float, y0: float, tol: ResolvedTolerances, max_step: float):
+    """The scalar refinement that the batched `_newton_refine` replaced,
+    one seed per call; it raises NewtonStallError or OutsideDomainError
+    where the batched version reports the seed as not converged."""
+    x, y = float(x0), float(y0)
+    gx, gy = field.gradient(x, y)
+    gnorm = math.hypot(float(gx), float(gy))
+    for _ in range(_MAX_NEWTON_STEPS):
+        if gnorm <= tol.grad_zero_tol:
+            return x, y, gnorm
+        uxx, uxy, uyy = field.hessian(x, y)
+        det = float(uxx) * float(uyy) - float(uxy) ** 2
+        if abs(det) < 1e-300:
+            raise NewtonStallError("singular Hessian")
+        dx = -(float(uyy) * float(gx) - float(uxy) * float(gy)) / det
+        dy = -(-float(uxy) * float(gx) + float(uxx) * float(gy)) / det
+        step = math.hypot(dx, dy)
+        if step > max_step:
+            dx *= max_step / step
+            dy *= max_step / step
+        # damped update: halve until the gradient norm does not grow
+        lam = 1.0
+        for _ in range(8):
+            xn, yn = x + lam * dx, y + lam * dy
+            try:
+                gxn, gyn = field.gradient(xn, yn)
+            except OutsideDomainError:
+                lam *= 0.5
+                continue
+            gn = math.hypot(float(gxn), float(gyn))
+            if gn < gnorm or gn <= tol.grad_zero_tol:
+                x, y, gx, gy, gnorm = xn, yn, gxn, gyn, gn
+                break
+            lam *= 0.5
+        else:
+            raise NewtonStallError("no descent step")
+    if gnorm <= tol.grad_zero_tol:
+        return x, y, gnorm
+    raise NewtonStallError(f"gradient norm {gnorm:.3e} after {_MAX_NEWTON_STEPS} steps")
+
+
+def reference_scan_cells(field: SolutionField, tol):
+    """The cell scan that the centre-gradient contraction replaced: the
+    centre gradients through `gradient_ref` on a full (theta, s) mesh."""
+    gx, gy = field.node_gradients()
+    nt, ns = field.n_theta, field.n_s
+    ip1 = np.r_[1:nt, 0]
+
+    def corners(a):
+        return np.stack([a[:, :-1], a[:, 1:], a[ip1, :-1], a[ip1, 1:]], axis=0)
+
+    cgx, cgy = corners(gx), corners(gy)
+    sign_flip = (cgx.min(axis=0) <= 0) & (cgx.max(axis=0) >= 0) & \
+                (cgy.min(axis=0) <= 0) & (cgy.max(axis=0) >= 0)
+
+    theta_c = (np.arange(nt) + 0.5) * field.dtheta
+    s_c = (np.arange(ns) + 0.5) * field.ds
+    Tc, Sc = np.meshgrid(theta_c, s_c, indexing="ij")
+    gcx, gcy = field.gradient_ref(Tc, Sc)
+    small = np.hypot(gcx, gcy) < 10.0 * tol.grad_zero_tol
+
+    lo = tol.interior_margin if not field.domain.is_disk else 0.0
+    hi = 1.0 - tol.interior_margin
+    band_ok = (Sc >= lo) & (Sc <= hi)
+    flagged = (sign_flip | small) & band_ok
+    return list(zip(*field.domain.map_point(Tc[flagged], Sc[flagged])))
+
+
+def _test_seeds(field, tol, rng):
+    """Scan seeds plus random ones: anywhere in and around the domain
+    (s in [-0.2, 1.2], so some start outside), and in the two margin bands."""
+    x0, y0 = _scan_cells(field, tol)
+    m = tol.interior_margin
+    s = np.concatenate([rng.uniform(-0.2, 1.2, 16), rng.uniform(0.0, m, 4), rng.uniform(1.0 - m, 1.0, 4)])
+    xr, yr = field.domain.map_point(rng.uniform(0.0, TWO_PI, s.size), s)
+    return np.concatenate([x0, xr]), np.concatenate([y0, yr])
+
+
+def _evaluated_points(field, run):
+    """Run `run()` and return the physical points at which it evaluated the
+    gradient and the Hessian through `gradient_ref` and `hessian_ref`
+    (both implementations evaluate there, the scalar one through
+    `gradient(x, y)` and `hessian(x, y)`)."""
+    logs = {"gradient_ref": [], "hessian_ref": []}
+    for name, log in logs.items():
+        def spy(theta, s, method=getattr(field, name), log=log):
+            log.append(np.ravel(field.domain.map_point(theta, s)).reshape(2, -1))
+            return method(theta, s)
+        vars(field)[name] = spy
+    try:
+        run()
+    finally:
+        for name in logs:
+            del vars(field)[name]
+    return [np.concatenate(log, axis=1) if log else np.zeros((2, 0)) for log in logs.values()]
+
+
+def _assert_newton_matches_reference(key, fld, x0, y0, max_step):
+    """Every seed gets the status the scalar refinement gives it, and every
+    converged seed the same point within 1e-12 of the diameter.  Both
+    evaluate the gradient and the Hessian at as many points, with the same
+    coordinate sums, so both take the same steps and line-search trials.
+    Returns the set of statuses seen."""
+    rt = resolve_tolerances(fld)
+    want = []
+
+    def scalar():
+        for k in range(x0.size):
+            try:
+                want.append(reference_newton_refine(fld, x0[k], y0[k], rt, max_step))
+            except (NewtonStallError, OutsideDomainError):
+                want.append(None)
+
+    got = []
+    batched = _evaluated_points(fld, lambda: got.extend(_newton_refine(fld, x0, y0, rt, max_step)))
+    scalar_points = _evaluated_points(fld, scalar)
+    x, y, g, ok = got
+    bound = 1e-12 * fld.diameter()
+    for k in range(x0.size):
+        assert bool(ok[k]) == (want[k] is not None), (key, k, x0[k], y0[k])
+        if ok[k]:
+            assert math.hypot(x[k] - want[k][0], y[k] - want[k][1]) <= bound, (key, k)
+            assert g[k] <= rt.grad_zero_tol
+    for b, s in zip(batched, scalar_points):
+        assert b.shape == s.shape, key
+        assert np.abs(b.sum(axis=1) - s.sum(axis=1)).max() <= bound * s.shape[1], key
+    return set(ok.tolist())
+
+
+def test_batched_newton_matches_scalar_reference():
+    rng = np.random.default_rng(20)
+    statuses = set()
+    for key, fld in builtin_fields():
+        x0, y0 = _test_seeds(fld, resolve_tolerances(fld), rng)
+        statuses |= _assert_newton_matches_reference(key, fld, x0, y0, 4.0 * fld.median_cell_diag())
+    assert statuses == {True, False}
+
+
+def test_batched_newton_step_limit_matches_reference():
+    """Steps clipped to 1% of the diameter spread the step counts up to the
+    limit of 50: some seeds stall there and one converges on the last step."""
+    fld = solved_field("z_plus_inv", 64, 32)
+    rng = np.random.default_rng(1)
+    x0, y0 = fld.domain.map_point(rng.uniform(0.0, TWO_PI, 200), rng.uniform(0.1, 0.9, 200))
+    statuses = _assert_newton_matches_reference("z_plus_inv", fld, x0, y0, 0.01 * fld.diameter())
+    assert statuses == {True, False}
+
+
+def test_scan_cells_matches_reference():
+    for key, fld in builtin_fields():
+        rt = resolve_tolerances(fld)
+        assert list(zip(*_scan_cells(fld, rt))) == reference_scan_cells(fld, rt), key
+
+
+@pytest.mark.parametrize("name", ["z2_minus_zm2", "disk_z3"])
+def test_centre_gradients_match_gradient_ref(name):
+    fld = solved_field(name, 48, 24)
+    T, S = np.meshgrid((np.arange(fld.n_theta) + 0.5) * fld.dtheta,
+                       (np.arange(fld.n_s) + 0.5) * fld.ds, indexing="ij")
+    want = np.stack(fld.gradient_ref(T, S))
+    got = np.stack(fld.centre_gradients())
+    assert got.shape == want.shape == (2, fld.n_theta, fld.n_s)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.hypot(*want))

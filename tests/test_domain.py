@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_scenario
 from levelset_lab import expressions as ex
 from levelset_lab.domain import scenario_from_dict, validate_scenario
-from levelset_lab.errors import ValidationFailure
+from levelset_lab.errors import OutsideDomainError, ValidationFailure
 from levelset_lab.geometry import TWO_PI, BoundaryCurve, DomainSpec
 
 
@@ -146,12 +146,32 @@ def test_invert_round_trip():
     assert np.allclose(S2, S, atol=1e-12)
 
 
+def test_reference_inside_rule():
+    """Points within _S_TOL of s in [0, 1] are inside with s clipped; points
+    farther out, or not finite, are outside, and invert_point rejects any
+    batch holding one."""
+    dom = counterexample_domain(6.0)
+    s = np.array([-2e-9, -5e-10, 0.3, 1.0 + 5e-10, 1.0 + 2e-9])
+    theta = np.full_like(s, 0.7)
+    x, y = dom.map_point(theta, s)
+    T, S, inside = dom.reference(np.append(x, np.nan), np.append(y, 0.0))
+    assert inside.tolist() == [False, True, True, True, False, False]
+    assert S[1] == 0.0 and S[3] == 1.0 and S[2] == pytest.approx(0.3, abs=1e-12)
+    assert np.all((S[:-1] >= 0.0) & (S[:-1] <= 1.0))
+    assert dom.invert_point(x[1:4], y[1:4])[1].tolist() == S[1:4].tolist()
+    for k in (0, 4):
+        with pytest.raises(OutsideDomainError):
+            dom.invert_point(x[k], y[k])
+
+
 def test_metric_inverse_consistency():
     dom = counterexample_domain(6.0)
     met = dom.metric(np.array([1.1]), np.array([0.4]))
     J = np.array([[met["x_t"][0], met["x_s"][0]], [met["y_t"][0], met["y_s"][0]]])
     Jinv = np.array([[met["t_x"][0], met["t_y"][0]], [met["s_x"][0], met["s_y"][0]]])
     assert np.allclose(Jinv @ J, np.eye(2), atol=1e-12)
+    first = dom.inverse_jacobian(np.array([1.1]), np.array([0.4]))
+    assert {k: v.tolist() for k, v in first.items()} == {k: met[k].tolist() for k in first}
 
 
 @given(st.floats(min_value=0.0, max_value=TWO_PI - 1e-9))

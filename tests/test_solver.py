@@ -296,11 +296,14 @@ def test_derived_quantities_cached_and_read_only():
     assert fld.node_positions() is fld.node_positions()
     assert fld.cell_diagonals() is fld.cell_diagonals()
     assert resolve_tolerances(fld) is resolve_tolerances(fld)
+    assert fld.node_gradients() is fld.node_gradients()
+    assert fld._hermite() is fld._hermite()
     lat = fld.lattice()
     assert lat is fld.lattice()
     nrt, nrs = REFINE * fld.n_theta, REFINE * fld.n_s
     assert lat.nodes.shape == (nrt + 1, nrs + 1) and lat.centres.shape == (nrt, nrs)
-    for arr in (*fld.node_positions(), fld.cell_diagonals(), lat.nodes, lat.centres):
+    for arr in (*fld.node_positions(), fld.cell_diagonals(), lat.nodes, lat.centres,
+                *fld.node_gradients(), fld._hermite()):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
