@@ -28,7 +28,7 @@ from .solver import ResolvedTolerances, SolutionField, resolve_tolerances
 _WINDING_SAMPLES = 256
 _INTEGER_SLACK = 0.05
 _MAX_NEWTON_STEPS = 50
-_MAX_DOUBLINGS = 8
+_MAX_RADIUS_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -64,41 +64,40 @@ def winding_on_closed_curve(field: SolutionField, xs, ys) -> float:
     return winding_turns(np.arctan2(gy, gx))
 
 
-def _circle_winding(field: SolutionField, cx: float, cy: float, radius: float, tol: ResolvedTolerances):
-    phi = np.arange(_WINDING_SAMPLES) * (TWO_PI / _WINDING_SAMPLES)
-    xs = cx + radius * np.cos(phi)
-    ys = cy + radius * np.sin(phi)
-    if not bool(np.all(field.domain.contains(xs, ys))):
-        return None, 0.0
-    gx, gy = field.gradient(xs, ys)
-    gmin = float(np.min(np.hypot(gx, gy)))
-    if gmin <= 5.0 * tol.grad_zero_tol:
-        return None, gmin
-    return winding_turns(np.arctan2(gy, gx)), gmin
-
-
 def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
     """Multiplicity, degree radius and raw winding at a (refined) critical point.
 
-    The circle radius starts at twice the local cell diagonal and doubles
-    until the gradient is bounded away from zero on all samples; fails with
-    RadiusExhaustedError after 8 doublings or when the circle leaves the
-    domain, and with DegreeAmbiguousError when the winding is not near an
-    integer.
+    The circle radius starts at twice the local cell diagonal.  It halves
+    while the circle leaves the domain, down to half a diagonal, and doubles
+    while the gradient comes within 5 grad_zero_tol of zero on the circle.
+    Fails with RadiusExhaustedError after 8 steps or when even the smallest
+    circle leaves the domain, and with DegreeAmbiguousError when the winding
+    is not near an integer.
     """
     cx, cy = point
     theta, s = field.domain.invert_point(cx, cy)
     i = int(np.mod(theta, TWO_PI) / field.dtheta) % field.n_theta
     j = min(int(np.clip(s, 0.0, 1.0) / field.ds), field.n_s - 1)
-    radius = 2.0 * float(field.cell_diagonals()[i, j])
-    for _ in range(_MAX_DOUBLINGS):
-        turns, _ = _circle_winding(field, cx, cy, radius, tol)
-        if turns is not None:
-            nearest = round(turns)
-            if abs(turns - nearest) > _INTEGER_SLACK:
-                raise DegreeAmbiguousError(turns)
-            return int(-nearest), radius, turns
-        radius *= 2.0
+    diag = float(field.cell_diagonals()[i, j])
+    radius = 2.0 * diag
+    phi = np.arange(_WINDING_SAMPLES) * (TWO_PI / _WINDING_SAMPLES)
+    for _ in range(_MAX_RADIUS_STEPS):
+        xs = cx + radius * np.cos(phi)
+        ys = cy + radius * np.sin(phi)
+        if not np.all(field.domain.contains(xs, ys)):
+            if radius <= 0.5 * diag:
+                break
+            radius *= 0.5
+            continue
+        gx, gy = field.gradient(xs, ys)
+        if np.min(np.hypot(gx, gy)) <= 5.0 * tol.grad_zero_tol:
+            radius *= 2.0
+            continue
+        turns = winding_turns(np.arctan2(gy, gx))
+        nearest = round(turns)
+        if abs(turns - nearest) > _INTEGER_SLACK:
+            raise DegreeAmbiguousError(turns)
+        return int(-nearest), radius, turns
     raise RadiusExhaustedError(
         f"no admissible degree circle around ({cx:.6g}, {cy:.6g}); "
         "another critical point or a boundary is too close"

@@ -84,43 +84,32 @@ def _axis_derivative_bounded(u: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass
 class DiscreteSystem:
-    """Sparse linear system for one scenario on one grid."""
+    """Sparse linear system of the interior unknowns for one scenario on
+    one grid, in nested-dissection order: matrix @ x = rhs, where
+    rhs = -couplings @ boundary moves the Dirichlet data to the right."""
 
     spec: ScenarioSpec
     n_theta: int
     n_s: int
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix     # interior rows x interior columns
+    couplings: sp.csr_matrix  # interior rows x Dirichlet nodes
+    boundary: np.ndarray      # Dirichlet data, ring by ring (s = 0 first)
     rhs: np.ndarray
-    dirichlet_mask: np.ndarray
+    node_index: np.ndarray    # (n_theta, n_s + 1) position of each node in [x, boundary]
     is_disk: bool
-    node_theta: np.ndarray  # (n_theta, n_s + 1)
-    node_s: np.ndarray
-    node_x: np.ndarray
-    node_y: np.ndarray
-    c_values: np.ndarray    # zeroth-order coefficient at the nodes
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def interior_rows(self) -> np.ndarray:
-        return np.where(~self.dirichlet_mask)[0]
-
     def is_m_matrix(self) -> bool:
-        """True when every interior row of -A has a positive diagonal and
-        non-positive off-diagonal entries (discrete maximum principle)."""
-        A = self.matrix.tocsr()
-        scale = float(np.max(np.abs(A.data))) or 1.0
-        for row in self.interior_rows():
-            lo, hi = A.indptr[row], A.indptr[row + 1]
-            cols = A.indices[lo:hi]
-            vals = -A.data[lo:hi]
-            diag = vals[cols == row]
-            if diag.size != 1 or diag[0] <= 0:
-                return False
-            if np.any(vals[cols != row] > _M_MATRIX_TOL * scale):
-                return False
-        return True
+        """True when every row of -A has a positive diagonal and non-positive
+        off-diagonal entries, Dirichlet couplings included (discrete maximum
+        principle)."""
+        A, coupled = self.matrix.tocoo(), self.couplings.data
+        off = np.concatenate((A.data[A.row != A.col], coupled))
+        scale = float(np.max(np.abs(np.concatenate((A.data, coupled))))) or 1.0
+        return bool(np.all(A.diagonal() < 0) and not np.any(-off > _M_MATRIX_TOL * scale))
 
 
 def _grid_nodes(spec: ScenarioSpec):
@@ -158,16 +147,22 @@ def assemble(spec: ScenarioSpec) -> DiscreteSystem:
         if not np.all(np.isfinite(arr[:, interior_j])):
             raise AssemblyError(f"non-finite metric/coefficient term {label}")
 
-    size = 1 + nt * ns if is_disk else nt * (ns + 1)
-
-    def index_grid(i_arr, j_arr):
-        i_arr = np.mod(i_arr, nt)
-        if not is_disk:
-            return j_arr * nt + i_arr
-        return np.where(j_arr == 0, 0, 1 + (j_arr - 1) * nt + i_arr)
+    # Number the interior unknowns in nested-dissection order, then the
+    # Dirichlet nodes ring by ring: node_index[i, j] is the position of node
+    # (i, j) in the vector [x, boundary].
+    order = nested_dissection(nt, ns, is_disk)
+    n = order.size
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rings = [ns] if is_disk else [0, ns]
+    index = np.empty((nt, ns + 1), dtype=np.intp)
+    index[:, 1:ns] = rank[int(is_disk):].reshape(ns - 1, nt).T
+    index[:, rings] = n + np.arange(len(rings) * nt).reshape(len(rings), nt).T
+    if is_disk:
+        index[:, 0] = rank[0]
 
     I, J = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
-    rows_idx = index_grid(I, J)
+    rows_idx = index[:, 1:ns]
     att, ats, ass = A_tt[:, 1:ns], A_ts[:, 1:ns], A_ss[:, 1:ns]
     bt, bs, c0 = B_t[:, 1:ns], B_s[:, 1:ns], C0[:, 1:ns]
 
@@ -185,25 +180,10 @@ def assemble(spec: ScenarioSpec) -> DiscreteSystem:
     rows, cols, data = [], [], []
     for di, dj, w in stencil:
         rows.append(rows_idx.ravel())
-        cols.append(index_grid(I + di, J + dj).ravel())
+        cols.append(index[(I + di) % nt, J + dj].ravel())
         data.append(w.ravel())
 
-    rhs = np.zeros(size)
-    dirichlet = np.zeros(size, dtype=bool)
-
-    def add_dirichlet(j: int, expr):
-        idx = index_grid(np.arange(nt), np.full(nt, j))
-        rows.append(idx)
-        cols.append(idx)
-        data.append(np.ones(nt))
-        values = ex.evaluate_xy(expr, X[:, j], Y[:, j])
-        rhs[idx] = values
-        dirichlet[idx] = True
-
-    add_dirichlet(ns, spec.psi_exterior)
-    if not is_disk:
-        add_dirichlet(0, spec.psi_interior)
-    else:
+    if is_disk:
         # centre row: weights over {centre} + first ring matching L on quadratics
         ring_x, ring_y = X[:, 1], Y[:, 1]
         cc = spec.operator.coefficients_at(np.array([0.0]), np.array([0.0]))
@@ -219,19 +199,21 @@ def assemble(spec: ScenarioSpec) -> DiscreteSystem:
             2.0 * float(cc["a11"][0]), 2.0 * float(cc["a12"][0]), 2.0 * float(cc["a22"][0]),
         ])
         weights, *_ = np.linalg.lstsq(M, target, rcond=None)
-        rows.append(np.zeros(nt + 1, dtype=int))
-        cols.append(np.concatenate(([0], index_grid(np.arange(nt), np.ones(nt, dtype=int)))))
+        rows.append(np.full(nt + 1, rank[0]))
+        cols.append(np.concatenate(([rank[0]], index[:, 1])))
         data.append(weights)
 
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
-    A.sum_duplicates()
-
+    psi = {0: spec.psi_interior, ns: spec.psi_exterior}
+    boundary = np.concatenate([ex.evaluate_xy(psi[j], X[:, j], Y[:, j]) for j in rings])
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    inner = cols < n
+    # CSR first: duplicate entries (the disk centre seen from the first ring)
+    # sum within their row in stencil order
+    matrix = sp.csr_matrix((data[inner], (rows[inner], cols[inner])), shape=(n, n)).tocsc()
+    couplings = sp.csr_matrix((data[~inner], (rows[~inner], cols[~inner] - n)), shape=(n, boundary.size))
     return DiscreteSystem(
-        spec=spec, n_theta=nt, n_s=ns, matrix=A, rhs=rhs, dirichlet_mask=dirichlet,
-        is_disk=is_disk, node_theta=T, node_s=S, node_x=X, node_y=Y, c_values=C0,
+        spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
+        rhs=-(couplings @ boundary), node_index=index, is_disk=is_disk,
     )
 
 
@@ -261,9 +243,9 @@ def _dissect(i0: int, i1: int, j0: int, j1: int, nt: int, out: list) -> None:
 
 
 def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
-    """Elimination order of the interior unknowns, as positions in
-    `DiscreteSystem.interior_rows()` (rings 1 .. n_s - 1, after the disk
-    centre when there is one).  The cylinder is cut at
+    """Elimination order of the interior unknowns, as positions in their
+    ring-major numbering (rings 1 .. n_s - 1 with theta fastest, after the
+    disk centre when there is one).  The cylinder is cut at
     theta = 0 and theta = pi, each half is dissected recursively, and the
     two cut columns come last; on the disk the centre unknown, which
     couples to the whole first ring, comes after them."""
@@ -279,18 +261,14 @@ def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
 def solve(system: DiscreteSystem, tol: float | None = None) -> "SolutionField":
     """Direct sparse solve of the interior unknowns with a residual check.
 
-    The Dirichlet values move to the right-hand side, so the factored
-    system is A_ff u_f = b_f - A_fd b_d over the interior unknowns, taken
-    in nested-dissection order.  The gate is the relative residual of that
-    reduced system, whose both sides carry the 1/h^2 scale of the stencil.
+    The system is factored in the nested-dissection order `assemble` gave
+    it.  The gate is its relative residual, whose both sides carry the
+    1/h^2 scale of the stencil; the boundary values of u are the Dirichlet
+    data exactly.
     """
     if tol is None:
         tol = system.spec.tolerances.linear_residual_tol
-    perm = system.interior_rows()[nested_dissection(system.n_theta, system.n_s, system.is_disk)]
-    dirichlet = system.dirichlet_mask
-    rows = system.matrix[perm]
-    A = rows[:, perm].tocsc()
-    b = system.rhs[perm] - rows[:, dirichlet] @ system.rhs[dirichlet]
+    A, b = system.matrix, system.rhs
     try:
         x = spla.splu(A, permc_spec="NATURAL").solve(b)
     except RuntimeError as err:
@@ -302,16 +280,7 @@ def solve(system: DiscreteSystem, tol: float | None = None) -> "SolutionField":
     rel = residual / bnorm if bnorm > 0 else residual
     if rel > tol:
         raise NoConvergenceError(1, rel, "direct solve residual above tolerance")
-    u = system.rhs.copy()  # Dirichlet rows are identities: rhs holds the data
-    u[perm] = x
-
-    nt, ns = system.n_theta, system.n_s
-    values = np.empty((nt, ns + 1))
-    if system.is_disk:
-        values[:, 0] = u[0]
-        values[:, 1:] = u[1:].reshape(ns, nt).T
-    else:
-        values[:, :] = u.reshape(ns + 1, nt).T
+    values = np.concatenate((x, system.boundary))[system.node_index]
     return SolutionField(system.spec, values, residual=rel)
 
 

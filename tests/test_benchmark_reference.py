@@ -5,7 +5,7 @@ either the integer summary of its report or the reason it raised.  Only
 the benchmark compared against it, and the golden reports cover the
 built-ins only.  These tests run `levelset-lab verify` through
 `perfbench/workloads.py`, the way the benchmark does, on the eight
-scenarios of seed 0 and on the two recorded failures, and compare each
+scenarios of seed 0 and on the recorded failure set, and compare each
 outcome with the reference.  Neither file is modified.
 """
 
@@ -33,9 +33,9 @@ def _workloads():
 wl = _workloads()
 RECORDED = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 REFERENCE = RECORDED["symmetric_annuli"]
-# symmetric seed 15 sym0_k2 raises UnstableCountsError and seed 26 sym0_k2
-# has an applicable lem_2_5_2_7 FAIL; both are recorded as they are
-RECORDED_FAILURES = {"15/sym0_k2", "26/sym0_k2"}
+# symmetric seed 26 sym0_k2 has an applicable lem_2_5_2_7 FAIL, recorded as
+# it is
+RECORDED_FAILURES = {"26/sym0_k2"}
 
 
 def _items(seed, tmp_path, workload="symmetric_annuli"):
@@ -75,6 +75,18 @@ def test_recorded_failures_reproduce(key, tmp_path):
     (item,) = [it for it in items if it.key == key]
     verdict = _check(_outcome(lab, item, tmp_path), REFERENCE[key])
     assert not verdict.ok, verdict.reason
+
+
+def test_seed15_sym0_k2_now_verifies(tmp_path):
+    """Recorded as UnstableCountsError: the degree circle of both coarse
+    saddles left the domain and only grew.  It now shrinks back inside, so
+    the scenario verifies, which its error reference accepts."""
+    lab, items = _items(15, tmp_path)
+    (item,) = [it for it in items if it.key == "15/sym0_k2"]
+    outcome = _outcome(lab, item, tmp_path)
+    assert outcome.exit_code == 0, outcome.stderr
+    verdict = wl.check(outcome, REFERENCE[item.key])
+    assert verdict.ok and not verdict.wrong, verdict.reason
 
 
 def test_render_sweep_matches_reference(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
@@ -24,17 +25,26 @@ def log_annulus_spec(grid=(64, 32)):
 
 # ----------------------------------------------------------------- assembly
 
+def row_sums(system):
+    """Row sums of the interior rows over the interior and Dirichlet columns."""
+    return (np.asarray(system.matrix.sum(axis=1)).ravel()
+            + np.asarray(system.couplings.sum(axis=1)).ravel())
+
+
+def system_scale(system):
+    return max(np.max(np.abs(system.matrix.data)), np.max(np.abs(system.couplings.data)))
+
+
 def test_interior_rows_at_most_nine_nonzeros():
     system = assemble(log_annulus_spec())
-    counts = np.diff(system.matrix.indptr)
-    assert np.all(counts[system.interior_rows()] <= 9)
+    counts = np.diff(system.matrix.tocsr().indptr) + np.diff(system.couplings.indptr)
+    assert counts.size == system.size == 64 * 31
+    assert np.all(counts <= 9)
 
 
 def test_row_sums_zero_without_zeroth_order():
     system = assemble(log_annulus_spec())
-    sums = np.asarray(system.matrix @ np.ones(system.size))
-    scale = np.max(np.abs(system.matrix.data))
-    assert np.max(np.abs(sums[system.interior_rows()])) <= 1e-12 * scale
+    assert np.max(np.abs(row_sums(system))) <= 1e-12 * system_scale(system)
 
 
 def test_row_sums_match_zeroth_order_coefficient():
@@ -46,37 +56,57 @@ def test_row_sums_match_zeroth_order_coefficient():
     )
     spec = make_scenario("2", "1", "1", "0", operator=op, name="with_c")
     system = assemble(spec)
-    sums = np.asarray(system.matrix @ np.ones(system.size))
-    interior = system.interior_rows()
-    scale = np.max(np.abs(system.matrix.data))
-    assert np.max(np.abs(sums[interior] - (-1.0))) <= 1e-12 * scale
+    assert np.max(np.abs(row_sums(system) - (-1.0))) <= 1e-12 * system_scale(system)
 
 
 def test_truncation_error_second_order():
     """A |log r| sample hits the assembled operator with O(h^2) residual."""
     errs = []
     for grid in ((64, 32), (128, 64)):
-        system = assemble(log_annulus_spec(grid))
-        exact = np.log(np.hypot(system.node_x, system.node_y))
-        if system.is_disk:
-            raise AssertionError
-        vec = exact.T.reshape(-1)
-        resid = np.asarray(system.matrix @ vec - system.rhs)
-        errs.append(np.max(np.abs(resid[system.interior_rows()])))
+        spec = log_annulus_spec(grid)
+        system = assemble(spec)
+        X, Y = spec.domain.map_point(*np.meshgrid(np.arange(grid[0]) * (TWO_PI / grid[0]),
+                                                  np.arange(grid[1] + 1) / grid[1], indexing="ij"))
+        exact = np.empty(system.size + system.boundary.size)
+        exact[system.node_index] = np.log(np.hypot(X, Y))
+        resid = system.matrix @ exact[:system.size] - system.rhs
+        errs.append(np.max(np.abs(resid)))
     ratio = errs[0] / errs[1]
     assert 2.5 <= ratio <= 6.5  # ~4x per doubling
 
 
-def test_dirichlet_rows_are_identity():
+def test_boundary_data_and_rhs():
+    """The Dirichlet data sit at the boundary positions of node_index, and
+    rhs is minus the couplings applied to them."""
+    spec = log_annulus_spec()
+    system = assemble(spec)
+    nt, ns = system.n_theta, system.n_s
+    rings = system.node_index[:, [0, ns]] - system.size
+    assert np.array_equal(rings, np.arange(2 * nt).reshape(2, nt).T)
+    assert np.all(system.node_index[:, 1:ns] < system.size)
+    assert np.allclose(system.boundary[nt:], 1.0) and np.allclose(system.boundary[:nt], 0.0, atol=1e-15)
+    assert np.array_equal(system.rhs, -(system.couplings @ system.boundary))
+
+
+def test_m_matrix_rejects_positive_off_diagonal():
+    """A positive off-diagonal entry of -A fails the check, whether it sits
+    among the interior columns or in a Dirichlet coupling."""
     system = assemble(log_annulus_spec())
-    A = system.matrix
-    for row in np.where(system.dirichlet_mask)[0]:
-        lo, hi = A.indptr[row], A.indptr[row + 1]
-        cols = A.indices[lo:hi]
-        vals = A.data[lo:hi]
-        nz = vals != 0
-        assert list(cols[nz]) == [row]
-        assert vals[nz][0] == 1.0
+    assert system.is_m_matrix()
+    matrix, couplings = system.matrix, system.couplings
+    A = matrix.tocoo()
+    k = np.argmax(np.where(A.row != A.col, A.data, -np.inf))
+    flipped = A.data.copy()
+    flipped[k] = -flipped[k]
+    system.matrix = sp.csc_matrix((flipped, (A.row, A.col)), shape=A.shape)
+    assert not system.is_m_matrix()
+    system.matrix = matrix
+    system.couplings = couplings.copy()
+    k = np.argmax(couplings.data)
+    system.couplings.data[k] = -couplings.data[k]
+    assert not system.is_m_matrix()
+    system.couplings = couplings
+    assert system.is_m_matrix()
 
 
 # -------------------------------------------------------------------- solve
@@ -124,10 +154,9 @@ def test_maximum_principle_on_m_matrix():
 
 def test_zero_pivot_reports_no_convergence():
     system = assemble(log_annulus_spec())
-    row = system.interior_rows()[7]
     A = system.matrix.tolil()
-    A[row, :] = 0.0
-    system.matrix = A.tocsr()
+    A[7, :] = 0.0
+    system.matrix = A.tocsc()
     with pytest.raises(NoConvergenceError):
         solve(system)
 
@@ -259,11 +288,15 @@ def test_disk_center_row_reduces_to_polar_average():
     spec = make_scenario("1", None, "cos(2*theta)", None, grid=(64, 32), name="disk")
     system = assemble(spec)
     A = system.matrix.tocsr()
-    lo, hi = A.indptr[0], A.indptr[1]
+    row = system.node_index[0, 0]
+    assert row == system.size - 1  # eliminated last
+    assert np.all(system.node_index[:, 0] == row)
+    lo, hi = A.indptr[row], A.indptr[row + 1]
     cols, vals = A.indices[lo:hi], A.data[lo:hi]
+    assert np.array_equal(np.sort(cols[cols != row]), np.sort(system.node_index[:, 1]))
     h = 1.0 / system.n_s
-    centre = vals[cols == 0][0]
-    ring = vals[cols != 0]
+    centre = vals[cols == row][0]
+    ring = vals[cols != row]
     assert centre == pytest.approx(-4.0 / h ** 2, rel=1e-8)
     assert np.allclose(ring, 4.0 / (system.n_theta * h ** 2), rtol=1e-8)
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import builtin_report, make_scenario, solved_field
+from conftest import builtin_report, builtin_spec, make_scenario, solved_field
 from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import UnstableCountsError
@@ -288,6 +288,26 @@ def test_unstable_counts_raises():
         return  # acceptable: instability was detected and reported
     # with a large dedup radius both grids may agree; then counts must be sane
     assert len(report.points) in (1, 4)
+
+
+def test_coarse_grid_losing_a_point_raises_unstable_counts(monkeypatch):
+    """The stability gate compares the coarse and the fine detection: when
+    the coarse grid misses one of the points, run_scenario raises."""
+    import levelset_lab.verify as verify_mod
+    real = verify_mod.find_critical_points_report
+    grids = []
+
+    def lossy(field, *args, **kwargs):
+        points, suspects, warnings = real(field, *args, **kwargs)
+        grids.append(field.n_theta)
+        return (points[1:] if len(grids) == 1 else points), suspects, warnings
+
+    spec = builtin_spec("z_plus_inv")
+    assert len(builtin_report("z_plus_inv").points) >= 1
+    monkeypatch.setattr(verify_mod, "find_critical_points_report", lossy)
+    with pytest.raises(UnstableCountsError):
+        run_scenario(spec)
+    assert grids == [spec.n_theta, 2 * spec.n_theta]
 
 
 def test_verdict_integers_reproducible_from_report_lists():
