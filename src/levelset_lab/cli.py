@@ -42,6 +42,21 @@ def _round_floats(obj, digits: int = 12):
     return obj
 
 
+def _census_dict(census) -> dict:
+    """Threshold, counts and components of one census, as both report.json
+    and census.json write them."""
+    return {
+        "t": census.t, "M1": census.M1, "M2": census.M2,
+        "uncertain_band": census.uncertain_band,
+        "components": [
+            {"sign": c.sign, "cells": c.cell_count,
+             "touches_interior": c.touches_interior, "touches_exterior": c.touches_exterior,
+             "extremal_value": c.extremal_value, "all_uncertain": c.all_uncertain}
+            for c in census.components
+        ],
+    }
+
+
 def report_to_dict(report: VerificationReport, timestamp: str | None = None) -> dict:
     """Fixed-key-order JSON payload; floats carry 12 significant digits."""
     out = {
@@ -54,19 +69,7 @@ def report_to_dict(report: VerificationReport, timestamp: str | None = None) -> 
                  "linear_residuals": list(report.residuals)},
         "boundary_profile": report.profile.as_dict(),
         "critical_points": [p.as_dict() for p in report.points],
-        "censuses": [
-            {"tag": tag, "t": c.t, "M1": c.M1, "M2": c.M2,
-             "uncertain_band": c.uncertain_band,
-             "components": [
-                 {"sign": comp.sign, "cells": comp.cell_count,
-                  "touches_interior": comp.touches_interior,
-                  "touches_exterior": comp.touches_exterior,
-                  "extremal_value": comp.extremal_value,
-                  "all_uncertain": comp.all_uncertain}
-                 for comp in c.components
-             ]}
-            for tag, c in report.censuses
-        ],
+        "censuses": [{"tag": tag, **_census_dict(c)} for tag, c in report.censuses],
         "verdicts": [v.as_dict() for v in report.verdicts],
         "warnings": list(report.warnings),
         "notes": list(report.notes),
@@ -128,17 +131,7 @@ def _cmd_census(args) -> int:
     spec = _load(args.scenario, args)
     field = solve(assemble(spec))
     census = level_census(field, args.t)
-    payload = _round_floats({
-        "scenario": spec.name, "t": args.t,
-        "M1": census.M1, "M2": census.M2,
-        "uncertain_band": census.uncertain_band,
-        "components": [
-            {"sign": c.sign, "cells": c.cell_count,
-             "touches_interior": c.touches_interior, "touches_exterior": c.touches_exterior,
-             "extremal_value": c.extremal_value, "all_uncertain": c.all_uncertain}
-            for c in census.components
-        ],
-    })
+    payload = _round_floats({"scenario": spec.name, **_census_dict(census)})
     out = Path(args.out) / "census.json"
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out} (M1={census.M1}, M2={census.M2})")

@@ -16,14 +16,13 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .domain import ToleranceSet
 from .errors import (
     BandTooWideError,
     DegreeAmbiguousError,
     RadiusExhaustedError,
 )
 from .geometry import TWO_PI, winding_turns
-from .solver import ResolvedTolerances, SolutionField, resolve_tolerances
+from .solver import ResolvedTolerances, SolutionField, cell_index, resolve_tolerances
 
 _WINDING_SAMPLES = 256
 _INTEGER_SLACK = 0.05
@@ -41,10 +40,6 @@ class CriticalPoint:
     degree_radius: float
     grad_norm: float
     winding_raw: float
-
-    @property
-    def location(self):
-        return (self.x, self.y)
 
     def as_dict(self) -> dict:
         return {
@@ -75,21 +70,20 @@ def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
     is not near an integer.
     """
     cx, cy = point
-    theta, s = field.domain.invert_point(cx, cy)
-    i = int(np.mod(theta, TWO_PI) / field.dtheta) % field.n_theta
-    j = min(int(np.clip(s, 0.0, 1.0) / field.ds), field.n_s - 1)
+    i, j, _, _ = cell_index(*field._invert_inside(cx, cy), field.n_theta, field.n_s)
     diag = float(field.cell_diagonals()[i, j])
     radius = 2.0 * diag
     phi = np.arange(_WINDING_SAMPLES) * (TWO_PI / _WINDING_SAMPLES)
     for _ in range(_MAX_RADIUS_STEPS):
         xs = cx + radius * np.cos(phi)
         ys = cy + radius * np.sin(phi)
-        if not np.all(field.domain.contains(xs, ys)):
+        theta, s, inside = field._invert(xs, ys)
+        if not np.all(inside):
             if radius <= 0.5 * diag:
                 break
             radius *= 0.5
             continue
-        gx, gy = field.gradient(xs, ys)
+        gx, gy = field.gradient_ref(theta, s)
         if np.min(np.hypot(gx, gy)) <= 5.0 * tol.grad_zero_tol:
             radius *= 2.0
             continue
@@ -104,10 +98,9 @@ def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
     )
 
 
-def multiplicity(field: SolutionField, p, tol: ToleranceSet | None = None) -> int:
+def multiplicity(field: SolutionField, p) -> int:
     """Public multiplicity of a critical point (gradient degree, negated)."""
-    rt = resolve_tolerances(field, tol)
-    m, _, _ = winding_multiplicity(field, p, rt)
+    m, _, _ = winding_multiplicity(field, p, resolve_tolerances(field))
     return m
 
 
@@ -200,9 +193,9 @@ def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     return field.domain.map_point((i + 0.5) * field.dtheta, s_c[j])
 
 
-def find_critical_points_report(field: SolutionField, tol: ToleranceSet | None = None):
+def find_critical_points_report(field: SolutionField):
     """Full detector: (points, near_boundary_suspects, warnings)."""
-    rt = resolve_tolerances(field, tol)
+    rt = resolve_tolerances(field)
     x0, y0 = _scan_cells(field, rt)
     xs, ys, gs, ok = _newton_refine(field, x0, y0, rt, 4.0 * field.median_cell_diag())
     warnings = []
@@ -218,11 +211,10 @@ def find_critical_points_report(field: SolutionField, tol: ToleranceSet | None =
 
     points = []
     suspects = []
-    kept_x, kept_y = np.array([p[0] for p in kept]), np.array([p[1] for p in kept])
-    s_kept = field.domain.invert_point(kept_x, kept_y)[1].tolist()
-    values = np.asarray(field.evaluate(kept_x, kept_y)).tolist()
+    theta_kept, s_kept = _invert_points(field, [p[:2] for p in kept])
+    values = field.evaluate_ref(theta_kept, s_kept).tolist()
     lo, hi = _interior_band(field, rt)
-    for (x, y, g), s, value in zip(kept, s_kept, values):
+    for (x, y, g), s, value in zip(kept, s_kept.tolist(), values):
         if s < lo or s > hi:
             suspects.append({"x": x, "y": y, "s": s, "grad_norm": g})
             continue
@@ -247,27 +239,28 @@ def find_critical_points_report(field: SolutionField, tol: ToleranceSet | None =
     return points, suspects, warnings
 
 
-def find_critical_points(field: SolutionField, tol: ToleranceSet | None = None) -> list:
+def find_critical_points(field: SolutionField) -> list:
     """Interior critical points, sorted by value then polar angle."""
-    return find_critical_points_report(field, tol)[0]
+    return find_critical_points_report(field)[0]
 
 
-def find_critical_zero_points(field: SolutionField, tol: ToleranceSet | None = None) -> list:
+def find_critical_zero_points(field: SolutionField) -> list:
     """Critical points with |u| below the zero threshold."""
-    return [p for p in find_critical_points(field, tol) if p.is_zero]
+    return [p for p in find_critical_points(field) if p.is_zero]
 
 
 # --------------------------------------------------------------------------
 # clustering
 
-def _marked_level_cells(field: SolutionField, t: float, band: float):
+def _marked_level_cells(field: SolutionField, t: float):
     """Boolean lattice-cell marks for the level network u = t: corner sign
-    change or |centre - t| within the band."""
+    change or |centre - t| within the band of twice the interpolation
+    error estimate."""
     lat = field.lattice()
     un = lat.nodes - t
     corner = np.stack([un[:-1, :-1], un[1:, :-1], un[:-1, 1:], un[1:, 1:]], axis=0)
     sign_change = (corner.min(axis=0) <= 0) & (corner.max(axis=0) >= 0)
-    near = np.abs(lat.centres - t) <= band
+    near = np.abs(lat.centres - t) <= 2.0 * field.interp_error_estimate()
     return sign_change | near, near & ~sign_change
 
 
@@ -281,18 +274,23 @@ def label_wrapped(mask: np.ndarray):
     return merged[labels], count - 1
 
 
-def cluster_critical_sets(field: SolutionField, points, t: float,
-                          tol: ToleranceSet | None = None, band: float | None = None) -> int:
+def _invert_points(field: SolutionField, points):
+    """(theta, s) of critical points or (x, y) pairs, inverted in one call;
+    OutsideDomainError when any lies outside the domain."""
+    xy = np.array([(p.x, p.y) if isinstance(p, CriticalPoint) else p for p in points], dtype=float)
+    return field._invert_inside(*xy.reshape(-1, 2).T)
+
+
+def cluster_critical_sets(field: SolutionField, points, t: float) -> int:
     """Number of connected components of the level network u = t that contain
     at least one of the given critical points."""
-    rt = resolve_tolerances(field, tol)
-    for p in points:
-        val = p.value if isinstance(p, CriticalPoint) else float(field.evaluate(*p))
+    rt = resolve_tolerances(field)
+    theta, s = _invert_points(field, points)
+    for k, p in enumerate(points):
+        val = p.value if isinstance(p, CriticalPoint) else float(field.evaluate_ref(theta[k], s[k]))
         if abs(val - t) > max(rt.equal_value_tol, 10.0 * rt.value_zero_tol):
             raise ValueError(f"point value {val!r} is not at level {t!r} within tolerance")
-    if band is None:
-        band = 2.0 * field.interp_error_estimate()
-    marked, band_only = _marked_level_cells(field, t, band)
+    marked, band_only = _marked_level_cells(field, t)
 
     # resolution guard: a wide band gluing far-apart sign-change cells means
     # the grid cannot separate the clusters
@@ -305,19 +303,17 @@ def cluster_critical_sets(field: SolutionField, points, t: float,
                     "level band bridges cells more than 10 cells away from the level line"
                 )
     labels, _ = label_wrapped(marked)
-    return len(_labels_at(field, labels, points))
+    return len(_labels_at(labels, theta, s))
 
 
-def _labels_at(field: SolutionField, labels: np.ndarray, points) -> set:
-    """Nonzero labels of the lattice cells holding the given points; a point
-    on a cell corner takes the first labelled cell of its 4-neighbourhood."""
+def _labels_at(labels: np.ndarray, theta, s) -> set:
+    """Nonzero labels of the lattice cells holding the given reference
+    points; a point on a cell corner takes the first labelled cell of its
+    4-neighbourhood."""
     nrt, nrs = labels.shape
     found = set()
-    for p in points:
-        x, y = (p.x, p.y) if isinstance(p, CriticalPoint) else p
-        theta, s = field.domain.invert_point(x, y)
-        i = int(np.mod(theta, TWO_PI) / (TWO_PI / nrt)) % nrt
-        j = min(int(np.clip(s, 0.0, 1.0) * nrs), nrs - 1)
+    i_arr, j_arr, _, _ = cell_index(theta, s, nrt, nrs)
+    for i, j in zip(i_arr.tolist(), j_arr.tolist()):
         lab = labels[i, j]
         if lab == 0:
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -339,10 +335,9 @@ def separating_network_through(field: SolutionField, points, t: float) -> bool:
     """
     if field.domain.is_disk or not points:
         return False
-    band = 2.0 * field.interp_error_estimate()
-    marked, _ = _marked_level_cells(field, t, band)
+    marked, _ = _marked_level_cells(field, t)
     labels, _ = label_wrapped(marked)
-    keep = _labels_at(field, labels, points)
+    keep = _labels_at(labels, *_invert_points(field, points))
     if not keep:
         return False
     passable = ~np.isin(labels, list(keep))

@@ -278,9 +278,14 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
         c_tree = None
         if op_data.get("c") is not None:
             c_tree = _parse_field(bad, sources, "operator.c", op_data["c"])
+        lambda_floor = op_data.get("lambda_floor", 1e-10)
+        try:
+            lambda_floor = float(lambda_floor)
+        except (TypeError, ValueError):
+            bad.append(_violation("schema", "operator.lambda_floor must be a number"))
         if all(trees[k] is not None for k in trees):
             op = EllipticOperator(trees["a11"], trees["a12"], trees["a22"], trees["b1"], trees["b2"], c_tree,
-                                  lambda_floor=float(op_data.get("lambda_floor", 1e-10)),
+                                  lambda_floor=lambda_floor,
                                   sources={k: sources.get(f"operator.{k}") for k in ("a11", "a12", "a22", "b1", "b2", "c")})
 
     bc = data.get("boundary") or {}
@@ -321,7 +326,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
     if data.get("reference") is not None:
         reference = _parse_field(bad, sources, "reference", data["reference"])
 
-    notes = tuple(data.get("notes", ()))
+    notes = data.get("notes")
+    if notes is None:
+        notes = []
+    elif not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+        bad.append(_violation("schema", "notes must be a list of strings"))
 
     if bad or exterior is None or op is None or psi_ext is None:
         if not bad:
@@ -337,7 +346,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
         tolerances=tol,
         name=str(data.get("name", name)),
         reference=reference,
-        notes=notes,
+        notes=tuple(notes),
         sources=sources,
     )
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .errors import OutsideDomainError
 
 TWO_PI = 2.0 * np.pi
 # DomainSpec.reference counts points up to this far outside s in [0, 1] as inside.
@@ -155,30 +154,15 @@ class DomainSpec:
         return out
 
     # ------------------------------------------------------------- invert
-    def _unclipped_reference(self, x, y):
-        """theta = atan2(y, x) wrapped to [0, 2pi), and s from the blend,
-        which is linear in s, so the radial equation solves in closed form."""
+    def reference(self, x, y):
+        """(theta, s, inside) of physical points: theta = atan2(y, x) wrapped
+        to [0, 2pi), s from the blend, which is linear in s and so solves in
+        closed form, clipped to [0, 1]; inside where the point lies within
+        _S_TOL of s in [0, 1].  This is the one inside rule of the package."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         theta = np.mod(np.arctan2(y, x), TWO_PI)
         r0 = self.inner.radius(theta)
-        return theta, (np.hypot(x, y) - r0) / (self.exterior.radius(theta) - r0)
-
-    def reference(self, x, y):
-        """(theta, s, inside) of physical points: s clipped to [0, 1], and
-        inside where the point lies within _S_TOL of s in [0, 1]."""
-        theta, s = self._unclipped_reference(x, y)
+        s = (np.hypot(x, y) - r0) / (self.exterior.radius(theta) - r0)
         inside = (s >= -_S_TOL) & (s <= 1.0 + _S_TOL)
         return theta, np.clip(s, 0.0, 1.0), inside
-
-    def invert_point(self, x, y):
-        """Reference coordinates (theta, s) of physical points.  Raises
-        OutsideDomainError when any point falls outside the domain."""
-        theta, s, inside = self.reference(x, y)
-        if not np.all(inside):
-            raise OutsideDomainError("point outside domain")
-        return theta, s
-
-    def contains(self, x, y) -> np.ndarray:
-        s = self._unclipped_reference(x, y)[1]
-        return (s >= 0.0) & (s <= 1.0)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import expressions as ex
-from .domain import ScenarioSpec, ToleranceSet
+from .domain import ScenarioSpec
 from .errors import AssemblyError, NoConvergenceError, OutsideDomainError
 from .geometry import TWO_PI
 
@@ -258,16 +258,15 @@ def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
     return np.append(order + 1, 0) if is_disk else order
 
 
-def solve(system: DiscreteSystem, tol: float | None = None) -> "SolutionField":
+def solve(system: DiscreteSystem) -> "SolutionField":
     """Direct sparse solve of the interior unknowns with a residual check.
 
     The system is factored in the nested-dissection order `assemble` gave
     it.  The gate is its relative residual, whose both sides carry the
-    1/h^2 scale of the stencil; the boundary values of u are the Dirichlet
-    data exactly.
+    1/h^2 scale of the stencil, against the scenario's
+    linear_residual_tol; the boundary values of u are the Dirichlet data
+    exactly.
     """
-    if tol is None:
-        tol = system.spec.tolerances.linear_residual_tol
     A, b = system.matrix, system.rhs
     try:
         x = spla.splu(A, permc_spec="NATURAL").solve(b)
@@ -278,10 +277,22 @@ def solve(system: DiscreteSystem, tol: float | None = None) -> "SolutionField":
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(A @ x - b))
     rel = residual / bnorm if bnorm > 0 else residual
-    if rel > tol:
+    if rel > system.spec.tolerances.linear_residual_tol:
         raise NoConvergenceError(1, rel, "direct solve residual above tolerance")
     values = np.concatenate((x, system.boundary))[system.node_index]
     return SolutionField(system.spec, values, residual=rel)
+
+
+def cell_index(theta, s, n_theta: int, n_s: int):
+    """(i, j, xi, eta) of reference points on an n_theta x n_s cell grid:
+    the cell (i, j) holding each point, theta taken modulo 2 pi and s
+    clipped to [0, 1], and the local offsets xi, eta in [0, 1] inside it."""
+    dtheta, ds = TWO_PI / n_theta, 1.0 / n_s
+    theta = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    i = np.minimum((theta / dtheta).astype(int), n_theta - 1)
+    j = np.minimum((s / ds).astype(int), n_s - 1)
+    return i, j, theta / dtheta - i, s / ds - j
 
 
 @dataclass(frozen=True)
@@ -300,25 +311,23 @@ class ResolvedTolerances:
         return self.equal_extrema_tol * self.value_scale
 
 
-def resolve_tolerances(field: "SolutionField", tol: ToleranceSet | None = None) -> ResolvedTolerances:
-    """Fill scale-aware defaults: gradient threshold from the field range and
-    domain diameter, dedup radius from three median grid cells.  Without
-    `tol` the field's own tolerance set is resolved, once per field."""
-    if tol is None:
-        if field._tolerances is None:
-            field._tolerances = resolve_tolerances(field, field.spec.tolerances)
-        return field._tolerances
-    rng = field.u_range()
-    diam = field.diameter()
-    scale = rng if rng > 0 else 1.0
-    return ResolvedTolerances(
-        grad_zero_tol=tol.grad_zero_tol if tol.grad_zero_tol is not None else 1e-6 * scale / diam,
-        value_zero_tol=tol.value_zero_tol if tol.value_zero_tol is not None else 2e-3 * scale,
-        dedup_radius=tol.dedup_radius if tol.dedup_radius is not None else 3.0 * field.median_cell_diag(),
-        equal_extrema_tol=tol.equal_extrema_tol,
-        interior_margin=tol.interior_margin,
-        value_scale=scale,
-    )
+def resolve_tolerances(field: "SolutionField") -> ResolvedTolerances:
+    """The scenario's tolerances with scale-aware defaults filled in, once
+    per field: gradient threshold from the field range and domain diameter,
+    dedup radius from three median grid cells."""
+    if field._tolerances is None:
+        tol = field.spec.tolerances
+        rng = field.u_range()
+        scale = rng if rng > 0 else 1.0
+        field._tolerances = ResolvedTolerances(
+            grad_zero_tol=tol.grad_zero_tol if tol.grad_zero_tol is not None else 1e-6 * scale / field.diameter(),
+            value_zero_tol=tol.value_zero_tol if tol.value_zero_tol is not None else 2e-3 * scale,
+            dedup_radius=tol.dedup_radius if tol.dedup_radius is not None else 3.0 * field.median_cell_diag(),
+            equal_extrema_tol=tol.equal_extrema_tol,
+            interior_margin=tol.interior_margin,
+            value_scale=scale,
+        )
+    return field._tolerances
 
 
 @dataclass(frozen=True)
@@ -484,13 +493,7 @@ class SolutionField:
         return self._coeffs
 
     def _locate(self, theta, s):
-        theta = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-        i = np.minimum((theta / self.dtheta).astype(int), self.n_theta - 1)
-        j = np.minimum((s / self.ds).astype(int), self.n_s - 1)
-        xi = theta / self.dtheta - i
-        eta = s / self.ds - j
-        return i, j, xi, eta
+        return cell_index(theta, s, self.n_theta, self.n_s)
 
     def evaluate_ref(self, theta, s, derivatives: bool = False):
         """Interpolated u at reference points; with `derivatives`, a dict of

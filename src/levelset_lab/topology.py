@@ -8,7 +8,6 @@ import numpy as np
 
 from . import expressions as ex
 from .critical import ResolvedTolerances, label_wrapped, resolve_tolerances
-from .domain import ToleranceSet
 from .errors import RadiusExhaustedError
 from .geometry import TWO_PI
 from .solver import REFINE, SolutionField
@@ -156,10 +155,6 @@ class TraceProfile:
         return None if self.is_constant else len(self.minima)
 
     @property
-    def zero_count(self) -> int:
-        return self.sign_changes + self.tangential_zeros
-
-    @property
     def sign_changing(self) -> bool:
         return self.sign_changes > 0
 
@@ -223,31 +218,19 @@ class BoundaryProfile:
 def _run_length_extrema(values: np.ndarray, flat_tol: float):
     """Strict local extrema of a periodic sample, runs of near-equal values
     collapsing to a single extremum at the run centre.  Returns (maxima,
-    minima) as lists of (index, value)."""
-    n = len(values)
-    # direction of each step: +1 up, -1 down, 0 flat
+    minima) as lists of (index, value).
+
+    Each non-flat step is compared with the previous non-flat step
+    (cyclically); where the direction turns, the flat run between them
+    belongs to the turning point and its centre is reported."""
     diff = np.roll(values, -1) - values
     step = np.where(diff > flat_tol, 1, np.where(diff < -flat_tol, -1, 0))
-    nz = np.nonzero(step)[0]
-    if len(nz) == 0:
-        return [], []
-    maxima, minima = [], []
-    prev_dir = step[nz[-1]]
-    prev_pos = nz[-1]
-    for k in nz:
-        d = step[k]
-        if d != prev_dir:
-            # run of flats between prev_pos+1 .. k belongs to the turning point
-            lo = (prev_pos + 1) % n
-            span = (k - prev_pos) % n
-            mid = (prev_pos + 1 + span // 2) % n
-            if prev_dir > 0 and d < 0:
-                maxima.append((int(mid), float(values[mid])))
-            elif prev_dir < 0 and d > 0:
-                minima.append((int(mid), float(values[mid])))
-            prev_dir = d
-        prev_pos = k
-    return maxima, minima
+    nz = np.flatnonzero(step)
+    prev_d, prev = np.roll(step[nz], 1), np.roll(nz, 1)
+    mid = (prev + 1 + (nz - prev) % len(values) // 2) % len(values)
+    turns = step[nz] != prev_d
+    maxima, minima = (mid[turns & (prev_d == d)].tolist() for d in (1, -1))
+    return [(k, float(values[k])) for k in maxima], [(k, float(values[k])) for k in minima]
 
 
 def _count_zero_structure(values: np.ndarray, ztol: float):
@@ -255,23 +238,10 @@ def _count_zero_structure(values: np.ndarray, ztol: float):
     samples count once, as a crossing when the flanking signs differ and as a
     tangential touch otherwise."""
     sign = np.where(values > ztol, 1, np.where(values < -ztol, -1, 0))
-    nz = np.nonzero(sign)[0]
-    if len(nz) == 0:
-        return 0, 0
-    crossings = 0
-    touches = 0
-    prev_sign = sign[nz[-1]]
-    prev_pos = nz[-1]
-    n = len(values)
-    for k in nz:
-        gap = (k - prev_pos) % n
-        if sign[k] != prev_sign:
-            crossings += 1
-        elif gap > 1:
-            touches += 1  # zero run flanked by equal signs
-        prev_sign = sign[k]
-        prev_pos = k
-    return crossings, touches
+    nz = np.flatnonzero(sign)
+    changed = sign[nz] != np.roll(sign[nz], 1)
+    gap = (nz - np.roll(nz, 1)) % len(values)
+    return int(np.count_nonzero(changed)), int(np.count_nonzero(~changed & (gap > 1)))
 
 
 def _closure_relative(field: SolutionField, which: str, theta0: float, value: float,
@@ -333,10 +303,10 @@ def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances) -> 
     )
 
 
-def boundary_profile(field: SolutionField, tol: ToleranceSet | None = None) -> BoundaryProfile:
+def boundary_profile(field: SolutionField) -> BoundaryProfile:
     """Extrema/zero profile of both boundary traces (from the closed-form
     boundary data; the solved field supplies the interior collar test)."""
-    rt = resolve_tolerances(field, tol)
+    rt = resolve_tolerances(field)
     exterior = _trace_profile(field, "exterior", rt)
     interior = None
     if field.spec.domain.interior is not None:
@@ -461,9 +431,10 @@ def local_structure(field: SolutionField, cp: CriticalPoint):
     Rg, Pg = np.meshgrid(radii, phi, indexing="ij")
     xs = cp.x + Rg * np.cos(Pg)
     ys = cp.y + Rg * np.sin(Pg)
-    if not bool(np.all(field.domain.contains(xs.ravel(), ys.ravel()))):
+    theta, s, inside = field._invert(xs.ravel(), ys.ravel())
+    if not np.all(inside):
         raise RadiusExhaustedError("local-structure patch leaves the domain")
-    vals = field.evaluate(xs.ravel(), ys.ravel()).reshape(Rg.shape)
+    vals = field.evaluate_ref(theta, s).reshape(Rg.shape)
     diff = vals - cp.value
     # wrap along the angular axis (axis 1): transpose for label_wrapped
     _, n_sup = label_wrapped((diff > 0).T)

@@ -268,8 +268,7 @@ def _contact_simply_connected_count(field: SolutionField, t: float, sign: str, b
     return n
 
 
-def check_counting_identities(field: SolutionField, points, profile: BoundaryProfile,
-                              t: float, tol=None) -> dict:
+def check_counting_identities(field: SolutionField, points, profile: BoundaryProfile, t: float) -> dict:
     """Component-count identities at one detected critical value t.
 
     Selects the applicable clause from the ordering case, the band of t and
@@ -277,7 +276,7 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
     counts are taken from censuses at t -/+ epsilon so that the open sets
     {u < t} and {u > t} are sampled away from the level set itself.
     """
-    rt = resolve_tolerances(field, tol)
+    rt = resolve_tolerances(field)
     case = profile.ordering_case()
     report = {"t": t, "ordering_case": case, "applicable": False, "holds": None,
               "clause": None, "details": {}}
@@ -309,7 +308,7 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
 
     sum_m = _sum_m(at_t)
     try:
-        q = cluster_critical_sets(field, at_t, t, tol)
+        q = cluster_critical_sets(field, at_t, t)
     except BandTooWideError as err:
         report["reason"] = f"cluster banding failed: {err}"
         return report

@@ -117,6 +117,29 @@ def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda_floor", "tiny", "operator.lambda_floor must be a number"),
+    ("lambda_floor", [1e-10], "operator.lambda_floor must be a number"),
+    ("notes", 5, "notes must be a list of strings"),
+    ("notes", "text", "notes must be a list of strings"),
+    ("notes", ["fine", 7], "notes must be a list of strings"),
+])
+def test_schema_type_errors_are_structured(scen, tmp_path, capsys, key, value, message):
+    """A mistyped lambda_floor or notes entry is a schema violation: exit 1
+    with one structured error line and no traceback."""
+    data = json.loads((scen / "z_plus_inv.json").read_text())
+    if key == "lambda_floor":
+        data["operator"] = dict(data["operator"], lambda_floor=value)
+    else:
+        data[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: schema: {message}"]
+    assert not any(out.iterdir())
+
+
 def test_verify_validates_once(scen, tmp_path, capsys, monkeypatch):
     """verify validates the scenario once (inside run_scenario), and a bad
     override still exits 1 with structured error lines."""

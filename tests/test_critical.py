@@ -69,7 +69,7 @@ def test_no_point_inside_margin_band():
     fld = solved_field("z2_minus_zm2", 128, 64)
     rt = resolve_tolerances(fld)
     for p in find_critical_points(fld):
-        _, s = fld.domain.invert_point(p.x, p.y)
+        _, s, _ = fld.domain.reference(p.x, p.y)
         assert rt.interior_margin <= float(s) <= 1.0 - rt.interior_margin
 
 
@@ -144,7 +144,8 @@ def test_cluster_connected_zero_network():
 def test_cluster_two_disjoint_loops():
     """Synthetic sampled field: two localized saddle patterns with disjoint
     zero loops in a positive background give q = 2."""
-    spec = make_scenario("6", None, "0", None, grid=(128, 64), name="synthetic")
+    spec = make_scenario("6", None, "0", None, grid=(128, 64), name="synthetic",
+                         tolerances=ToleranceSet(value_zero_tol=0.05))
     cx = 3.0
 
     def f(x, y):
@@ -155,8 +156,7 @@ def test_cluster_two_disjoint_loops():
         return w1 * q1 + w2 * q2 + (1.0 - w1 - w2) * 0.5
 
     fld = SolutionField.from_function(spec, f)
-    q = cluster_critical_sets(fld, [(cx, 0.0), (-cx, 0.0)], 0.0,
-                              tol=ToleranceSet(value_zero_tol=0.05))
+    q = cluster_critical_sets(fld, [(cx, 0.0), (-cx, 0.0)], 0.0)
     assert q == 2
 
 
@@ -187,13 +187,13 @@ def test_cluster_rejects_off_level_points():
 
 def test_band_too_wide_guard():
     from levelset_lab.errors import BandTooWideError
-    spec = make_scenario("2", "1", "1", "0", grid=(64, 32), name="ramp")
+    spec = make_scenario("2", "1", "1", "0", grid=(64, 32), name="ramp",
+                         tolerances=ToleranceSet(value_zero_tol=1.0, equal_extrema_tol=1.0))
     fld = SolutionField.from_function(spec, lambda x, y: np.hypot(x, y))
+    fld.interp_error_estimate = lambda: 0.225  # the level band is twice this: 0.45
     probe = [(1.5, 0.0)]
     with pytest.raises(BandTooWideError):
-        cluster_critical_sets(fld, probe, 1.5, tol=ToleranceSet(value_zero_tol=1.0,
-                                                                equal_extrema_tol=1.0),
-                              band=0.45)
+        cluster_critical_sets(fld, probe, 1.5)
 
 
 # ------------------------------------------------ batched detection references

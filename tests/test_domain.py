@@ -13,6 +13,7 @@ from levelset_lab import expressions as ex
 from levelset_lab.domain import scenario_from_dict, validate_scenario
 from levelset_lab.errors import OutsideDomainError, ValidationFailure
 from levelset_lab.geometry import TWO_PI, BoundaryCurve, DomainSpec
+from levelset_lab.solver import SolutionField
 
 
 def counterexample_domain(r2: float) -> DomainSpec:
@@ -55,6 +56,20 @@ def test_ellipticity_violation():
         validate_scenario(spec)
     viol = [v for v in err.value.violations if v["check"] == "ellipticity"]
     assert viol and viol[0]["witness"]["det"] == pytest.approx(-1.25)
+
+
+def test_optional_notes_and_lambda_floor():
+    """notes may be absent or null (no notes) or a list of strings, and a
+    numeric lambda_floor is kept as a float."""
+    data = {
+        "domain": {"interior": {"radius": "1"}, "exterior": {"radius": "2"}},
+        "operator": {"lambda_floor": 1e-8},
+        "boundary": {"psi_interior": "0", "psi_exterior": "1"},
+    }
+    assert scenario_from_dict(data).notes == ()
+    assert scenario_from_dict(dict(data, notes=None)).notes == ()
+    spec = scenario_from_dict(dict(data, notes=["a", "b"]))
+    assert spec.notes == ("a", "b") and spec.operator.lambda_floor == 1e-8
 
 
 def test_positive_zeroth_order_rejected():
@@ -141,16 +156,18 @@ def test_invert_round_trip():
     s = np.linspace(0.05, 0.95, 11)
     T, S = np.meshgrid(theta, s, indexing="ij")
     X, Y = dom.map_point(T, S)
-    T2, S2 = dom.invert_point(X, Y)
+    T2, S2, _ = dom.reference(X, Y)
     assert np.allclose(np.mod(T2 - T + np.pi, TWO_PI) - np.pi, 0.0, atol=1e-12)
     assert np.allclose(S2, S, atol=1e-12)
 
 
 def test_reference_inside_rule():
     """Points within _S_TOL of s in [0, 1] are inside with s clipped; points
-    farther out, or not finite, are outside, and invert_point rejects any
+    farther out, or not finite, are outside, and a field query rejects any
     batch holding one."""
     dom = counterexample_domain(6.0)
+    fld = SolutionField.from_function(
+        make_scenario("6.0 + sin(4*theta)", "2 + sin(3*theta)", "log(r)", "log(r)"), lambda x, y: x)
     s = np.array([-2e-9, -5e-10, 0.3, 1.0 + 5e-10, 1.0 + 2e-9])
     theta = np.full_like(s, 0.7)
     x, y = dom.map_point(theta, s)
@@ -158,10 +175,10 @@ def test_reference_inside_rule():
     assert inside.tolist() == [False, True, True, True, False, False]
     assert S[1] == 0.0 and S[3] == 1.0 and S[2] == pytest.approx(0.3, abs=1e-12)
     assert np.all((S[:-1] >= 0.0) & (S[:-1] <= 1.0))
-    assert dom.invert_point(x[1:4], y[1:4])[1].tolist() == S[1:4].tolist()
+    assert fld._invert_inside(x[1:4], y[1:4])[1].tolist() == S[1:4].tolist()
     for k in (0, 4):
         with pytest.raises(OutsideDomainError):
-            dom.invert_point(x[k], y[k])
+            fld.evaluate(x[k], y[k])
 
 
 def test_metric_inverse_consistency():

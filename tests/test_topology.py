@@ -17,6 +17,8 @@ from levelset_lab.topology import (
     LevelComponent,
     LevelSetCensus,
     _closure_relative,
+    _count_zero_structure,
+    _run_length_extrema,
     boundary_profile,
     check_component_contact,
     level_census,
@@ -475,6 +477,98 @@ def test_profile_constant_trace_degenerate():
     assert prof.interior.is_constant and prof.exterior.is_constant
     assert prof.interior.maxima_count is None
     assert prof.ordering_case() is None
+
+
+def run_length_extrema_by_loop(values, flat_tol):
+    """The step-by-step walk that `topology._run_length_extrema` replaced."""
+    n = len(values)
+    diff = np.roll(values, -1) - values
+    step = np.where(diff > flat_tol, 1, np.where(diff < -flat_tol, -1, 0))
+    nz = np.nonzero(step)[0]
+    if len(nz) == 0:
+        return [], []
+    maxima, minima = [], []
+    prev_dir = step[nz[-1]]
+    prev_pos = nz[-1]
+    for k in nz:
+        d = step[k]
+        if d != prev_dir:
+            span = (k - prev_pos) % n
+            mid = (prev_pos + 1 + span // 2) % n
+            if prev_dir > 0 and d < 0:
+                maxima.append((int(mid), float(values[mid])))
+            elif prev_dir < 0 and d > 0:
+                minima.append((int(mid), float(values[mid])))
+            prev_dir = d
+        prev_pos = k
+    return maxima, minima
+
+
+def count_zero_structure_by_loop(values, ztol):
+    """The step-by-step walk that `topology._count_zero_structure` replaced."""
+    sign = np.where(values > ztol, 1, np.where(values < -ztol, -1, 0))
+    nz = np.nonzero(sign)[0]
+    if len(nz) == 0:
+        return 0, 0
+    crossings = touches = 0
+    prev_sign, prev_pos = sign[nz[-1]], nz[-1]
+    n = len(values)
+    for k in nz:
+        gap = (k - prev_pos) % n
+        if sign[k] != prev_sign:
+            crossings += 1
+        elif gap > 1:
+            touches += 1
+        prev_sign, prev_pos = sign[k], k
+    return crossings, touches
+
+
+def assert_scans_match(values, tol):
+    maxima, minima = _run_length_extrema(values, tol)
+    ref_max, ref_min = run_length_extrema_by_loop(values, tol)
+    assert set(maxima) == set(ref_max) and set(minima) == set(ref_min), (values.tolist(), tol)
+    assert _count_zero_structure(values, tol) == count_zero_structure_by_loop(values, tol), (values.tolist(), tol)
+
+
+def test_trace_scans_match_loops_on_random_samples():
+    """Extrema (as sets) and zero counts equal the loop references on
+    periodic samples with plateaus, ties and flat stretches."""
+    rng = np.random.default_rng(20260)
+    for case in range(1500):
+        n = int(rng.integers(1, 41))
+        kind = case % 4
+        if kind == 0:
+            values = rng.normal(size=n)
+        elif kind == 1:
+            values = np.round(rng.normal(size=n), 1)
+        elif kind == 2:
+            values = rng.integers(-2, 3, size=n).astype(float)
+        else:
+            values = np.full(n, float(rng.integers(-1, 2))) + rng.normal(scale=1e-3, size=n) * (case % 8 == 3)
+        for tol in (0.0, 1e-3, 0.05, 0.5, 1.0):
+            assert_scans_match(values, tol)
+
+
+def test_trace_scans_match_loops_on_builtin_traces():
+    """The 14 boundary traces of the built-ins (6 annuli with two rims, 2
+    disks with one), at the profile's own tolerances and at zero."""
+    traces = 0
+    for name in BUILTIN_NAMES:
+        spec = builtin_spec(name)
+        nt, ns = spec.grid
+        rt = resolve_tolerances(solved_field(name, 2 * nt, 2 * ns))
+        theta = np.arange(4096) * (TWO_PI / 4096)
+        for curve, psi in ((spec.domain.exterior, spec.psi_exterior), (spec.domain.interior, spec.psi_interior)):
+            if curve is None:
+                continue
+            r = curve.radius(theta)
+            values = ex.evaluate_xy(psi, r * np.cos(theta), r * np.sin(theta))
+            vmin, vmax = float(np.min(values)), float(np.max(values))
+            flat_tol = rt.equal_extrema_tol * max(vmax - vmin, abs(vmax), abs(vmin), 1e-300)
+            for tol in (0.0, flat_tol, rt.value_zero_tol):
+                assert_scans_match(values, tol)
+            traces += 1
+    assert traces == 14
 
 
 # ------------------------------------------------------------ local structure
