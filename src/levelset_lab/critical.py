@@ -281,9 +281,11 @@ def _invert_points(field: SolutionField, points):
     return field._invert_inside(*xy.reshape(-1, 2).T)
 
 
-def cluster_critical_sets(field: SolutionField, points, t: float) -> int:
-    """Number of connected components of the level network u = t that contain
-    at least one of the given critical points."""
+def cluster_critical_sets(field: SolutionField, points, t: float):
+    """The level network u = t and the clusters of the given critical
+    points on it: (labels, holding), where labels numbers the connected
+    components of the marked lattice cells and holding is the set of labels
+    that contain at least one of the points (the cluster count is its size)."""
     rt = resolve_tolerances(field)
     theta, s = _invert_points(field, points)
     for k, p in enumerate(points):
@@ -303,7 +305,7 @@ def cluster_critical_sets(field: SolutionField, points, t: float) -> int:
                     "level band bridges cells more than 10 cells away from the level line"
                 )
     labels, _ = label_wrapped(marked)
-    return len(_labels_at(labels, theta, s))
+    return labels, _labels_at(labels, theta, s)
 
 
 def _labels_at(labels: np.ndarray, theta, s) -> set:
@@ -325,22 +327,18 @@ def _labels_at(labels: np.ndarray, theta, s) -> set:
     return found
 
 
-def separating_network_through(field: SolutionField, points, t: float) -> bool:
-    """Does the level network u = t, restricted to the components carrying the
-    given critical points, separate the interior rim from the exterior rim?
+def separating_network_through(field: SolutionField, labels: np.ndarray, holding: set) -> bool:
+    """Does the level network, restricted to the components `holding` of its
+    labels (both from `cluster_critical_sets`), separate the interior rim
+    from the exterior rim?
 
     This is the cell-complex counterpart of "a closed level curve between
     the two boundary curves passing through a critical point": paths from
     one rim to the other are blocked exactly when such a curve exists.
     """
-    if field.domain.is_disk or not points:
+    if field.domain.is_disk or not holding:
         return False
-    marked, _ = _marked_level_cells(field, t)
-    labels, _ = label_wrapped(marked)
-    keep = _labels_at(labels, *_invert_points(field, points))
-    if not keep:
-        return False
-    passable = ~np.isin(labels, list(keep))
+    passable = ~np.isin(labels, list(holding))
     comp, _ = label_wrapped(passable)
     inner = set(np.unique(comp[:, 0])) - {0}
     outer = set(np.unique(comp[:, -1])) - {0}

@@ -83,39 +83,34 @@ class DomainSpec:
         return 2.0 * float(np.max(self.exterior.radius(theta)))
 
     # ---------------------------------------------------------------- map
-    def blend(self, theta, s):
-        """R, R_theta, R_s, R_thetatheta, R_thetas at (theta, s)."""
-        theta = np.asarray(theta, dtype=float)
-        s = np.asarray(s, dtype=float)
+    def blend(self, theta, s, order: int = 0):
+        """The blend of the order-th theta derivatives of the two radii and
+        its s derivative at (theta, s): (R, R_s) for order 0, (R_theta,
+        R_thetas) for 1 and (R_thetatheta, R_thetathetas) for 2.  Callers
+        ask only for the orders they read: each costs two curve evaluations."""
         ri, re_ = self.inner, self.exterior
-        r0, r1 = ri.radius(theta), re_.radius(theta)
-        d0, d1 = ri.radius_d1(theta), re_.radius_d1(theta)
-        dd0, dd1 = ri.radius_d2(theta), re_.radius_d2(theta)
-        R = (1.0 - s) * r0 + s * r1
-        Rt = (1.0 - s) * d0 + s * d1
-        Rs = r1 - r0
-        Rtt = (1.0 - s) * dd0 + s * dd1
-        Rts = d1 - d0
-        return R, Rt, Rs, Rtt, Rts
+        r0, r1 = ((c.radius, c.radius_d1, c.radius_d2)[order](theta) for c in (ri, re_))
+        return (1.0 - s) * r0 + s * r1, r1 - r0
 
     def map_point(self, theta, s):
-        R = self.blend(theta, s)[0]
+        theta = np.asarray(theta, dtype=float)
+        R = self.blend(theta, np.asarray(s, dtype=float))[0]
         return R * np.cos(theta), R * np.sin(theta)
 
     def _jacobian(self, theta, s):
-        """The blend terms, cos and sin of theta, and the dict of Jacobian
-        entries of the map and first derivatives of its inverse."""
+        """R, R_theta, R_s and R_thetas, cos and sin of theta, and the dict
+        of Jacobian entries of the map and first derivatives of its inverse."""
         theta = np.asarray(theta, dtype=float)
         s = np.asarray(s, dtype=float)
-        blend = self.blend(theta, s)
-        R, Rt, Rs = blend[:3]
+        R, Rs = self.blend(theta, s)
+        Rt, Rts = self.blend(theta, s, 1)
         c, sn = np.cos(theta), np.sin(theta)
         x_t = Rt * c - R * sn
         y_t = Rt * sn + R * c
         x_s = Rs * c
         y_s = Rs * sn
         det = x_t * y_s - x_s * y_t  # equals -R * Rs
-        return blend, c, sn, {
+        return (R, Rt, Rs, Rts), c, sn, {
             "x_t": x_t, "y_t": y_t, "x_s": x_s, "y_s": y_s,
             "det": det,
             "t_x": y_s / det, "t_y": -x_s / det, "s_x": -y_t / det, "s_y": x_t / det,
@@ -134,7 +129,9 @@ class DomainSpec:
         first derivatives (theta_x, ..., s_y) and second derivatives
         (theta_xx, theta_xy, theta_yy, s_xx, s_xy, s_yy).
         """
-        (R, Rt, Rs, Rtt, Rts), c, sn, out = self._jacobian(theta, s)
+        theta, s = np.asarray(theta, dtype=float), np.asarray(s, dtype=float)
+        (R, Rt, Rs, Rts), c, sn, out = self._jacobian(theta, s)
+        Rtt = self.blend(theta, s, 2)[0]
         out["x"] = R * c
         out["y"] = R * sn
         x_tt = Rtt * c - 2.0 * Rt * sn - R * c

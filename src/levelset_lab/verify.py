@@ -258,8 +258,7 @@ def check_lemma_2_1(field: SolutionField, points) -> TheoremVerdict:
 # --------------------------------------------------------------------------
 # counting identities (one critical value at a time)
 
-def _contact_simply_connected_count(field: SolutionField, t: float, sign: str, boundary: str) -> int:
-    census = level_census(field, t, want_topology=True)
+def _contact_simply_connected_count(census, sign: str, boundary: str) -> int:
     n = 0
     for comp in census.counted(sign):
         touches = comp.touches_exterior if boundary == "exterior" else comp.touches_interior
@@ -268,13 +267,15 @@ def _contact_simply_connected_count(field: SolutionField, t: float, sign: str, b
     return n
 
 
-def check_counting_identities(field: SolutionField, points, profile: BoundaryProfile, t: float) -> dict:
+def check_counting_identities(field: SolutionField, points, profile: BoundaryProfile, t: float,
+                              eps: float, below, above) -> dict:
     """Component-count identities at one detected critical value t.
 
     Selects the applicable clause from the ordering case, the band of t and
     the presence of a separating closed level curve through a critical point;
-    counts are taken from censuses at t -/+ epsilon so that the open sets
-    {u < t} and {u > t} are sampled away from the level set itself.
+    counts are read from the censuses `below` and `above`, taken at
+    t - eps and t + eps, so that the open sets {u < t} and {u > t} are
+    sampled away from the level set itself.
     """
     rt = resolve_tolerances(field)
     case = profile.ordering_case()
@@ -295,25 +296,25 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
         report["reason"] = "no critical point at t"
         return report
 
-    band = _value_band(t, profile, case)
+    band = profile.band(t)
     if band is None:
         report["reason"] = f"critical value {t:.6g} outside the lemma bands"
         return report
     report["band"] = band
 
-    same_band = [p for p in points if _value_band(p.value, profile, case) == band]
+    same_band = [p for p in points if profile.band(p.value) == band]
     if any(abs(p.value - t) > eq for p in same_band):
         report["reason"] = "critical values in this band are not all equal"
         return report
 
     sum_m = _sum_m(at_t)
     try:
-        q = cluster_critical_sets(field, at_t, t)
+        labels, holding = cluster_critical_sets(field, at_t, t)
     except BandTooWideError as err:
         report["reason"] = f"cluster banding failed: {err}"
         return report
-    eps = _census_offset(t, points, profile, eq)
-    sep = separating_network_through(field, at_t, t)
+    q = len(holding)
+    sep = separating_network_through(field, labels, holding)
     report["details"].update({"sum_m": sum_m, "q": q, "epsilon": eps, "separating_curve": sep})
     report["applicable"] = True
 
@@ -321,14 +322,12 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
         if band == "upper":
             if sep:
                 report["clause"] = "sub-level simply connected contact count (upper band, separating curve)"
-                lhs = _contact_simply_connected_count(field, t - eps, "sub", "exterior")
+                lhs = _contact_simply_connected_count(below, "sub", "exterior")
                 rhs = sum_m + q - 1
                 report["details"].update({"contact_count": lhs})
                 report["holds"] = lhs == rhs
             else:
-                c_hi = level_census(field, t + eps)
-                c_lo = level_census(field, t - eps)
-                M1, M2 = c_hi.M1, c_lo.M2
+                M1, M2 = above.M1, below.M2
                 report["clause"] = "M1 + M2 = 2 sum_m + q + 1 (upper band)"
                 report["details"].update({"M1": M1, "M2": M2})
                 lhs = M1 + M2
@@ -337,23 +336,21 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
         else:
             if sep:
                 report["clause"] = "super-level simply connected contact count (lower band, separating curve)"
-                lhs = _contact_simply_connected_count(field, t + eps, "super", "interior")
+                lhs = _contact_simply_connected_count(above, "super", "interior")
                 rhs = sum_m + q - 1
                 report["details"].update({"contact_count": lhs})
                 report["holds"] = lhs == rhs
             else:
                 report["clause"] = "band components: M~1 + M~2 = 2 sum_m + q + 1 (lower band)"
                 M1t = region_components(field, t + eps, profile.z2 - eps)
-                M2t = level_census(field, t - eps).M2
+                M2t = below.M2
                 report["details"].update({"M1_tilde": M1t, "M2_tilde": M2t})
                 lhs = M1t + M2t
                 rhs = 2 * sum_m + q + 1
                 report["holds"] = (lhs == rhs) and M1t >= sum_m + 1 and M2t >= sum_m + 1
     else:
         if band == "middle":
-            c_hi = level_census(field, t + eps)
-            c_lo = level_census(field, t - eps)
-            M1, M2 = c_hi.M1, c_lo.M2
+            M1, M2 = above.M1, below.M2
             report["details"].update({"M1": M1, "M2": M2})
             lhs = M1 + M2
             if sep:
@@ -367,45 +364,28 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
         elif band == "upper":
             if sep:
                 report["clause"] = "sub-level contact count >= sum_m + q - 1 (upper band)"
-                lhs = _contact_simply_connected_count(field, t - eps, "sub", "exterior")
+                lhs = _contact_simply_connected_count(below, "sub", "exterior")
                 rhs = sum_m + q - 1
             else:
                 report["clause"] = "super-level contact count >= sum_m + 1 (upper band)"
-                lhs = _contact_simply_connected_count(field, t + eps, "super", "exterior")
+                lhs = _contact_simply_connected_count(above, "super", "exterior")
                 rhs = sum_m + 1
             report["details"].update({"contact_count": lhs})
             report["holds"] = lhs >= rhs
         else:
             if sep:
                 report["clause"] = "super-level contact count >= sum_m + q - 1 (lower band)"
-                lhs = _contact_simply_connected_count(field, t + eps, "super", "interior")
+                lhs = _contact_simply_connected_count(above, "super", "interior")
                 rhs = sum_m + q - 1
             else:
                 report["clause"] = "sub-level contact count >= sum_m + 1 (lower band)"
-                lhs = _contact_simply_connected_count(field, t - eps, "sub", "interior")
+                lhs = _contact_simply_connected_count(below, "sub", "interior")
                 rhs = sum_m + 1
             report["details"].update({"contact_count": lhs})
             report["holds"] = lhs >= rhs
     report["lhs"] = int(lhs)
     report["rhs"] = int(rhs)
     return report
-
-
-def _value_band(v: float, profile: BoundaryProfile, case: str) -> str | None:
-    z1, Z1, z2, Z2 = profile.z1, profile.Z1, profile.z2, profile.Z2
-    if case == "separated":
-        if z2 < v < Z2:
-            return "upper"
-        if z1 < v < Z1:
-            return "lower"
-        return None
-    if Z1 <= v < Z2:
-        return "upper"
-    if z2 < v < Z1:
-        return "middle"
-    if z1 < v <= z2:
-        return "lower"
-    return None
 
 
 def _census_offset(t: float, points, profile: BoundaryProfile, same_tol: float) -> float:
@@ -536,20 +516,20 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     for p in points:
         if all(abs(p.value - v) > eq for v in distinct_values):
             distinct_values.append(p.value)
+    identity_levels = []
     for t in distinct_values:
         eps = _census_offset(t, points, profile, eq)
-        censuses.append((f"critical@{t:.9g}-eps", level_census(field, t - eps)))
-        censuses.append((f"critical@{t:.9g}+eps", level_census(field, t + eps)))
+        below, above = level_census(field, t - eps), level_census(field, t + eps)
+        censuses += [(f"critical@{t:.9g}-eps", below), (f"critical@{t:.9g}+eps", above)]
+        identity_levels.append((t, eps, below, above))
     for tag, lo, hi in _probe_intervals(profile):
         tmid = 0.5 * (lo + hi)
         if all(abs(tmid - v) > eq for v in distinct_values):
             censuses.append((f"probe:{tag}@{tmid:.9g}", level_census(field, tmid)))
 
     contact_reports = [dict(check_component_contact(c, profile), tag=tag) for tag, c in censuses]
-
-    identity_reports = []
-    for t in distinct_values:
-        identity_reports.append(check_counting_identities(field, points, profile, t))
+    identity_reports = [check_counting_identities(field, points, profile, *level)
+                        for level in identity_levels]
 
     verdicts = [
         check_theorem_1_1(points, profile, has_zeroth),
@@ -597,23 +577,15 @@ def _constant_interior_value(spec: ScenarioSpec, profile: BoundaryProfile) -> fl
 
 
 def _probe_intervals(profile: BoundaryProfile):
-    case = profile.ordering_case()
-    if case is None:
-        lo, hi = profile.z2, profile.Z2
-        if profile.interior is not None:
-            lo = min(lo, profile.z1)
-            hi = max(hi, profile.Z1)
-        if hi > lo:
-            yield "range", lo, hi
-        return
-    z1, Z1, z2, Z2 = profile.z1, profile.Z1, profile.z2, profile.Z2
-    if case == "separated":
-        yield "upper", z2, Z2
-        yield "lower", z1, Z1
-    else:
-        yield "upper", Z1, Z2
-        yield "middle", z2, Z1
-        yield "lower", z1, z2
+    """The lemma bands, or the whole boundary value range when no ordering
+    case holds."""
+    if profile.ordering_case() is not None:
+        return profile.bands()
+    lo, hi = profile.z2, profile.Z2
+    if profile.interior is not None:
+        lo = min(lo, profile.z1)
+        hi = max(hi, profile.Z1)
+    return [("range", lo, hi)] if hi > lo else []
 
 
 def _aggregate_contact_verdict(reports) -> TheoremVerdict:

@@ -132,13 +132,13 @@ def test_refinement_stability_of_detection():
 def test_cluster_single_point():
     fld = solved_field("z_plus_inv", 128, 64)
     pts = [p for p in find_critical_points(fld) if p.value > 0]
-    assert cluster_critical_sets(fld, pts, pts[0].value) == 1
+    assert len(cluster_critical_sets(fld, pts, pts[0].value)[1]) == 1
 
 
 def test_cluster_connected_zero_network():
     fld = solved_field("z2_minus_zm2", 128, 64)
     pts = find_critical_points(fld)
-    assert cluster_critical_sets(fld, pts, 0.0) == 1
+    assert len(cluster_critical_sets(fld, pts, 0.0)[1]) == 1
 
 
 def test_cluster_two_disjoint_loops():
@@ -156,19 +156,19 @@ def test_cluster_two_disjoint_loops():
         return w1 * q1 + w2 * q2 + (1.0 - w1 - w2) * 0.5
 
     fld = SolutionField.from_function(spec, f)
-    q = cluster_critical_sets(fld, [(cx, 0.0), (-cx, 0.0)], 0.0)
-    assert q == 2
+    _, holding = cluster_critical_sets(fld, [(cx, 0.0), (-cx, 0.0)], 0.0)
+    assert len(holding) == 2
 
 
 def test_separating_network_detection():
     # the zero set of z2m contains the circle r = 1 through all four points
     fld = solved_field("z2_minus_zm2", 128, 64)
     pts = find_critical_points(fld)
-    assert separating_network_through(fld, pts, 0.0)
+    assert separating_network_through(fld, *cluster_critical_sets(fld, pts, 0.0))
     # the level network at a saddle of z + 1/z does not wind around the hole
     fld2 = solved_field("z_plus_inv", 128, 64)
     pos = [p for p in find_critical_points(fld2) if p.value > 0]
-    assert not separating_network_through(fld2, pos, pos[0].value)
+    assert not separating_network_through(fld2, *cluster_critical_sets(fld2, pos, pos[0].value))
 
 
 def test_detector_is_deterministic():

@@ -14,6 +14,7 @@ nothing on timings.
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -80,3 +81,28 @@ def test_traced_verify_and_render_match_reference(tmp_path):
         now = vars(owner)
         assert now.keys() == saved.keys(), owner
         assert all(now[k] is saved[k] for k in saved), owner
+
+
+def test_traced_identity_path_matches_reference(tmp_path):
+    """26/sym0_k2 takes the interleaved middle-band M1 + M2 clause and holds
+    the one recorded lem_2_5_2_7 FAIL: traced, its output still matches the
+    reference, the cluster, separating and identity spans run, and there is
+    one census span per census in the report."""
+    (item,) = [it for it in wl.setup(LAB, "symmetric_annuli", 26, tmp_path / "sym") if it.key == "26/sym0_k2"]
+    outdir = tmp_path / "out"
+    tracer = layertrace.Tracer()
+    tracer.install(LAB)
+    try:
+        tracer.op = 0
+        code, stderr = tracer.wrap("op", wl.run_op)(LAB, item, outdir)
+    finally:
+        tracer.uninstall()
+
+    verdict = wl.check(wl.read_outcome(item, outdir, code, stderr), RECORDED["symmetric_annuli"][item.key])
+    assert not verdict.wrong, verdict.reason
+    report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+    (identity,) = [v for v in report["verdicts"] if v["id"] == "lem_2_5_2_7"]
+    assert "middle band" in identity["witness"]["values"][0]["clause"]
+    spans = Counter(rec[layertrace.NAME] for rec in tracer.spans)
+    assert spans["critical.cluster"] and spans["critical.separating"] and spans["verify.identities"]
+    assert spans["topology.census"] == len(report["censuses"])

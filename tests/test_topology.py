@@ -14,10 +14,13 @@ from levelset_lab.geometry import TWO_PI, winding_turns
 from levelset_lab.solver import SolutionField, solve_scenario
 from levelset_lab.topology import (
     _CASES,
+    BoundaryProfile,
     LevelComponent,
     LevelSetCensus,
+    TraceProfile,
     _closure_relative,
     _count_zero_structure,
+    _euler_characteristics,
     _run_length_extrema,
     boundary_profile,
     check_component_contact,
@@ -619,11 +622,38 @@ def test_contact_clause_synthetic_violation():
     fake = LevelSetCensus(t=math.log(6.0), refine=2, uncertain_band=0.0, components=[
         LevelComponent(sign="super", label=1, cell_count=40, touches_interior=False,
                        touches_exterior=False, extremal_value=1.8,
-                       extremal_contact_value=None, all_uncertain=False),
+                       extremal_contact_value=None, all_uncertain=False, euler_char=1),
     ])
     report = check_component_contact(fake, prof)
     assert report["applicable"] and report["holds"] is False
     assert report["failures"][0]["label"] == 1
+
+
+def _trace(lo, hi):
+    return TraceProfile(which="fake", is_constant=False, min_value=lo, max_value=hi,
+                        maxima=[], minima=[], sign_changes=0, tangential_zeros=0,
+                        equal_maxima=None, equal_minima=None)
+
+
+# z1, Z1, z2, Z2 = 0, 1, 2, 3 (separated) and 0, 2, 1, 3 (interleaved)
+@pytest.mark.parametrize("interior, exterior, expected", [
+    ((0.0, 1.0), (2.0, 3.0), {0.0: None, 0.5: "lower", 1.0: None, 1.5: None,
+                              2.0: None, 2.5: "upper", 3.0: None}),
+    ((0.0, 1.0), (1.0, 3.0), {0.5: "lower", 1.0: None, 2.0: "upper"}),  # Z1 = z2
+    ((0.0, 2.0), (1.0, 3.0), {0.0: None, 0.5: "lower", 1.0: "lower", 1.5: "middle",
+                              2.0: "upper", 2.5: "upper", 3.0: None}),
+])
+def test_band_lookup_and_contact_clause(interior, exterior, expected):
+    """The band rule at z1, Z1, z2 and Z2 and between them, and the contact
+    clause that check_component_contact takes there."""
+    prof = BoundaryProfile(exterior=_trace(*exterior), interior=_trace(*interior))
+    clause = {"upper": ["super->exterior"], "lower": ["sub->interior"]}
+    for t, band in expected.items():
+        assert prof.band(t) == band, t
+        census = LevelSetCensus(t=t, refine=2, components=[], uncertain_band=0.0)
+        report = check_component_contact(census, prof)
+        assert report["applicable"] == (band in clause), t
+        assert report["clause"] == clause.get(band), t
 
 
 # ------------------------------------------------------- Euler characteristic
@@ -639,9 +669,35 @@ def euler_by_sets(i_arr, j_arr, n_theta):
     return len(verts) - len(edges) + len(i_arr)
 
 
-def test_component_euler_matches_reference():
-    from levelset_lab.topology import _component_euler
+def component_euler(i_arr, j_arr, n_theta):
+    """Reference: Euler characteristic of one 4-connected cell set on the
+    theta cylinder from sorted integer ids.  Vertex (i, j) is i * stride + j,
+    and an edge is twice the id of its lower-left vertex, plus one for an
+    edge along theta.  A sorted id list holds one distinct id more than it
+    has rises between neighbours; the two extra ones cancel in chi."""
+    stride = int(j_arr.max()) + 2
+    i1 = (i_arr + 1) % n_theta
+    v00, v10 = i_arr * stride + j_arr, i1 * stride + j_arr
+    verts = np.sort(np.concatenate([v00, v10, v00 + 1, v10 + 1]))
+    edges = np.sort(np.concatenate([2 * v00 + 1, 2 * v00 + 3, 2 * v00, 2 * v10]))
+    return int(np.count_nonzero(np.diff(verts)) - np.count_nonzero(np.diff(edges))) + len(i_arr)
 
+
+def _check_euler_kernel(mask):
+    """The kernel's chi of every label of the mask, against both references."""
+    labels, n = label_wrapped(mask)
+    chi = _euler_characteristics(labels, n)
+    assert len(chi) == n + 1
+    out = []
+    for k in range(1, n + 1):
+        i_arr, j_arr = np.nonzero(labels == k)
+        ref = euler_by_sets(i_arr, j_arr, mask.shape[0])
+        assert chi[k] == component_euler(i_arr, j_arr, mask.shape[0]) == ref
+        out.append((ref, bool(np.any(i_arr == 0) and np.any(i_arr == mask.shape[0] - 1))))
+    return out
+
+
+def test_component_euler_matches_reference():
     n_theta, n_s = 24, 10
     ring = np.zeros((n_theta, n_s), dtype=bool)
     ring[:, 3:6] = True                          # wraps the seam: chi = 0
@@ -650,23 +706,34 @@ def test_component_euler_matches_reference():
     frame[:4, 2:7] = True                        # straddles the seam
     frame[22:, 4] = frame[:2, 4] = False         # with a hole: chi = 0
     blob = np.zeros((n_theta, n_s), dtype=bool)
-    blob[5:9, 0:3] = True                        # disk-like: chi = 1
-    for mask, chi in ((ring, 0), (frame, 0), (blob, 1)):
-        i_arr, j_arr = np.nonzero(mask)
-        assert _component_euler(i_arr, j_arr, n_theta) == euler_by_sets(i_arr, j_arr, n_theta) == chi
+    blob[5:9, 0:3] = True                        # disk-like, on the j = 0 column: chi = 1
+    core = np.zeros((n_theta, n_s), dtype=bool)
+    core[:, 0] = True                            # the j = 0 column of a disk: chi = 0
+    diagonal = np.zeros((n_theta, n_s), dtype=bool)
+    diagonal[[3, 4, 23, 0], [5, 6, 1, 2]] = True  # two diagonal pairs, one across the seam
+    for mask, chis in ((ring, [0]), (frame, [0]), (blob, [1]), (core, [0]), (diagonal, [1, 1, 1, 1])):
+        assert [chi for chi, _ in _check_euler_kernel(mask)] == chis
 
     rng = np.random.default_rng(20261017)
     seen = set()
     for _ in range(60):
         mask = rng.random((n_theta, n_s)) < rng.uniform(0.3, 0.8)
-        labels, n = label_wrapped(mask)
-        for k in range(1, n + 1):
-            i_arr, j_arr = np.nonzero(labels == k)
-            chi = euler_by_sets(i_arr, j_arr, n_theta)
-            assert _component_euler(i_arr, j_arr, n_theta) == chi
-            seen.add((chi, bool(np.any(i_arr == 0) and np.any(i_arr == n_theta - 1))))
+        seen.update(_check_euler_kernel(mask))
+        seen.update(_check_euler_kernel(~mask))
     # the random sets include seam-crossing components and ones with holes
     assert (1, True) in seen and any(chi < 1 for chi, _ in seen)
+
+
+def test_census_components_carry_euler_characteristics():
+    fld = solved_field("z2_minus_zm2", 128, 64)
+    census = level_census(fld, 0.5)
+    uc = fld.lattice().centres
+    for sign, mask in (("super", uc > 0.5), ("sub", uc < 0.5)):
+        labels, _ = label_wrapped(mask)
+        for comp in (c for c in census.components if c.sign == sign):
+            i_arr, j_arr = np.nonzero(labels == comp.label)
+            assert comp.euler_char == euler_by_sets(i_arr, j_arr, uc.shape[0])
+            assert comp.simply_connected == (comp.euler_char == 1)
 
 
 # ------------------------------------------------------------ seam labelling

@@ -10,10 +10,11 @@ from conftest import builtin_report, builtin_spec, make_scenario, solved_field
 from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import UnstableCountsError
-from levelset_lab.solver import solve_scenario
-from levelset_lab.topology import boundary_profile
+from levelset_lab.solver import resolve_tolerances, solve_scenario
+from levelset_lab.topology import boundary_profile, level_census
 from levelset_lab.verify import (
     VERDICT_IDS,
+    _census_offset,
     _stable_points,
     check_counting_identities,
     check_lemma_2_4,
@@ -190,6 +191,13 @@ def test_lemma_2_4_flags_offender():
 
 # ------------------------------------------------------ counting identities
 
+def identities_at(fld, pts, profile, t):
+    """check_counting_identities with the censuses that run_scenario takes at t."""
+    eps = _census_offset(t, pts, profile, resolve_tolerances(fld).equal_value_tol)
+    return check_counting_identities(fld, pts, profile, t, eps,
+                                     level_census(fld, t - eps), level_census(fld, t + eps))
+
+
 def test_identities_case1_two_equal_saddles():
     """Equal-value saddle pair pinching the sub-level ring: the simply
     connected sub-level components meeting the outer boundary number
@@ -211,7 +219,7 @@ def test_identities_case1_two_equal_saddles():
 def test_identities_ordering_case_fails_for_equal_ranges():
     fld = solved_field("z_plus_inv", 128, 64)
     pts = find_critical_points(fld)
-    report = check_counting_identities(fld, pts, boundary_profile(fld), pts[1].value)
+    report = identities_at(fld, pts, boundary_profile(fld), pts[1].value)
     assert not report["applicable"]
     assert "ordering case fails" in report["reason"]
     assert "Z1" in report["reason"]
@@ -222,7 +230,7 @@ def test_identities_no_critical_point_at_t():
                          grid=(64, 32), name="case1small")
     fld = solve_scenario(spec)
     pts = find_critical_points(fld)
-    report = check_counting_identities(fld, pts, boundary_profile(fld), 5.0)
+    report = identities_at(fld, pts, boundary_profile(fld), 5.0)
     assert not report["applicable"]
     assert report["reason"] == "no critical point at t"
 
@@ -243,10 +251,9 @@ def test_identity_middle_band_arithmetic(monkeypatch):
 
     for sep, M1, M2, want in ((False, 2, 2, True), (False, 2, 3, False), (True, 1, 2, True)):
         monkeypatch.setattr(verify_mod, "separating_network_through", lambda *a, **k: sep)
-        monkeypatch.setattr(verify_mod, "cluster_critical_sets", lambda *a, **k: 1)
-        seq = iter([FakeCensus(M1, 99), FakeCensus(99, M2)])
-        monkeypatch.setattr(verify_mod, "level_census", lambda *a, **k: next(seq))
-        report = verify_mod.check_counting_identities(fld, pts, profile, t)
+        monkeypatch.setattr(verify_mod, "cluster_critical_sets", lambda *a, **k: (None, {1}))
+        report = check_counting_identities(fld, pts, profile, t, 1e-3,
+                                           FakeCensus(99, M2), FakeCensus(M1, 99))
         assert report["applicable"]
         assert report["band"] == "middle"
         expected_rhs = 2 * 1 + 1 + (-1 if sep else 1)
@@ -366,7 +373,11 @@ def test_stable_points_match_does_not_depend_on_order():
 def test_run_scenario_derives_field_quantities_once(monkeypatch):
     """Censuses, clusters, the separating-network test and the contact
     counts all read one lattice evaluation of the solved field; node
-    geometry and default tolerances are computed once per field."""
+    geometry and default tolerances are computed once per field.  Each
+    level is censused once, and the identity check marks and labels its
+    level network once."""
+    import levelset_lab.critical as critical_mod
+    import levelset_lab.verify as verify_mod
     from levelset_lab.geometry import DomainSpec
     from levelset_lab.solver import SolutionField
 
@@ -390,12 +401,27 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     monkeypatch.setattr(SolutionField, "_cell_samples", cell_samples)
     monkeypatch.setattr(SolutionField, "u_range", u_range)
     monkeypatch.setattr(DomainSpec, "map_point", map_point)
+    census_levels, real_census = [], verify_mod.level_census
+    real_marked = critical_mod._marked_level_cells
+
+    def level_census(field, t, **kwargs):
+        census_levels.append(t)
+        return real_census(field, t, **kwargs)
+
+    def marked_level_cells(field, t):
+        seen["mark and label"] += 1
+        return real_marked(field, t)
+
+    monkeypatch.setattr(verify_mod, "level_census", level_census)
+    monkeypatch.setattr(critical_mod, "_marked_level_cells", marked_level_cells)
     spec = make_scenario("3*(1 + 0.04*cos(4*theta))", "1 + 0.1*cos(2*theta)",
                          "1 + 0.75*cos(2*theta)", "0.15*cos(2*theta)", grid=(64, 32), name="sym2")
     report = run_scenario(spec)
     (identity,) = report.identity_reports
     assert identity["applicable"] and identity["details"]["separating_curve"]
     assert len(report.censuses) == 4
+    assert len(census_levels) == len(set(census_levels)) == 4
+    assert seen["mark and label"] == 1
     for part in ("lattice nodes", "lattice centres"):
         assert seen[part, 64] == 0 and seen[part, 128] == 1
     assert seen["tolerances", 64] == seen["tolerances", 128] == 1
