@@ -11,7 +11,7 @@ from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import UnstableCountsError
 from levelset_lab.solver import resolve_tolerances, solve_scenario
-from levelset_lab.topology import boundary_profile, level_census
+from levelset_lab.topology import LevelComponent, LevelSetCensus, boundary_profile, level_census
 from levelset_lab.verify import (
     VERDICT_IDS,
     _census_offset,
@@ -259,6 +259,109 @@ def test_identity_middle_band_arithmetic(monkeypatch):
         expected_rhs = 2 * 1 + 1 + (-1 if sep else 1)
         assert report["rhs"] == expected_rhs
         assert report["holds"] == (want and (M1 + M2 == expected_rhs))
+
+
+def _component(sign, rim=None, chi=1, uncertain=False):
+    return LevelComponent(sign=sign, label=0, cell_count=1,
+                          touches_interior=rim in ("interior", "both"),
+                          touches_exterior=rim in ("exterior", "both"),
+                          extremal_value=0.0, extremal_contact_value=None,
+                          all_uncertain=uncertain, euler_char=chi)
+
+
+def _census(supers=0, subs=0, contact=None):
+    """A census with `supers` and `subs` plain components; contact =
+    (sign, rim, n) adds n simply connected components of that sign meeting
+    that rim, and one of each kind that the contact count must skip: the
+    other rim only, not simply connected, all uncertain, the other sign."""
+    comps = [_component("super") for _ in range(supers)] + [_component("sub") for _ in range(subs)]
+    if contact is not None:
+        sign, rim, n = contact
+        other_rim = "interior" if rim == "exterior" else "exterior"
+        other_sign = "sub" if sign == "super" else "super"
+        comps += [_component(sign, rim) for _ in range(n)]
+        comps += [_component(sign, other_rim), _component(sign, rim, chi=0),
+                  _component(sign, "both", uncertain=True), _component(other_sign, rim)]
+    return LevelSetCensus(t=0.0, refine=2, components=comps, uncertain_band=0.0)
+
+
+# Every clause of Lemmas 2.5-2.7, with sum_m = 2 and q = 3 so that the four
+# right-hand sides 2 sum_m + q + 1 = 8, 2 sum_m + q - 1 = 6, sum_m + q - 1 = 4
+# and sum_m + 1 = 3 differ.  Counts are (M1 of t + eps, M2 of t - eps) for
+# the pair clauses, with M1 read from region_components in the separated
+# lower band, and the contact count otherwise.
+IDENTITY_CLAUSES = [
+    ("separated", "upper", True,
+     "sub-level simply connected contact count (upper band, separating curve)",
+     ("sub", "exterior"), 4, [(4, True), (5, False), (3, False)]),
+    ("separated", "upper", False, "M1 + M2 = 2 sum_m + q + 1 (upper band)",
+     ("M1", "M2"), 8, [((3, 5), True), ((3, 6), False), ((2, 6), False)]),
+    ("separated", "lower", True,
+     "super-level simply connected contact count (lower band, separating curve)",
+     ("super", "interior"), 4, [(4, True), (5, False), (3, False)]),
+    ("separated", "lower", False, "band components: M~1 + M~2 = 2 sum_m + q + 1 (lower band)",
+     ("M1_tilde", "M2_tilde"), 8, [((5, 3), True), ((5, 4), False), ((6, 2), False)]),
+    ("interleaved", "middle", True, "M1 + M2 = 2 sum_m + q - 1 (middle band, separating curve)",
+     ("M1", "M2"), 6, [((2, 4), True), ((2, 5), False), ((1, 5), False)]),
+    ("interleaved", "middle", False, "M1 + M2 = 2 sum_m + q + 1 (middle band)",
+     ("M1", "M2"), 8, [((3, 5), True), ((3, 4), False), ((2, 6), False)]),
+    ("interleaved", "upper", True, "sub-level contact count >= sum_m + q - 1 (upper band)",
+     ("sub", "exterior"), 4, [(4, True), (5, True), (3, False)]),
+    ("interleaved", "upper", False, "super-level contact count >= sum_m + 1 (upper band)",
+     ("super", "exterior"), 3, [(3, True), (4, True), (2, False)]),
+    ("interleaved", "lower", True, "super-level contact count >= sum_m + q - 1 (lower band)",
+     ("super", "interior"), 4, [(4, True), (5, True), (3, False)]),
+    ("interleaved", "lower", False, "sub-level contact count >= sum_m + 1 (lower band)",
+     ("sub", "interior"), 3, [(3, True), (4, True), (2, False)]),
+]
+
+
+@pytest.mark.parametrize("case, band, sep, clause, counted, rhs, counts", IDENTITY_CLAUSES,
+                         ids=[f"{c}-{b}-{'sep' if s else 'nosep'}" for c, b, s, *_ in IDENTITY_CLAUSES])
+def test_identity_clause_table(monkeypatch, case, band, sep, clause, counted, rhs, counts):
+    """Each (ordering case, band, separating curve) selects one clause; its
+    text, its count, its relation to rhs, the floors of the pair clauses
+    and the report layout are pinned with counts that hold and that fail."""
+    import levelset_lab.verify as verify_mod
+
+    fld = solved_field("band_annulus" if case == "separated" else "counterexample2", 128, 64)
+    profile = boundary_profile(fld)
+    assert profile.ordering_case() == case
+    lo, hi = {name: (a, b) for name, a, b in profile.bands()}[band]
+    t, eps = 0.5 * (lo + hi), 1e-3
+    points = [fake_point(3.5, 0.0, t, 2)]
+    monkeypatch.setattr(verify_mod, "cluster_critical_sets", lambda *a, **k: (None, {1, 2, 3}))
+    monkeypatch.setattr(verify_mod, "separating_network_through", lambda *a, **k: sep)
+    for count, holds in counts:
+        region_calls = []
+        if counted[0] in ("super", "sub"):
+            sign, rim = counted
+            census = _census(contact=(sign, rim, count))
+            below, above = (census, _census(5, 5)) if sign == "sub" else (_census(5, 5), census)
+            parts = {"contact_count": count}
+        else:
+            m1, m2 = count
+            below, above = _census(supers=9, subs=m2), _census(supers=m1, subs=9)
+            if counted[0] == "M1_tilde":
+                above = _census(supers=9, subs=9)
+
+                def region(field, lo, hi, m1=m1):
+                    region_calls.append((field, lo, hi))
+                    return m1
+
+                monkeypatch.setattr(verify_mod, "region_components", region)
+            parts = dict(zip(counted, count))
+        report = check_counting_identities(fld, points, profile, t, eps, below, above)
+        assert list(report) == ["t", "ordering_case", "applicable", "holds", "clause",
+                                "details", "band", "lhs", "rhs"]
+        assert report["applicable"] and report["band"] == band and report["ordering_case"] == case
+        assert report["clause"] == clause
+        assert report["details"] == {"sum_m": 2, "q": 3, "epsilon": eps, "separating_curve": sep, **parts}
+        assert list(report["details"]) == ["sum_m", "q", "epsilon", "separating_curve", *parts]
+        assert report["lhs"] == sum(parts.values()) and report["rhs"] == rhs
+        assert report["holds"] is holds, (count, report)
+        if counted[0] == "M1_tilde":
+            assert region_calls == [(fld, t + eps, profile.z2 - eps)]
 
 
 # ------------------------------------------------------------- run_scenario
