@@ -9,7 +9,9 @@ strings in the grammar of :mod:`levelset_lab.expressions`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,14 +180,16 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         bad.append(_violation("grid", f"n_s = {ns} < 16"))
 
     tol = spec.tolerances
-    for name in ("equal_extrema_tol", "linear_residual_tol", "interior_margin"):
-        if getattr(tol, name) <= 0:
-            bad.append(_violation("tolerances", f"{name} must be strictly positive"))
-    for name in ("grad_zero_tol", "value_zero_tol", "dedup_radius"):
-        v = getattr(tol, name)
-        if v is not None and v <= 0:
-            bad.append(_violation("tolerances", f"{name} must be strictly positive when given"))
-    if not (0.0 < tol.interior_margin <= 0.25):
+    for f in fields(tol):
+        v = getattr(tol, f.name)
+        if v is None:
+            continue
+        if not math.isfinite(v):
+            bad.append(_violation("tolerances", f"{f.name} must be finite"))
+        elif v <= 0:
+            given = " when given" if f.default is None else ""
+            bad.append(_violation("tolerances", f"{f.name} must be strictly positive{given}"))
+    if math.isfinite(tol.interior_margin) and not (0.0 < tol.interior_margin <= 0.25):
         bad.append(_violation("tolerances", f"interior_margin {tol.interior_margin} outside (0, 0.25]"))
 
     # interior sample for operator checks (skip if curves already broken)
@@ -206,7 +210,9 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
                 k = int(np.argmin(a11))
                 bad.append(_violation("ellipticity", "a11 not strictly positive",
                                       {"x": float(X.flat[k]), "y": float(Y.flat[k]), "a11": float(a11.flat[k])}))
-            if np.min(det) < spec.operator.lambda_floor:
+            if not math.isfinite(spec.operator.lambda_floor):
+                bad.append(_violation("ellipticity", "lambda_floor must be finite"))
+            elif np.min(det) < spec.operator.lambda_floor:
                 k = int(np.argmin(det))
                 bad.append(_violation("ellipticity", f"a11*a22 - a12^2 = {float(det.flat[k]):.6g} below floor {spec.operator.lambda_floor:.3g}",
                                       {"x": float(X.flat[k]), "y": float(Y.flat[k]), "det": float(det.flat[k])}))
@@ -232,6 +238,14 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
 
 # --------------------------------------------------------------------------
 # JSON serialization
+
+def _is_number(value) -> bool:
+    """A JSON number within the float range: not a boolean, and not NaN or
+    Infinity, which Python's json reads although JSON has neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
 
 def _parse_field(bad, sources, path, src):
     if not isinstance(src, str):
@@ -279,9 +293,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
         if op_data.get("c") is not None:
             c_tree = _parse_field(bad, sources, "operator.c", op_data["c"])
         lambda_floor = op_data.get("lambda_floor", 1e-10)
-        try:
+        if _is_number(lambda_floor):
             lambda_floor = float(lambda_floor)
-        except (TypeError, ValueError):
+        else:
             bad.append(_violation("schema", "operator.lambda_floor must be a number"))
         if all(trees[k] is not None for k in trees):
             op = EllipticOperator(trees["a11"], trees["a12"], trees["a22"], trees["b1"], trees["b2"], c_tree,
@@ -302,22 +316,22 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
     if not isinstance(grid_data, dict):
         bad.append(_violation("schema", "grid must be an object"))
     else:
-        try:
-            grid = (int(grid_data.get("n_theta", 128)), int(grid_data.get("n_s", 64)))
-        except (TypeError, ValueError):
+        sizes = (grid_data.get("n_theta", 128), grid_data.get("n_s", 64))
+        if all(isinstance(n, int) and not isinstance(n, bool) for n in sizes):
+            grid = sizes
+        else:
             bad.append(_violation("schema", "grid.n_theta / grid.n_s must be integers"))
 
     tol_data = data.get("tolerances") or {}
     tol = ToleranceSet()
     if isinstance(tol_data, dict):
         kwargs = {}
-        for name in ("grad_zero_tol", "value_zero_tol", "dedup_radius", "equal_extrema_tol",
-                     "linear_residual_tol", "interior_margin"):
-            if tol_data.get(name) is not None:
-                try:
-                    kwargs[name] = float(tol_data[name])
-                except (TypeError, ValueError):
-                    bad.append(_violation("schema", f"tolerances.{name} must be a number"))
+        for f in fields(ToleranceSet):
+            v = tol_data.get(f.name)
+            if _is_number(v):
+                kwargs[f.name] = float(v)
+            elif v is not None:
+                bad.append(_violation("schema", f"tolerances.{f.name} must be a number"))
         tol = ToleranceSet(**kwargs)
     else:
         bad.append(_violation("schema", "tolerances must be an object"))

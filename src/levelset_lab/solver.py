@@ -368,6 +368,7 @@ class SolutionField:
         self.dtheta = TWO_PI / nt
         self.ds = 1.0 / ns
         self._coeffs = None
+        self._node_derivs = None
         self._node_grad = None
         self._nodes = None
         self._diagonals = None
@@ -452,13 +453,20 @@ class SolutionField:
         return est / 8.0
 
     # ------------------------------------------------------- interpolation
+    def _node_derivatives(self):
+        """Finite-difference (u_theta, u_s) at every grid node."""
+        if self._node_derivs is None:
+            self._node_derivs = _frozen(_axis_derivative_periodic(self.values, self.dtheta),
+                                        _axis_derivative_bounded(self.values, self.ds))
+        return self._node_derivs
+
     def _hermite(self):
         if self._coeffs is not None:
             return self._coeffs
         u = self.values
-        ut = _axis_derivative_periodic(u, self.dtheta)
-        us = _axis_derivative_bounded(u, self.ds)
+        ut, us = self._node_derivatives()
         if self.domain.is_disk:
+            ut, us = ut.copy(), us.copy()
             # At the centre the radial derivative along the ray theta must be
             # the single vector field  R_s(theta) (u_x cos + u_y sin); project
             # the one-sided estimates onto that form so the interpolated
@@ -584,9 +592,7 @@ class SolutionField:
         """Physical gradient at every grid node (centre row zeroed for disks)."""
         if self._node_grad is not None:
             return self._node_grad
-        u = self.values
-        ut = _axis_derivative_periodic(u, self.dtheta)
-        us = _axis_derivative_bounded(u, self.ds)
+        ut, us = self._node_derivatives()
         T, S, _, _ = self.node_positions()
         theta, s = T[:, :1], S[:1]
         met = self.domain.inverse_jacobian(theta, np.maximum(s, _DISK_S_FLOOR) if self.domain.is_disk else s)

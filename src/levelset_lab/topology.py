@@ -32,6 +32,10 @@ class LevelComponent:
     def simply_connected(self) -> bool:
         return self.euler_char == 1
 
+    def touches(self, rim: str) -> bool:
+        """Whether the component meets the rim "interior" (s = 0) or "exterior" (s = 1)."""
+        return self.touches_exterior if rim == "exterior" else self.touches_interior
+
 
 @dataclass
 class LevelSetCensus:
@@ -315,25 +319,14 @@ def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances) -> 
     flat_tol = rt.equal_extrema_tol * scale
     is_constant = (vmax - vmin) <= flat_tol
 
-    maxima: list[BoundaryExtremum] = []
-    minima: list[BoundaryExtremum] = []
-    equal_max = equal_min = None
+    maxima, minima, equal_max, equal_min = [], [], None, None
     if not is_constant:
-        raw_max, raw_min = _run_length_extrema(values, flat_tol)
-        for idx, val in sorted(raw_max):
-            maxima.append(BoundaryExtremum(theta=float(theta[idx]), value=val, kind="max"))
-        for idx, val in sorted(raw_min):
-            minima.append(BoundaryExtremum(theta=float(theta[idx]), value=val, kind="min"))
-        for e in maxima:
-            e.relative_to_closure = _closure_relative(field, which, e.theta, e.value, "max", rt)
-        for e in minima:
-            e.relative_to_closure = _closure_relative(field, which, e.theta, e.value, "min", rt)
-        if maxima:
-            mv = [e.value for e in maxima]
-            equal_max = (max(mv) - min(mv)) <= rt.equal_extrema_tol * scale
-        if minima:
-            mv = [e.value for e in minima]
-            equal_min = (max(mv) - min(mv)) <= rt.equal_extrema_tol * scale
+        found = _run_length_extrema(values, flat_tol)
+        maxima, minima = ([BoundaryExtremum(float(theta[k]), v, kind,
+                                            _closure_relative(field, which, float(theta[k]), v, kind, rt))
+                           for k, v in sorted(raw)] for kind, raw in zip(("max", "min"), found))
+        equal_max, equal_min = (max(e.value for e in ext) - min(e.value for e in ext) <= flat_tol if ext else None
+                                for ext in (maxima, minima))
 
     crossings, touches = _count_zero_structure(values, rt.value_zero_tol)
     return TraceProfile(
@@ -505,8 +498,7 @@ def check_component_contact(census: LevelSetCensus, profile: BoundaryProfile) ->
     report["clause"] = [f"{sign}->{bnd}"]
     report["failures"] = [
         {"sign": sign, "boundary": bnd, "label": comp.label, "cell_count": comp.cell_count}
-        for comp in census.counted(sign)
-        if not (comp.touches_exterior if bnd == "exterior" else comp.touches_interior)
+        for comp in census.counted(sign) if not comp.touches(bnd)
     ]
     report["holds"] = not report["failures"]
     return report

@@ -258,24 +258,62 @@ def check_lemma_2_1(field: SolutionField, points) -> TheoremVerdict:
 # --------------------------------------------------------------------------
 # counting identities (one critical value at a time)
 
-def _contact_simply_connected_count(census, sign: str, boundary: str) -> int:
-    n = 0
-    for comp in census.counted(sign):
-        touches = comp.touches_exterior if boundary == "exterior" else comp.touches_interior
-        if touches and comp.simply_connected:
-            n += 1
-    return n
+@dataclass(frozen=True)
+class _Clause:
+    """One clause of Lemmas 2.5-2.7: `count` `relation` a sum_m + b q + c.
+
+    `count` is "M1 + M2" (components of {u > t + eps} plus those of
+    {u < t - eps}), "M~1 + M~2" (components of {t + eps < u < z2 - eps} plus
+    those of {u < t - eps}), or a (sign, rim) pair: the simply connected
+    components of that sign, in the census on its side of t, that meet that
+    rim.  The pair clauses also need each of their two parts to reach
+    sum_m + floor.
+    """
+
+    text: str
+    count: str | tuple
+    relation: str
+    rhs: tuple
+    floor: int | None = None
+
+
+# The clause for (ordering case, band, separating closed level curve
+# through a critical point at t).
+_CLAUSES = {
+    ("separated", "upper", True): _Clause(
+        "sub-level simply connected contact count (upper band, separating curve)",
+        ("sub", "exterior"), "==", (1, 1, -1)),
+    ("separated", "upper", False): _Clause(
+        "M1 + M2 = 2 sum_m + q + 1 (upper band)", "M1 + M2", "==", (2, 1, 1), floor=1),
+    ("separated", "lower", True): _Clause(
+        "super-level simply connected contact count (lower band, separating curve)",
+        ("super", "interior"), "==", (1, 1, -1)),
+    ("separated", "lower", False): _Clause(
+        "band components: M~1 + M~2 = 2 sum_m + q + 1 (lower band)", "M~1 + M~2", "==", (2, 1, 1), floor=1),
+    ("interleaved", "middle", True): _Clause(
+        "M1 + M2 = 2 sum_m + q - 1 (middle band, separating curve)", "M1 + M2", "==", (2, 1, -1), floor=0),
+    ("interleaved", "middle", False): _Clause(
+        "M1 + M2 = 2 sum_m + q + 1 (middle band)", "M1 + M2", "==", (2, 1, 1), floor=1),
+    ("interleaved", "upper", True): _Clause(
+        "sub-level contact count >= sum_m + q - 1 (upper band)", ("sub", "exterior"), ">=", (1, 1, -1)),
+    ("interleaved", "upper", False): _Clause(
+        "super-level contact count >= sum_m + 1 (upper band)", ("super", "exterior"), ">=", (1, 0, 1)),
+    ("interleaved", "lower", True): _Clause(
+        "super-level contact count >= sum_m + q - 1 (lower band)", ("super", "interior"), ">=", (1, 1, -1)),
+    ("interleaved", "lower", False): _Clause(
+        "sub-level contact count >= sum_m + 1 (lower band)", ("sub", "interior"), ">=", (1, 0, 1)),
+}
 
 
 def check_counting_identities(field: SolutionField, points, profile: BoundaryProfile, t: float,
                               eps: float, below, above) -> dict:
     """Component-count identities at one detected critical value t.
 
-    Selects the applicable clause from the ordering case, the band of t and
-    the presence of a separating closed level curve through a critical point;
-    counts are read from the censuses `below` and `above`, taken at
-    t - eps and t + eps, so that the open sets {u < t} and {u > t} are
-    sampled away from the level set itself.
+    Looks the clause up in `_CLAUSES` by the ordering case, the band of t
+    and the presence of a separating closed level curve through a critical
+    point, and evaluates it.  Counts are read from the censuses `below` and
+    `above`, taken at t - eps and t + eps, so that the open sets {u < t}
+    and {u > t} are sampled away from the level set itself.
     """
     rt = resolve_tolerances(field)
     case = profile.ordering_case()
@@ -318,73 +356,23 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
     report["details"].update({"sum_m": sum_m, "q": q, "epsilon": eps, "separating_curve": sep})
     report["applicable"] = True
 
-    if case == "separated":
-        if band == "upper":
-            if sep:
-                report["clause"] = "sub-level simply connected contact count (upper band, separating curve)"
-                lhs = _contact_simply_connected_count(below, "sub", "exterior")
-                rhs = sum_m + q - 1
-                report["details"].update({"contact_count": lhs})
-                report["holds"] = lhs == rhs
-            else:
-                M1, M2 = above.M1, below.M2
-                report["clause"] = "M1 + M2 = 2 sum_m + q + 1 (upper band)"
-                report["details"].update({"M1": M1, "M2": M2})
-                lhs = M1 + M2
-                rhs = 2 * sum_m + q + 1
-                report["holds"] = (lhs == rhs) and M1 >= sum_m + 1 and M2 >= sum_m + 1
-        else:
-            if sep:
-                report["clause"] = "super-level simply connected contact count (lower band, separating curve)"
-                lhs = _contact_simply_connected_count(above, "super", "interior")
-                rhs = sum_m + q - 1
-                report["details"].update({"contact_count": lhs})
-                report["holds"] = lhs == rhs
-            else:
-                report["clause"] = "band components: M~1 + M~2 = 2 sum_m + q + 1 (lower band)"
-                M1t = region_components(field, t + eps, profile.z2 - eps)
-                M2t = below.M2
-                report["details"].update({"M1_tilde": M1t, "M2_tilde": M2t})
-                lhs = M1t + M2t
-                rhs = 2 * sum_m + q + 1
-                report["holds"] = (lhs == rhs) and M1t >= sum_m + 1 and M2t >= sum_m + 1
+    clause = _CLAUSES[case, band, bool(sep)]
+    if clause.count == "M1 + M2":
+        parts = {"M1": above.M1, "M2": below.M2}
+    elif clause.count == "M~1 + M~2":
+        parts = {"M1_tilde": region_components(field, t + eps, profile.z2 - eps), "M2_tilde": below.M2}
     else:
-        if band == "middle":
-            M1, M2 = above.M1, below.M2
-            report["details"].update({"M1": M1, "M2": M2})
-            lhs = M1 + M2
-            if sep:
-                report["clause"] = "M1 + M2 = 2 sum_m + q - 1 (middle band, separating curve)"
-                rhs = 2 * sum_m + q - 1
-                report["holds"] = (lhs == rhs) and M1 >= sum_m and M2 >= sum_m
-            else:
-                report["clause"] = "M1 + M2 = 2 sum_m + q + 1 (middle band)"
-                rhs = 2 * sum_m + q + 1
-                report["holds"] = (lhs == rhs) and M1 >= sum_m + 1 and M2 >= sum_m + 1
-        elif band == "upper":
-            if sep:
-                report["clause"] = "sub-level contact count >= sum_m + q - 1 (upper band)"
-                lhs = _contact_simply_connected_count(below, "sub", "exterior")
-                rhs = sum_m + q - 1
-            else:
-                report["clause"] = "super-level contact count >= sum_m + 1 (upper band)"
-                lhs = _contact_simply_connected_count(above, "super", "exterior")
-                rhs = sum_m + 1
-            report["details"].update({"contact_count": lhs})
-            report["holds"] = lhs >= rhs
-        else:
-            if sep:
-                report["clause"] = "super-level contact count >= sum_m + q - 1 (lower band)"
-                lhs = _contact_simply_connected_count(above, "super", "interior")
-                rhs = sum_m + q - 1
-            else:
-                report["clause"] = "sub-level contact count >= sum_m + 1 (lower band)"
-                lhs = _contact_simply_connected_count(below, "sub", "interior")
-                rhs = sum_m + 1
-            report["details"].update({"contact_count": lhs})
-            report["holds"] = lhs >= rhs
-    report["lhs"] = int(lhs)
-    report["rhs"] = int(rhs)
+        sign, rim = clause.count
+        census = above if sign == "super" else below
+        parts = {"contact_count": sum(1 for comp in census.counted(sign)
+                                      if comp.touches(rim) and comp.simply_connected)}
+    a, b, c = clause.rhs
+    lhs, rhs = sum(parts.values()), a * sum_m + b * q + c
+    holds = lhs == rhs if clause.relation == "==" else lhs >= rhs
+    if clause.floor is not None:
+        holds = holds and all(v >= sum_m + clause.floor for v in parts.values())
+    report["details"].update(parts)
+    report.update(clause=clause.text, holds=holds, lhs=int(lhs), rhs=int(rhs))
     return report
 
 

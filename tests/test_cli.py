@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -106,6 +107,8 @@ def test_usage_error_exit_one(capsys):
     (["solve", "log_annulus.json", "--grid", "0x0"], "grid"),
     (["solve", "log_annulus.json", "--grid", "8x4"], "grid"),
     (["critical", "z_plus_inv.json", "--tol-grad", "-1"], "tolerances"),
+    (["critical", "z_plus_inv.json", "--tol-grad", "nan"], "tolerances"),
+    (["critical", "z_plus_inv.json", "--tol-grad", "inf"], "tolerances"),
 ])
 def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
     """--grid and --tol-grad values go through scenario validation: exit 1
@@ -123,13 +126,31 @@ def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
     ("notes", 5, "notes must be a list of strings"),
     ("notes", "text", "notes must be a list of strings"),
     ("notes", ["fine", 7], "notes must be a list of strings"),
+    # NaN and Infinity are not JSON numbers, though Python's json reads them
+    pytest.param("lambda_floor", math.nan, "operator.lambda_floor must be a number", id="lambda_floor-NaN"),
+    pytest.param("lambda_floor", math.inf, "operator.lambda_floor must be a number", id="lambda_floor-Infinity"),
+    pytest.param("tolerances.linear_residual_tol", math.nan, "tolerances.linear_residual_tol must be a number",
+                 id="linear_residual_tol-NaN"),
+    pytest.param("tolerances.linear_residual_tol", "nan", "tolerances.linear_residual_tol must be a number",
+                 id="linear_residual_tol-string"),
+    pytest.param("tolerances.grad_zero_tol", -math.inf, "tolerances.grad_zero_tol must be a number",
+                 id="grad_zero_tol-minus-Infinity"),
+    pytest.param("tolerances.equal_extrema_tol", True, "tolerances.equal_extrema_tol must be a number",
+                 id="equal_extrema_tol-true"),
+    pytest.param("grid.n_theta", 128.7, "grid.n_theta / grid.n_s must be integers", id="n_theta-fraction"),
+    pytest.param("grid.n_theta", "128", "grid.n_theta / grid.n_s must be integers", id="n_theta-string"),
+    pytest.param("grid.n_s", True, "grid.n_theta / grid.n_s must be integers", id="n_s-true"),
 ])
 def test_schema_type_errors_are_structured(scen, tmp_path, capsys, key, value, message):
-    """A mistyped lambda_floor or notes entry is a schema violation: exit 1
-    with one structured error line and no traceback."""
+    """A mistyped or non-finite number, or a mistyped notes entry, is a
+    schema violation: exit 1 with one structured error line and no
+    traceback."""
     data = json.loads((scen / "z_plus_inv.json").read_text())
     if key == "lambda_floor":
         data["operator"] = dict(data["operator"], lambda_floor=value)
+    elif "." in key:
+        block, name = key.split(".")
+        data[block] = dict(data.get(block) or {}, **{name: value})
     else:
         data[key] = value
     path = tmp_path / "typed.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ def test_grid_minimums():
     with pytest.raises(ValidationFailure) as err:
         validate_scenario(spec)
     assert sum(v["check"] == "grid" for v in err.value.violations) == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_gates_rejected(value):
+    """A non-finite tolerance or ellipticity floor would switch its gate off
+    (every comparison with NaN is false), so validation rejects it, one
+    violation per number."""
+    spec = make_scenario("2", "1", "1", "0")
+    for name in ("grad_zero_tol", "value_zero_tol", "dedup_radius", "equal_extrema_tol",
+                 "linear_residual_tol", "interior_margin"):
+        bad = replace(spec, tolerances=replace(spec.tolerances, **{name: value}))
+        with pytest.raises(ValidationFailure) as err:
+            validate_scenario(bad)
+        assert err.value.violations == [{"check": "tolerances", "message": f"{name} must be finite"}]
+    bad = replace(spec, operator=replace(spec.operator, lambda_floor=value))
+    with pytest.raises(ValidationFailure) as err:
+        validate_scenario(bad)
+    assert err.value.violations == [{"check": "ellipticity", "message": "lambda_floor must be finite"}]
 
 
 def test_violations_collected_not_first_only():

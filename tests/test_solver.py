@@ -331,14 +331,42 @@ def test_derived_quantities_cached_and_read_only():
     assert resolve_tolerances(fld) is resolve_tolerances(fld)
     assert fld.node_gradients() is fld.node_gradients()
     assert fld._hermite() is fld._hermite()
+    assert fld._node_derivatives() is fld._node_derivatives()
     lat = fld.lattice()
     assert lat is fld.lattice()
     nrt, nrs = REFINE * fld.n_theta, REFINE * fld.n_s
     assert lat.nodes.shape == (nrt + 1, nrs + 1) and lat.centres.shape == (nrt, nrs)
     for arr in (*fld.node_positions(), fld.cell_diagonals(), lat.nodes, lat.centres,
-                *fld.node_gradients(), fld._hermite()):
+                *fld.node_gradients(), fld._hermite(), *fld._node_derivatives()):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_one_derivative_pass_per_field(monkeypatch):
+    """The interpolant and the node gradients share one finite-difference
+    pass over the nodal values; on a disk the interpolant projects a copy,
+    so the shared derivatives stay those of the nodal values."""
+    import levelset_lab.solver as solver_mod
+
+    calls = []
+
+    def counted(name):
+        real = getattr(solver_mod, name)
+        return lambda u, h: calls.append((name, u.shape)) or real(u, h)
+
+    for name in ("_axis_derivative_periodic", "_axis_derivative_bounded"):
+        monkeypatch.setattr(solver_mod, name, counted(name))
+    fld = solve_scenario(builtin_spec("disk_z2").with_grid(64, 32))
+    calls.clear()
+    fld._hermite()
+    fld.node_gradients()
+    nodal = [(name, fld.values.shape) for name in ("_axis_derivative_periodic", "_axis_derivative_bounded")]
+    # the third call is the mixed derivative u_ts, from the projected u_s
+    assert calls == nodal + [("_axis_derivative_periodic", fld.values.shape)]
+    monkeypatch.undo()
+    ut, us = fld._node_derivatives()
+    assert np.array_equal(ut, solver_mod._axis_derivative_periodic(fld.values, fld.dtheta))
+    assert np.array_equal(us, solver_mod._axis_derivative_bounded(fld.values, fld.ds))
 
 
 def test_lattice_matches_pointwise_evaluation():
