@@ -12,7 +12,9 @@ evaluation of u, its gradient and its Hessian.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +88,8 @@ def _axis_derivative_bounded(u: np.ndarray, h: float) -> np.ndarray:
 class DiscreteSystem:
     """Sparse linear system of the interior unknowns for one scenario on
     one grid, in nested-dissection order: matrix @ x = rhs, where
-    rhs = -couplings @ boundary moves the Dirichlet data to the right."""
+    rhs = -couplings @ boundary moves the Dirichlet data to the right.
+    node_index and the index arrays of both pieces are the grid plan's, shared and read-only."""
 
     spec: ScenarioSpec
     n_theta: int
@@ -120,11 +123,16 @@ def _grid_nodes(spec: ScenarioSpec):
     return T, S
 
 
-def assemble(spec: ScenarioSpec) -> DiscreteSystem:
-    """Discretize the operator on the scenario grid."""
+# Stencil offsets (di, dj), in the order a node's weights are summed.
+_STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1), (0, 0))
+
+
+def _stencil(spec: ScenarioSpec):
+    """The weights of the interior rows, one (n_theta, n_s - 1) array per
+    _STENCIL offset, then on a disk the centre row over [centre, first
+    ring]; and the Dirichlet data, ring by ring."""
     nt, ns = spec.grid
-    dtheta = TWO_PI / nt
-    ds = 1.0 / ns
+    dtheta, ds = TWO_PI / nt, 1.0 / ns
     is_disk = spec.domain.is_disk
 
     T, S = _grid_nodes(spec)
@@ -140,81 +148,104 @@ def assemble(spec: ScenarioSpec) -> DiscreteSystem:
     A_ss = a11 * s_x ** 2 + 2.0 * a12 * s_x * s_y + a22 * s_y ** 2
     B_t = a11 * met["t_xx"] + 2.0 * a12 * met["t_xy"] + a22 * met["t_yy"] + co["b1"] * t_x + co["b2"] * t_y
     B_s = a11 * met["s_xx"] + 2.0 * a12 * met["s_xy"] + a22 * met["s_yy"] + co["b1"] * s_x + co["b2"] * s_y
-    C0 = co["c"]
 
-    interior_j = slice(1, ns)
-    for arr, label in ((A_tt, "A_tt"), (A_ts, "A_ts"), (A_ss, "A_ss"), (B_t, "B_t"), (B_s, "B_s"), (C0, "c")):
-        if not np.all(np.isfinite(arr[:, interior_j])):
+    terms = [a[:, 1:ns] for a in (A_tt, A_ts, A_ss, B_t, B_s, co["c"])]
+    for arr, label in zip(terms, ("A_tt", "A_ts", "A_ss", "B_t", "B_s", "c")):
+        if not np.all(np.isfinite(arr)):
             raise AssemblyError(f"non-finite metric/coefficient term {label}")
-
-    # Number the interior unknowns in nested-dissection order, then the
-    # Dirichlet nodes ring by ring: node_index[i, j] is the position of node
-    # (i, j) in the vector [x, boundary].
-    order = nested_dissection(nt, ns, is_disk)
-    n = order.size
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    rings = [ns] if is_disk else [0, ns]
-    index = np.empty((nt, ns + 1), dtype=np.intp)
-    index[:, 1:ns] = rank[int(is_disk):].reshape(ns - 1, nt).T
-    index[:, rings] = n + np.arange(len(rings) * nt).reshape(len(rings), nt).T
-    if is_disk:
-        index[:, 0] = rank[0]
-
-    I, J = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
-    rows_idx = index[:, 1:ns]
-    att, ats, ass = A_tt[:, 1:ns], A_ts[:, 1:ns], A_ss[:, 1:ns]
-    bt, bs, c0 = B_t[:, 1:ns], B_s[:, 1:ns], C0[:, 1:ns]
-
-    stencil = [
-        (1, 0, att / dtheta ** 2 + bt / (2.0 * dtheta)),
-        (-1, 0, att / dtheta ** 2 - bt / (2.0 * dtheta)),
-        (0, 1, ass / ds ** 2 + bs / (2.0 * ds)),
-        (0, -1, ass / ds ** 2 - bs / (2.0 * ds)),
-        (1, 1, ats / (2.0 * dtheta * ds)),
-        (-1, -1, ats / (2.0 * dtheta * ds)),
-        (1, -1, -ats / (2.0 * dtheta * ds)),
-        (-1, 1, -ats / (2.0 * dtheta * ds)),
-        (0, 0, -2.0 * att / dtheta ** 2 - 2.0 * ass / ds ** 2 + c0),
+    att, ats, ass, bt, bs, c0 = terms
+    weights = [
+        att / dtheta ** 2 + bt / (2.0 * dtheta),
+        att / dtheta ** 2 - bt / (2.0 * dtheta),
+        ass / ds ** 2 + bs / (2.0 * ds),
+        ass / ds ** 2 - bs / (2.0 * ds),
+        ats / (2.0 * dtheta * ds),
+        ats / (2.0 * dtheta * ds),
+        -ats / (2.0 * dtheta * ds),
+        -ats / (2.0 * dtheta * ds),
+        -2.0 * att / dtheta ** 2 - 2.0 * ass / ds ** 2 + c0,
     ]
-    rows, cols, data = [], [], []
-    for di, dj, w in stencil:
-        rows.append(rows_idx.ravel())
-        cols.append(index[(I + di) % nt, J + dj].ravel())
-        data.append(w.ravel())
-
     if is_disk:
         # centre row: weights over {centre} + first ring matching L on quadratics
-        ring_x, ring_y = X[:, 1], Y[:, 1]
         cc = spec.operator.coefficients_at(np.array([0.0]), np.array([0.0]))
-        pts_x = np.concatenate(([0.0], ring_x))
-        pts_y = np.concatenate(([0.0], ring_y))
-        M = np.stack([
-            np.ones_like(pts_x), pts_x, pts_y,
-            pts_x ** 2, pts_x * pts_y, pts_y ** 2,
-        ])
-        target = np.array([
-            float(cc["c"][0]),
-            float(cc["b1"][0]), float(cc["b2"][0]),
-            2.0 * float(cc["a11"][0]), 2.0 * float(cc["a12"][0]), 2.0 * float(cc["a22"][0]),
-        ])
-        weights, *_ = np.linalg.lstsq(M, target, rcond=None)
-        rows.append(np.full(nt + 1, rank[0]))
-        cols.append(np.concatenate(([rank[0]], index[:, 1])))
-        data.append(weights)
+        px, py = np.concatenate(([0.0], X[:, 1])), np.concatenate(([0.0], Y[:, 1]))
+        M = np.stack([np.ones_like(px), px, py, px ** 2, px * py, py ** 2])
+        target = np.array([cc["c"][0], cc["b1"][0], cc["b2"][0],
+                           2.0 * cc["a11"][0], 2.0 * cc["a12"][0], 2.0 * cc["a22"][0]], dtype=float)
+        weights.append(np.linalg.lstsq(M, target, rcond=None)[0])
 
     psi = {0: spec.psi_interior, ns: spec.psi_exterior}
-    boundary = np.concatenate([ex.evaluate_xy(psi[j], X[:, j], Y[:, j]) for j in rings])
-    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
-    inner = cols < n
-    # CSR first: duplicate entries (the disk centre seen from the first ring)
-    # sum within their row in stencil order
-    matrix = sp.csr_matrix((data[inner], (rows[inner], cols[inner])), shape=(n, n)).tocsc()
-    couplings = sp.csr_matrix((data[~inner], (rows[~inner], cols[~inner] - n)), shape=(n, boundary.size))
+    rings = [ns] if is_disk else [0, ns]
+    return weights, np.concatenate([ex.evaluate_xy(psi[j], X[:, j], Y[:, j]) for j in rings])
+
+
+def assemble(spec: ScenarioSpec) -> DiscreteSystem:
+    """Discretize the operator on the scenario grid: the stencil weights
+    fill the slots of the grid's plan."""
+    nt, ns = spec.grid
+    weights, boundary = _stencil(spec)
+    plan = _grid_plan(nt, ns, spec.domain.is_disk)
+    n, nnz = plan.indptr.size - 1, plan.indices.size
+    # onto -0.0 a lone weight keeps its bits and repeated slots sum in stencil order
+    values = np.full(nnz + plan.c_indices.size, -0.0)
+    np.add.at(values, plan.slot, np.concatenate([w.ravel() for w in weights]))
+    matrix = sp.csc_matrix((values[:nnz], plan.indices, plan.indptr), shape=(n, n))
+    couplings = sp.csr_matrix((values[nnz:], plan.c_indices, plan.c_indptr), shape=(n, boundary.size))
     return DiscreteSystem(
         spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
-        rhs=-(couplings @ boundary), node_index=index, is_disk=is_disk,
+        rhs=-(couplings @ boundary), node_index=plan.node_index, is_disk=spec.domain.is_disk,
     )
+
+
+# All of a system that depends only on its grid, read-only: node numbering, CSC pattern of `matrix`,
+# CSR pattern of `couplings`, and the slot of each `_stencil` weight in [matrix.data, couplings.data].
+_GridPlan = namedtuple("_GridPlan", "node_index indptr indices c_indptr c_indices slot")
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_plan(nt: int, ns: int, is_disk: bool) -> _GridPlan:
+    """The plan of one grid.  The pattern is structurally symmetric, so the
+    CSC slot of the entry that node p gives neighbour q is the CSR slot of
+    the entry that q gives p: the rank of p among q's distinct neighbours."""
+    order = nested_dissection(nt, ns, is_disk)
+    n = order.size
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    rings = [ns] if is_disk else [0, ns]
+    index = np.empty((nt, ns + 1), dtype=np.int32)
+    index[:, 0] = rank[0]  # the disk centre, or overwritten by the Dirichlet ring
+    index[:, 1:ns] = rank[int(is_disk):].reshape(ns - 1, nt).T
+    index[:, rings] = n + np.arange(len(rings) * nt, dtype=np.int32).reshape(len(rings), nt).T
+
+    def at(a, di, dj):  # a at the neighbour (i + di, j + dj) of each interior node
+        return np.roll(a, -di, axis=-2)[..., 1 + dj:ns + dj]
+
+    row, nbr = index[:, 1:ns], np.stack([at(index, di, dj) for di, dj in _STENCIL])
+    inner = nbr < n
+    # rank of each neighbour among its node's; the one that repeats, the disk
+    # centre, is the last unknown, so it shifts no other unknown's rank
+    pos = np.sum(nbr[:, None] < nbr, axis=0, dtype=np.int32)
+    n_inner = np.sum(inner, axis=0, dtype=np.int32)
+    counts = np.zeros((2, n + 1), dtype=np.int32)
+    counts[:, row + 1] = np.max(np.where(inner, pos + 1, 0), axis=0), len(_STENCIL) - n_inner
+    counts[0, n] += is_disk * (nt + 1)
+    indptr, c_indptr = np.cumsum(counts, axis=1, dtype=np.int32)
+    nnz = indptr[-1]
+    # on a disk the centre's column holds the first ring in rank order, then itself
+    padded = np.pad(pos, ((0, 0), (0, 0), (1, 1)))
+    padded[:, :, 0] = [np.roll(np.argsort(np.argsort(row[:, 0])), -di) for di, _ in _STENCIL]
+    inward = np.stack([at(padded[_STENCIL.index((-di, -dj))], di, dj) for di, dj in _STENCIL])
+    slot = np.where(inner, indptr[np.minimum(nbr, n - 1)] + inward, nnz + c_indptr[row] + pos - n_inner)
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[slot[inner]] = np.broadcast_to(row, nbr.shape)[inner]
+    c_indices = np.empty(c_indptr[-1], dtype=np.int32)
+    c_indices[slot[~inner] - nnz] = nbr[~inner] - n
+    slot = slot.ravel()
+    if is_disk:  # the centre row: its diagonal, then the last row of each first-ring column
+        centre = np.append(nnz - 1, indptr[row[:, 0] + 1] - 1)
+        indices[centre] = n - 1
+        slot = np.append(slot, centre)
+    return _GridPlan(*_frozen(index, indptr, indices, c_indptr, c_indices, slot))
 
 
 # Nested-dissection blocks at or below this many unknowns are not cut further.
@@ -274,13 +305,19 @@ def solve(system: DiscreteSystem) -> "SolutionField":
         raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
     if not np.all(np.isfinite(x)):
         raise NoConvergenceError(0, float("inf"), "solution contains non-finite values")
-    bnorm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(A @ x - b))
-    rel = residual / bnorm if bnorm > 0 else residual
+    rel = _relative_residual(A, x, b)
     if rel > system.spec.tolerances.linear_residual_tol:
         raise NoConvergenceError(1, rel, "direct solve residual above tolerance")
     values = np.concatenate((x, system.boundary))[system.node_index]
     return SolutionField(system.spec, values, residual=rel)
+
+
+def _relative_residual(A, x, b) -> float:
+    """||A x - b|| / ||b||, or ||A x - b|| when b = 0, summed by numpy's own
+    loops: BLAS dnrm2 wakes OpenBLAS's thread pool, whose spinning threads
+    slowed the next ~0.1 s of main-thread work about 2x on a 2-vCPU host."""
+    bnorm, residual = (math.sqrt(float(np.sum(v * v))) for v in (b, A @ x - b))
+    return residual / bnorm if bnorm > 0 else residual
 
 
 def cell_index(theta, s, n_theta: int, n_s: int):
@@ -311,23 +348,34 @@ class ResolvedTolerances:
         return self.equal_extrema_tol * self.value_scale
 
 
+def _once(fn):
+    """`fn(field)` computed on its first call and kept with the field."""
+    key = "_once_" + fn.__name__
+
+    @functools.wraps(fn)
+    def cached(field):
+        if key not in field.__dict__:
+            field.__dict__[key] = fn(field)
+        return field.__dict__[key]
+    return cached
+
+
+@_once
 def resolve_tolerances(field: "SolutionField") -> ResolvedTolerances:
     """The scenario's tolerances with scale-aware defaults filled in, once
     per field: gradient threshold from the field range and domain diameter,
     dedup radius from three median grid cells."""
-    if field._tolerances is None:
-        tol = field.spec.tolerances
-        rng = field.u_range()
-        scale = rng if rng > 0 else 1.0
-        field._tolerances = ResolvedTolerances(
-            grad_zero_tol=tol.grad_zero_tol if tol.grad_zero_tol is not None else 1e-6 * scale / field.diameter(),
-            value_zero_tol=tol.value_zero_tol if tol.value_zero_tol is not None else 2e-3 * scale,
-            dedup_radius=tol.dedup_radius if tol.dedup_radius is not None else 3.0 * field.median_cell_diag(),
-            equal_extrema_tol=tol.equal_extrema_tol,
-            interior_margin=tol.interior_margin,
-            value_scale=scale,
-        )
-    return field._tolerances
+    tol = field.spec.tolerances
+    rng = field.u_range()
+    scale = rng if rng > 0 else 1.0
+    return ResolvedTolerances(
+        grad_zero_tol=tol.grad_zero_tol if tol.grad_zero_tol is not None else 1e-6 * scale / field.diameter(),
+        value_zero_tol=tol.value_zero_tol if tol.value_zero_tol is not None else 2e-3 * scale,
+        dedup_radius=tol.dedup_radius if tol.dedup_radius is not None else 3.0 * field.median_cell_diag(),
+        equal_extrema_tol=tol.equal_extrema_tol,
+        interior_margin=tol.interior_margin,
+        value_scale=scale,
+    )
 
 
 @dataclass(frozen=True)
@@ -367,14 +415,6 @@ class SolutionField:
         self.n_s = ns
         self.dtheta = TWO_PI / nt
         self.ds = 1.0 / ns
-        self._coeffs = None
-        self._node_derivs = None
-        self._node_grad = None
-        self._nodes = None
-        self._diagonals = None
-        self._median_diag = None
-        self._lattice = None
-        self._tolerances = None
 
     # ------------------------------------------------------------ builders
     @classmethod
@@ -392,12 +432,11 @@ class SolutionField:
     def domain(self):
         return self.spec.domain
 
+    @_once
     def node_positions(self):
         """(theta, s, x, y) at the grid nodes, each (n_theta, n_s + 1)."""
-        if self._nodes is None:
-            T, S = _grid_nodes(self.spec)
-            self._nodes = _frozen(T, S, *self.domain.map_point(T, S))
-        return self._nodes
+        T, S = _grid_nodes(self.spec)
+        return _frozen(T, S, *self.domain.map_point(T, S))
 
     def u_range(self) -> float:
         return float(np.max(self.values) - np.min(self.values))
@@ -405,64 +444,59 @@ class SolutionField:
     def diameter(self) -> float:
         return self.domain.diameter()
 
+    @_once
     def cell_diagonals(self) -> np.ndarray:
         """Physical diagonal length per cell (n_theta, n_s)."""
-        if self._diagonals is None:
-            _, _, X, Y = self.node_positions()
-            dx = np.roll(X, -1, axis=0)[:, 1:] - X[:, :-1]
-            dy = np.roll(Y, -1, axis=0)[:, 1:] - Y[:, :-1]
-            (self._diagonals,) = _frozen(np.hypot(dx, dy))
-        return self._diagonals
+        _, _, X, Y = self.node_positions()
+        dx = np.roll(X, -1, axis=0)[:, 1:] - X[:, :-1]
+        dy = np.roll(Y, -1, axis=0)[:, 1:] - Y[:, :-1]
+        return _frozen(np.hypot(dx, dy))[0]
 
+    @_once
     def median_cell_diag(self) -> float:
-        if self._median_diag is None:
-            self._median_diag = float(np.median(self.cell_diagonals()))
-        return self._median_diag
+        return float(np.median(self.cell_diagonals()))
 
+    @_once
     def lattice(self) -> RefinedLattice:
         """u on the refined lattice that every level-set routine reads,
         evaluated once per field: each solve cell at its fixed local
         offsets, as one tensor product per cell."""
-        if self._lattice is None:
-            nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
-            theta = np.arange(nrt + 1) * (TWO_PI / nrt)
-            s = np.arange(nrs + 1) / nrs
-            # node offsets 0 .. 1 in s, so the last cell also gives the s = 1 rim
-            rows = _power_rows(np.arange(REFINE + 1) / REFINE, 0)[:, 0]
-            at_nodes = self._cell_samples(rows[:-1], rows)
-            nodes = np.empty((nrt + 1, nrs + 1))
-            nodes[:-1, :-1] = at_nodes[..., :-1].transpose(0, 2, 1, 3).reshape(nrt, nrs)
-            nodes[:-1, -1] = at_nodes[:, -1, :, -1].ravel()
-            nodes[-1] = nodes[0]
-            rows = _power_rows((np.arange(REFINE) + 0.5) / REFINE, 0)[:, 0]
-            centres = self._cell_samples(rows, rows).transpose(0, 2, 1, 3).reshape(nrt, nrs)
-            self._lattice = RefinedLattice(*_frozen(theta, s, nodes, centres))
-        return self._lattice
+        nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
+        theta = np.arange(nrt + 1) * (TWO_PI / nrt)
+        s = np.arange(nrs + 1) / nrs
+        # node offsets 0 .. 1 in s, so the last cell also gives the s = 1 rim
+        rows = _power_rows(np.arange(REFINE + 1) / REFINE, 0)[:, 0]
+        at_nodes = self._cell_samples(rows[:-1], rows)
+        nodes = np.empty((nrt + 1, nrs + 1))
+        nodes[:-1, :-1] = at_nodes[..., :-1].transpose(0, 2, 1, 3).reshape(nrt, nrs)
+        nodes[:-1, -1] = at_nodes[:, -1, :, -1].ravel()
+        nodes[-1] = nodes[0]
+        rows = _power_rows((np.arange(REFINE) + 0.5) / REFINE, 0)[:, 0]
+        centres = self._cell_samples(rows, rows).transpose(0, 2, 1, 3).reshape(nrt, nrs)
+        return RefinedLattice(*_frozen(theta, s, nodes, centres))
 
     def _cell_samples(self, rows_theta, rows_s) -> np.ndarray:
         """u in every cell at the local offsets whose power rows are given,
         shaped (n_theta, n_s, len(rows_theta), len(rows_s))."""
         return rows_theta @ self._hermite() @ rows_s.T
 
+    @_once
     def interp_error_estimate(self) -> float:
         """Scale of the cell-interpolation error, from second differences."""
         u = self.values
         d2t = np.abs(np.roll(u, 1, axis=0) - 2.0 * u + np.roll(u, -1, axis=0))
         d2s = np.abs(u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:])
-        est = max(float(np.max(d2t)), float(np.max(d2s)))
-        return est / 8.0
+        return max(float(np.max(d2t)), float(np.max(d2s))) / 8.0
 
     # ------------------------------------------------------- interpolation
+    @_once
     def _node_derivatives(self):
         """Finite-difference (u_theta, u_s) at every grid node."""
-        if self._node_derivs is None:
-            self._node_derivs = _frozen(_axis_derivative_periodic(self.values, self.dtheta),
-                                        _axis_derivative_bounded(self.values, self.ds))
-        return self._node_derivs
+        return _frozen(_axis_derivative_periodic(self.values, self.dtheta),
+                       _axis_derivative_bounded(self.values, self.ds))
 
+    @_once
     def _hermite(self):
-        if self._coeffs is not None:
-            return self._coeffs
         u = self.values
         ut, us = self._node_derivatives()
         if self.domain.is_disk:
@@ -497,8 +531,7 @@ class SolutionField:
         F[:, :, 0:2, 2:4] = dsn
         F[:, :, 2:4, 0:2] = dtn
         F[:, :, 2:4, 2:4] = dts
-        (self._coeffs,) = _frozen(_HERMITE_A @ F @ _HERMITE_A.T)
-        return self._coeffs
+        return _frozen(_HERMITE_A @ F @ _HERMITE_A.T)[0]
 
     def _locate(self, theta, s):
         return cell_index(theta, s, self.n_theta, self.n_s)
@@ -588,10 +621,9 @@ class SolutionField:
         met = self.domain.inverse_jacobian(theta[:, None], s[None, :])
         return met["t_x"] * ut + met["s_x"] * us, met["t_y"] * ut + met["s_y"] * us
 
+    @_once
     def node_gradients(self):
         """Physical gradient at every grid node (centre row zeroed for disks)."""
-        if self._node_grad is not None:
-            return self._node_grad
         ut, us = self._node_derivatives()
         T, S, _, _ = self.node_positions()
         theta, s = T[:, :1], S[:1]
@@ -601,8 +633,7 @@ class SolutionField:
         if self.domain.is_disk:
             gx[:, 0] = np.mean(gx[:, 0])
             gy[:, 0] = np.mean(gy[:, 0])
-        self._node_grad = _frozen(gx, gy)
-        return self._node_grad
+        return _frozen(gx, gy)
 
     # ----------------------------------------------------------------- io
     def to_csv(self, path) -> None:

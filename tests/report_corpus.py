@@ -17,7 +17,9 @@ a corpus with the package on the import path, once for each tree:
     python tests/report_corpus.py compare OLD_DIR NEW_DIR
 
 `compare` lists every file that is missing, extra or different, and exits
-1 when there is one.  The module is not collected as a test.
+1 when there is one.  For a `report.json` that differs it names the JSON
+paths whose values differ (`grid.linear_residuals[1]`), so that a move in
+the residuals alone reads as one.  The module is not collected as a test.
 """
 
 import contextlib
@@ -75,14 +77,27 @@ def write(out: Path) -> None:
             _run(cli, ["verify", path], f"symmetric/{seed}/{spec['name']}")
 
 
+def json_paths(a, b, path: str = "") -> list:
+    """The paths at which two decoded JSON documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        return [d for k in a for d in json_paths(a[k], b[k], f"{path}.{k}" if path else k)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for k, (x, y) in enumerate(zip(a, b)) for d in json_paths(x, y, f"{path}[{k}]")]
+    return [] if type(a) is type(b) and repr(a) == repr(b) else [path or "$"]
+
+
 def compare(old: Path, new: Path) -> list:
-    """Relative paths of the files that differ, with how."""
+    """Relative paths of the files that differ, with how; a differing
+    report names the JSON paths that differ."""
     files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
     other = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
     out = [f"missing: {p}" for p in sorted(files - other)]
     out += [f"extra: {p}" for p in sorted(other - files)]
-    out += [f"differs: {p}" for p in sorted(files & other)
-            if (old / p).read_bytes() != (new / p).read_bytes()]
+    for p in sorted(files & other):
+        a, b = (old / p).read_bytes(), (new / p).read_bytes()
+        if a != b:
+            paths = json_paths(json.loads(a), json.loads(b)) if p.suffix == ".json" else []
+            out.append(f"differs: {p}" + (f": {', '.join(paths)}" if paths else ""))
     return out
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import solved_field
-from levelset_lab import cli
+from levelset_lab import cli, solver
 from levelset_lab.critical import find_critical_points
 from levelset_lab.render import render_svg
 from levelset_lab.verify import TheoremVerdict
@@ -249,6 +249,29 @@ def test_batch_subcommand(scen, tmp_path, monkeypatch):
     assert all(r["status"] == "ok" for r in rows)
     for r in rows:
         assert (tmp_path / f"{r['scenario']}_report.json").exists()
+
+
+def test_threaded_batch_writes_the_serial_reports(scen, tmp_path, monkeypatch):
+    """Worker threads share the cached per-grid assembly plans: a batch on
+    two threads, each run starting from an empty plan cache, writes the
+    same reports as one thread, the timestamp aside."""
+    batch_dir = tmp_path / "in"
+    shutil.copytree(scen, batch_dir)
+    data = json.loads((cli.builtin_scenario_dir() / "disk_z2.json").read_text())
+    data["grid"] = {"n_theta": 64, "n_s": 32}
+    (batch_dir / "disk_z2.json").write_text(json.dumps(data))
+    reports = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LEVELSET_LAB_THREADS", threads)
+        solver._grid_plan.cache_clear()
+        out = tmp_path / threads
+        out.mkdir()
+        assert cli.main(["batch", str(batch_dir), "--out", str(out)]) == 0
+        reports[threads] = {p.name: {k: v for k, v in json.loads(p.read_text()).items() if k != "timestamp"}
+                            for p in out.glob("*_report.json")}
+        reports[threads]["batch_summary.csv"] = (out / "batch_summary.csv").read_text()
+    assert len(reports["1"]) == 6
+    assert reports["2"] == reports["1"]
 
 
 def test_batch_rejects_malformed_thread_count(scen, tmp_path, monkeypatch, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
+from levelset_lab import solver as solver_mod
 from levelset_lab.errors import NoConvergenceError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI
 from levelset_lab.solver import (
@@ -195,6 +196,154 @@ def test_nested_dissection_is_a_bijection(n_theta, n_s, disk):
         assert order[-1] == 0  # the centre couples to the whole first ring
 
 
+# ------------------------------------------------------ assembly plan reference
+
+def reference_dissect(i0, i1, j0, j1, nt, out):
+    """The recursion `nested_dissection` is pinned to: both halves of the
+    longer side of the block, then the line that separates them."""
+    w, h = i1 - i0, j1 - j0
+    if w <= 0 or h <= 0:
+        return
+    if w * h <= 64:
+        out.append((np.arange(j0, j1)[:, None] * nt + np.arange(i0, i1)).ravel())
+    elif w >= h:
+        c = (i0 + i1) // 2
+        reference_dissect(i0, c, j0, j1, nt, out)
+        reference_dissect(c + 1, i1, j0, j1, nt, out)
+        out.append(np.arange(j0, j1) * nt + c)
+    else:
+        c = (j0 + j1) // 2
+        reference_dissect(i0, i1, j0, c, nt, out)
+        reference_dissect(i0, i1, c + 1, j1, nt, out)
+        out.append(c * nt + np.arange(i0, i1))
+
+
+def reference_assemble(spec):
+    """The assembly the per-grid plan replaced: node numbering from the
+    recursive dissection, every stencil entry as a COO triple, CSR to sum
+    the duplicate disk-centre entries within their row in stencil order,
+    then CSC.  The weights come from the same `_stencil`."""
+    nt, ns = spec.grid
+    is_disk = spec.domain.is_disk
+    weights, boundary = solver_mod._stencil(spec)
+    m, half = ns - 1, nt // 2
+    out = []
+    reference_dissect(1, half, 0, m, nt, out)
+    reference_dissect(half + 1, nt, 0, m, nt, out)
+    order = np.concatenate(out + [np.arange(m) * nt, np.arange(m) * nt + half])
+    order = np.append(order + 1, 0) if is_disk else order
+    n = order.size
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rings = [ns] if is_disk else [0, ns]
+    index = np.empty((nt, ns + 1), dtype=np.intp)
+    index[:, 1:ns] = rank[int(is_disk):].reshape(ns - 1, nt).T
+    index[:, rings] = n + np.arange(len(rings) * nt).reshape(len(rings), nt).T
+    if is_disk:
+        index[:, 0] = rank[0]
+    I, J = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
+    rows, cols, data = [], [], []
+    for (di, dj), w in zip(solver_mod._STENCIL, weights):
+        rows.append(index[:, 1:ns].ravel())
+        cols.append(index[(I + di) % nt, J + dj].ravel())
+        data.append(w.ravel())
+    if is_disk:
+        rows.append(np.full(nt + 1, rank[0]))
+        cols.append(np.concatenate(([rank[0]], index[:, 1])))
+        data.append(weights[-1])
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    inner = cols < n
+    matrix = sp.csr_matrix((data[inner], (rows[inner], cols[inner])), shape=(n, n)).tocsc()
+    couplings = sp.csr_matrix((data[~inner], (rows[~inner], cols[~inner] - n)), shape=(n, boundary.size))
+    return solver_mod.DiscreteSystem(
+        spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
+        rhs=-(couplings @ boundary), node_index=index, is_disk=is_disk,
+    )
+
+
+def assert_bit_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_plan_assembly_matches_reference(name, scale):
+    """Filling the cached plan gives the reference system bit for bit (the
+    sign of every zero included) and the same solved values."""
+    spec = builtin_spec(name)
+    spec = spec.with_grid(scale * spec.n_theta, scale * spec.n_s)
+    got, want = assemble(spec), reference_assemble(spec)
+    for a, b in ((got.matrix, want.matrix), (got.couplings, want.couplings)):
+        assert a.format == b.format and a.shape == b.shape
+        assert_bit_identical(a.data, b.data)
+        assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
+    assert_bit_identical(got.rhs, want.rhs)
+    assert_bit_identical(got.boundary, want.boundary)
+    assert np.array_equal(got.node_index, want.node_index)
+    assert_bit_identical(solve(got).values, solve(want).values)
+
+
+def test_plan_cached_per_grid_and_read_only():
+    """A second assembly on the same grid reuses the plan and shares its
+    index arrays; annulus and disk, and different grids, get their own
+    plans; every plan array is read-only."""
+    annulus, disk = log_annulus_spec((48, 24)), make_scenario("1", None, "x", None, grid=(48, 24))
+    first, second = assemble(annulus), assemble(annulus)
+    plan = solver_mod._grid_plan(48, 24, False)
+    assert first.node_index is second.node_index is plan.node_index
+    for system in (first, second):
+        assert np.shares_memory(system.matrix.indices, plan.indices)
+        assert np.shares_memory(system.matrix.indptr, plan.indptr)
+        assert np.shares_memory(system.couplings.indices, plan.c_indices)
+    assert not np.shares_memory(first.matrix.data, second.matrix.data)
+    others = [solver_mod._grid_plan(48, 24, True), solver_mod._grid_plan(48, 25, False)]
+    assert assemble(disk).node_index is others[0].node_index
+    assert all(other is not plan for other in others) and others[0] is not others[1]
+    for arr in (*plan, *others[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_plan_cache_shared_by_threads():
+    """Six threads on two cores, switching as often as the interpreter
+    allows, assemble five grids (one more than the cache holds) from an
+    empty cache; every system matches the one assembled alone."""
+    import sys
+    import threading
+
+    specs = [log_annulus_spec(g) for g in ((32, 16), (36, 16), (40, 20))]
+    specs += [make_scenario("1", None, "x", None, grid=g) for g in ((32, 16), (36, 16))]
+    want = [assemble(spec) for spec in specs]
+    failures = []
+
+    def work(offset):
+        try:
+            for k in range(3 * len(specs)):
+                i = (k + offset) % len(specs)
+                got = assemble(specs[i])
+                if got.matrix.data.tobytes() != want[i].matrix.data.tobytes() or \
+                        not np.array_equal(got.matrix.indices, want[i].matrix.indices) or \
+                        not np.array_equal(got.node_index, want[i].node_index):
+                    failures.append(i)
+        except Exception as err:  # reported by the assertion below
+            failures.append(err)
+
+    interval = sys.getswitchinterval()
+    solver_mod._grid_plan.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
 @pytest.mark.parametrize("name", ["z_plus_inv", "disk_z3"])
 def test_fine_grid_passes_residual_gate(name):
     """At 512x256 the reduced-system residual stays at round-off, far
@@ -329,6 +478,8 @@ def test_derived_quantities_cached_and_read_only():
     assert fld.node_positions() is fld.node_positions()
     assert fld.cell_diagonals() is fld.cell_diagonals()
     assert resolve_tolerances(fld) is resolve_tolerances(fld)
+    assert fld.median_cell_diag() is fld.median_cell_diag()
+    assert fld.interp_error_estimate() is fld.interp_error_estimate()
     assert fld.node_gradients() is fld.node_gradients()
     assert fld._hermite() is fld._hermite()
     assert fld._node_derivatives() is fld._node_derivatives()

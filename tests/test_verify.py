@@ -529,3 +529,22 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
         assert seen[part, 64] == 0 and seen[part, 128] == 1
     assert seen["tolerances", 64] == seen["tolerances", 128] == 1
     assert seen["nodes", (64, 33)] == seen["nodes", (128, 65)] == 1
+
+
+# ------------------------------------------------------------ BLAS thread pool
+
+@pytest.mark.parametrize("name", ["z_plus_inv", "disk_z2"])
+def test_run_scenario_calls_no_blas_vector_product(name, monkeypatch):
+    """A whole verification runs without numpy's BLAS vector products and
+    norms: one of them on a vector of the solve's size wakes OpenBLAS's
+    thread pool, whose spinning threads then slow the main thread's next
+    ~0.1 s of work on a 2-vCPU host."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS vector product called")
+
+    for owner, attr in ((np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "inner")):
+        monkeypatch.setattr(owner, attr, forbidden)
+    report = run_scenario(builtin_spec(name))
+    assert all(0.0 < r <= 1e-13 for r in report.residuals)
+    monkeypatch.undo()
+    assert report.points == builtin_report(name).points
