@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import expressions as ex
 from .domain import ScenarioSpec
@@ -100,6 +101,7 @@ class DiscreteSystem:
     rhs: np.ndarray
     node_index: np.ndarray    # (n_theta, n_s + 1) position of each node in [x, boundary]
     is_disk: bool
+    factor: object = None     # splu of `matrix` on an annulus, until a finer solve uses it
 
     @property
     def size(self) -> int:
@@ -289,35 +291,141 @@ def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
     return np.append(order + 1, 0) if is_disk else order
 
 
-def solve(system: DiscreteSystem) -> "SolutionField":
-    """Direct sparse solve of the interior unknowns with a residual check.
+def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "SolutionField":
+    """Sparse solve of the interior unknowns with a residual check.
 
     The system is factored in the nested-dissection order `assemble` gave
-    it.  The gate is its relative residual, whose both sides carry the
-    1/h^2 scale of the stencil, against the scenario's
-    linear_residual_tol; the boundary values of u are the Dirichlet data
-    exactly.
+    it, and an annulus keeps its factor for a finer grid: handed its solved
+    half-grid system as `coarse`, an annulus goes to `_two_grid_solve`
+    first, which uses that factor up.  The gate is the relative
+    residual of the returned x, whose both sides carry the 1/h^2 scale of
+    the stencil, against the scenario's linear_residual_tol; the boundary
+    values of u are the Dirichlet data exactly.
     """
     A, b = system.matrix, system.rhs
-    try:
-        x = spla.splu(A, permc_spec="NATURAL").solve(b)
-    except RuntimeError as err:
-        raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
+    x, iterations, solved_by = None, 0, "direct"
+    if coarse is not None:
+        if coarse.factor is not None and not system.is_disk \
+                and (2 * coarse.n_theta, 2 * coarse.n_s) == (system.n_theta, system.n_s):
+            x, iterations = _two_grid_solve(system, coarse)
+            solved_by = "two-grid" if x is not None else "direct after two-grid"
+        coarse.factor = None  # freed before the fine field, or a fine factor, is built
+    if x is None:
+        try:
+            lu = spla.splu(A, permc_spec="NATURAL")
+        except RuntimeError as err:
+            raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
+        x = lu.solve(b)
+        if not system.is_disk:  # a disk's factor serves no finer grid, and would only hold memory
+            system.factor = lu
     if not np.all(np.isfinite(x)):
         raise NoConvergenceError(0, float("inf"), "solution contains non-finite values")
     rel = _relative_residual(A, x, b)
     if rel > system.spec.tolerances.linear_residual_tol:
-        raise NoConvergenceError(1, rel, "direct solve residual above tolerance")
+        raise NoConvergenceError(max(iterations, 1), rel, f"{solved_by} solve residual above tolerance")
     values = np.concatenate((x, system.boundary))[system.node_index]
-    return SolutionField(system.spec, values, residual=rel)
+    return SolutionField(system.spec, values, residual=rel, solved_by=solved_by, iterations=iterations)
+
+
+def _norm(v) -> float:
+    """||v|| in numpy's own loops: BLAS dnrm2 wakes OpenBLAS's thread pool, whose
+    spinning threads slowed the next ~0.1 s of work about 2x on a 2-vCPU host."""
+    return math.sqrt(float(np.sum(v * v)))
 
 
 def _relative_residual(A, x, b) -> float:
-    """||A x - b|| / ||b||, or ||A x - b|| when b = 0, summed by numpy's own
-    loops: BLAS dnrm2 wakes OpenBLAS's thread pool, whose spinning threads
-    slowed the next ~0.1 s of main-thread work about 2x on a 2-vCPU host."""
-    bnorm, residual = (math.sqrt(float(np.sum(v * v))) for v in (b, A @ x - b))
+    """||A x - b|| / ||b||, or ||A x - b|| when b = 0."""
+    bnorm, residual = _norm(b), _norm(A @ x - b)
     return residual / bnorm if bnorm > 0 else residual
+
+
+# Stop rule, GMRES iteration cap and s-line Jacobi damping of the two-grid solve.
+_TWO_GRID_TOL = 1e-13
+_TWO_GRID_CAP = 30
+_LINE_DAMPING = 0.8
+
+# All of the two-grid cycle that depends only on the annulus grid, read-only: prolongation P
+# from the unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse
+# nodes ((i + a) // 2, (j + b) // 2), a, b in {0, 1}), the unknowns in s-line order, and the
+# slots in [matrix.data, 0] of the diagonal, upper and lower line entries.
+_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_order line_slots")
+
+
+@functools.lru_cache(maxsize=2)
+def _two_grid_plan(nt: int, ns: int) -> _TwoGridPlan:
+    fine, coarse = _grid_plan(nt, ns, False), _grid_plan(nt // 2, ns // 2, False)
+    nc = coarse.indptr.size - 1
+    i, j = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
+    cols = np.stack([coarse.node_index[(i + a) // 2 % (nt // 2), (j + b) // 2] for a in (0, 1) for b in (0, 1)])
+    rows = np.broadcast_to(fine.node_index[:, 1:ns], cols.shape)
+    full = sp.csr_matrix((np.full(cols.size, 0.25), (rows.ravel(), cols.ravel())),
+                         shape=(fine.indptr.size - 1, coarse.node_index.max() + 1))
+    prolong, rim = full[:, :nc], full[:, nc:]
+    _frozen(*(a for m in (prolong, rim) for a in (m.data, m.indices, m.indptr)))
+    slots = fine.slot.reshape(len(_STENCIL), nt, ns - 1)[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]]
+    line_slots = np.minimum(slots, fine.indices.size).reshape(3, -1)  # a rim neighbour reads the 0
+    return _TwoGridPlan(prolong, rim, *_frozen(fine.node_index[:, 1:ns].ravel(), line_slots))
+
+
+def _two_grid_solve(system: DiscreteSystem, coarse: DiscreteSystem):
+    """`_gmres` on an annulus system from the prolonged coarse solution, rims
+    included, preconditioned by one V(1,1) cycle: damped s-line Jacobi, the
+    coarse factor on the restricted residual, prolongation, s-line Jacobi."""
+    plan, A, lu = _two_grid_plan(system.n_theta, system.n_s), system.matrix, coarse.factor
+    diag, up, down = np.append(A.data, 0.0)[plan.line_slots]
+    *lines, info = dgttrf(down[1:], diag, up[:-1])
+    if info != 0:
+        return None, 0
+
+    def smooth(r):
+        z = np.empty_like(r)
+        z[plan.line_order] = dgttrs(*lines, r[plan.line_order])[0]
+        return _LINE_DAMPING * z
+
+    def cycle(r):
+        z = smooth(r)
+        z += plan.prolong @ lu.solve(0.25 * (plan.prolong.T @ (r - A @ z)))  # restriction P^T / 4
+        return z + smooth(r - A @ z)
+
+    return _gmres(A, system.rhs, plan.prolong @ lu.solve(coarse.rhs) + plan.rim @ coarse.boundary, cycle)
+
+
+def _gmres(A, b, x, precondition):
+    """(x, iterations) of restarted right-preconditioned GMRES (Saad & Schultz
+    1986) from x, inner products in numpy's own loops (see _norm); it stops on
+    the iterate's residual, not on the rotated estimate, and x is None when
+    _TWO_GRID_CAP iterations did not reach _TWO_GRID_TOL."""
+    target, done = _TWO_GRID_TOL * (_norm(b) or 1.0), 0
+    # both bases in one allocation, whose unused rows are never touched
+    V, Z = np.empty((2, _TWO_GRID_CAP + 1, b.size))
+    while not (beta := _norm(r := b - A @ x)) <= target:  # a NaN residual goes in, and gives up
+        if done >= _TWO_GRID_CAP or not math.isfinite(beta):
+            return None, done
+        V[0], R, g, rotations = r / beta, [], [beta], []
+        while done < _TWO_GRID_CAP and abs(g[-1]) > target:
+            k = len(R)
+            Z[k] = precondition(V[k])
+            w, h = A @ Z[k], []
+            for v in V[:k + 1]:  # modified Gram-Schmidt
+                h.append(float(np.sum(w * v)))
+                w -= h[-1] * v
+            h.append(_norm(w))
+            V[k + 1] = w / h[-1]
+            for j, (c, s) in enumerate(rotations):
+                h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
+            rho = math.hypot(h[-2], h[-1])
+            if not rho > 0:
+                return None, done
+            c, s = h[-2] / rho, h[-1] / rho
+            rotations.append((c, s))
+            R.append(h[:-2] + [rho])
+            g[-1:] = [c * g[-1], -s * g[-1]]
+            done += 1
+        y = g[:-1]
+        for k in reversed(range(len(y))):
+            y[k] = (y[k] - sum(R[m][k] * y[m] for m in range(k + 1, len(y)))) / R[k][k]
+        x = x + sum(yk * z for yk, z in zip(y, Z))
+    return x, done
 
 
 def cell_index(theta, s, n_theta: int, n_s: int):
@@ -403,7 +511,8 @@ class SolutionField:
     first use and cached with the field; cached arrays are read-only.
     """
 
-    def __init__(self, spec: ScenarioSpec, values: np.ndarray, residual: float = 0.0):
+    def __init__(self, spec: ScenarioSpec, values: np.ndarray, residual: float = 0.0,
+                 solved_by: str | None = None, iterations: int = 0):
         nt, ns = spec.grid
         values = np.asarray(values, dtype=float)
         if values.shape != (nt, ns + 1):
@@ -411,6 +520,8 @@ class SolutionField:
         self.spec = spec
         self.values = values
         self.residual = residual
+        self.solved_by = solved_by    # "direct", "two-grid" or "direct after two-grid"; None when sampled
+        self.iterations = iterations  # GMRES iterations of the solve
         self.n_theta = nt
         self.n_s = ns
         self.dtheta = TWO_PI / nt

@@ -308,13 +308,16 @@ def test_plan_cached_per_grid_and_read_only():
 def test_plan_cache_shared_by_threads():
     """Six threads on two cores, switching as often as the interpreter
     allows, assemble five grids (one more than the cache holds) from an
-    empty cache; every system matches the one assembled alone."""
+    empty cache, and build the two-grid plans of the three annulus grids
+    (one more than that cache holds); every system and plan matches the
+    one built alone."""
     import sys
     import threading
 
     specs = [log_annulus_spec(g) for g in ((32, 16), (36, 16), (40, 20))]
     specs += [make_scenario("1", None, "x", None, grid=g) for g in ((32, 16), (36, 16))]
     want = [assemble(spec) for spec in specs]
+    want_two_grid = {spec.grid: plan_arrays(solver_mod._two_grid_plan(*spec.grid)) for spec in specs[:3]}
     failures = []
 
     def work(offset):
@@ -326,11 +329,17 @@ def test_plan_cache_shared_by_threads():
                         not np.array_equal(got.matrix.indices, want[i].matrix.indices) or \
                         not np.array_equal(got.node_index, want[i].node_index):
                     failures.append(i)
+                grid = specs[i].grid
+                if grid in want_two_grid and not all(
+                        np.array_equal(a, b) for a, b in
+                        zip(plan_arrays(solver_mod._two_grid_plan(*grid)), want_two_grid[grid])):
+                    failures.append(grid)
         except Exception as err:  # reported by the assertion below
             failures.append(err)
 
     interval = sys.getswitchinterval()
     solver_mod._grid_plan.cache_clear()
+    solver_mod._two_grid_plan.cache_clear()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
@@ -352,6 +361,164 @@ def test_fine_grid_passes_residual_gate(name):
     assert spec.tolerances.linear_residual_tol == 1e-10
     fld = solve(assemble(spec))
     assert fld.residual <= 1e-13
+
+
+# ----------------------------------------------------------- two-grid solve
+
+ANNULUS_NAMES = tuple(name for name in BUILTIN_NAMES if not name.startswith("disk"))
+
+
+def plan_arrays(plan):
+    """Every array of a two-grid plan, the sparse operators' included."""
+    out = []
+    for part in plan:
+        out += [part.data, part.indices, part.indptr] if sp.issparse(part) else [part]
+    return out
+
+
+def solved_pair(name, scale):
+    """The factored system of a built-in at `scale` times its grid, and the
+    assembled system at twice that."""
+    spec = builtin_spec(name)
+    coarse = assemble(spec.with_grid(scale * spec.n_theta, scale * spec.n_s))
+    solve(coarse)
+    return coarse, assemble(spec.with_grid(2 * scale * spec.n_theta, 2 * scale * spec.n_s))
+
+
+@pytest.mark.parametrize("name, scale", [(name, 1) for name in ANNULUS_NAMES]
+                         + [("counterexample2", 2), ("z_plus_inv", 2)])
+def test_two_grid_solve_matches_direct(name, scale):
+    """An annulus solved with its half grid's factor iterates fewer times
+    than the cap to a residual of at most 1e-13, and its values match the
+    direct LU of the same system; the coarse factor is used once and freed."""
+    coarse, fine = solved_pair(name, scale)
+    assert coarse.factor is not None
+    got = solve(fine, coarse=coarse)
+    assert got.solved_by == "two-grid" and 0 < got.iterations < solver_mod._TWO_GRID_CAP
+    assert got.residual <= 1e-13
+    assert fine.factor is None and coarse.factor is None
+    want = solve(fine)
+    assert want.solved_by == "direct" and want.iterations == 0 and fine.factor is not None
+    assert np.max(np.abs(got.values - want.values)) <= 1e-11 * np.max(np.abs(want.values))
+
+
+def test_disk_takes_the_direct_path(monkeypatch):
+    """A disk keeps no factor, since no finer grid can use it, and takes the
+    direct LU even when handed a coarse system that holds one; that factor
+    is freed."""
+    import scipy.sparse.linalg as spla
+
+    coarse, fine = solved_pair("disk_z2", 1)
+    assert coarse.factor is None
+    monkeypatch.setattr(coarse, "factor", spla.splu(coarse.matrix, permc_spec="NATURAL"))
+    got = solve(fine, coarse=coarse)
+    assert got.solved_by == "direct" and got.iterations == 0
+    assert coarse.factor is None and fine.factor is None
+    assert np.array_equal(got.values, solve(assemble(fine.spec)).values)
+
+
+class NaNFactor:
+    def solve(self, r):
+        return np.full_like(r, np.nan)
+
+
+@pytest.mark.parametrize("wrong", ["identity", "nan"])
+def test_wrong_coarse_factor_falls_back_to_lu(wrong, monkeypatch):
+    """With a coarse factor of the wrong matrix the iteration reaches the
+    cap, with one that returns NaN it gives up at once; either way the solve
+    factors the fine system and says so."""
+    import scipy.sparse.linalg as spla
+
+    coarse, fine = solved_pair("z_plus_inv", 1)
+    factor = spla.splu(sp.identity(coarse.size, format="csc")) if wrong == "identity" else NaNFactor()
+    monkeypatch.setattr(coarse, "factor", factor)
+    got = solve(fine, coarse=coarse)
+    assert got.solved_by == "direct after two-grid"
+    assert got.iterations == (solver_mod._TWO_GRID_CAP if wrong == "identity" else 0)
+    assert coarse.factor is None and fine.factor is not None
+    assert got.residual <= 1e-13
+    assert np.array_equal(got.values, solve(assemble(fine.spec)).values)
+
+
+def test_perturbed_two_grid_result_fails_residual_gate(monkeypatch):
+    """The gate reads the vector the iteration returns, not its estimate:
+    a converged iterate perturbed afterwards raises."""
+    real_gmres = solver_mod._gmres
+
+    def perturbed(*args):
+        x, iterations = real_gmres(*args)
+        x[len(x) // 3] += 1e-6 * np.max(np.abs(x))
+        return x, iterations
+
+    coarse, fine = solved_pair("z_plus_inv", 1)
+    assert solve(fine, coarse=coarse).residual <= 1e-13
+    solve(coarse)  # the first solve used its factor up
+    monkeypatch.setattr(solver_mod, "_gmres", perturbed)
+    with pytest.raises(NoConvergenceError):
+        solve(fine, coarse=coarse)
+
+
+def test_two_grid_operators():
+    """Coarse node (I, J) is fine node (2I, 2J): injection rows of P copy the
+    coarse value, every row of P with its rim part sums to 1 (and P's alone
+    away from the rims), P interpolates linearly in theta and in s, and
+    R = P^T / 4 is full weighting."""
+    nt, ns = 48, 24
+    plan = solver_mod._two_grid_plan(nt, ns)
+    fine, coarse = solver_mod._grid_plan(nt, ns, False), solver_mod._grid_plan(nt // 2, ns // 2, False)
+    nc = coarse.indptr.size - 1
+    P = plan.prolong.toarray()
+    for i in range(0, nt, 2):
+        for j in range(2, ns, 2):
+            row = np.zeros(nc)
+            row[coarse.node_index[i // 2, j // 2]] = 1.0
+            assert np.array_equal(P[fine.node_index[i, j]], row)
+    sums = P.sum(axis=1) + plan.rim.toarray().sum(axis=1)
+    assert np.array_equal(sums, np.ones(fine.indptr.size - 1))
+    away = fine.node_index[:, 2:ns - 1].ravel()
+    assert np.array_equal(P.sum(axis=1)[away], np.ones(away.size))
+    # u = g(I) * J on the coarse grid, with g arbitrary: linear in J, so P
+    # gives g at even i and the mean of its neighbours at odd i, times j / 2
+    g = np.arange(nt // 2) % 3
+    coarse_u = np.empty(coarse.node_index.size)
+    coarse_u[coarse.node_index] = np.outer(g, np.arange(ns // 2 + 1))
+    fine_u = plan.prolong @ coarse_u[:nc] + plan.rim @ coarse_u[nc:]
+    i = np.arange(nt)
+    want = np.outer((g[i // 2] + g[(i + 1) // 2 % (nt // 2)]) / 2, np.arange(1, ns) / 2)
+    assert np.array_equal(fine_u[fine.node_index[:, 1:ns]], want)
+    # the restriction R = P^T / 4 is full weighting: 1/4 at the coarse node's
+    # own fine node, 1/8 at its four edge neighbours, 1/16 at its corners
+    R = plan.prolong.T.toarray() / 4
+    for I in range(nt // 2):
+        for J in range(1, ns // 2):
+            want = np.zeros(R.shape[1])
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    want[fine.node_index[(2 * I + di) % nt, 2 * J + dj]] = 0.25 / 2 ** (abs(di) + abs(dj))
+            assert np.array_equal(R[coarse.node_index[I, J]], want)
+
+
+def test_line_slots_gather_the_s_line_blocks():
+    """The gathered diagonal, upper and lower entries are the tridiagonal
+    part of the matrix in s-line order, with zeros where a line meets a rim."""
+    system = assemble(builtin_spec("counterexample1").with_grid(48, 24))
+    plan = solver_mod._two_grid_plan(48, 24)
+    diag, up, down = np.append(system.matrix.data, 0.0)[plan.line_slots]
+    lines = system.matrix.toarray()[np.ix_(plan.line_order, plan.line_order)]
+    assert np.array_equal(np.diag(lines), diag)
+    assert np.array_equal(np.diag(lines, 1), up[:-1]) and np.array_equal(np.diag(lines, -1), down[1:])
+    inside = np.arange(lines.shape[0] - 1) % 23 != 22  # (m, m + 1) on one line of 23 unknowns
+    assert np.all(up[:-1][inside] != 0) and np.all(up[:-1][~inside] == 0)
+
+
+def test_two_grid_plan_cached_and_read_only():
+    plan = solver_mod._two_grid_plan(48, 24)
+    assert solver_mod._two_grid_plan(48, 24) is plan
+    line = plan.line_order.reshape(48, 23)
+    assert np.array_equal(line, solver_mod._grid_plan(48, 24, False).node_index[:, 1:24])
+    for arr in plan_arrays(plan):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 # ------------------------------------------------------------- interpolation

@@ -538,13 +538,24 @@ def test_run_scenario_calls_no_blas_vector_product(name, monkeypatch):
     """A whole verification runs without numpy's BLAS vector products and
     norms: one of them on a vector of the solve's size wakes OpenBLAS's
     thread pool, whose spinning threads then slow the main thread's next
-    ~0.1 s of work on a 2-vCPU host."""
+    ~0.1 s of work on a 2-vCPU host.  The annulus's refined grid goes
+    through the two-grid GMRES loop, so that loop is guarded too."""
+    import levelset_lab.verify as verify_mod
+
     def forbidden(*args, **kwargs):
         raise AssertionError("BLAS vector product called")
 
+    fields, real_solve = [], verify_mod.solve
+
+    def recording_solve(*args, **kwargs):
+        fields.append(real_solve(*args, **kwargs))
+        return fields[-1]
+
+    monkeypatch.setattr(verify_mod, "solve", recording_solve)
     for owner, attr in ((np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "inner")):
         monkeypatch.setattr(owner, attr, forbidden)
     report = run_scenario(builtin_spec(name))
     assert all(0.0 < r <= 1e-13 for r in report.residuals)
+    assert [f.solved_by for f in fields] == ["direct", "two-grid" if name == "z_plus_inv" else "direct"]
     monkeypatch.undo()
     assert report.points == builtin_report(name).points
