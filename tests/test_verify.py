@@ -11,13 +11,24 @@ from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import UnstableCountsError
 from levelset_lab.solver import resolve_tolerances, solve_scenario
-from levelset_lab.topology import LevelComponent, LevelSetCensus, boundary_profile, level_census
+from levelset_lab.topology import (
+    BoundaryExtremum,
+    BoundaryProfile,
+    LevelComponent,
+    LevelSetCensus,
+    TraceProfile,
+    boundary_profile,
+    level_census,
+)
 from levelset_lab.verify import (
     VERDICT_IDS,
     _census_offset,
     _stable_points,
+    check_corollary_4_1,
     check_counting_identities,
+    check_lemma_2_1,
     check_lemma_2_4,
+    check_remark_1_5,
     check_remark_5_1,
     check_theorem_1_1,
     check_theorem_1_2,
@@ -187,6 +198,189 @@ def test_lemma_2_4_flags_offender():
     verdict = check_lemma_2_4(bad, profile, delta=1e-3)
     assert verdict.applicable and verdict.holds is False
     assert verdict.lhs == 1
+
+
+# ------------------------------------------- verdict arithmetic, hand-built
+
+def _trace(which, lo, hi, n_max=0, n_min=None, sign_changes=0, closure=True):
+    """A trace on [lo, hi] with `n_max` equal maxima and `n_min` (default
+    `n_max`) equal minima; constant when lo == hi."""
+    n_min = n_max if n_min is None else n_min
+    const = lo == hi
+
+    def ext(n, value, kind):
+        return [BoundaryExtremum(theta=k + 0.5 * (kind == "min"), value=value, kind=kind,
+                                 relative_to_closure=closure) for k in range(n)]
+
+    return TraceProfile(which=which, is_constant=const, min_value=lo, max_value=hi,
+                        maxima=[] if const else ext(n_max, hi, "max"),
+                        minima=[] if const else ext(n_min, lo, "min"),
+                        sign_changes=sign_changes, tangential_zeros=0,
+                        equal_maxima=None if const else True, equal_minima=None if const else True)
+
+
+# N1 = 2 and N2 = 3, so N = 5, in both ordering cases
+SEPARATED = BoundaryProfile(exterior=_trace("exterior", 2.0, 3.0, 3), interior=_trace("interior", 0.0, 1.0, 2))
+INTERLEAVED = BoundaryProfile(exterior=_trace("exterior", 1.0, 3.0, 3), interior=_trace("interior", 0.0, 2.0, 2))
+
+TRICHOTOMY_HYPOTHESES = [
+    "domain is multiply connected", "no zeroth-order term", "interior trace non-constant",
+    "exterior trace non-constant", None, "equal local maxima on gamma_I", "equal local minima on gamma_I",
+    "equal local maxima on gamma_E", "equal local minima on gamma_E", "matching maxima/minima counts",
+    "all boundary extrema relative to the closure",
+]
+
+
+def _points_summing_to(total, zero=False):
+    """Points of multiplicity 2 and one of multiplicity 1 with sum `total`."""
+    ms = [2] * (total // 2) + [1] * (total % 2)
+    return [fake_point(1.5 + 0.1 * k, 0.0, 0.5, m, zero=zero) for k, m in enumerate(ms)]
+
+
+@pytest.mark.parametrize("check, profile, ordering", [
+    (check_theorem_1_2, SEPARATED, "min psi_2 >= max psi_1 (z2 >= Z1)"),
+    (check_corollary_4_1, INTERLEAVED, "ordering z1 < z2 < Z1 < Z2"),
+], ids=["thm_1_2", "cor_4_1"])
+@pytest.mark.parametrize("lhs, holds", [(2, False), (3, True), (5, True), (6, False)])
+def test_trichotomy_arithmetic(check, profile, ordering, lhs, holds):
+    """The multiplicity sum must lie in {N-2, N-1, N}: N-3 and N+1 fail."""
+    v = check(_points_summing_to(lhs), profile)
+    assert v.as_dict() == {
+        "id": v.id, "applicable": True, "holds": holds, "lhs": lhs, "rhs": 5,
+        "hypotheses": [{"name": n or ordering, "held": True} for n in TRICHOTOMY_HYPOTHESES],
+        "reason": None, "witness": {"admissible": [3, 4, 5], "N1": 2, "N2": 3},
+    }
+    assert list(v.witness) == ["admissible", "N1", "N2"]
+
+
+def test_trichotomy_ordering_and_extremum_hypotheses():
+    """Each ordering case makes the other check not applicable; a zeroth-order
+    term, or one extremum that is not closure-relative, does too."""
+    v = check_theorem_1_2(_points_summing_to(5), INTERLEAVED)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: min psi_2 >= max psi_1 (z2 >= Z1)")
+    v = check_corollary_4_1(_points_summing_to(5), SEPARATED)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: ordering z1 < z2 < Z1 < Z2")
+    v = check_theorem_1_2([], SEPARATED, has_zeroth_order=True)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: no zeroth-order term")
+    assert [h["held"] for h in v.hypotheses] == [True, False] + [True] * 9
+    lopsided = BoundaryProfile(exterior=_trace("exterior", 2.0, 3.0, 3, closure=False),
+                               interior=SEPARATED.interior)
+    v = check_theorem_1_2([], lopsided)
+    assert v.reason == "hypothesis failed: all boundary extrema relative to the closure"
+    unmatched = BoundaryProfile(exterior=_trace("exterior", 2.0, 3.0, 3, n_min=2), interior=SEPARATED.interior)
+    v = check_theorem_1_2([], unmatched)
+    assert v.reason == "hypothesis failed: matching maxima/minima counts"
+
+
+def test_trichotomy_constant_interior_lists_five_hypotheses():
+    profile = BoundaryProfile(exterior=SEPARATED.exterior, interior=_trace("interior", 1.0, 1.0))
+    for check, ordering in ((check_theorem_1_2, "min psi_2 >= max psi_1 (z2 >= Z1)"),
+                            (check_corollary_4_1, "ordering z1 < z2 < Z1 < Z2")):
+        v = check([], profile)
+        assert not v.applicable and v.reason == "hypothesis failed: interior trace non-constant"
+        assert v.hypotheses == [{"name": n or ordering, "held": n != "interior trace non-constant" and n is not None}
+                                for n in TRICHOTOMY_HYPOTHESES[:5]]
+
+
+def test_trichotomy_simply_connected():
+    disk = BoundaryProfile(exterior=SEPARATED.exterior, interior=None)
+    v = check_corollary_4_1([], disk)
+    assert v.reason == "hypothesis failed: domain is multiply connected"
+    assert [h["held"] for h in v.hypotheses] == [False, True, False, True, False]
+
+
+def _constant_interior(h, n_tilde):
+    return BoundaryProfile(exterior=_trace("exterior", -1.0, 1.0, 2, sign_changes=n_tilde),
+                           interior=_trace("interior", h, h))
+
+
+@pytest.mark.parametrize("h, n_tilde, rhs", [(0.0, 4, 1), (0.5, 4, 2), (-0.5, 6, 3), (0.0, 6, 2)])
+@pytest.mark.parametrize("excess", [0, 1])
+def test_thm_1_3_arithmetic(h, n_tilde, rhs, excess):
+    """lhs counts only critical zero points; rhs is N~/2, less one when H = 0."""
+    points = _points_summing_to(rhs + excess, zero=True) + [fake_point(2.5, 0.0, 0.7, 3)]
+    v = check_theorem_1_3(points, _constant_interior(h, n_tilde), h_value=h)
+    assert v.as_dict() == {
+        "id": "thm_1_3", "applicable": True, "holds": not excess, "lhs": rhs + excess, "rhs": rhs,
+        "hypotheses": [{"name": "domain is multiply connected", "held": True},
+                       {"name": "interior trace constant", "held": True},
+                       {"name": "exterior trace sign-changing", "held": True}],
+        "reason": None, "witness": {"H": h, "N_tilde": n_tilde},
+    }
+
+
+def test_thm_1_3_h_from_trace_and_odd_count_warning():
+    v = check_theorem_1_3([], _constant_interior(0.25, 5), h_value=None)
+    assert v.applicable and v.holds and (v.lhs, v.rhs) == (0, 2)
+    assert v.witness == {"H": 0.25, "N_tilde": 5, "warning": "odd exterior sign-change count"}
+    assert list(v.witness) == ["H", "N_tilde", "warning"]
+    v = check_theorem_1_3([], _constant_interior(0.0, 5), h_value=0.0)
+    assert (v.lhs, v.rhs, v.witness["warning"]) == (0, 1, "odd exterior sign-change count")
+    v = check_theorem_1_3([], _constant_interior(0.0, 0), h_value=0.0)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: exterior trace sign-changing")
+    v = check_theorem_1_3([], SEPARATED, h_value=None)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: interior trace constant")
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_thm_1_4_arithmetic(excess):
+    """lhs against (N1~ + N2~) / 2 = (2 + 4) / 2 = 3."""
+    profile = BoundaryProfile(exterior=_trace("exterior", -1.0, 1.0, 2, sign_changes=4),
+                              interior=_trace("interior", -2.0, 2.0, 1, sign_changes=2))
+    points = _points_summing_to(3 + excess, zero=True) + [fake_point(2.5, 0.0, 0.7, 1)]
+    v = check_theorem_1_4(points, profile)
+    assert v.as_dict() == {
+        "id": "thm_1_4", "applicable": True, "holds": not excess, "lhs": 3 + excess, "rhs": 3,
+        "hypotheses": [{"name": "domain is multiply connected", "held": True},
+                       {"name": "interior trace sign-changing", "held": True},
+                       {"name": "exterior trace sign-changing", "held": True}],
+        "reason": None, "witness": {"N1_tilde": 2, "N2_tilde": 4},
+    }
+    v = check_theorem_1_4(points, SEPARATED)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: interior trace sign-changing")
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_rem_5_1_arithmetic(excess):
+    """lhs against N~/2 - 1 = 6/2 - 1 = 2."""
+    profile = BoundaryProfile(exterior=_trace("exterior", -1.0, 1.0, 3, sign_changes=6), interior=None)
+    points = _points_summing_to(2 + excess, zero=True) + [fake_point(0.5, 0.0, 0.7, 2)]
+    v = check_remark_5_1(points, profile)
+    assert v.as_dict() == {
+        "id": "rem_5_1", "applicable": True, "holds": not excess, "lhs": 2 + excess, "rhs": 2,
+        "hypotheses": [{"name": "domain is simply connected", "held": True},
+                       {"name": "boundary trace sign-changing", "held": True}],
+        "reason": None, "witness": {"N_tilde": 6},
+    }
+    v = check_remark_5_1(points, SEPARATED)
+    assert (v.applicable, v.reason) == (False, "hypothesis failed: domain is simply connected")
+
+
+def test_lemma_and_remark_not_applicable_reasons():
+    v = check_lemma_2_1(None, [])
+    assert v.as_dict() == {
+        "id": "lem_2_1", "applicable": False, "holds": None, "lhs": None, "rhs": None,
+        "hypotheses": [{"name": "at least one critical point", "held": False}],
+        "reason": "hypothesis failed: at least one critical point", "witness": {},
+    }
+    v = check_lemma_2_4([], INTERLEAVED, delta=1e-3)
+    assert v.as_dict() == {
+        "id": "lem_2_4", "applicable": False, "holds": None, "lhs": None, "rhs": None,
+        "hypotheses": [{"name": "ordering z1 < Z1 <= z2 < Z2", "held": False}],
+        "reason": "hypothesis failed: ordering z1 < Z1 <= z2 < Z2", "witness": {},
+    }
+    v = check_lemma_2_4([fake_point(1.5, 0.0, 1.5, 1)], SEPARATED, delta=0.25)
+    assert (v.applicable, v.holds, v.lhs, v.rhs, v.witness["band"]) == (True, False, 1, 0, [1.25, 1.75])
+    for pure, censuses, failed in ((False, [], "operator has no first- or zeroth-order terms"),
+                                   (True, [], "at least one census computed"),
+                                   (False, [object()], "operator has no first- or zeroth-order terms")):
+        v = check_remark_1_5(None, censuses, pure)
+        assert v.as_dict() == {
+            "id": "rem_1_5", "applicable": False, "holds": None, "lhs": None, "rhs": None,
+            "hypotheses": [{"name": "operator has no first- or zeroth-order terms", "held": pure},
+                           {"name": "at least one census computed", "held": bool(censuses)}],
+            "reason": f"hypothesis failed: {failed}", "witness": {},
+        }
 
 
 # ------------------------------------------------------ counting identities
