@@ -1,9 +1,10 @@
 """Theorem and lemma verdicts over detected critical points and censuses.
 
-Each check states its hypotheses explicitly, reports "not applicable" with
-the failed hypothesis when they do not hold, and otherwise compares exact
-integers derived from counts.  A failed applicable check is a loud FAIL in
-the report (CLI exit code 2), never an assertion baked into the pipeline.
+Each check states its hypotheses explicitly and goes through one rule,
+`_verdict`: "not applicable" with the first failed hypothesis when they do
+not all hold, and otherwise one comparison of exact integers derived from
+counts.  A failed applicable check is a loud FAIL in the report (CLI exit
+code 2), never an assertion baked into the pipeline.
 """
 
 from __future__ import annotations
@@ -68,19 +69,49 @@ def _hyp(name: str, held: bool) -> dict:
     return {"name": name, "held": bool(held)}
 
 
+def _no_zeroth_order(has_zeroth_order: bool) -> dict:
+    return _hyp("no zeroth-order term", not has_zeroth_order)
+
+
+def _annulus_hypotheses(profile: BoundaryProfile, interior: str, exterior: str) -> list:
+    """"domain is multiply connected", "interior trace <interior>" and
+    "exterior trace <exterior>", each quality "constant", "non-constant" or
+    "sign-changing"; a trace hypothesis holds when that trace has it."""
+    def has(trace, quality):
+        if trace is None:
+            return False
+        return trace.sign_changing if quality == "sign-changing" else trace.is_constant == (quality == "constant")
+    return [_hyp("domain is multiply connected", profile.interior is not None),
+            _hyp(f"interior trace {interior}", has(profile.interior, interior)),
+            _hyp(f"exterior trace {exterior}", has(profile.exterior, exterior))]
+
+
 def _sum_m(points) -> int:
     return int(sum(p.multiplicity for p in points))
 
 
-def _na(vid: str, hyps, reason: str) -> TheoremVerdict:
-    return TheoremVerdict(id=vid, applicable=False, hypotheses=hyps, reason=reason)
+def _zeros(points) -> list:
+    return [p for p in points if p.is_zero]
 
 
-def _first_failed(hyps) -> str:
-    for h in hyps:
-        if not h["held"]:
-            return h["name"]
-    return "unknown"
+def _verdict(vid: str, hypotheses: list, evaluate, reason: str | None = None) -> TheoremVerdict:
+    """The one verdict rule.  At the first failed hypothesis the check is not
+    applicable, for `reason` or else "hypothesis failed: <its name>".
+    Otherwise it is applicable, with the fields that `evaluate()` returns."""
+    failed = next((h["name"] for h in hypotheses if not h["held"]), None)
+    if failed is not None:
+        return TheoremVerdict(id=vid, applicable=False, hypotheses=hypotheses,
+                              reason=reason or f"hypothesis failed: {failed}")
+    return TheoremVerdict(id=vid, applicable=True, hypotheses=hypotheses, **evaluate())
+
+
+def _bound(vid: str, hypotheses: list, points, evaluate) -> TheoremVerdict:
+    """The bound sum_m <= rhs over `points`, where `evaluate()` returns
+    (rhs, witness)."""
+    def fields():
+        lhs, (rhs, witness) = _sum_m(points), evaluate()
+        return {"holds": bool(lhs <= rhs), "lhs": lhs, "rhs": int(rhs), "witness": witness}
+    return _verdict(vid, hypotheses, fields)
 
 
 # --------------------------------------------------------------------------
@@ -88,115 +119,71 @@ def _first_failed(hyps) -> str:
 
 def check_theorem_1_1(points, profile: BoundaryProfile, has_zeroth_order: bool = False) -> TheoremVerdict:
     """Sum of interior multiplicities bounded by the total boundary maxima count."""
-    hyps = [
-        _hyp("domain is multiply connected", profile.interior is not None),
-        _hyp("interior trace non-constant", profile.interior is not None and not profile.interior.is_constant),
-        _hyp("exterior trace non-constant", not profile.exterior.is_constant),
-        _hyp("no zeroth-order term", not has_zeroth_order),
-    ]
-    if not all(h["held"] for h in hyps):
-        return _na("thm_1_1", hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    lhs = _sum_m(points)
-    rhs = profile.interior.maxima_count + profile.exterior.maxima_count
-    return TheoremVerdict(
-        id="thm_1_1", applicable=True, holds=bool(lhs <= rhs), lhs=lhs, rhs=int(rhs),
-        hypotheses=hyps,
-        witness={"N1": profile.interior.maxima_count, "N2": profile.exterior.maxima_count},
-    )
+    hyps = _annulus_hypotheses(profile, "non-constant", "non-constant") + [_no_zeroth_order(has_zeroth_order)]
+
+    def evaluate():
+        n1, n2 = profile.interior.maxima_count, profile.exterior.maxima_count
+        return n1 + n2, {"N1": n1, "N2": n2}
+    return _bound("thm_1_1", hyps, points, evaluate)
 
 
-def _trichotomy(vid: str, ordering_name: str, ordering_held: bool,
+def _trichotomy(vid: str, ordering_name: str, case: str,
                 points, profile: BoundaryProfile, has_zeroth_order: bool) -> TheoremVerdict:
+    """sum_m in {N-2, N-1, N} when both traces have equal closure-relative
+    extrema, as many maxima as minima, and the ordering `case` holds."""
     inner, outer = profile.interior, profile.exterior
-    hyps = [
-        _hyp("domain is multiply connected", inner is not None),
-        _hyp("no zeroth-order term", not has_zeroth_order),
-        _hyp("interior trace non-constant", inner is not None and not inner.is_constant),
-        _hyp("exterior trace non-constant", not outer.is_constant),
-        _hyp(ordering_name, ordering_held),
-    ]
-    if inner is not None and not inner.is_constant and not outer.is_constant:
-        hyps.extend([
-            _hyp("equal local maxima on gamma_I", bool(inner.equal_maxima)),
-            _hyp("equal local minima on gamma_I", bool(inner.equal_minima)),
-            _hyp("equal local maxima on gamma_E", bool(outer.equal_maxima)),
-            _hyp("equal local minima on gamma_E", bool(outer.equal_minima)),
-            _hyp("matching maxima/minima counts", inner.maxima_count == inner.minima_count
-                 and outer.maxima_count == outer.minima_count),
-        ])
-        closure_ok = all(e.relative_to_closure for e in inner.maxima + inner.minima
-                         + outer.maxima + outer.minima)
-        hyps.append(_hyp("all boundary extrema relative to the closure", closure_ok))
-    if not all(h["held"] for h in hyps):
-        return _na(vid, hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    lhs = _sum_m(points)
-    rhs = inner.maxima_count + outer.maxima_count
-    return TheoremVerdict(
-        id=vid, applicable=True, holds=bool(lhs in (rhs, rhs - 1, rhs - 2)),
-        lhs=lhs, rhs=int(rhs), hypotheses=hyps,
-        witness={"admissible": [rhs - 2, rhs - 1, rhs], "N1": inner.maxima_count, "N2": outer.maxima_count},
-    )
+    connected, *traces = _annulus_hypotheses(profile, "non-constant", "non-constant")
+    hyps = [connected, _no_zeroth_order(has_zeroth_order), *traces,
+            _hyp(ordering_name, profile.ordering_case() == case)]
+    if all(h["held"] for h in traces):
+        hyps += [_hyp(f"equal local {kind} on {rim}", getattr(trace, f"equal_{kind}"))
+                 for rim, trace in (("gamma_I", inner), ("gamma_E", outer)) for kind in ("maxima", "minima")]
+        hyps += [
+            _hyp("matching maxima/minima counts", all(t.maxima_count == t.minima_count for t in (inner, outer))),
+            _hyp("all boundary extrema relative to the closure",
+                 all(e.relative_to_closure for t in (inner, outer) for e in t.maxima + t.minima)),
+        ]
+
+    def evaluate():
+        lhs, rhs = _sum_m(points), inner.maxima_count + outer.maxima_count
+        return {"holds": rhs - 2 <= lhs <= rhs, "lhs": lhs, "rhs": int(rhs),
+                "witness": {"admissible": [rhs - 2, rhs - 1, rhs], "N1": inner.maxima_count,
+                            "N2": outer.maxima_count}}
+    return _verdict(vid, hyps, evaluate)
 
 
 def check_theorem_1_2(points, profile: BoundaryProfile, has_zeroth_order: bool = False) -> TheoremVerdict:
     """Equal closure-relative extrema with separated ranges force the
     multiplicity sum into {N-2, N-1, N}."""
-    held = (profile.interior is not None and not profile.interior.is_constant
-            and not profile.exterior.is_constant and profile.z2 >= profile.Z1)
-    return _trichotomy("thm_1_2", "min psi_2 >= max psi_1 (z2 >= Z1)", held,
+    return _trichotomy("thm_1_2", "min psi_2 >= max psi_1 (z2 >= Z1)", "separated",
                        points, profile, has_zeroth_order)
 
 
 def check_corollary_4_1(points, profile: BoundaryProfile, has_zeroth_order: bool = False) -> TheoremVerdict:
     """Same trichotomy under the interleaved ordering z1 < z2 < Z1 < Z2."""
-    held = profile.ordering_case() == "interleaved"
-    return _trichotomy("cor_4_1", "ordering z1 < z2 < Z1 < Z2", held,
+    return _trichotomy("cor_4_1", "ordering z1 < z2 < Z1 < Z2", "interleaved",
                        points, profile, has_zeroth_order)
 
 
 def check_theorem_1_3(points, profile: BoundaryProfile, h_value: float | None) -> TheoremVerdict:
     """Critical zero points against half the exterior sign-change count,
     minus one when the constant interior datum vanishes."""
-    inner, outer = profile.interior, profile.exterior
-    hyps = [
-        _hyp("domain is multiply connected", inner is not None),
-        _hyp("interior trace constant", inner is not None and inner.is_constant),
-        _hyp("exterior trace sign-changing", outer.sign_changing),
-    ]
-    if not all(h["held"] for h in hyps):
-        return _na("thm_1_3", hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    zeros = [p for p in points if p.is_zero]
-    lhs = _sum_m(zeros)
-    n_tilde = outer.sign_changes
-    H = h_value if h_value is not None else inner.min_value
-    rhs = n_tilde // 2 if H != 0.0 else n_tilde // 2 - 1
-    verdict = TheoremVerdict(
-        id="thm_1_3", applicable=True, holds=bool(lhs <= rhs), lhs=lhs, rhs=int(rhs),
-        hypotheses=hyps, witness={"H": H, "N_tilde": n_tilde},
-    )
-    if n_tilde % 2:
-        verdict.witness["warning"] = "odd exterior sign-change count"
-    return verdict
+    def evaluate():
+        n_tilde = profile.exterior.sign_changes
+        H = h_value if h_value is not None else profile.interior.min_value
+        witness = {"H": H, "N_tilde": n_tilde}
+        if n_tilde % 2:
+            witness["warning"] = "odd exterior sign-change count"
+        return (n_tilde // 2 if H != 0.0 else n_tilde // 2 - 1), witness
+    return _bound("thm_1_3", _annulus_hypotheses(profile, "constant", "sign-changing"), _zeros(points), evaluate)
 
 
 def check_theorem_1_4(points, profile: BoundaryProfile) -> TheoremVerdict:
     """Critical zero points against half the total boundary sign-change count."""
-    inner, outer = profile.interior, profile.exterior
-    hyps = [
-        _hyp("domain is multiply connected", inner is not None),
-        _hyp("interior trace sign-changing", inner is not None and inner.sign_changing),
-        _hyp("exterior trace sign-changing", outer.sign_changing),
-    ]
-    if not all(h["held"] for h in hyps):
-        return _na("thm_1_4", hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    zeros = [p for p in points if p.is_zero]
-    lhs = _sum_m(zeros)
-    rhs = (inner.sign_changes + outer.sign_changes) // 2
-    return TheoremVerdict(
-        id="thm_1_4", applicable=True, holds=bool(lhs <= rhs), lhs=lhs, rhs=int(rhs),
-        hypotheses=hyps,
-        witness={"N1_tilde": inner.sign_changes, "N2_tilde": outer.sign_changes},
-    )
+    def evaluate():
+        n1, n2 = profile.interior.sign_changes, profile.exterior.sign_changes
+        return (n1 + n2) // 2, {"N1_tilde": n1, "N2_tilde": n2}
+    return _bound("thm_1_4", _annulus_hypotheses(profile, "sign-changing", "sign-changing"), _zeros(points), evaluate)
 
 
 def check_remark_5_1(points, profile: BoundaryProfile) -> TheoremVerdict:
@@ -205,54 +192,35 @@ def check_remark_5_1(points, profile: BoundaryProfile) -> TheoremVerdict:
         _hyp("domain is simply connected", profile.interior is None),
         _hyp("boundary trace sign-changing", profile.exterior.sign_changing),
     ]
-    if not all(h["held"] for h in hyps):
-        return _na("rem_5_1", hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    zeros = [p for p in points if p.is_zero]
-    lhs = _sum_m(zeros)
-    rhs = profile.exterior.sign_changes // 2 - 1
-    return TheoremVerdict(
-        id="rem_5_1", applicable=True, holds=bool(lhs <= rhs), lhs=lhs, rhs=int(rhs),
-        hypotheses=hyps, witness={"N_tilde": profile.exterior.sign_changes},
-    )
+    n_tilde = profile.exterior.sign_changes
+    return _bound("rem_5_1", hyps, _zeros(points), lambda: (n_tilde // 2 - 1, {"N_tilde": n_tilde}))
 
 
 def check_lemma_2_4(points, profile: BoundaryProfile, delta: float) -> TheoremVerdict:
     """No critical value inside [Z1 + delta, z2 - delta] (separated ordering)."""
-    hyps = [_hyp("ordering z1 < Z1 <= z2 < Z2", profile.ordering_case() == "separated")]
-    if not all(h["held"] for h in hyps):
-        return _na("lem_2_4", hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    lo, hi = profile.Z1 + delta, profile.z2 - delta
-    offenders = [p.as_dict() for p in points if lo <= p.value <= hi]
-    return TheoremVerdict(
-        id="lem_2_4", applicable=True, holds=not offenders,
-        lhs=len(offenders), rhs=0, hypotheses=hyps,
-        witness={"band": [lo, hi], "offenders": offenders},
-    )
+    def evaluate():
+        lo, hi = profile.Z1 + delta, profile.z2 - delta
+        offenders = [p.as_dict() for p in points if lo <= p.value <= hi]
+        return {"holds": not offenders, "lhs": len(offenders), "rhs": 0,
+                "witness": {"band": [lo, hi], "offenders": offenders}}
+    return _verdict("lem_2_4", [_hyp("ordering z1 < Z1 <= z2 < Z2", profile.ordering_case() == "separated")],
+                    evaluate)
 
 
 def check_lemma_2_1(field: SolutionField, points) -> TheoremVerdict:
     """Each critical point shows m + 1 super and sub components near it."""
-    if not points:
-        return _na("lem_2_1", [_hyp("at least one critical point", False)],
-                   "hypothesis failed: at least one critical point")
-    results = []
-    ok = True
-    for p in points:
-        try:
-            sup, sub = local_structure(field, p)
-        except LevelSetLabError as err:
-            results.append({"point": p.as_dict(), "error": str(err)})
-            ok = False
-            continue
-        good = (sup == p.multiplicity + 1) and (sub == p.multiplicity + 1)
-        ok = ok and good
-        results.append({"point": p.as_dict(), "supers": sup, "subs": sub,
-                        "expected": p.multiplicity + 1, "holds": good})
-    return TheoremVerdict(
-        id="lem_2_1", applicable=True, holds=ok,
-        hypotheses=[_hyp("at least one critical point", True)],
-        witness={"points": results},
-    )
+    def evaluate():
+        results = []
+        for p in points:
+            try:
+                sup, sub = local_structure(field, p)
+            except LevelSetLabError as err:
+                results.append({"point": p.as_dict(), "error": str(err)})
+                continue
+            results.append({"point": p.as_dict(), "supers": sup, "subs": sub, "expected": p.multiplicity + 1,
+                            "holds": sup == sub == p.multiplicity + 1})
+        return {"holds": all(r.get("holds", False) for r in results), "witness": {"points": results}}
+    return _verdict("lem_2_1", [_hyp("at least one critical point", bool(points))], evaluate)
 
 
 # --------------------------------------------------------------------------
@@ -399,30 +367,28 @@ def check_remark_1_5(field: SolutionField, censuses, pure_diffusion: bool) -> Th
         _hyp("operator has no first- or zeroth-order terms", pure_diffusion),
         _hyp("at least one census computed", bool(censuses)),
     ]
-    if not all(h["held"] for h in hyps):
-        return _na("rem_1_5", hyps, f"hypothesis failed: {_first_failed(hyps)}")
-    gmax = float(np.max(np.hypot(*field.node_gradients())))
-    slack = 2.0 * field.interp_error_estimate() + 2.0 * gmax * field.median_cell_diag()
-    failures = []
-    for census in censuses:
-        for comp in census.components:
-            if comp.all_uncertain or comp.extremal_contact_value is None:
-                if not (comp.touches_interior or comp.touches_exterior) and not comp.all_uncertain:
+
+    def evaluate():
+        gmax = float(np.max(np.hypot(*field.node_gradients())))
+        slack = 2.0 * field.interp_error_estimate() + 2.0 * gmax * field.median_cell_diag()
+        failures = []
+        for census in censuses:
+            for comp in census.components:
+                if comp.all_uncertain or comp.extremal_contact_value is None:
+                    if not (comp.touches_interior or comp.touches_exterior) and not comp.all_uncertain:
+                        failures.append({"t": census.t, "sign": comp.sign, "label": comp.label,
+                                         "issue": "no boundary contact"})
+                    continue
+                if comp.sign == "super":
+                    ok = comp.extremal_value <= comp.extremal_contact_value + slack
+                else:
+                    ok = comp.extremal_value >= comp.extremal_contact_value - slack
+                if not ok:
                     failures.append({"t": census.t, "sign": comp.sign, "label": comp.label,
-                                     "issue": "no boundary contact"})
-                continue
-            if comp.sign == "super":
-                ok = comp.extremal_value <= comp.extremal_contact_value + slack
-            else:
-                ok = comp.extremal_value >= comp.extremal_contact_value - slack
-            if not ok:
-                failures.append({"t": census.t, "sign": comp.sign, "label": comp.label,
-                                 "interior_extreme": comp.extremal_value,
-                                 "contact_extreme": comp.extremal_contact_value})
-    return TheoremVerdict(
-        id="rem_1_5", applicable=True, holds=not failures,
-        hypotheses=hyps, witness={"failures": failures, "slack": slack},
-    )
+                                     "interior_extreme": comp.extremal_value,
+                                     "contact_extreme": comp.extremal_contact_value})
+        return {"holds": not failures, "witness": {"failures": failures, "slack": slack}}
+    return _verdict("rem_1_5", hyps, evaluate)
 
 
 # --------------------------------------------------------------------------
@@ -580,29 +546,27 @@ def _probe_intervals(profile: BoundaryProfile):
     return [("range", lo, hi)] if hi > lo else []
 
 
-def _aggregate_contact_verdict(reports) -> TheoremVerdict:
+def _aggregate_verdict(vid: str, hypothesis: str, reports, unreported: str, evaluate) -> TheoremVerdict:
+    """A verdict over per-level reports: applicable when one of them is,
+    holding when every applicable one holds, with the fields that
+    `evaluate(applicable)` adds; otherwise not applicable for the first
+    report's reason, or for `unreported` when there is no report."""
     applicable = [r for r in reports if r["applicable"]]
-    if not applicable:
-        reason = reports[0].get("reason", "no applicable census") if reports else "no censuses"
-        return _na("lem_2_2", [_hyp("ordering case admits contact clauses", False)], reason)
-    ok = all(r["holds"] for r in applicable)
-    return TheoremVerdict(
-        id="lem_2_2", applicable=True, holds=ok,
-        lhs=sum(len(r["failures"]) for r in applicable), rhs=0,
-        hypotheses=[_hyp("ordering case admits contact clauses", True)],
-        witness={"checked": len(applicable),
-                 "failures": [f for r in applicable for f in r["failures"]]},
-    )
+    return _verdict(vid, [_hyp(hypothesis, bool(applicable))],
+                    lambda: {"holds": all(r["holds"] for r in applicable), **evaluate(applicable)},
+                    reports[0].get("reason") if reports else unreported)
+
+
+def _aggregate_contact_verdict(reports) -> TheoremVerdict:
+    return _aggregate_verdict(
+        "lem_2_2", "ordering case admits contact clauses", reports, "no censuses",
+        lambda applicable: {"lhs": sum(len(r["failures"]) for r in applicable), "rhs": 0,
+                            "witness": {"checked": len(applicable),
+                                        "failures": [f for r in applicable for f in r["failures"]]}})
 
 
 def _aggregate_identity_verdict(reports) -> TheoremVerdict:
-    applicable = [r for r in reports if r["applicable"]]
-    if not applicable:
-        reason = reports[0].get("reason", "no critical values detected") if reports else "no critical values detected"
-        return _na("lem_2_5_2_7", [_hyp("at least one in-band critical value", False)], reason)
-    ok = all(r["holds"] for r in applicable)
-    return TheoremVerdict(
-        id="lem_2_5_2_7", applicable=True, holds=ok,
-        hypotheses=[_hyp("at least one in-band critical value", True)],
-        witness={"values": [{k: r[k] for k in ("t", "clause", "lhs", "rhs", "holds")} for r in applicable]},
-    )
+    return _aggregate_verdict(
+        "lem_2_5_2_7", "at least one in-band critical value", reports, "no critical values detected",
+        lambda applicable: {"witness": {"values": [{k: r[k] for k in ("t", "clause", "lhs", "rhs", "holds")}
+                                                   for r in applicable]}})
