@@ -19,7 +19,10 @@ a corpus with the package on the import path, once for each tree:
 `compare` lists every file that is missing, extra or different, and exits
 1 when there is one.  For a `report.json` that differs it names the JSON
 paths whose values differ (`grid.linear_residuals[1]`), so that a move in
-the residuals alone reads as one.  The module is not collected as a test.
+the residuals alone reads as one.  A JSON list whose items are only
+permuted reads as one `<path>: reordered`, and so does a file of another
+kind (an SVG) whose lines are only permuted.  The module is not collected
+as a test; `tests/test_report_corpus.py` tests its comparison.
 """
 
 import contextlib
@@ -78,11 +81,15 @@ def write(out: Path) -> None:
 
 
 def json_paths(a, b, path: str = "") -> list:
-    """The paths at which two decoded JSON documents differ."""
+    """The paths at which two decoded JSON documents differ; a list whose
+    items are the same up to order is one `<path>: reordered`."""
     if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
         return [d for k in a for d in json_paths(a[k], b[k], f"{path}.{k}" if path else k)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [d for k, (x, y) in enumerate(zip(a, b)) for d in json_paths(x, y, f"{path}[{k}]")]
+        diffs = [d for k, (x, y) in enumerate(zip(a, b)) for d in json_paths(x, y, f"{path}[{k}]")]
+        if diffs and sorted(map(json.dumps, a)) == sorted(map(json.dumps, b)):
+            return [f"{path or '$'}: reordered"]
+        return diffs
     return [] if type(a) is type(b) and repr(a) == repr(b) else [path or "$"]
 
 
@@ -96,7 +103,10 @@ def compare(old: Path, new: Path) -> list:
     for p in sorted(files & other):
         a, b = (old / p).read_bytes(), (new / p).read_bytes()
         if a != b:
-            paths = json_paths(json.loads(a), json.loads(b)) if p.suffix == ".json" else []
+            if p.suffix == ".json":
+                paths = json_paths(json.loads(a), json.loads(b))
+            else:
+                paths = ["reordered"] if sorted(a.splitlines()) == sorted(b.splitlines()) else []
             out.append(f"differs: {p}" + (f": {', '.join(paths)}" if paths else ""))
     return out
 
