@@ -8,6 +8,7 @@ of degree m + 1, whose gradient has winding number -m.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -51,13 +52,6 @@ class CriticalPoint:
 
 # --------------------------------------------------------------------------
 # winding numbers
-
-def winding_on_closed_curve(field: SolutionField, xs, ys) -> float:
-    """Continuous angle turned by the interpolated gradient along a closed
-    polyline (first point not repeated); returned in turns (total / 2pi)."""
-    gx, gy = field.gradient(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    return winding_turns(np.arctan2(gy, gx))
-
 
 def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
     """Multiplicity, degree radius and raw winding at a (refined) critical point.
@@ -193,8 +187,26 @@ def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     return field.domain.map_point((i + 0.5) * field.dtheta, s_c[j])
 
 
+def distinct_levels(values, tol: float) -> list:
+    """The first value of each class of `values`, increasing: taken in
+    sorted order, a value more than `tol` above the first value of its class
+    starts a new class."""
+    firsts = []
+    for v in sorted(values):
+        if not firsts or v - firsts[-1] > tol:
+            firsts.append(v)
+    return firsts
+
+
 def find_critical_points_report(field: SolutionField):
-    """Full detector: (points, near_boundary_suspects, warnings)."""
+    """Full detector: (points, near_boundary_suspects, warnings).
+
+    Points are ordered by value class (`distinct_levels` with the equal-value
+    tolerance), then by polar angle in [0, 2 pi), then by radius, so that
+    round-off in the values of equal-valued points cannot reorder them.  A
+    point within round-off of the theta = 0 ray can still move to the other
+    end of its class.
+    """
     rt = resolve_tolerances(field)
     x0, y0 = _scan_cells(field, rt)
     xs, ys, gs, ok = _newton_refine(field, x0, y0, rt, 4.0 * field.median_cell_diag())
@@ -235,12 +247,15 @@ def find_critical_points_report(field: SolutionField):
             degree_radius=float(radius), grad_norm=g, winding_raw=float(raw),
         ))
 
-    points.sort(key=lambda p: (p.value, np.mod(math.atan2(p.y, p.x), TWO_PI), math.hypot(p.x, p.y)))
+    firsts = distinct_levels([p.value for p in points], rt.equal_value_tol)
+    points.sort(key=lambda p: (bisect.bisect_right(firsts, p.value), np.mod(math.atan2(p.y, p.x), TWO_PI),
+                               math.hypot(p.x, p.y)))
     return points, suspects, warnings
 
 
 def find_critical_points(field: SolutionField) -> list:
-    """Interior critical points, sorted by value then polar angle."""
+    """Interior critical points, by value class, then polar angle, then
+    radius (see `find_critical_points_report`)."""
     return find_critical_points_report(field)[0]
 
 

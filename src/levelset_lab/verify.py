@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from . import expressions as ex
 from .critical import (
     cluster_critical_sets,
+    distinct_levels,
     find_critical_points_report,
     resolve_tolerances,
     separating_network_through,
@@ -470,10 +471,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     # censuses at critical values +/- epsilon, plus mid-band probes
     censuses = []
     eq = rt.equal_value_tol
-    distinct_values = []
-    for p in points:
-        if all(abs(p.value - v) > eq for v in distinct_values):
-            distinct_values.append(p.value)
+    distinct_values = distinct_levels([p.value for p in points], eq)
     identity_levels = []
     for t in distinct_values:
         eps = _census_offset(t, points, profile, eq)

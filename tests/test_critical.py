@@ -17,11 +17,10 @@ from levelset_lab.critical import (
     multiplicity,
     resolve_tolerances,
     separating_network_through,
-    winding_on_closed_curve,
 )
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import LevelSetLabError, OutsideDomainError
-from levelset_lab.geometry import TWO_PI
+from levelset_lab.geometry import TWO_PI, winding_turns
 from levelset_lab.solver import ResolvedTolerances, SolutionField, solve_scenario
 from levelset_lab.verify import FINE_FACTOR
 
@@ -112,8 +111,23 @@ def test_degree_additivity_along_enclosing_curve():
                   np.full(n, r_lo) * np.sin(np.linspace(th_hw, -th_hw, n))], axis=1),
     ]
     curve = np.vstack(legs)
-    turns = winding_on_closed_curve(fld, curve[:, 0], curve[:, 1])
-    assert turns == pytest.approx(-2.0, abs=0.05)
+    gx, gy = fld.gradient(curve[:, 0], curve[:, 1])
+    assert winding_turns(np.arctan2(gy, gx)) == pytest.approx(-2.0, abs=0.05)
+
+
+def test_order_of_equal_valued_points_ignores_round_off():
+    """The four zero points of z2_minus_zm2 have values of +-2e-14.  Adding
+    1e-12 x to the solved values changes those values and their signs, but
+    not the order of the points: one value class, then the polar angle."""
+    fld = solved_field("z2_minus_zm2", 256, 128)
+    _, _, x, _ = fld.node_positions()
+    tilted = SolutionField(fld.spec, fld.values + 1e-12 * x)
+    orders = []
+    for field in (fld, tilted):
+        pts = find_critical_points(field)
+        assert len(pts) == 4 and all(p.is_zero for p in pts)
+        orders.append([(round(p.x, 3), round(p.y, 3)) for p in pts])
+    assert orders[0] == orders[1] == [(0.707, 0.707), (-0.707, 0.707), (-0.707, -0.707), (0.707, -0.707)]
 
 
 def test_refinement_stability_of_detection():
