@@ -491,7 +491,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
         check_theorem_1_1(points, profile, has_zeroth),
         check_theorem_1_2(points, profile, has_zeroth),
         check_corollary_4_1(points, profile, has_zeroth),
-        check_theorem_1_3(points, profile, _constant_interior_value(spec, profile)),
+        check_theorem_1_3(points, profile, _constant_interior_value(spec, profile, rt.value_zero_tol)),
         check_theorem_1_4(points, profile),
         check_remark_5_1(points, profile),
         check_lemma_2_1(field, points),
@@ -522,14 +522,17 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     )
 
 
-def _constant_interior_value(spec: ScenarioSpec, profile: BoundaryProfile) -> float | None:
-    if spec.psi_interior is None or profile.interior is None:
-        return None
-    if not profile.interior.is_constant:
+def _constant_interior_value(spec: ScenarioSpec, profile: BoundaryProfile, zero_tol: float) -> float | None:
+    """The constant interior datum H, exactly 0.0 when |H| <= `zero_tol` (the
+    rule of `CriticalPoint.is_zero`); None when the interior trace is not
+    constant."""
+    if spec.psi_interior is None or profile.interior is None or not profile.interior.is_constant:
         return None
     if ex.is_constant(spec.psi_interior):
-        return float(ex.evaluate_env(spec.psi_interior, {}))
-    return 0.5 * (profile.interior.min_value + profile.interior.max_value)
+        H = float(ex.evaluate_env(spec.psi_interior, {}))
+    else:
+        H = 0.5 * (profile.interior.min_value + profile.interior.max_value)
+    return 0.0 if abs(H) <= zero_tol else H
 
 
 def _probe_intervals(profile: BoundaryProfile):

@@ -139,6 +139,23 @@ def test_thm_1_3_not_applicable_nonconstant_interior():
     assert "constant" in verdict.reason
 
 
+def test_zero_interior_datum_up_to_round_off_reads_as_zero():
+    """On r = 1, x^2 + y^2 - 1 and r - 1 vanish up to round-off (+-2e-16):
+    the interior trace is constant, H is zero, and every verdict is that of
+    the datum 0."""
+    def verdicts(psi_interior):
+        report = run_scenario(make_scenario("3", "1", "sin(2*theta)", psi_interior, grid=(64, 32), name="h0"))
+        assert report.profile.interior.is_constant
+        # rem_1_5's witness holds a slack read off the solved field
+        return [(v.id, v.applicable, v.holds, v.lhs, v.rhs, v.hypotheses, v.reason,
+                 v.witness["failures"] if v.id == "rem_1_5" else v.witness) for v in report.verdicts]
+
+    want = verdicts("0")
+    assert want[3] == ("thm_1_3", True, True, 0, 1, want[3][5], None, {"H": 0.0, "N_tilde": 4})
+    assert verdicts("x^2 + y^2 - 1") == want
+    assert verdicts("r - 1") == want
+
+
 # ------------------------------------------------------------- theorem 1.4
 
 def test_thm_1_4_equality_z2m():
