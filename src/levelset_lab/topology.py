@@ -317,8 +317,9 @@ def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances) -> 
     vmin, vmax = float(np.min(values)), float(np.max(values))
     scale = max(vmax - vmin, abs(vmax), abs(vmin), 1e-300)
     flat_tol = rt.equal_extrema_tol * scale
-    # a datum that is constant up to round-off (x^2 + y^2 - 1 on r = 1) is
-    # constant at the field's value scale too; extrema keep the trace's own
+    # a datum constant up to round-off (x^2 + y^2 - 1 on r = 1) is constant;
+    # the field's tolerance decides only that, since extrema found at the
+    # field's scale would move the extrema counts of ordinary traces
     is_constant = (vmax - vmin) <= max(flat_tol, rt.equal_value_tol)
 
     maxima, minima, equal_max, equal_min = [], [], None, None
