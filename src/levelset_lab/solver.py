@@ -509,6 +509,12 @@ class SolutionField:
     Everything derived from the solved values (interpolant coefficients,
     node geometry, refined lattice, default tolerances) is computed on
     first use and cached with the field; cached arrays are read-only.
+    The interpolant is one bicubic Hermite block C[i, j] = A F A^T per cell,
+    F gathered from the nodal values and derivatives in one step.  Samples
+    at fixed local offsets (the lattice, the centre gradients) contract
+    every block at once in `_cell_samples`; scattered queries
+    (`evaluate_ref`) read the cached blocks of their own cells.  One chain
+    rule, `_physical_gradient`, turns reference derivatives into (u_x, u_y).
     """
 
     def __init__(self, spec: ScenarioSpec, values: np.ndarray, residual: float = 0.0,
@@ -571,25 +577,34 @@ class SolutionField:
     def lattice(self) -> RefinedLattice:
         """u on the refined lattice that every level-set routine reads,
         evaluated once per field: each solve cell at its fixed local
-        offsets, as one tensor product per cell."""
+        offsets, nodes and centres in one contraction."""
         nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
         theta = np.arange(nrt + 1) * (TWO_PI / nrt)
         s = np.arange(nrs + 1) / nrs
-        # node offsets 0 .. 1 in s, so the last cell also gives the s = 1 rim
-        rows = _power_rows(np.arange(REFINE + 1) / REFINE, 0)[:, 0]
-        at_nodes = self._cell_samples(rows[:-1], rows)
+        # node offsets p / REFINE, p = 0 .. REFINE in s, so the last cell also gives
+        # the s = 1 rim; then the centre offsets (p + 1/2) / REFINE
+        at, mid = np.arange(REFINE + 1) / REFINE, (np.arange(REFINE) + 0.5) / REFINE
+        offsets = [(a, b) for a in at[:-1] for b in at] + [(a, b) for a in mid for b in mid]
+        w = self._cell_samples(*_power_rows(np.transpose(offsets), 0)[:, :, 0])
+        n = REFINE * (REFINE + 1)
+        at_nodes = w[:n].reshape(REFINE, REFINE + 1, self.n_theta, self.n_s)
         nodes = np.empty((nrt + 1, nrs + 1))
-        nodes[:-1, :-1] = at_nodes[..., :-1].transpose(0, 2, 1, 3).reshape(nrt, nrs)
-        nodes[:-1, -1] = at_nodes[:, -1, :, -1].ravel()
+        nodes[:-1, :-1] = at_nodes[:, :-1].transpose(2, 0, 3, 1).reshape(nrt, nrs)
+        nodes[:-1, -1] = at_nodes[:, -1, :, -1].T.ravel()
         nodes[-1] = nodes[0]
-        rows = _power_rows((np.arange(REFINE) + 0.5) / REFINE, 0)[:, 0]
-        centres = self._cell_samples(rows, rows).transpose(0, 2, 1, 3).reshape(nrt, nrs)
+        centres = w[n:].reshape(REFINE, REFINE, self.n_theta, self.n_s).transpose(2, 0, 3, 1).reshape(nrt, nrs)
         return RefinedLattice(*_frozen(theta, s, nodes, centres))
 
     def _cell_samples(self, rows_theta, rows_s) -> np.ndarray:
-        """u in every cell at the local offsets whose power rows are given,
-        shaped (n_theta, n_s, len(rows_theta), len(rows_s))."""
-        return rows_theta @ self._hermite() @ rows_s.T
+        """Every cell's polynomial at fixed local offsets, one sample per
+        pair of power rows: rows_theta[k] . C[i, j] . rows_s[k], shaped
+        (len(rows_theta), n_theta, n_s)."""
+        kernels = np.einsum("ka,kb->kab", rows_theta, rows_s).reshape(-1, 16)
+        # einsum, not matmul: a product this size would wake the BLAS thread
+        # pool, whose spinning threads then slowed the lattice and census work
+        # that follows (about 2x on a 2-vCPU host).
+        w = np.einsum("nk,jk->jn", self._hermite().reshape(-1, 16), kernels)
+        return w.reshape(-1, self.n_theta, self.n_s)
 
     @_once
     def interp_error_estimate(self) -> float:
@@ -624,33 +639,19 @@ class SolutionField:
             ut[:, 0] = 0.0
         uts = _axis_derivative_periodic(us, self.dtheta)
         nt, ns = self.n_theta, self.n_s
-        F = np.empty((nt, ns, 4, 4))
-        ip1 = np.r_[1:nt, 0]
-
-        def corner(arr, scale):
-            # (nt, ns, 2, 2) array of [j, j+1] x [i, i+1] corner data
-            return np.stack([
-                np.stack([arr[:, :-1], arr[:, 1:]], axis=-1),
-                np.stack([arr[ip1, :-1], arr[ip1, 1:]], axis=-1),
-            ], axis=-2) * scale
-
-        val = corner(u, 1.0)
-        dsn = corner(us, self.ds)
-        dtn = corner(ut, self.dtheta)
-        dts = corner(uts, self.dtheta * self.ds)
-        F[:, :, 0:2, 0:2] = val
-        F[:, :, 0:2, 2:4] = dsn
-        F[:, :, 2:4, 0:2] = dtn
-        F[:, :, 2:4, 2:4] = dts
+        # N[i, j, a, b]: d^a/dxi^a d^b/deta^b of u at node (i, j), in cell units
+        N = np.stack([u, self.ds * us, self.dtheta * ut, (self.dtheta * self.ds) * uts], axis=-1)
+        N = N.reshape(nt, ns + 1, 2, 2)
+        # F[i, j, 2a + p, 2b + q] is N[a, b] at the corner (i + p, j + q) of cell (i, j)
+        r = np.arange(4)
+        F = N[(np.arange(nt)[:, None, None, None] + r[:, None] % 2) % nt,
+              np.arange(ns)[:, None, None] + r % 2, r[:, None] // 2, r // 2]
         return _frozen(_HERMITE_A @ F @ _HERMITE_A.T)[0]
-
-    def _locate(self, theta, s):
-        return cell_index(theta, s, self.n_theta, self.n_s)
 
     def evaluate_ref(self, theta, s, derivatives: bool = False):
         """Interpolated u at reference points; with `derivatives`, a dict of
         u and its reference derivatives ut, us, utt, uts and uss."""
-        i, j, xi, eta = self._locate(theta, s)
+        i, j, xi, eta = cell_index(theta, s, self.n_theta, self.n_s)
         order = 2 if derivatives else 0
         w = _power_rows(xi, order) @ self._hermite()[i, j] @ np.swapaxes(_power_rows(eta, order), -1, -2)
         # w[a, b] = d^a/dxi^a d^b/deta^b of the cell polynomial at each point
@@ -690,10 +691,12 @@ class SolutionField:
     def gradient_ref(self, theta, s):
         """Physical gradient (u_x, u_y) at reference points."""
         d = self.evaluate_ref(theta, s, derivatives=True)
+        return self._physical_gradient(theta, s, d["ut"], d["us"])
+
+    def _physical_gradient(self, theta, s, ut, us):
+        """(u_x, u_y) from the reference derivatives (u_theta, u_s) at (theta, s)."""
         met = self.domain.inverse_jacobian(theta, s)
-        gx = met["t_x"] * d["ut"] + met["s_x"] * d["us"]
-        gy = met["t_y"] * d["ut"] + met["s_y"] * d["us"]
-        return gx, gy
+        return met["t_x"] * ut + met["s_x"] * us, met["t_y"] * ut + met["s_y"] * us
 
     def gradient(self, x, y):
         """Physical gradient (u_x, u_y) at physical points."""
@@ -718,29 +721,20 @@ class SolutionField:
 
     def centre_gradients(self):
         """Physical gradient at every cell centre, (n_theta, n_s) each: the
-        reference derivatives of all cells at the local offset (1/2, 1/2)
-        in one product with the flattened cell coefficients."""
+        reference derivatives of all cells at the local offset (1/2, 1/2)."""
         r0, r1 = _power_rows(0.5, 1)
-        # einsum, not matmul: a product this size would wake the BLAS thread
-        # pool, whose spinning threads then slowed the lattice and census work
-        # that follows (about 2x on a 2-vCPU host).
-        w = np.einsum("nk,jk->jn", self._hermite().reshape(-1, 16), np.stack([np.kron(r1, r0), np.kron(r0, r1)]))
-        ut = w[0].reshape(self.n_theta, self.n_s) / self.dtheta
-        us = w[1].reshape(self.n_theta, self.n_s) / self.ds
+        w = self._cell_samples(np.stack([r1, r0]), np.stack([r0, r1]))
         theta = (np.arange(self.n_theta) + 0.5) * self.dtheta
         s = (np.arange(self.n_s) + 0.5) * self.ds
-        met = self.domain.inverse_jacobian(theta[:, None], s[None, :])
-        return met["t_x"] * ut + met["s_x"] * us, met["t_y"] * ut + met["s_y"] * us
+        return self._physical_gradient(theta[:, None], s[None, :], w[0] / self.dtheta, w[1] / self.ds)
 
     @_once
     def node_gradients(self):
         """Physical gradient at every grid node (centre row zeroed for disks)."""
         ut, us = self._node_derivatives()
         T, S, _, _ = self.node_positions()
-        theta, s = T[:, :1], S[:1]
-        met = self.domain.inverse_jacobian(theta, np.maximum(s, _DISK_S_FLOOR) if self.domain.is_disk else s)
-        gx = met["t_x"] * ut + met["s_x"] * us
-        gy = met["t_y"] * ut + met["s_y"] * us
+        s = np.maximum(S[:1], _DISK_S_FLOOR) if self.domain.is_disk else S[:1]
+        gx, gy = self._physical_gradient(T[:, :1], s, ut, us)
         if self.domain.is_disk:
             gx[:, 0] = np.mean(gx[:, 0])
             gy[:, 0] = np.mean(gy[:, 0])

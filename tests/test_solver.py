@@ -704,7 +704,7 @@ def reference_evaluate_ref(fld, theta, s):
     the field's cell coefficients.  Returns u and its five reference
     derivatives."""
     C = fld._hermite()
-    i, j, xi, eta = np.atleast_1d(*fld._locate(theta, s))
+    i, j, xi, eta = np.atleast_1d(*solver_mod.cell_index(theta, s, fld.n_theta, fld.n_s))
     cells = C[i, j]  # (K, 4, 4)
     X0 = np.stack([np.ones_like(xi), xi, xi ** 2, xi ** 3], axis=-1)
     E0 = np.stack([np.ones_like(eta), eta, eta ** 2, eta ** 3], axis=-1)
@@ -741,6 +741,94 @@ def test_evaluate_ref_matches_reference(name):
     one = fld.evaluate_ref(theta[3], s[3], derivatives=True)
     for key in want:
         assert np.ndim(one[key]) == 0 and abs(one[key] - want[key][3]) <= bound, key
+
+
+def reference_hermite(fld):
+    """The cell coefficients C = A F A^T as `SolutionField._hermite` built
+    them before the single gather: F stacked corner by corner and block by
+    block from the (projected) nodal values and derivatives."""
+    u = fld.values
+    ut, us = fld._node_derivatives()
+    if fld.domain.is_disk:
+        ut, us = ut.copy(), us.copy()
+        theta = np.arange(fld.n_theta) * fld.dtheta
+        rs = fld.domain.exterior.radius(theta)
+        M = np.stack([rs * np.cos(theta), rs * np.sin(theta)], axis=1)
+        coef, *_ = np.linalg.lstsq(M, us[:, 0], rcond=None)
+        us[:, 0] = M @ coef
+        ut[:, 0] = 0.0
+    uts = solver_mod._axis_derivative_periodic(us, fld.dtheta)
+    nt, ns = fld.n_theta, fld.n_s
+    F = np.empty((nt, ns, 4, 4))
+    ip1 = np.r_[1:nt, 0]
+
+    def corner(arr, scale):
+        # (nt, ns, 2, 2) array of [j, j+1] x [i, i+1] corner data
+        return np.stack([
+            np.stack([arr[:, :-1], arr[:, 1:]], axis=-1),
+            np.stack([arr[ip1, :-1], arr[ip1, 1:]], axis=-1),
+        ], axis=-2) * scale
+
+    F[:, :, 0:2, 0:2] = corner(u, 1.0)
+    F[:, :, 0:2, 2:4] = corner(us, fld.ds)
+    F[:, :, 2:4, 0:2] = corner(ut, fld.dtheta)
+    F[:, :, 2:4, 2:4] = corner(uts, fld.dtheta * fld.ds)
+    return solver_mod._HERMITE_A @ F @ solver_mod._HERMITE_A.T
+
+
+def reference_cell_samples(C, rows_theta, rows_s):
+    """Every cell at every pair of the given offsets, as one batched matmul:
+    shaped (n_theta, n_s, len(rows_theta), len(rows_s))."""
+    return rows_theta @ C @ rows_s.T
+
+
+def reference_lattice(fld):
+    """(nodes, centres) of the refined lattice, as two tensor products per
+    cell over the reference coefficients."""
+    from levelset_lab.solver import REFINE
+    C = reference_hermite(fld)
+    nrt, nrs = REFINE * fld.n_theta, REFINE * fld.n_s
+    rows = solver_mod._power_rows(np.arange(REFINE + 1) / REFINE, 0)[:, 0]
+    at_nodes = reference_cell_samples(C, rows[:-1], rows)
+    nodes = np.empty((nrt + 1, nrs + 1))
+    nodes[:-1, :-1] = at_nodes[..., :-1].transpose(0, 2, 1, 3).reshape(nrt, nrs)
+    nodes[:-1, -1] = at_nodes[:, -1, :, -1].ravel()
+    nodes[-1] = nodes[0]
+    rows = solver_mod._power_rows((np.arange(REFINE) + 0.5) / REFINE, 0)[:, 0]
+    centres = reference_cell_samples(C, rows, rows).transpose(0, 2, 1, 3).reshape(nrt, nrs)
+    return nodes, centres
+
+
+def reference_centre_gradients(fld):
+    """The physical gradient at every cell centre from the flattened
+    reference coefficients against kron'd power rows, with its own chain rule."""
+    r0, r1 = solver_mod._power_rows(0.5, 1)
+    w = np.einsum("nk,jk->jn", reference_hermite(fld).reshape(-1, 16), np.stack([np.kron(r1, r0), np.kron(r0, r1)]))
+    ut = w[0].reshape(fld.n_theta, fld.n_s) / fld.dtheta
+    us = w[1].reshape(fld.n_theta, fld.n_s) / fld.ds
+    theta = (np.arange(fld.n_theta) + 0.5) * fld.dtheta
+    s = (np.arange(fld.n_s) + 0.5) * fld.ds
+    met = fld.domain.inverse_jacobian(theta[:, None], s[None, :])
+    return met["t_x"] * ut + met["s_x"] * us, met["t_y"] * ut + met["s_y"] * us
+
+
+@pytest.mark.parametrize("configured", [False, True])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_hermite_kernel_matches_reference(name, configured):
+    """The gathered cell coefficients equal the corner-stacked ones bit for
+    bit; the lattice nodes and centres and the centre gradients from the
+    one contraction agree with the matmul and kron references within
+    round-off, off a power of two and at the configured grid, disks
+    included."""
+    fld = solved_field(name, *(builtin_spec(name).grid if configured else (48, 24)))
+    assert np.array_equal(fld._hermite(), reference_hermite(fld))
+    bound = 1e-13 * fld.u_range()
+    lat, (nodes, centres) = fld.lattice(), reference_lattice(fld)
+    assert np.max(np.abs(lat.nodes - nodes)) <= bound
+    assert np.max(np.abs(lat.centres - centres)) <= bound
+    got, want = np.stack(fld.centre_gradients()), np.stack(reference_centre_gradients(fld))
+    assert got.shape == want.shape == (2, fld.n_theta, fld.n_s)
+    assert np.max(np.abs(got - want)) <= bound
 
 
 @pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])

@@ -692,17 +692,17 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     level network once."""
     import levelset_lab.critical as critical_mod
     import levelset_lab.verify as verify_mod
+    import levelset_lab.solver as solver_mod
     from levelset_lab.geometry import DomainSpec
-    from levelset_lab.solver import SolutionField
+    from levelset_lab.solver import REFINE, SolutionField
 
     seen = Counter()
-    real_samples, real_range, real_map = SolutionField._cell_samples, SolutionField.u_range, DomainSpec.map_point
+    real_lattice, real_range, real_map = solver_mod.RefinedLattice, SolutionField.u_range, DomainSpec.map_point
 
-    def cell_samples(self, rows_theta, rows_s):
-        # the nodes take one offset more in s, for the s = 1 rim
-        part = "lattice nodes" if len(rows_s) > len(rows_theta) else "lattice centres"
-        seen[part, self.n_theta] += 1
-        return real_samples(self, rows_theta, rows_s)
+    def refined_lattice(theta, *arrays):
+        # keyed by the solve grid's n_theta, as the other counts are
+        seen["lattice", (len(theta) - 1) // REFINE] += 1
+        return real_lattice(theta, *arrays)
 
     def u_range(self):
         seen["tolerances", self.n_theta] += 1
@@ -712,7 +712,7 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
         seen["nodes", np.shape(theta)] += 1
         return real_map(self, theta, s)
 
-    monkeypatch.setattr(SolutionField, "_cell_samples", cell_samples)
+    monkeypatch.setattr(solver_mod, "RefinedLattice", refined_lattice)
     monkeypatch.setattr(SolutionField, "u_range", u_range)
     monkeypatch.setattr(DomainSpec, "map_point", map_point)
     census_levels, real_census = [], verify_mod.level_census
@@ -736,8 +736,7 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     assert len(report.censuses) == 4
     assert len(census_levels) == len(set(census_levels)) == 4
     assert seen["mark and label"] == 1
-    for part in ("lattice nodes", "lattice centres"):
-        assert seen[part, 64] == 0 and seen[part, 128] == 1
+    assert seen["lattice", 64] == 0 and seen["lattice", 128] == 1
     assert seen["tolerances", 64] == seen["tolerances", 128] == 1
     assert seen["nodes", (64, 33)] == seen["nodes", (128, 65)] == 1
 
