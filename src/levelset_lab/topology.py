@@ -494,7 +494,7 @@ def check_component_contact(census: LevelSetCensus, profile: BoundaryProfile) ->
         return report
     required = {"upper": ("super", "exterior"), "lower": ("sub", "interior")}.get(profile.band(t))
     if required is None:
-        report["reason"] = f"threshold {t} falls in an unconstrained interval"
+        report["reason"] = f"threshold {t:.9g} falls in an unconstrained interval"
         return report
     sign, bnd = required
     report["applicable"] = True

@@ -656,6 +656,15 @@ def test_band_lookup_and_contact_clause(interior, exterior, expected):
         assert report["clause"] == clause.get(band), t
 
 
+def test_unconstrained_reason_prints_no_round_off():
+    """The reason of an unconstrained threshold prints t to 9 significant
+    digits, as census tags do, so round-off in t leaves it unchanged."""
+    prof = BoundaryProfile(exterior=_trace(2.0, 3.0), interior=_trace(0.0, 1.0))
+    for t in (1.2424533248940002, 1.2424533248940002 * (1.0 + 1e-13)):
+        report = check_component_contact(LevelSetCensus(t=t, refine=2, components=[], uncertain_band=0.0), prof)
+        assert report["reason"] == "threshold 1.24245332 falls in an unconstrained interval"
+
+
 # ------------------------------------------------------- Euler characteristic
 
 def euler_by_sets(i_arr, j_arr, n_theta):
