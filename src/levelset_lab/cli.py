@@ -76,6 +76,7 @@ def report_to_dict(report: VerificationReport, timestamp: str | None = None) -> 
         "contact_checks": report.contact_reports,
         "identity_checks": report.identity_reports,
         "near_boundary_suspects": report.suspects,
+        "diagnostics": {"solves": report.solves},
         "timestamp": timestamp if timestamp is not None
         else datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

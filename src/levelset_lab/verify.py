@@ -411,6 +411,7 @@ class VerificationReport:
     warnings: list
     notes: list
     residuals: tuple
+    solves: list            # per grid, coarse first: {"grid", "solved_by", "iterations"}
 
     def verdict(self, vid: str) -> TheoremVerdict:
         for v in self.verdicts:
@@ -519,6 +520,8 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
         warnings=warnings,
         notes=list(spec.notes),
         residuals=(coarse_field.residual, fine_field.residual),
+        solves=[{"grid": [f.n_theta, f.n_s], "solved_by": f.solved_by, "iterations": f.iterations}
+                for f in (coarse_field, fine_field)],
     )
 
 

@@ -741,6 +741,20 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     assert seen["nodes", (64, 33)] == seen["nodes", (128, 65)] == 1
 
 
+def test_report_names_the_solve_path_of_each_grid(monkeypatch):
+    """A two-grid solve that gives up falls back to `splu`, and the report's
+    diagnostics say so for the refined grid, after the coarse direct solve."""
+    import levelset_lab.solver as solver_mod
+    from levelset_lab.cli import report_to_dict
+
+    monkeypatch.setattr(solver_mod, "_two_grid_solve", lambda system, coarse: (None, 0))
+    report = run_scenario(builtin_spec("z_plus_inv").with_grid(64, 32))
+    assert report_to_dict(report)["diagnostics"] == {"solves": [
+        {"grid": [64, 32], "solved_by": "direct", "iterations": 0},
+        {"grid": [128, 64], "solved_by": "direct after two-grid", "iterations": 0},
+    ]}
+
+
 # ------------------------------------------------------------ BLAS thread pool
 
 @pytest.mark.parametrize("name", ["z_plus_inv", "disk_z2"])
