@@ -28,6 +28,7 @@ as a test; `tests/test_report_corpus.py` tests its comparison.
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import sys
@@ -37,7 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(32)
 
 
-def _run(cli, argv: list, outdir: str) -> None:
+def _run(argv: list, outdir: str) -> None:
+    from levelset_lab import cli
+
     Path(outdir).mkdir(parents=True)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -52,8 +55,10 @@ def _run(cli, argv: list, outdir: str) -> None:
 
 def write(out: Path) -> None:
     """Every run of the corpus, from inside `out` and on relative paths, so
-    that error lines name the same files in every corpus.  Imports the
-    package from the import path, so `compare` runs without it."""
+    that error lines name the same files in every corpus.  The runs are
+    spread over one worker process per CPU this process may use; each
+    worker imports the package from the import path, so `compare` runs
+    without it."""
     import levelset_lab
     from levelset_lab import cli, domain
 
@@ -63,21 +68,25 @@ def write(out: Path) -> None:
     out.mkdir(parents=True)
     os.chdir(out)
     Path("scenarios/builtin").mkdir(parents=True)
+    tasks = []
     for source in sorted(cli.builtin_scenario_dir().glob("*.json")):
         path = f"scenarios/builtin/{source.name}"
         shutil.copyfile(source, path)
         spec, name = domain.load_scenario(path), source.stem
-        _run(cli, ["verify", path], f"builtin/{name}")
-        _run(cli, ["verify", path, "--grid", f"{2 * spec.n_theta}x{2 * spec.n_s}"], f"builtin_2x/{name}")
+        tasks.append((["verify", path], f"builtin/{name}"))
+        tasks.append((["verify", path, "--grid", f"{2 * spec.n_theta}x{2 * spec.n_s}"], f"builtin_2x/{name}"))
         levels = wl.render_thresholds(levelset_lab, spec)
-        _run(cli, ["census", path, "--t", repr(levels[len(levels) // 2])], f"census/{name}")
-        _run(cli, ["render", path, *[a for t in levels for a in ("--t", repr(t))]], f"render/{name}")
+        tasks.append((["census", path, "--t", repr(levels[len(levels) // 2])], f"census/{name}"))
+        tasks.append((["render", path, *[a for t in levels for a in ("--t", repr(t))]], f"render/{name}"))
     for seed in SEEDS:
         Path(f"scenarios/{seed}").mkdir()
         for spec in wl.symmetric_specs(seed):
             path = f"scenarios/{seed}/{spec['name']}.json"
             Path(path).write_bytes(wl.spec_bytes(spec))
-            _run(cli, ["verify", path], f"symmetric/{seed}/{spec['name']}")
+            tasks.append((["verify", path], f"symmetric/{seed}/{spec['name']}"))
+    # spawned workers start in this directory, with this import path
+    with multiprocessing.get_context("spawn").Pool(len(os.sched_getaffinity(0))) as pool:
+        pool.starmap(_run, tasks, chunksize=1)
 
 
 def json_paths(a, b, path: str = "") -> list:
