@@ -503,18 +503,26 @@ def _frozen(*arrays):
     return arrays
 
 
+def _cell_samples(blocks, rows_theta, rows_s) -> np.ndarray:
+    """Every Hermite block at fixed local offsets, one sample per pair of
+    power rows: rows_theta[k] . block . rows_s[k], shaped
+    (len(rows_theta),) + blocks.shape[:-2]."""
+    kernels = np.einsum("ka,kb->kab", rows_theta, rows_s).reshape(-1, 16)
+    # einsum, not matmul: a product this size would wake the BLAS thread
+    # pool, whose spinning threads then slowed the lattice and census work
+    # that follows (about 2x on a 2-vCPU host).
+    return np.einsum("nk,jk->jn", blocks.reshape(-1, 16), kernels).reshape(-1, *blocks.shape[:-2])
+
+
 class SolutionField:
     """Discrete solution on the reference grid plus a C^1 interpolant.
 
     Everything derived from the solved values (interpolant coefficients,
     node geometry, refined lattice, default tolerances) is computed on
     first use and cached with the field; cached arrays are read-only.
-    The interpolant is one bicubic Hermite block C[i, j] = A F A^T per cell,
-    F gathered from the nodal values and derivatives in one step.  Samples
-    at fixed local offsets (the lattice, the centre gradients) contract
-    every block at once in `_cell_samples`; scattered queries
-    (`evaluate_ref`) read the cached blocks of their own cells.  One chain
-    rule, `_physical_gradient`, turns reference derivatives into (u_x, u_y).
+    The interpolant is one Hermite block per cell, gathered from the nodal
+    data at once; fixed-offset samples contract all blocks in
+    `_cell_samples`, and scattered queries read their own cells' blocks.
     """
 
     def __init__(self, spec: ScenarioSpec, values: np.ndarray, residual: float = 0.0,
@@ -576,35 +584,21 @@ class SolutionField:
     @_once
     def lattice(self) -> RefinedLattice:
         """u on the refined lattice that every level-set routine reads,
-        evaluated once per field: each solve cell at its fixed local
+        evaluated once per field: every solve cell at its fixed local
         offsets, nodes and centres in one contraction."""
-        nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
-        theta = np.arange(nrt + 1) * (TWO_PI / nrt)
-        s = np.arange(nrs + 1) / nrs
-        # node offsets p / REFINE, p = 0 .. REFINE in s, so the last cell also gives
-        # the s = 1 rim; then the centre offsets (p + 1/2) / REFINE
-        at, mid = np.arange(REFINE + 1) / REFINE, (np.arange(REFINE) + 0.5) / REFINE
-        offsets = [(a, b) for a in at[:-1] for b in at] + [(a, b) for a in mid for b in mid]
-        w = self._cell_samples(*_power_rows(np.transpose(offsets), 0)[:, :, 0])
-        n = REFINE * (REFINE + 1)
-        at_nodes = w[:n].reshape(REFINE, REFINE + 1, self.n_theta, self.n_s)
+        nt, ns, nrt, nrs = self.n_theta, self.n_s, REFINE * self.n_theta, REFINE * self.n_s
+        C, at, mid = self._hermite(), np.arange(REFINE) / REFINE, (np.arange(REFINE) + 0.5) / REFINE
+        offsets = [(a, b) for a in at for b in at] + [(a, b) for a in mid for b in mid]
+        w = _cell_samples(C, *_power_rows(np.transpose(offsets), 0)[:, :, 0])
+        w = w.reshape(2, REFINE, REFINE, nt, ns).transpose(0, 3, 1, 4, 2)
         nodes = np.empty((nrt + 1, nrs + 1))
-        nodes[:-1, :-1] = at_nodes[:, :-1].transpose(2, 0, 3, 1).reshape(nrt, nrs)
-        nodes[:-1, -1] = at_nodes[:, -1, :, -1].T.ravel()
+        nodes[:-1, :-1] = w[0].reshape(nrt, nrs)
+        # the s = 1 rim from the last cell of each column; ones are the power row of offset 1
+        rows = _power_rows(at, 0)[:, 0]
+        nodes[:-1, -1] = _cell_samples(C[:, -1], rows, np.ones_like(rows)).T.ravel()
         nodes[-1] = nodes[0]
-        centres = w[n:].reshape(REFINE, REFINE, self.n_theta, self.n_s).transpose(2, 0, 3, 1).reshape(nrt, nrs)
-        return RefinedLattice(*_frozen(theta, s, nodes, centres))
-
-    def _cell_samples(self, rows_theta, rows_s) -> np.ndarray:
-        """Every cell's polynomial at fixed local offsets, one sample per
-        pair of power rows: rows_theta[k] . C[i, j] . rows_s[k], shaped
-        (len(rows_theta), n_theta, n_s)."""
-        kernels = np.einsum("ka,kb->kab", rows_theta, rows_s).reshape(-1, 16)
-        # einsum, not matmul: a product this size would wake the BLAS thread
-        # pool, whose spinning threads then slowed the lattice and census work
-        # that follows (about 2x on a 2-vCPU host).
-        w = np.einsum("nk,jk->jn", self._hermite().reshape(-1, 16), kernels)
-        return w.reshape(-1, self.n_theta, self.n_s)
+        theta, s = np.arange(nrt + 1) * (TWO_PI / nrt), np.arange(nrs + 1) / nrs
+        return RefinedLattice(*_frozen(theta, s, nodes, w[1].reshape(nrt, nrs)))
 
     @_once
     def interp_error_estimate(self) -> float:
@@ -723,7 +717,7 @@ class SolutionField:
         """Physical gradient at every cell centre, (n_theta, n_s) each: the
         reference derivatives of all cells at the local offset (1/2, 1/2)."""
         r0, r1 = _power_rows(0.5, 1)
-        w = self._cell_samples(np.stack([r1, r0]), np.stack([r0, r1]))
+        w = _cell_samples(self._hermite(), np.stack([r1, r0]), np.stack([r0, r1]))
         theta = (np.arange(self.n_theta) + 0.5) * self.dtheta
         s = (np.arange(self.n_s) + 0.5) * self.ds
         return self._physical_gradient(theta[:, None], s[None, :], w[0] / self.dtheta, w[1] / self.ds)
