@@ -691,8 +691,8 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     level is censused once, and the identity check marks and labels its
     level network once."""
     import levelset_lab.critical as critical_mod
-    import levelset_lab.verify as verify_mod
     import levelset_lab.solver as solver_mod
+    import levelset_lab.verify as verify_mod
     from levelset_lab.geometry import DomainSpec
     from levelset_lab.solver import REFINE, SolutionField
 
