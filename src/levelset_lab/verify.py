@@ -9,6 +9,7 @@ code 2), never an assertion baked into the pipeline.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -469,10 +470,13 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     pure_diffusion = spec.operator.is_pure_diffusion(X, Y)
     has_zeroth = spec.operator.c is not None
 
-    # censuses at critical values +/- epsilon, plus mid-band probes
+    # censuses at critical values +/- epsilon, plus mid-band probes; a class
+    # that holds a critical zero point sits at 0, not at its round-off
     censuses = []
     eq = rt.equal_value_tol
     distinct_values = distinct_levels([p.value for p in points], eq)
+    zero_classes = {bisect.bisect_right(distinct_values, p.value) - 1 for p in points if p.is_zero}
+    distinct_values = [0.0 if k in zero_classes else t for k, t in enumerate(distinct_values)]
     identity_levels = []
     for t in distinct_values:
         eps = _census_offset(t, points, profile, eq)

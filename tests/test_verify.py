@@ -10,7 +10,7 @@ from conftest import builtin_report, builtin_spec, make_scenario, solved_field
 from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import UnstableCountsError
-from levelset_lab.solver import resolve_tolerances, solve_scenario
+from levelset_lab.solver import SolutionField, resolve_tolerances, solve_scenario
 from levelset_lab.topology import (
     BoundaryExtremum,
     BoundaryProfile,
@@ -753,6 +753,30 @@ def test_report_names_the_solve_path_of_each_grid(monkeypatch):
         {"grid": [64, 32], "solved_by": "direct", "iterations": 0},
         {"grid": [128, 64], "solved_by": "direct after two-grid", "iterations": 0},
     ]}
+
+
+@pytest.mark.parametrize("name", ["disk_z2", "z2_minus_zm2"])
+def test_zero_level_tags_carry_no_round_off(name, monkeypatch):
+    """A value class that holds a critical zero point is censused and
+    checked at exactly 0: adding 1e-12 x to the solved values, far below
+    every tolerance, leaves every census tag and identity level unchanged."""
+    import levelset_lab.verify as verify_mod
+
+    real_solve = verify_mod.solve
+
+    def shifted_solve(*args, **kwargs):
+        fld = real_solve(*args, **kwargs)
+        x = fld.node_positions()[2]
+        return SolutionField(fld.spec, fld.values + 1e-12 * x, residual=fld.residual,
+                             solved_by=fld.solved_by, iterations=fld.iterations)
+
+    want = builtin_report(name)
+    monkeypatch.setattr(verify_mod, "solve", shifted_solve)
+    got = run_scenario(builtin_spec(name))
+    assert any(p.is_zero for p in want.points)
+    assert [tag for tag, _ in got.censuses] == [tag for tag, _ in want.censuses]
+    assert [r["t"] for r in got.identity_reports] == [r["t"] for r in want.identity_reports]
+    assert "critical@0-eps" in [tag for tag, _ in want.censuses]
 
 
 # ------------------------------------------------------------ BLAS thread pool
