@@ -101,7 +101,7 @@ class DiscreteSystem:
     rhs: np.ndarray
     node_index: np.ndarray    # (n_theta, n_s + 1) position of each node in [x, boundary]
     is_disk: bool
-    factor: object = None     # splu of `matrix` on an annulus, until a finer solve uses it
+    factor: object = None     # splu of `matrix`, until a finer solve uses it
 
     @property
     def size(self) -> int:
@@ -295,9 +295,9 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     """Sparse solve of the interior unknowns with a residual check.
 
     The system is factored in the nested-dissection order `assemble` gave
-    it, and an annulus keeps its factor for a finer grid: handed its solved
-    half-grid system as `coarse`, an annulus goes to `_two_grid_solve`
-    first, which uses that factor up.  The gate is the relative
+    it, and keeps its factor for a finer grid: handed its solved half-grid
+    system as `coarse`, a system goes to `_two_grid_solve` first, which
+    uses that factor up.  The gate is the relative
     residual of the returned x, whose both sides carry the 1/h^2 scale of
     the stencil, against the scenario's linear_residual_tol; the boundary
     values of u are the Dirichlet data exactly.
@@ -305,8 +305,7 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     A, b = system.matrix, system.rhs
     x, iterations, solved_by = None, 0, "direct"
     if coarse is not None:
-        if coarse.factor is not None and not system.is_disk \
-                and (2 * coarse.n_theta, 2 * coarse.n_s) == (system.n_theta, system.n_s):
+        if coarse.factor is not None and (2 * coarse.n_theta, 2 * coarse.n_s) == (system.n_theta, system.n_s):
             x, iterations = _two_grid_solve(system, coarse)
             solved_by = "two-grid" if x is not None else "direct after two-grid"
         coarse.factor = None  # freed before the fine field, or a fine factor, is built
@@ -316,8 +315,7 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
         except RuntimeError as err:
             raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
         x = lu.solve(b)
-        if not system.is_disk:  # a disk's factor serves no finer grid, and would only hold memory
-            system.factor = lu
+        system.factor = lu
     if not np.all(np.isfinite(x)):
         raise NoConvergenceError(0, float("inf"), "solution contains non-finite values")
     rel = _relative_residual(A, x, b)
@@ -339,48 +337,97 @@ def _relative_residual(A, x, b) -> float:
     return residual / bnorm if bnorm > 0 else residual
 
 
-# Stop rule, GMRES iteration cap and s-line Jacobi damping of the two-grid solve.
+# Stop rule, GMRES iteration cap and damping of the line sweeps of the two-grid solve.
 _TWO_GRID_TOL = 1e-13
 _TWO_GRID_CAP = 30
 _LINE_DAMPING = 0.8
 
-# All of the two-grid cycle that depends only on the annulus grid, read-only: prolongation P
-# from the unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse
-# nodes ((i + a) // 2, (j + b) // 2), a, b in {0, 1}), the unknowns in s-line order, and the
-# slots in [matrix.data, 0] of the diagonal, upper and lower line entries.
-_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_order line_slots")
+# All of the two-grid cycle that depends only on the grid, read-only: prolongation P from the
+# unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse nodes
+# ((i + a) // 2, (j + b) // 2), a, b in {0, 1}, and a disk's centre is the coarse centre), the
+# unknowns in s-line order with the slots in [matrix.data, 0] of the diagonal, upper and lower
+# line entries, and, empty on an annulus, the unknowns in ring order with the slots of the
+# diagonal, next and previous ring entries, then the centre row's slots over [centre, first ring].
+_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_order line_slots ring_order ring_slots centre_slots")
 
 
 @functools.lru_cache(maxsize=2)
-def _two_grid_plan(nt: int, ns: int) -> _TwoGridPlan:
-    fine, coarse = _grid_plan(nt, ns, False), _grid_plan(nt // 2, ns // 2, False)
-    nc = coarse.indptr.size - 1
+def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
+    fine, coarse = _grid_plan(nt, ns, is_disk), _grid_plan(nt // 2, ns // 2, is_disk)
+    n, nc, nnz = fine.indptr.size - 1, coarse.indptr.size - 1, fine.indices.size
     i, j = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
     cols = np.stack([coarse.node_index[(i + a) // 2 % (nt // 2), (j + b) // 2] for a in (0, 1) for b in (0, 1)])
-    rows = np.broadcast_to(fine.node_index[:, 1:ns], cols.shape)
-    full = sp.csr_matrix((np.full(cols.size, 0.25), (rows.ravel(), cols.ravel())),
-                         shape=(fine.indptr.size - 1, coarse.node_index.max() + 1))
+    rows = np.broadcast_to(fine.node_index[:, 1:ns], cols.shape).ravel()
+    cols, weights = cols.ravel(), np.full(cols.size, 0.25)
+    if is_disk:  # the centre, the last unknown on both grids, injects
+        rows, cols, weights = np.append(rows, n - 1), np.append(cols, nc - 1), np.append(weights, 1.0)
+    full = sp.csr_matrix((weights, (rows, cols)), shape=(n, coarse.node_index.max() + 1))
     prolong, rim = full[:, :nc], full[:, nc:]
     _frozen(*(a for m in (prolong, rim) for a in (m.data, m.indices, m.indptr)))
-    slots = fine.slot.reshape(len(_STENCIL), nt, ns - 1)[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]]
-    line_slots = np.minimum(slots, fine.indices.size).reshape(3, -1)  # a rim neighbour reads the 0
-    return _TwoGridPlan(prolong, rim, *_frozen(fine.node_index[:, 1:ns].ravel(), line_slots))
+    m = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
+    slots = fine.slot[:m].reshape(len(_STENCIL), nt, ns - 1)
+    line_slots = np.minimum(slots[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]], nnz)  # a rim reads the 0
+    line_slots[2, :, 0] = nnz  # and so does a disk centre, which the centre row updates
+    ring_order = fine.node_index[:, 1:ns].T.ravel()
+    ring_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (1, 0), (-1, 0))]].transpose(0, 2, 1).reshape(3, -1)
+    if not is_disk:  # an annulus has no ring sweep
+        ring_order, ring_slots = ring_order[:0], ring_slots[:, :0]
+    return _TwoGridPlan(prolong, rim, *_frozen(
+        fine.node_index[:, 1:ns].ravel(), line_slots.reshape(3, -1), ring_order, ring_slots, fine.slot[m:]))
+
+
+def _periodic_tridiagonal(diag, up, down):
+    """Solver for the periodic tridiagonal systems along the rows of the
+    arrays: diag[k, i] x[k, i] + up[k, i] x[k, i + 1] + down[k, i] x[k, i - 1],
+    i taken modulo the row length; one LAPACK factor of all rows with the
+    corners cut, and a Sherman-Morrison correction per row (Numerical
+    Recipes, 2.7).  None when a cut row is singular."""
+    gamma, alpha, beta = -diag[:, 0], up[:, -1], down[:, 0]
+    d = diag.copy()
+    d[:, 0] -= gamma
+    d[:, -1] -= alpha * beta / gamma
+    du, dl = up.copy(), down.copy()
+    du[:, -1] = dl[:, 0] = 0.0
+    *factor, info = dgttrf(dl.ravel()[1:], d.ravel(), du.ravel()[:-1])
+    if info != 0:
+        return None
+    u = np.zeros_like(diag)
+    u[:, 0], u[:, -1] = gamma, alpha
+    q = dgttrs(*factor, u.ravel())[0].reshape(diag.shape)
+    v_last = beta / gamma
+    q /= (1.0 + q[:, 0] + v_last * q[:, -1])[:, None]
+
+    def solve_rows(r):
+        y = dgttrs(*factor, r)[0].reshape(diag.shape)
+        return (y - (y[:, 0] + v_last * y[:, -1])[:, None] * q).ravel()
+    return solve_rows
 
 
 def _two_grid_solve(system: DiscreteSystem, coarse: DiscreteSystem):
-    """`_gmres` on an annulus system from the prolonged coarse solution, rims
-    included, preconditioned by one V(1,1) cycle: damped s-line Jacobi, the
-    coarse factor on the restricted residual, prolongation, s-line Jacobi."""
-    plan, A, lu = _two_grid_plan(system.n_theta, system.n_s), system.matrix, coarse.factor
-    diag, up, down = np.append(A.data, 0.0)[plan.line_slots]
+    """`_gmres` from the prolonged coarse solution, rims included,
+    preconditioned by one V(1,1) cycle: smoothing, the coarse factor on the
+    restricted residual, prolongation, smoothing.  A smoothing step is a
+    damped s-line sweep; on a disk, whose cells near the centre couple most
+    strongly along the rings, a damped ring sweep and an exact update of
+    the centre row follow it, each on the updated residual."""
+    plan, A, lu = _two_grid_plan(system.n_theta, system.n_s, system.is_disk), system.matrix, coarse.factor
+    values = np.append(A.data, 0.0)
+    diag, up, down = values[plan.line_slots]
     *lines, info = dgttrf(down[1:], diag, up[:-1])
-    if info != 0:
+    has_centre = plan.centre_slots.size > 0
+    # False on an annulus, None when a ring is singular
+    rings = has_centre and _periodic_tridiagonal(*values[plan.ring_slots].reshape(3, -1, system.n_theta))
+    if info != 0 or rings is None:
         return None, 0
+    centre_row, first_ring = values[plan.centre_slots], plan.ring_order[:system.n_theta]
 
     def smooth(r):
-        z = np.empty_like(r)
-        z[plan.line_order] = dgttrs(*lines, r[plan.line_order])[0]
-        return _LINE_DAMPING * z
+        z = np.zeros_like(r)
+        z[plan.line_order] = _LINE_DAMPING * dgttrs(*lines, r[plan.line_order])[0]
+        if has_centre:  # the centre unknown is the last, and neither sweep has moved it
+            z[plan.ring_order] += _LINE_DAMPING * rings((r - A @ z)[plan.ring_order])
+            z[-1] = (r[-1] - np.sum(centre_row[1:] * z[first_ring])) / centre_row[0]
+        return z
 
     def cycle(r):
         z = smooth(r)

@@ -308,16 +308,18 @@ def test_plan_cached_per_grid_and_read_only():
 def test_plan_cache_shared_by_threads():
     """Six threads on two cores, switching as often as the interpreter
     allows, assemble five grids (one more than the cache holds) from an
-    empty cache, and build the two-grid plans of the three annulus grids
-    (one more than that cache holds); every system and plan matches the
-    one built alone."""
+    empty cache, and build their five two-grid plans (three more than that
+    cache holds); every system and plan matches the one built alone."""
     import sys
     import threading
 
     specs = [log_annulus_spec(g) for g in ((32, 16), (36, 16), (40, 20))]
     specs += [make_scenario("1", None, "x", None, grid=g) for g in ((32, 16), (36, 16))]
     want = [assemble(spec) for spec in specs]
-    want_two_grid = {spec.grid: plan_arrays(solver_mod._two_grid_plan(*spec.grid)) for spec in specs[:3]}
+    def two_grid_plan(spec):
+        return solver_mod._two_grid_plan(*spec.grid, spec.domain.is_disk)
+
+    want_two_grid = [plan_arrays(two_grid_plan(spec)) for spec in specs]
     failures = []
 
     def work(offset):
@@ -329,11 +331,9 @@ def test_plan_cache_shared_by_threads():
                         not np.array_equal(got.matrix.indices, want[i].matrix.indices) or \
                         not np.array_equal(got.node_index, want[i].node_index):
                     failures.append(i)
-                grid = specs[i].grid
-                if grid in want_two_grid and not all(
-                        np.array_equal(a, b) for a, b in
-                        zip(plan_arrays(solver_mod._two_grid_plan(*grid)), want_two_grid[grid])):
-                    failures.append(grid)
+                if not all(np.array_equal(a, b) for a, b in
+                           zip(plan_arrays(two_grid_plan(specs[i])), want_two_grid[i])):
+                    failures.append(specs[i].grid)
         except Exception as err:  # reported by the assertion below
             failures.append(err)
 
@@ -386,11 +386,13 @@ def solved_pair(name, scale):
 
 
 @pytest.mark.parametrize("name, scale", [(name, 1) for name in ANNULUS_NAMES]
-                         + [("counterexample2", 2), ("z_plus_inv", 2)])
+                         + [("counterexample2", 2), ("z_plus_inv", 2)]
+                         + [(name, scale) for name in ("disk_z2", "disk_z3") for scale in (1, 2)])
 def test_two_grid_solve_matches_direct(name, scale):
-    """An annulus solved with its half grid's factor iterates fewer times
-    than the cap to a residual of at most 1e-13, and its values match the
-    direct LU of the same system; the coarse factor is used once and freed."""
+    """An annulus or a disk solved with its half grid's factor iterates
+    fewer times than the cap to a residual of at most 1e-13, and its values
+    match the direct LU of the same system; the coarse factor is used once
+    and freed."""
     coarse, fine = solved_pair(name, scale)
     assert coarse.factor is not None
     got = solve(fine, coarse=coarse)
@@ -402,19 +404,15 @@ def test_two_grid_solve_matches_direct(name, scale):
     assert np.max(np.abs(got.values - want.values)) <= 1e-11 * np.max(np.abs(want.values))
 
 
-def test_disk_takes_the_direct_path(monkeypatch):
-    """A disk keeps no factor, since no finer grid can use it, and takes the
-    direct LU even when handed a coarse system that holds one; that factor
-    is freed."""
-    import scipy.sparse.linalg as spla
-
+def test_disk_keeps_its_factor_for_the_two_grid_path():
+    """A disk keeps its configured-grid factor, as an annulus does, and its
+    refined grid takes the two-grid path, which frees that factor and
+    factors nothing."""
     coarse, fine = solved_pair("disk_z2", 1)
-    assert coarse.factor is None
-    monkeypatch.setattr(coarse, "factor", spla.splu(coarse.matrix, permc_spec="NATURAL"))
+    assert coarse.factor is not None
     got = solve(fine, coarse=coarse)
-    assert got.solved_by == "direct" and got.iterations == 0
+    assert got.solved_by == "two-grid" and 7 <= got.iterations <= solver_mod._TWO_GRID_CAP
     assert coarse.factor is None and fine.factor is None
-    assert np.array_equal(got.values, solve(assemble(fine.spec)).values)
 
 
 class NaNFactor:
@@ -422,14 +420,16 @@ class NaNFactor:
         return np.full_like(r, np.nan)
 
 
-@pytest.mark.parametrize("wrong", ["identity", "nan"])
-def test_wrong_coarse_factor_falls_back_to_lu(wrong, monkeypatch):
+@pytest.mark.parametrize("wrong, name", [
+    pytest.param(wrong, name, id=wrong if name == "z_plus_inv" else f"{wrong}-{name}")
+    for name in ("z_plus_inv", "disk_z2") for wrong in ("identity", "nan")])
+def test_wrong_coarse_factor_falls_back_to_lu(wrong, name, monkeypatch):
     """With a coarse factor of the wrong matrix the iteration reaches the
     cap, with one that returns NaN it gives up at once; either way the solve
     factors the fine system and says so."""
     import scipy.sparse.linalg as spla
 
-    coarse, fine = solved_pair("z_plus_inv", 1)
+    coarse, fine = solved_pair(name, 1)
     factor = spla.splu(sp.identity(coarse.size, format="csc")) if wrong == "identity" else NaNFactor()
     monkeypatch.setattr(coarse, "factor", factor)
     got = solve(fine, coarse=coarse)
@@ -440,7 +440,8 @@ def test_wrong_coarse_factor_falls_back_to_lu(wrong, monkeypatch):
     assert np.array_equal(got.values, solve(assemble(fine.spec)).values)
 
 
-def test_perturbed_two_grid_result_fails_residual_gate(monkeypatch):
+@pytest.mark.parametrize("name", ["z_plus_inv", "disk_z2"])
+def test_perturbed_two_grid_result_fails_residual_gate(name, monkeypatch):
     """The gate reads the vector the iteration returns, not its estimate:
     a converged iterate perturbed afterwards raises."""
     real_gmres = solver_mod._gmres
@@ -450,7 +451,7 @@ def test_perturbed_two_grid_result_fails_residual_gate(monkeypatch):
         x[len(x) // 3] += 1e-6 * np.max(np.abs(x))
         return x, iterations
 
-    coarse, fine = solved_pair("z_plus_inv", 1)
+    coarse, fine = solved_pair(name, 1)
     assert solve(fine, coarse=coarse).residual <= 1e-13
     solve(coarse)  # the first solve used its factor up
     monkeypatch.setattr(solver_mod, "_gmres", perturbed)
@@ -464,7 +465,7 @@ def test_two_grid_operators():
     away from the rims), P interpolates linearly in theta and in s, and
     R = P^T / 4 is full weighting."""
     nt, ns = 48, 24
-    plan = solver_mod._two_grid_plan(nt, ns)
+    plan = solver_mod._two_grid_plan(nt, ns, False)
     fine, coarse = solver_mod._grid_plan(nt, ns, False), solver_mod._grid_plan(nt // 2, ns // 2, False)
     nc = coarse.indptr.size - 1
     P = plan.prolong.toarray()
@@ -502,7 +503,7 @@ def test_line_slots_gather_the_s_line_blocks():
     """The gathered diagonal, upper and lower entries are the tridiagonal
     part of the matrix in s-line order, with zeros where a line meets a rim."""
     system = assemble(builtin_spec("counterexample1").with_grid(48, 24))
-    plan = solver_mod._two_grid_plan(48, 24)
+    plan = solver_mod._two_grid_plan(48, 24, False)
     diag, up, down = np.append(system.matrix.data, 0.0)[plan.line_slots]
     lines = system.matrix.toarray()[np.ix_(plan.line_order, plan.line_order)]
     assert np.array_equal(np.diag(lines), diag)
@@ -511,12 +512,66 @@ def test_line_slots_gather_the_s_line_blocks():
     assert np.all(up[:-1][inside] != 0) and np.all(up[:-1][~inside] == 0)
 
 
+def test_two_grid_operators_on_a_disk():
+    """On a disk the fine centre, the last unknown, injects the coarse
+    centre; each first-ring row reads the coarse centre with weight 1/2,
+    through the node index, and the coarse first ring with the rest; every
+    row of P with its rim part sums to 1."""
+    nt, ns = 48, 24
+    plan = solver_mod._two_grid_plan(nt, ns, True)
+    fine, coarse = solver_mod._grid_plan(nt, ns, True), solver_mod._grid_plan(nt // 2, ns // 2, True)
+    n, nc = fine.indptr.size - 1, coarse.indptr.size - 1
+    assert fine.node_index[0, 0] == n - 1 and coarse.node_index[0, 0] == nc - 1
+    P = plan.prolong.toarray()
+    centre = np.zeros(nc)
+    centre[nc - 1] = 1.0
+    assert np.array_equal(P[n - 1], centre)
+    first = fine.node_index[:, 1]
+    assert np.array_equal(P[first, nc - 1], np.full(nt, 0.5))
+    assert np.array_equal(P[first].sum(axis=1), np.ones(nt))
+    assert np.all(P[np.setdiff1d(np.arange(n), np.append(first, n - 1)), nc - 1] == 0)
+    sums = P.sum(axis=1) + plan.rim.toarray().sum(axis=1)
+    assert np.array_equal(sums, np.ones(n))
+
+
+def test_ring_and_centre_slots_gather_their_entries():
+    """On a disk the gathered ring entries are each ring's periodic
+    tridiagonal block of the matrix, the centre slots are the centre row
+    over [centre, first ring] and that row's only entries, and the s-line
+    entries leave out the first ring's coupling to the centre."""
+    nt, ns = 48, 24
+    system = assemble(builtin_spec("disk_z3").with_grid(nt, ns))
+    plan = solver_mod._two_grid_plan(nt, ns, True)
+    values, A = np.append(system.matrix.data, 0.0), system.matrix.toarray()
+    n = A.shape[0]
+    rings = plan.ring_order.reshape(ns - 1, nt)
+    assert np.array_equal(rings, solver_mod._grid_plan(nt, ns, True).node_index[:, 1:ns].T)
+    diag, nxt, prev = values[plan.ring_slots].reshape(3, ns - 1, nt)
+    i = np.arange(nt)
+    for k, ring in enumerate(rings):
+        block = A[np.ix_(ring, ring)]
+        assert np.array_equal(np.diag(block), diag[k])
+        assert np.array_equal(block[i, (i + 1) % nt], nxt[k]) and np.array_equal(block[i, (i - 1) % nt], prev[k])
+        assert np.all(nxt[k] != 0) and np.all(prev[k] != 0)
+    columns = np.append(n - 1, rings[0])
+    assert np.array_equal(values[plan.centre_slots], A[n - 1, columns])
+    assert np.count_nonzero(A[n - 1]) == np.count_nonzero(A[n - 1, columns]) == nt + 1
+    diag, up, down = values[plan.line_slots]
+    lines = A[np.ix_(plan.line_order, plan.line_order)]
+    assert np.array_equal(np.diag(lines), diag)
+    assert np.array_equal(np.diag(lines, 1), up[:-1]) and np.array_equal(np.diag(lines, -1), down[1:])
+    assert np.all(down.reshape(nt, ns - 1)[:, 0] == 0) and np.all(A[rings[0], n - 1] != 0)
+
+
 def test_two_grid_plan_cached_and_read_only():
-    plan = solver_mod._two_grid_plan(48, 24)
-    assert solver_mod._two_grid_plan(48, 24) is plan
+    plan = solver_mod._two_grid_plan(48, 24, False)
+    assert solver_mod._two_grid_plan(48, 24, False) is plan
     line = plan.line_order.reshape(48, 23)
     assert np.array_equal(line, solver_mod._grid_plan(48, 24, False).node_index[:, 1:24])
-    for arr in plan_arrays(plan):
+    assert plan.ring_order.size == plan.ring_slots.size == plan.centre_slots.size == 0
+    disk = solver_mod._two_grid_plan(48, 24, True)
+    assert disk is not plan and solver_mod._two_grid_plan(48, 24, True) is disk
+    for arr in plan_arrays(plan) + plan_arrays(disk):
         with pytest.raises(ValueError):
             arr[0] = 0
 
