@@ -297,10 +297,10 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     The system is factored in the nested-dissection order `assemble` gave
     it, and keeps its factor for a finer grid: handed its solved half-grid
     system as `coarse`, a system goes to `_two_grid_solve` first, which
-    uses that factor up.  The gate is the relative
-    residual of the returned x, whose both sides carry the 1/h^2 scale of
-    the stencil, against the scenario's linear_residual_tol; the boundary
-    values of u are the Dirichlet data exactly.
+    uses that factor up.  The gate is the relative residual of the
+    returned x, whose both sides carry the 1/h^2 scale of the stencil,
+    against the scenario's linear_residual_tol; the boundary values of u
+    are the Dirichlet data exactly.
     """
     A, b = system.matrix, system.rhs
     x, iterations, solved_by = None, 0, "direct"

@@ -316,6 +316,7 @@ def test_plan_cache_shared_by_threads():
     specs = [log_annulus_spec(g) for g in ((32, 16), (36, 16), (40, 20))]
     specs += [make_scenario("1", None, "x", None, grid=g) for g in ((32, 16), (36, 16))]
     want = [assemble(spec) for spec in specs]
+
     def two_grid_plan(spec):
         return solver_mod._two_grid_plan(*spec.grid, spec.domain.is_disk)
 
