@@ -101,7 +101,9 @@ class DiscreteSystem:
     rhs: np.ndarray
     node_index: np.ndarray    # (n_theta, n_s + 1) position of each node in [x, boundary]
     is_disk: bool
-    factor: object = None     # splu of `matrix`, until a finer solve uses it
+    factor: object = None     # splu of `matrix`, when it was factored directly
+    half: "DiscreteSystem | None" = None  # the factored half grid a two-grid solve went through
+    solution: np.ndarray | None = None    # x, once solved; a finer grid's solve starts from it
 
     @property
     def size(self) -> int:
@@ -204,7 +206,8 @@ def assemble(spec: ScenarioSpec) -> DiscreteSystem:
 _GridPlan = namedtuple("_GridPlan", "node_index indptr indices c_indptr c_indices slot")
 
 
-@functools.lru_cache(maxsize=4)
+# three grids (half, configured, refined) of both domain kinds
+@functools.lru_cache(maxsize=6)
 def _grid_plan(nt: int, ns: int, is_disk: bool) -> _GridPlan:
     """The plan of one grid.  The pattern is structurally symmetric, so the
     CSC slot of the entry that node p gives neighbour q is the CSR slot of
@@ -294,35 +297,54 @@ def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
 def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "SolutionField":
     """Sparse solve of the interior unknowns with a residual check.
 
-    The system is factored in the nested-dissection order `assemble` gave
-    it, and keeps its factor for a finer grid: handed its solved half-grid
-    system as `coarse`, a system goes to `_two_grid_solve` first, which
-    uses that factor up.  The gate is the relative residual of the
-    returned x, whose both sides carry the 1/h^2 scale of the stencil,
-    against the scenario's linear_residual_tol; the boundary values of u
-    are the Dirichlet data exactly.
+    A system whose grid halves (both sizes even, and at least 6 x 4, so
+    that the half grid has 3 nodes a ring and an interior ring) is solved
+    by `_two_grid_solve` over its half grid, which `solve` assembles and
+    factors, and keeps that
+    half system in place of a factor of its own.  Handed its solved
+    half-grid system as `coarse`, a system goes to `_two_grid_solve` over
+    it instead, whose coarsest level is then the half of that half when
+    the coarse system kept one; either way `coarse` is used up.  A grid
+    that does not halve, and a system whose iteration gives up, is
+    factored directly in the nested-dissection order `assemble` gave it.
+    The gate is the relative residual of the returned x, whose both sides
+    carry the 1/h^2 scale of the stencil, against the scenario's
+    linear_residual_tol; the boundary values of u are the Dirichlet data
+    exactly.
     """
     A, b = system.matrix, system.rhs
     x, iterations, solved_by = None, 0, "direct"
-    if coarse is not None:
-        if coarse.factor is not None and (2 * coarse.n_theta, 2 * coarse.n_s) == (system.n_theta, system.n_s):
-            x, iterations = _two_grid_solve(system, coarse)
-            solved_by = "two-grid" if x is not None else "direct after two-grid"
-        coarse.factor = None  # freed before the fine field, or a fine factor, is built
+    if coarse is None and system.n_theta % 2 == system.n_s % 2 == 0 and system.n_theta >= 6 and system.n_s >= 4:
+        coarse = system.half = assemble(system.spec.with_grid(system.n_theta // 2, system.n_s // 2))
+        coarse.solution = _factor(coarse).solve(coarse.rhs)
+    if coarse is not None and coarse.solution is not None \
+            and (2 * coarse.n_theta, 2 * coarse.n_s) == (system.n_theta, system.n_s):
+        x, iterations = _two_grid_solve(system, coarse)
+        solved_by = "two-grid" if x is not None else "direct after two-grid"
     if x is None:
-        try:
-            lu = spla.splu(A, permc_spec="NATURAL")
-        except RuntimeError as err:
-            raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
-        x = lu.solve(b)
-        system.factor = lu
+        system.half = None
+    if coarse is not None and coarse is not system.half:
+        # freed before the fine field, or a fine factor, is built
+        coarse.factor = coarse.half = coarse.solution = None
+    if x is None:
+        x = _factor(system).solve(b)
     if not np.all(np.isfinite(x)):
         raise NoConvergenceError(0, float("inf"), "solution contains non-finite values")
     rel = _relative_residual(A, x, b)
     if rel > system.spec.tolerances.linear_residual_tol:
         raise NoConvergenceError(max(iterations, 1), rel, f"{solved_by} solve residual above tolerance")
+    system.solution = x
     values = np.concatenate((x, system.boundary))[system.node_index]
     return SolutionField(system.spec, values, residual=rel, solved_by=solved_by, iterations=iterations)
+
+
+def _factor(system: DiscreteSystem):
+    """`system.factor`, the splu of its matrix as given."""
+    try:
+        system.factor = spla.splu(system.matrix, permc_spec="NATURAL")
+    except RuntimeError as err:
+        raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
+    return system.factor
 
 
 def _norm(v) -> float:
@@ -340,7 +362,7 @@ def _relative_residual(A, x, b) -> float:
 # Stop rule, GMRES iteration cap and damping of the line sweeps of the two-grid solve.
 _TWO_GRID_TOL = 1e-13
 _TWO_GRID_CAP = 30
-_LINE_DAMPING = 0.8
+_LINE_DAMPING = 0.7
 
 # All of the two-grid cycle that depends only on the grid, read-only: prolongation P from the
 # unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse nodes
@@ -351,7 +373,8 @@ _LINE_DAMPING = 0.8
 _TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_order line_slots ring_order ring_slots centre_slots")
 
 
-@functools.lru_cache(maxsize=2)
+# the two finer grids of both domain kinds
+@functools.lru_cache(maxsize=4)
 def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     fine, coarse = _grid_plan(nt, ns, is_disk), _grid_plan(nt // 2, ns // 2, is_disk)
     n, nc, nnz = fine.indptr.size - 1, coarse.indptr.size - 1, fine.indices.size
@@ -405,20 +428,39 @@ def _periodic_tridiagonal(diag, up, down):
 
 def _two_grid_solve(system: DiscreteSystem, coarse: DiscreteSystem):
     """`_gmres` from the prolonged coarse solution, rims included,
-    preconditioned by one V(1,1) cycle: smoothing, the coarse factor on the
-    restricted residual, prolongation, smoothing.  A smoothing step is a
-    damped s-line sweep; on a disk, whose cells near the centre couple most
-    strongly along the rings, a damped ring sweep and an exact update of
-    the centre row follow it, each on the updated residual."""
-    plan, A, lu = _two_grid_plan(system.n_theta, system.n_s, system.is_disk), system.matrix, coarse.factor
+    preconditioned by `_v_cycle`; (None, 0) when the cycle has a zero
+    pivot."""
+    cycle = _v_cycle(system, coarse)
+    if cycle is None:
+        return None, 0
+    plan = _two_grid_plan(system.n_theta, system.n_s, system.is_disk)
+    return _gmres(system.matrix, system.rhs, plan.prolong @ coarse.solution + plan.rim @ coarse.boundary, cycle)
+
+
+def _v_cycle(system: DiscreteSystem, coarse: DiscreteSystem):
+    """One V(1,1) cycle on the grid of `system`: smoothing, the coarse
+    correction of the restricted residual, prolongation, smoothing; None on
+    a zero pivot.  The coarse correction is the coarse factor or, when the
+    coarse system kept its half grid instead, the coarse grid's own cycle,
+    so that the half grid's factor is the coarsest level.  A smoothing step
+    is a damped s-line sweep; on a disk, whose cells near the centre couple
+    most strongly along the rings, a damped ring sweep and an exact update
+    of the centre row follow it, each on the updated residual.  The cycle
+    reads the matrix through the slots of its grid plan, so a matrix with
+    another pattern gets none."""
+    correct = coarse.factor.solve if coarse.factor is not None else _v_cycle(coarse, coarse.half)
+    plan, A = _two_grid_plan(system.n_theta, system.n_s, system.is_disk), system.matrix
+    pattern = _grid_plan(system.n_theta, system.n_s, system.is_disk)
+    if not (np.array_equal(A.indptr, pattern.indptr) and np.array_equal(A.indices, pattern.indices)):
+        return None
     values = np.append(A.data, 0.0)
     diag, up, down = values[plan.line_slots]
     *lines, info = dgttrf(down[1:], diag, up[:-1])
     has_centre = plan.centre_slots.size > 0
     # False on an annulus, None when a ring is singular
     rings = has_centre and _periodic_tridiagonal(*values[plan.ring_slots].reshape(3, -1, system.n_theta))
-    if info != 0 or rings is None:
-        return None, 0
+    if correct is None or info != 0 or rings is None:
+        return None
     centre_row, first_ring = values[plan.centre_slots], plan.ring_order[:system.n_theta]
 
     def smooth(r):
@@ -431,10 +473,10 @@ def _two_grid_solve(system: DiscreteSystem, coarse: DiscreteSystem):
 
     def cycle(r):
         z = smooth(r)
-        z += plan.prolong @ lu.solve(0.25 * (plan.prolong.T @ (r - A @ z)))  # restriction P^T / 4
+        z += plan.prolong @ correct(0.25 * (plan.prolong.T @ (r - A @ z)))  # restriction P^T / 4
         return z + smooth(r - A @ z)
 
-    return _gmres(A, system.rhs, plan.prolong @ lu.solve(coarse.rhs) + plan.rim @ coarse.boundary, cycle)
+    return cycle
 
 
 def _gmres(A, b, x, precondition):

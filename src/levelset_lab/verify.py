@@ -448,11 +448,12 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     coarse_spec = spec
     fine_spec = spec.with_grid(FINE_FACTOR * spec.n_theta, FINE_FACTOR * spec.n_s)
 
-    # both systems before the coarse factor: what is allocated while it lives
-    # keeps its memory from being reused, which raised peak RSS by up to 30 MB
+    # both systems before the half grid's factor, which the coarse solve
+    # builds: what is allocated while a factor lives keeps its memory from
+    # being reused, which raised peak RSS by up to 30 MB
     coarse_system, fine_system = assemble(coarse_spec), assemble(fine_spec)
     coarse_field = solve(coarse_system)
-    fine_field = solve(fine_system, coarse=coarse_system)  # uses the coarse factor up
+    fine_field = solve(fine_system, coarse=coarse_system)  # uses the half grid's factor up
     del coarse_system, fine_system
 
     coarse_pts, _, _ = find_critical_points_report(coarse_field)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
@@ -163,8 +164,9 @@ def test_zero_pivot_reports_no_convergence():
 
 
 def test_corrupted_solution_fails_residual_gate(monkeypatch):
-    """The gate checks the solution it is handed: an LU solve that returns
-    a perturbed vector raises instead of passing."""
+    """The gate checks the solution it is handed: on a grid that does not
+    halve, which is factored directly, an LU solve that returns a perturbed
+    vector raises instead of passing."""
     import levelset_lab.solver as solver_mod
     real_splu = solver_mod.spla.splu
 
@@ -177,7 +179,7 @@ def test_corrupted_solution_fails_residual_gate(monkeypatch):
             x[len(x) // 3] += 1e-6 * np.max(np.abs(x))
             return x
 
-    system = assemble(log_annulus_spec())
+    system = assemble(log_annulus_spec((65, 32)))
     assert solve(system).residual <= 1e-13
     monkeypatch.setattr(solver_mod.spla, "splu", lambda *a, **k: Corrupted(real_splu(*a, **k)))
     with pytest.raises(NoConvergenceError):
@@ -307,14 +309,17 @@ def test_plan_cached_per_grid_and_read_only():
 
 def test_plan_cache_shared_by_threads():
     """Six threads on two cores, switching as often as the interpreter
-    allows, assemble five grids (one more than the cache holds) from an
-    empty cache, and build their five two-grid plans (three more than that
-    cache holds); every system and plan matches the one built alone."""
+    allows, assemble seven grids (one more than the cache holds: the half,
+    configured and refined grids of an annulus and of a disk, and one more
+    annulus) from an empty cache, and build their seven two-grid plans
+    (three more than that cache holds); every system and plan matches the
+    one built alone."""
     import sys
     import threading
 
-    specs = [log_annulus_spec(g) for g in ((32, 16), (36, 16), (40, 20))]
-    specs += [make_scenario("1", None, "x", None, grid=g) for g in ((32, 16), (36, 16))]
+    hierarchy = ((32, 16), (64, 32), (128, 64))
+    specs = [log_annulus_spec(g) for g in hierarchy + ((36, 16),)]
+    specs += [make_scenario("1", None, "x", None, grid=g) for g in hierarchy]
     want = [assemble(spec) for spec in specs]
 
     def two_grid_plan(spec):
@@ -378,7 +383,7 @@ def plan_arrays(plan):
 
 
 def solved_pair(name, scale):
-    """The factored system of a built-in at `scale` times its grid, and the
+    """The solved system of a built-in at `scale` times its grid, and the
     assembled system at twice that."""
     spec = builtin_spec(name)
     coarse = assemble(spec.with_grid(scale * spec.n_theta, scale * spec.n_s))
@@ -386,34 +391,63 @@ def solved_pair(name, scale):
     return coarse, assemble(spec.with_grid(2 * scale * spec.n_theta, 2 * scale * spec.n_s))
 
 
+def direct_values(system):
+    """The grid values of the direct LU of `system`."""
+    x = spla.splu(system.matrix, permc_spec="NATURAL").solve(system.rhs)
+    return np.concatenate((x, system.boundary))[system.node_index]
+
+
 @pytest.mark.parametrize("name, scale", [(name, 1) for name in ANNULUS_NAMES]
                          + [("counterexample2", 2), ("z_plus_inv", 2)]
                          + [(name, scale) for name in ("disk_z2", "disk_z3") for scale in (1, 2)])
 def test_two_grid_solve_matches_direct(name, scale):
-    """An annulus or a disk solved with its half grid's factor iterates
-    fewer times than the cap to a residual of at most 1e-13, and its values
-    match the direct LU of the same system; the coarse factor is used once
-    and freed."""
-    coarse, fine = solved_pair(name, scale)
-    assert coarse.factor is not None
-    got = solve(fine, coarse=coarse)
-    assert got.solved_by == "two-grid" and 0 < got.iterations < solver_mod._TWO_GRID_CAP
-    assert got.residual <= 1e-13
-    assert fine.factor is None and coarse.factor is None
-    want = solve(fine)
-    assert want.solved_by == "direct" and want.iterations == 0 and fine.factor is not None
-    assert np.max(np.abs(got.values - want.values)) <= 1e-11 * np.max(np.abs(want.values))
+    """An annulus or a disk is solved over its half grid's factor, and its
+    refined grid over a three-level V-cycle whose coarsest level is that
+    factor; on both grids GMRES iterates fewer times than the cap to a
+    residual of at most 1e-13, and the values match the direct LU of the
+    same system.  The configured system keeps its half grid, and no factor
+    of its own, until the refined solve uses it up."""
+    spec = builtin_spec(name)
+    spec = spec.with_grid(scale * spec.n_theta, scale * spec.n_s)
+    coarse, fine = assemble(spec), assemble(spec.with_grid(2 * spec.n_theta, 2 * spec.n_s))
+    got = [solve(coarse)]
+    assert coarse.factor is None and coarse.half.factor is not None
+    assert (coarse.half.n_theta, coarse.half.n_s) == (spec.n_theta // 2, spec.n_s // 2)
+    got.append(solve(fine, coarse=coarse))
+    assert coarse.half is None and coarse.factor is None and coarse.solution is None
+    assert fine.factor is None and fine.half is None
+    for field, system in zip(got, (coarse, fine)):
+        assert field.solved_by == "two-grid" and 0 < field.iterations < solver_mod._TWO_GRID_CAP
+        assert field.residual <= 1e-13
+        want = direct_values(system)
+        assert np.max(np.abs(field.values - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_disk_keeps_its_factor_for_the_two_grid_path():
-    """A disk keeps its configured-grid factor, as an annulus does, and its
+    """A disk keeps its half grid's factor, as an annulus does, and its
     refined grid takes the two-grid path, which frees that factor and
     factors nothing."""
     coarse, fine = solved_pair("disk_z2", 1)
-    assert coarse.factor is not None
+    assert coarse.factor is None and coarse.half.factor is not None
     got = solve(fine, coarse=coarse)
     assert got.solved_by == "two-grid" and 7 <= got.iterations <= solver_mod._TWO_GRID_CAP
-    assert coarse.factor is None and fine.factor is None
+    assert coarse.half is None and fine.factor is None
+
+
+@pytest.mark.parametrize("grid", [(65, 32), (64, 33), (8, 2), (4, 8)])
+def test_grid_that_does_not_halve_is_factored_directly(grid):
+    """A grid with an odd dimension, or one whose half would have no
+    interior ring or fewer than 3 nodes a ring, is factored directly and
+    keeps its factor; its refined grid is then solved over that factor by
+    the two-grid cycle, which frees it."""
+    spec = log_annulus_spec(grid)
+    coarse, fine = assemble(spec), assemble(spec.with_grid(2 * grid[0], 2 * grid[1]))
+    got = solve(coarse)
+    assert got.solved_by == "direct" and got.iterations == 0
+    assert coarse.factor is not None and coarse.half is None
+    refined = solve(fine, coarse=coarse)
+    assert refined.solved_by == "two-grid" and 0 < refined.iterations < solver_mod._TWO_GRID_CAP
+    assert coarse.factor is None and fine.factor is None and refined.residual <= 1e-13
 
 
 class NaNFactor:
@@ -421,24 +455,50 @@ class NaNFactor:
         return np.full_like(r, np.nan)
 
 
+def wrong_factor(wrong, size):
+    return spla.splu(sp.identity(size, format="csc")) if wrong == "identity" else NaNFactor()
+
+
 @pytest.mark.parametrize("wrong, name", [
     pytest.param(wrong, name, id=wrong if name == "z_plus_inv" else f"{wrong}-{name}")
     for name in ("z_plus_inv", "disk_z2") for wrong in ("identity", "nan")])
 def test_wrong_coarse_factor_falls_back_to_lu(wrong, name, monkeypatch):
-    """With a coarse factor of the wrong matrix the iteration reaches the
-    cap, with one that returns NaN it gives up at once; either way the solve
-    factors the fine system and says so."""
-    import scipy.sparse.linalg as spla
-
+    """With a half-grid factor of the wrong matrix the refined grid's
+    iteration reaches the cap, with one that returns NaN it gives up at
+    once; either way the solve factors the fine system and says so."""
     coarse, fine = solved_pair(name, 1)
-    factor = spla.splu(sp.identity(coarse.size, format="csc")) if wrong == "identity" else NaNFactor()
-    monkeypatch.setattr(coarse, "factor", factor)
+    monkeypatch.setattr(coarse.half, "factor", wrong_factor(wrong, coarse.half.size))
     got = solve(fine, coarse=coarse)
     assert got.solved_by == "direct after two-grid"
     assert got.iterations == (solver_mod._TWO_GRID_CAP if wrong == "identity" else 0)
-    assert coarse.factor is None and fine.factor is not None
+    assert coarse.half is None and fine.factor is not None
     assert got.residual <= 1e-13
-    assert np.array_equal(got.values, solve(assemble(fine.spec)).values)
+    assert np.array_equal(got.values, direct_values(fine))
+
+
+@pytest.mark.parametrize("wrong, name", [
+    pytest.param(wrong, name, id=wrong if name == "z_plus_inv" else f"{wrong}-{name}")
+    for name in ("z_plus_inv", "disk_z2") for wrong in ("identity", "nan")])
+def test_wrong_half_factor_falls_back_to_lu_on_the_configured_grid(wrong, name, monkeypatch):
+    """The same on the configured grid: with its half grid factored wrong,
+    its iteration reaches the cap or gives up at once, and the configured
+    system is factored directly, keeps that factor and drops its half."""
+    real_splu, spec = spla.splu, builtin_spec(name)
+    half_size = assemble(spec.with_grid(spec.n_theta // 2, spec.n_s // 2)).size
+    factor = wrong_factor(wrong, half_size)
+
+    def splu(matrix, **kwargs):
+        return factor if matrix.shape[0] == half_size else real_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(solver_mod.spla, "splu", splu)
+    system = assemble(spec)
+    got = solve(system)
+    assert got.solved_by == "direct after two-grid"
+    assert got.iterations == (solver_mod._TWO_GRID_CAP if wrong == "identity" else 0)
+    assert system.half is None and system.factor is not None
+    assert got.residual <= 1e-13
+    monkeypatch.undo()
+    assert np.array_equal(got.values, direct_values(system))
 
 
 @pytest.mark.parametrize("name", ["z_plus_inv", "disk_z2"])
@@ -747,7 +807,9 @@ def test_lattice_matches_pointwise_evaluation():
     fld = solved_field("z_plus_inv", 64, 32)
     lat = fld.lattice()
     i, j = 37, 11
-    assert lat.nodes[i, j] == fld.evaluate_ref(lat.theta[i], lat.s[j])
+    # two orders of the same sum: equal up to the rounding of their last terms
+    node = float(fld.evaluate_ref(lat.theta[i], lat.s[j]))
+    assert abs(lat.nodes[i, j] - node) <= 2 * np.spacing(abs(node))
     centre = fld.evaluate_ref(0.5 * (lat.theta[i] + lat.theta[i + 1]), 0.5 * (lat.s[j] + lat.s[j + 1]))
     assert lat.centres[i, j] == pytest.approx(float(centre), rel=1e-12)
 

@@ -743,14 +743,16 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
 
 def test_report_names_the_solve_path_of_each_grid(monkeypatch):
     """A two-grid solve that gives up falls back to `splu`, and the report's
-    diagnostics say so for the refined grid, after the coarse direct solve."""
+    diagnostics say so for both grids: the configured grid factors itself
+    after its half grid's cycle gives up, and the refined grid after the
+    cycle over that factor does."""
     import levelset_lab.solver as solver_mod
     from levelset_lab.cli import report_to_dict
 
     monkeypatch.setattr(solver_mod, "_two_grid_solve", lambda system, coarse: (None, 0))
     report = run_scenario(builtin_spec("z_plus_inv").with_grid(64, 32))
     assert report_to_dict(report)["diagnostics"] == {"solves": [
-        {"grid": [64, 32], "solved_by": "direct", "iterations": 0},
+        {"grid": [64, 32], "solved_by": "direct after two-grid", "iterations": 0},
         {"grid": [128, 64], "solved_by": "direct after two-grid", "iterations": 0},
     ]}
 
@@ -786,9 +788,9 @@ def test_run_scenario_calls_no_blas_vector_product(name, monkeypatch):
     """A whole verification runs without numpy's BLAS vector products and
     norms: one of them on a vector of the solve's size wakes OpenBLAS's
     thread pool, whose spinning threads then slow the main thread's next
-    ~0.1 s of work on a 2-vCPU host.  Both refined grids go through the
-    two-grid GMRES loop, so that loop and the disk's ring sweep are guarded
-    too."""
+    ~0.1 s of work on a 2-vCPU host.  Both grids go through the two-grid
+    GMRES loop, so that loop, the three-level cycle and the disk's ring
+    sweep are guarded too."""
     import levelset_lab.verify as verify_mod
 
     def forbidden(*args, **kwargs):
@@ -805,6 +807,6 @@ def test_run_scenario_calls_no_blas_vector_product(name, monkeypatch):
         monkeypatch.setattr(owner, attr, forbidden)
     report = run_scenario(builtin_spec(name))
     assert all(0.0 < r <= 1e-13 for r in report.residuals)
-    assert [f.solved_by for f in fields] == ["direct", "two-grid"]
+    assert [f.solved_by for f in fields] == ["two-grid", "two-grid"]
     monkeypatch.undo()
     assert report.points == builtin_report(name).points
