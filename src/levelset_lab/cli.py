@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
 import sys
@@ -212,6 +213,7 @@ def _cmd_batch(args) -> int:
     return 2 if any(r[1] == "FAIL" for r in rows) else (1 if bad else 0)
 
 
+@functools.cache  # once per process: building it takes about 1 ms of every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levelset-lab",
