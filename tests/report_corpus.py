@@ -15,27 +15,55 @@ a corpus with the package on the import path, once for each tree:
 
     PYTHONPATH=src python tests/report_corpus.py write OUT_DIR
     python tests/report_corpus.py compare OLD_DIR NEW_DIR
+    PYTHONPATH=src python tests/report_corpus.py compare --tolerant OLD_DIR NEW_DIR
 
 `compare` lists every file that is missing, extra or different, and exits
 1 when there is one.  For a `report.json` that differs it names the JSON
 paths whose values differ (`grid.linear_residuals[1]`), so that a move in
 the residuals alone reads as one.  A JSON list whose items are only
 permuted reads as one `<path>: reordered`, and so does a file of another
-kind (an SVG) whose lines are only permuted.  The module is not collected
-as a test; `tests/test_report_corpus.py` tests its comparison.
+kind (an SVG) whose lines are only permuted.
+
+`compare --tolerant` is the check of a change that moves floats on
+purpose.  Integers, booleans, nulls and strings, and so every count and
+verdict, must still match exactly.  A float is read by its key, against
+tolerances taken from the run's scenario in OLD_DIR (which needs the
+package on the import path): a point coordinate may move by
+COORDINATE_TOL times the domain diameter, a degree radius by RADIUS_TOL
+of itself, a value (a critical value, a census threshold, a band) by the
+scenario's equal_value_tol, and a linear residual anywhere below the
+scenario's residual gate; any other float must match exactly.  A point
+list (POINT_LISTS) matches when its items match in some order.  In an SVG every number may move by the
+coordinate tolerance and the rest must match.  The module is not
+collected as a test; `tests/test_report_corpus.py` tests its comparison.
 """
 
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(32)
+
+# --tolerant: the keys of the floats each tolerance applies to
+COORDINATE_KEYS = {"x", "y"}
+RADIUS_KEYS = {"degree_radius"}
+VALUE_KEYS = {"value", "extremal_value", "t", "uncertain_band", "band", "slack", "epsilon",
+              "min", "max", "z1", "z2", "Z1", "Z2"}
+RESIDUAL_KEYS = {"linear_residuals"}
+POINT_LISTS = {"critical_points", "points", "near_boundary_suspects"}
+COORDINATE_TOL = 1e-6  # times the domain diameter
+# a degree radius is twice the diagonal of the cell that holds its point, so
+# a point on a cell edge may take the radius of the cell across that edge
+RADIUS_TOL = 0.05  # times the radius
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def _run(argv: list, outdir: str) -> None:
@@ -89,34 +117,91 @@ def write(out: Path) -> None:
         pool.starmap(_run, tasks, chunksize=1)
 
 
-def json_paths(a, b, path: str = "") -> list:
+def json_paths(a, b, path: str = "", tol: dict | None = None, key: str | None = None) -> list:
     """The paths at which two decoded JSON documents differ; a list whose
-    items are the same up to order is one `<path>: reordered`."""
+    items are the same up to order is one `<path>: reordered`.  With `tol`
+    (the "coordinate", "value" and "gate" bounds of `tolerances`) floats
+    are read by the key they sit under, and a point list matches in any
+    order."""
     if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
-        return [d for k in a for d in json_paths(a[k], b[k], f"{path}.{k}" if path else k)]
+        return [d for k in a for d in json_paths(a[k], b[k], f"{path}.{k}" if path else k, tol, k)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        diffs = [d for k, (x, y) in enumerate(zip(a, b)) for d in json_paths(x, y, f"{path}[{k}]")]
+        diffs = [d for k, (x, y) in enumerate(zip(a, b)) for d in json_paths(x, y, f"{path}[{k}]", tol, key)]
+        if diffs and tol is not None and key in POINT_LISTS and _match_in_some_order(a, b, tol):
+            return []
         if diffs and sorted(map(json.dumps, a)) == sorted(map(json.dumps, b)):
             return [f"{path or '$'}: reordered"]
         return diffs
+    if tol is not None and type(a) is float and type(b) is float:
+        if key in RESIDUAL_KEYS:
+            return [] if max(a, b) <= tol["gate"] else [path or "$"]
+        bound = (tol["coordinate"] if key in COORDINATE_KEYS else RADIUS_TOL * abs(a) if key in RADIUS_KEYS
+                 else tol["value"] if key in VALUE_KEYS else 0.0)
+        return [] if abs(a - b) <= bound else [path or "$"]
     return [] if type(a) is type(b) and repr(a) == repr(b) else [path or "$"]
 
 
-def compare(old: Path, new: Path) -> list:
+def _match_in_some_order(a: list, b: list, tol: dict) -> bool:
+    """Each item of `a` matches a distinct item of `b` (greedily, first fit)."""
+    rest = list(b)
+    for item in a:
+        hit = next((k for k, other in enumerate(rest) if not json_paths(item, other, tol=tol)), None)
+        if hit is None:
+            return False
+        rest.pop(hit)
+    return True
+
+
+def tolerances(corpus: Path, run: Path) -> dict:
+    """The --tolerant bounds of one run directory of `corpus`, from its
+    scenario file: COORDINATE_TOL times the domain diameter, the scenario's
+    equal_extrema_tol times the range of its Dirichlet data (which bounds
+    u where the maximum principle holds), and its residual gate."""
+    import numpy as np
+    from levelset_lab import domain
+    from levelset_lab import expressions as ex
+
+    parts = run.parts
+    folder = parts[1] if parts[0] == "symmetric" else "builtin"
+    spec = domain.load_scenario(corpus / "scenarios" / folder / f"{parts[-1]}.json", validate=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    data = [ex.evaluate_xy(psi, *spec.domain.map_point(theta, np.full_like(theta, s)))
+            for psi, s in ((spec.psi_exterior, 1.0), (spec.psi_interior, 0.0)) if psi is not None]
+    scale = float(np.ptp(np.concatenate(data))) or 1.0
+    return {"coordinate": COORDINATE_TOL * spec.domain.diameter(),
+            "value": spec.tolerances.equal_extrema_tol * scale,
+            "gate": spec.tolerances.linear_residual_tol}
+
+
+def _svg_matches(a: str, b: str, bound: float) -> bool:
+    """Same text around the numbers, and every number within `bound`."""
+    return _NUMBER.split(a) == _NUMBER.split(b) and all(
+        abs(float(x) - float(y)) <= bound for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+
+
+def compare(old: Path, new: Path, tolerant: bool = False) -> list:
     """Relative paths of the files that differ, with how; a differing
-    report names the JSON paths that differ."""
+    report names the JSON paths that differ.  With `tolerant`, a file whose
+    floats moved within `tolerances` does not differ."""
     files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
     other = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
     out = [f"missing: {p}" for p in sorted(files - other)]
     out += [f"extra: {p}" for p in sorted(other - files)]
     for p in sorted(files & other):
         a, b = (old / p).read_bytes(), (new / p).read_bytes()
-        if a != b:
-            if p.suffix == ".json":
-                paths = json_paths(json.loads(a), json.loads(b))
-            else:
-                paths = ["reordered"] if sorted(a.splitlines()) == sorted(b.splitlines()) else []
-            out.append(f"differs: {p}" + (f": {', '.join(paths)}" if paths else ""))
+        if a == b:
+            continue
+        tol = tolerances(old, p.parent) if tolerant and p.suffix in (".json", ".svg") \
+            and p.parts[0] != "scenarios" else None
+        if p.suffix == ".json":
+            paths = json_paths(json.loads(a), json.loads(b), tol=tol)
+            if tol is not None and not paths:
+                continue
+        elif tol is not None and _svg_matches(a.decode(), b.decode(), tol["coordinate"]):
+            continue
+        else:
+            paths = ["reordered"] if sorted(a.splitlines()) == sorted(b.splitlines()) else []
+        out.append(f"differs: {p}" + (f": {', '.join(paths)}" if paths else ""))
     return out
 
 
@@ -124,9 +209,10 @@ def main(argv: list) -> int:
     if len(argv) == 2 and argv[0] == "write":
         write(Path(argv[1]).resolve())
         return 0
-    if len(argv) == 3 and argv[0] == "compare":
-        old, new = Path(argv[1]), Path(argv[2])
-        diffs = compare(old, new)
+    tolerant = argv[1:2] == ["--tolerant"]
+    if len(argv) == 3 + tolerant and argv[0] == "compare":
+        old, new = Path(argv[-2]), Path(argv[-1])
+        diffs = compare(old, new, tolerant)
         for line in diffs:
             print(line)
         count = sum(1 for p in old.rglob("*") if p.is_file())
