@@ -485,21 +485,19 @@ def _gmres(A, b, x, precondition):
     the iterate's residual, not on the rotated estimate, and x is None when
     _TWO_GRID_CAP iterations did not reach _TWO_GRID_TOL."""
     target, done = _TWO_GRID_TOL * (_norm(b) or 1.0), 0
-    # both bases in one allocation, whose unused rows are never touched
-    V, Z = np.empty((2, _TWO_GRID_CAP + 1, b.size))
     while not (beta := _norm(r := b - A @ x)) <= target:  # a NaN residual goes in, and gives up
         if done >= _TWO_GRID_CAP or not math.isfinite(beta):
             return None, done
-        V[0], R, g, rotations = r / beta, [], [beta], []
+        # the bases one vector at a time (see README's memory rule)
+        V, Z, R, g, rotations = [r / beta], [], [], [beta], []
         while done < _TWO_GRID_CAP and abs(g[-1]) > target:
-            k = len(R)
-            Z[k] = precondition(V[k])
-            w, h = A @ Z[k], []
-            for v in V[:k + 1]:  # modified Gram-Schmidt
+            Z.append(precondition(V[-1]))
+            w, h = A @ Z[-1], []
+            for v in V:  # modified Gram-Schmidt
                 h.append(float(np.sum(w * v)))
                 w -= h[-1] * v
             h.append(_norm(w))
-            V[k + 1] = w / h[-1]
+            V.append(w / h[-1])
             for j, (c, s) in enumerate(rotations):
                 h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
             rho = math.hypot(h[-2], h[-1])
