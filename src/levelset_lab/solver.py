@@ -297,35 +297,31 @@ def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
 def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "SolutionField":
     """Sparse solve of the interior unknowns with a residual check.
 
-    A system whose grid halves (both sizes even, and at least 6 x 4, so
-    that the half grid has 3 nodes a ring and an interior ring) is solved
-    by `_two_grid_solve` over its half grid, which `solve` assembles and
-    factors, and keeps that
-    half system in place of a factor of its own.  Handed its solved
-    half-grid system as `coarse`, a system goes to `_two_grid_solve` over
-    it instead, whose coarsest level is then the half of that half when
-    the coarse system kept one; either way `coarse` is used up.  A grid
-    that does not halve, and a system whose iteration gives up, is
-    factored directly in the nested-dissection order `assemble` gave it.
-    The gate is the relative residual of the returned x, whose both sides
-    carry the 1/h^2 scale of the stencil, against the scenario's
-    linear_residual_tol; the boundary values of u are the Dirichlet data
-    exactly.
+    Only the coarsest grid is factored.  A grid that halves (both sizes
+    even, and at least 6 x 4, so that the half grid has 3 nodes a ring and
+    an interior ring) is solved by `_two_grid_solve` over its half grid,
+    which `solve` assembles and factors; the system keeps that half system
+    in place of a factor of its own.  Handed its solved half-grid system
+    as `coarse`, a system is solved over that instead, by a three-level
+    cycle when the coarse system kept a half grid; either way `coarse` is
+    used up.  A grid that does not halve, and a system whose iteration
+    gives up, is factored directly in the nested-dissection order
+    `assemble` gave it.  The gate is the relative residual of the returned
+    x, whose both sides carry the 1/h^2 scale of the stencil, against the
+    scenario's linear_residual_tol; the boundary values of u are the
+    Dirichlet data exactly.
     """
-    A, b = system.matrix, system.rhs
+    A, b, nt, ns = system.matrix, system.rhs, system.n_theta, system.n_s
     x, iterations, solved_by = None, 0, "direct"
-    if coarse is None and system.n_theta % 2 == system.n_s % 2 == 0 and system.n_theta >= 6 and system.n_s >= 4:
-        coarse = system.half = assemble(system.spec.with_grid(system.n_theta // 2, system.n_s // 2))
+    if coarse is None and nt % 2 == ns % 2 == 0 and nt >= 6 and ns >= 4:
+        coarse = system.half = assemble(system.spec.with_grid(nt // 2, ns // 2))
         coarse.solution = _factor(coarse).solve(coarse.rhs)
-    if coarse is not None and coarse.solution is not None \
-            and (2 * coarse.n_theta, 2 * coarse.n_s) == (system.n_theta, system.n_s):
+    if coarse is not None and coarse.solution is not None and (2 * coarse.n_theta, 2 * coarse.n_s) == (nt, ns):
         x, iterations = _two_grid_solve(system, coarse)
         solved_by = "two-grid" if x is not None else "direct after two-grid"
-    if x is None:
-        system.half = None
-    if coarse is not None and coarse is not system.half:
-        # freed before the fine field, or a fine factor, is built
-        coarse.factor = coarse.half = coarse.solution = None
+    if coarse is not None and (x is None or coarse is not system.half):
+        # used up, and freed before the fine field, or a fine factor, is built
+        system.half = coarse.factor = coarse.half = coarse.solution = None
     if x is None:
         x = _factor(system).solve(b)
     if not np.all(np.isfinite(x)):
