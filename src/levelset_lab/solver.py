@@ -444,11 +444,11 @@ def _v_cycle(system: DiscreteSystem, coarse: DiscreteSystem):
     of the centre row follow it, each on the updated residual.  The cycle
     reads the matrix through the slots of its grid plan, so a matrix with
     another pattern gets none."""
-    correct = coarse.factor.solve if coarse.factor is not None else _v_cycle(coarse, coarse.half)
-    plan, A = _two_grid_plan(system.n_theta, system.n_s, system.is_disk), system.matrix
-    pattern = _grid_plan(system.n_theta, system.n_s, system.is_disk)
+    A, pattern = system.matrix, _grid_plan(system.n_theta, system.n_s, system.is_disk)
     if not (np.array_equal(A.indptr, pattern.indptr) and np.array_equal(A.indices, pattern.indices)):
         return None
+    correct = coarse.factor.solve if coarse.factor is not None else _v_cycle(coarse, coarse.half)
+    plan = _two_grid_plan(system.n_theta, system.n_s, system.is_disk)
     values = np.append(A.data, 0.0)
     diag, up, down = values[plan.line_slots]
     *lines, info = dgttrf(down[1:], diag, up[:-1])
