@@ -31,11 +31,13 @@ tolerances taken from the run's scenario in OLD_DIR (which needs the
 package on the import path): a point coordinate may move by
 COORDINATE_TOL times the domain diameter, a degree radius by RADIUS_TOL
 of itself, a value (a critical value, a census threshold, a band) by the
-scenario's equal_value_tol, and a linear residual anywhere below the
-scenario's residual gate; any other float must match exactly.  A point
-list (POINT_LISTS) matches when its items match in some order.  In an SVG every number may move by the
-coordinate tolerance and the rest must match.  The module is not
-collected as a test; `tests/test_report_corpus.py` tests its comparison.
+scenario's equal_extrema_tol times the range of its Dirichlet data (its
+equal_value_tol where the maximum principle holds), and a linear
+residual anywhere below the scenario's residual gate; any other float must match exactly.  A point
+list (POINT_LISTS) matches when its items match in some order.  In an
+SVG every number may move by the coordinate tolerance and the rest must
+match.  The module is not collected as a test;
+`tests/test_report_corpus.py` tests its comparison.
 """
 
 import contextlib
