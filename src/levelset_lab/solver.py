@@ -185,7 +185,18 @@ def _stencil(spec: ScenarioSpec):
 
 def assemble(spec: ScenarioSpec) -> DiscreteSystem:
     """Discretize the operator on the scenario grid: the stencil weights
-    fill the slots of the grid's plan."""
+    fill the slots of the grid's plan.  A grid that halves also gets its
+    two-grid plan here, before any array of a solve: built in the middle of
+    a solve, the long-lived plan sat on top of the heap and kept 50-70 MB
+    more resident after each `--grid 256x128` verify."""
+    nt, ns = spec.grid
+    if _halves(nt, ns):
+        _two_grid_plan(nt, ns, spec.domain.is_disk)
+    return _discretize(spec)
+
+
+def _discretize(spec: ScenarioSpec) -> DiscreteSystem:
+    """`assemble` without the two-grid plan."""
     nt, ns = spec.grid
     weights, boundary = _stencil(spec)
     plan = _grid_plan(nt, ns, spec.domain.is_disk)
@@ -313,10 +324,14 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     """
     A, b, nt, ns = system.matrix, system.rhs, system.n_theta, system.n_s
     x, iterations, solved_by = None, 0, "direct"
-    if coarse is None and nt % 2 == ns % 2 == 0 and nt >= 6 and ns >= 4:
-        coarse = system.half = assemble(system.spec.with_grid(nt // 2, ns // 2))
+    if coarse is None and _halves(nt, ns):
+        # the half grid is only factored, so it needs no two-grid plan of its own
+        coarse = system.half = _discretize(system.spec.with_grid(nt // 2, ns // 2))
         coarse.solution = _factor(coarse).solve(coarse.rhs)
-    if coarse is not None and coarse.solution is not None and (2 * coarse.n_theta, 2 * coarse.n_s) == (nt, ns):
+    # a coarse system solved over a coarse system of its own kept neither a factor nor a half
+    usable = coarse is not None and coarse.solution is not None
+    usable = usable and (coarse.factor is not None or coarse.half is not None)
+    if usable and (2 * coarse.n_theta, 2 * coarse.n_s) == (nt, ns):
         x, iterations = _two_grid_solve(system, coarse)
         solved_by = "two-grid" if x is not None else "direct after two-grid"
     if coarse is not None and (x is None or coarse is not system.half):
@@ -332,6 +347,12 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     system.solution = x
     values = np.concatenate((x, system.boundary))[system.node_index]
     return SolutionField(system.spec, values, residual=rel, solved_by=solved_by, iterations=iterations)
+
+
+def _halves(nt: int, ns: int) -> bool:
+    """Whether `solve` takes an n_theta x n_s grid over its half grid: both
+    sizes even, and the half grid keeps 3 nodes a ring and an interior ring."""
+    return nt % 2 == ns % 2 == 0 and nt >= 6 and ns >= 4
 
 
 def _factor(system: DiscreteSystem):
@@ -363,10 +384,12 @@ _LINE_DAMPING = 0.7
 # All of the two-grid cycle that depends only on the grid, read-only: prolongation P from the
 # unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse nodes
 # ((i + a) // 2, (j + b) // 2), a, b in {0, 1}, and a disk's centre is the coarse centre), the
-# unknowns in s-line order with the slots in [matrix.data, 0] of the diagonal, upper and lower
-# line entries, and, empty on an annulus, the unknowns in ring order with the slots of the
-# diagonal, next and previous ring entries, then the centre row's slots over [centre, first ring].
-_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_order line_slots ring_order ring_slots centre_slots")
+# unknowns in s-line order with the slots in matrix.data of the diagonal, upper and lower line
+# entries and the mask of those that read 0 instead, and, empty on an annulus, the unknowns in
+# ring order with the slots of the diagonal, next and previous ring entries, then the centre
+# row's slots over [centre, first ring].
+_TwoGridPlan = namedtuple("_TwoGridPlan",
+                          "prolong rim line_order line_slots line_zeros ring_order ring_slots centre_slots")
 
 
 # the two finer grids of both domain kinds
@@ -385,14 +408,17 @@ def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     _frozen(*(a for m in (prolong, rim) for a in (m.data, m.indices, m.indptr)))
     m = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
     slots = fine.slot[:m].reshape(len(_STENCIL), nt, ns - 1)
-    line_slots = np.minimum(slots[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]], nnz)  # a rim reads the 0
-    line_slots[2, :, 0] = nnz  # and so does a disk centre, which the centre row updates
+    line_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]]
+    line_zeros = line_slots >= nnz  # a rim reads 0
+    line_zeros[2, :, 0] = True  # and so does a disk centre, which the centre row updates
+    line_slots[line_zeros] = 0
     ring_order = fine.node_index[:, 1:ns].T.ravel()
     ring_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (1, 0), (-1, 0))]].transpose(0, 2, 1).reshape(3, -1)
     if not is_disk:  # an annulus has no ring sweep
         ring_order, ring_slots = ring_order[:0], ring_slots[:, :0]
     return _TwoGridPlan(prolong, rim, *_frozen(
-        fine.node_index[:, 1:ns].ravel(), line_slots.reshape(3, -1), ring_order, ring_slots, fine.slot[m:]))
+        fine.node_index[:, 1:ns].ravel(), line_slots.reshape(3, -1), line_zeros.reshape(3, -1),
+        ring_order, ring_slots, fine.slot[m:]))
 
 
 def _periodic_tridiagonal(diag, up, down):
@@ -442,22 +468,18 @@ def _v_cycle(system: DiscreteSystem, coarse: DiscreteSystem):
     is a damped s-line sweep; on a disk, whose cells near the centre couple
     most strongly along the rings, a damped ring sweep and an exact update
     of the centre row follow it, each on the updated residual.  The cycle
-    reads the matrix through the slots of its grid plan, so a matrix with
-    another pattern gets none."""
-    A, pattern = system.matrix, _grid_plan(system.n_theta, system.n_s, system.is_disk)
-    if not (np.array_equal(A.indptr, pattern.indptr) and np.array_equal(A.indices, pattern.indices)):
-        return None
+    reads the matrix through the slots of its grid plan."""
+    A = system.matrix
     correct = coarse.factor.solve if coarse.factor is not None else _v_cycle(coarse, coarse.half)
     plan = _two_grid_plan(system.n_theta, system.n_s, system.is_disk)
-    values = np.append(A.data, 0.0)
-    diag, up, down = values[plan.line_slots]
+    diag, up, down = np.where(plan.line_zeros, 0.0, A.data[plan.line_slots])
     *lines, info = dgttrf(down[1:], diag, up[:-1])
     has_centre = plan.centre_slots.size > 0
     # False on an annulus, None when a ring is singular
-    rings = has_centre and _periodic_tridiagonal(*values[plan.ring_slots].reshape(3, -1, system.n_theta))
+    rings = has_centre and _periodic_tridiagonal(*A.data[plan.ring_slots].reshape(3, -1, system.n_theta))
     if correct is None or info != 0 or rings is None:
         return None
-    centre_row, first_ring = values[plan.centre_slots], plan.ring_order[:system.n_theta]
+    centre_row, first_ring = A.data[plan.centre_slots], plan.ring_order[:system.n_theta]
 
     def smooth(r):
         z = np.zeros_like(r)
@@ -586,11 +608,18 @@ def _frozen(*arrays):
     return arrays
 
 
+def _kernels(rows_theta, rows_s) -> np.ndarray:
+    """rows_theta[..., a] * rows_s[..., b], flattened to the 16 weights of
+    a Hermite block."""
+    k = rows_theta[..., :, None] * rows_s[..., None, :]
+    return k.reshape(*k.shape[:-2], 16)
+
+
 def _cell_samples(blocks, rows_theta, rows_s) -> np.ndarray:
     """Every Hermite block at fixed local offsets, one sample per pair of
     power rows: rows_theta[k] . block . rows_s[k], shaped
     (len(rows_theta),) + blocks.shape[:-2]."""
-    kernels = np.einsum("ka,kb->kab", rows_theta, rows_s).reshape(-1, 16)
+    kernels = _kernels(rows_theta, rows_s)
     # einsum, not matmul: a product this size would wake the BLAS thread
     # pool, whose spinning threads then slowed the lattice and census work
     # that follows (about 2x on a 2-vCPU host).
@@ -730,9 +759,10 @@ class SolutionField:
         u and its reference derivatives ut, us, utt, uts and uss."""
         i, j, xi, eta = cell_index(theta, s, self.n_theta, self.n_s)
         order = 2 if derivatives else 0
-        w = _power_rows(xi, order) @ self._hermite()[i, j] @ np.swapaxes(_power_rows(eta, order), -1, -2)
-        # w[a, b] = d^a/dxi^a d^b/deta^b of the cell polynomial at each point
-        w = np.moveaxis(w, (-2, -1), (0, 1))
+        kernels = _kernels(_power_rows(xi, order)[..., :, None, :], _power_rows(eta, order)[..., None, :, :])
+        # w[a, b] = d^a/dxi^a d^b/deta^b of the cell polynomial at each point, the same
+        # einsum over 16 products as `_cell_samples`: a lattice sample is its point's value
+        w = np.einsum("...k,...abk->ab...", self._hermite()[i, j].reshape(*np.shape(i), 16), kernels)
         if not derivatives:
             return w[0, 0]
         dt, ds = self.dtheta, self.ds
