@@ -101,9 +101,8 @@ class DiscreteSystem:
     rhs: np.ndarray
     node_index: np.ndarray    # (n_theta, n_s + 1) position of each node in [x, boundary]
     is_disk: bool
-    factor: object = None     # splu of `matrix`, when it was factored directly
-    half: "DiscreteSystem | None" = None  # the factored half grid a two-grid solve went through
-    solution: np.ndarray | None = None    # x, once solved; a finer grid's solve starts from it
+    solution: np.ndarray | None = None  # x, once solved; a finer grid's solve starts from it
+    inverse: object = None              # r -> approximate A^-1 r, once solved: a finer grid's coarse correction
 
     @property
     def size(self) -> int:
@@ -310,42 +309,48 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
 
     Only the coarsest grid is factored.  A grid that halves (both sizes
     even, and at least 6 x 4, so that the half grid has 3 nodes a ring and
-    an interior ring) is solved by `_two_grid_solve` over its half grid,
-    which `solve` assembles and factors; the system keeps that half system
-    in place of a factor of its own.  Handed its solved half-grid system
-    as `coarse`, a system is solved over that instead, by a three-level
-    cycle when the coarse system kept a half grid; either way `coarse` is
-    used up.  A grid that does not halve, and a system whose iteration
-    gives up, is factored directly in the nested-dissection order
-    `assemble` gave it.  The gate is the relative residual of the returned
-    x, whose both sides carry the 1/h^2 scale of the stencil, against the
+    an interior ring) is solved by GMRES preconditioned by `_v_cycle`,
+    whose coarse correction is the `inverse` of `coarse`: the solved
+    half-grid system handed in, or else the half grid, which `solve`
+    assembles and factors.  `solve` then clears the coarse system's
+    solution and inverse, so that it serves one finer solve.  A grid that
+    does not halve, and a system whose iteration gives up, is factored
+    directly in the nested-dissection order `assemble` gave it.  The
+    system keeps its solution and its inverse: the factor's solve, or the
+    cycle.  The gate is the relative residual of the returned x, whose
+    both sides carry the 1/h^2 scale of the stencil, against the
     scenario's linear_residual_tol; the boundary values of u are the
     Dirichlet data exactly.
     """
     A, b, nt, ns = system.matrix, system.rhs, system.n_theta, system.n_s
     x, iterations, solved_by = None, 0, "direct"
+    # the field's values before any array of the solve: allocated after the cycle that
+    # the system keeps, they sat above it on the heap, which raised peak RSS by up to 15 MB
+    values = np.empty(system.node_index.shape)
     if coarse is None and _halves(nt, ns):
         # the half grid is only factored, so it needs no two-grid plan of its own
-        coarse = system.half = _discretize(system.spec.with_grid(nt // 2, ns // 2))
-        coarse.solution = _factor(coarse).solve(coarse.rhs)
-    # a coarse system solved over a coarse system of its own kept neither a factor nor a half
-    usable = coarse is not None and coarse.solution is not None
-    usable = usable and (coarse.factor is not None or coarse.half is not None)
-    if usable and (2 * coarse.n_theta, 2 * coarse.n_s) == (nt, ns):
-        x, iterations = _two_grid_solve(system, coarse)
+        coarse = _discretize(system.spec.with_grid(nt // 2, ns // 2))
+        coarse.inverse = _factor(coarse.matrix).solve
+        coarse.solution = coarse.inverse(coarse.rhs)
+    if coarse is not None:
+        system.inverse = _v_cycle(system, coarse.inverse)
+        if system.inverse is not None:
+            plan = _two_grid_plan(nt, ns, system.is_disk)
+            x0 = plan.prolong @ coarse.solution + plan.rim @ coarse.boundary
+            x, iterations = _gmres(A, b, x0, system.inverse)
         solved_by = "two-grid" if x is not None else "direct after two-grid"
-    if coarse is not None and (x is None or coarse is not system.half):
-        # used up, and freed before the fine field, or a fine factor, is built
-        system.half = coarse.factor = coarse.half = coarse.solution = None
+        coarse.solution = coarse.inverse = None
     if x is None:
-        x = _factor(system).solve(b)
+        system.inverse = None  # freed before the factor that replaces it is built
+        system.inverse = _factor(A).solve
+        x = system.inverse(b)
     if not np.all(np.isfinite(x)):
         raise NoConvergenceError(0, float("inf"), "solution contains non-finite values")
     rel = _relative_residual(A, x, b)
     if rel > system.spec.tolerances.linear_residual_tol:
         raise NoConvergenceError(max(iterations, 1), rel, f"{solved_by} solve residual above tolerance")
     system.solution = x
-    values = np.concatenate((x, system.boundary))[system.node_index]
+    np.take(np.concatenate((x, system.boundary)), system.node_index, out=values)
     return SolutionField(system.spec, values, residual=rel, solved_by=solved_by, iterations=iterations)
 
 
@@ -355,13 +360,12 @@ def _halves(nt: int, ns: int) -> bool:
     return nt % 2 == ns % 2 == 0 and nt >= 6 and ns >= 4
 
 
-def _factor(system: DiscreteSystem):
-    """`system.factor`, the splu of its matrix as given."""
+def _factor(matrix):
+    """The splu of `matrix` as given."""
     try:
-        system.factor = spla.splu(system.matrix, permc_spec="NATURAL")
+        return spla.splu(matrix, permc_spec="NATURAL")
     except RuntimeError as err:
         raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
-    return system.factor
 
 
 def _norm(v) -> float:
@@ -448,36 +452,24 @@ def _periodic_tridiagonal(diag, up, down):
     return solve_rows
 
 
-def _two_grid_solve(system: DiscreteSystem, coarse: DiscreteSystem):
-    """`_gmres` from the prolonged coarse solution, rims included,
-    preconditioned by `_v_cycle`; (None, 0) when the cycle has a zero
-    pivot."""
-    cycle = _v_cycle(system, coarse)
-    if cycle is None:
-        return None, 0
-    plan = _two_grid_plan(system.n_theta, system.n_s, system.is_disk)
-    return _gmres(system.matrix, system.rhs, plan.prolong @ coarse.solution + plan.rim @ coarse.boundary, cycle)
-
-
-def _v_cycle(system: DiscreteSystem, coarse: DiscreteSystem):
+def _v_cycle(system: DiscreteSystem, correct):
     """One V(1,1) cycle on the grid of `system`: smoothing, the coarse
-    correction of the restricted residual, prolongation, smoothing; None on
-    a zero pivot.  The coarse correction is the coarse factor or, when the
-    coarse system kept its half grid instead, the coarse grid's own cycle,
-    so that the half grid's factor is the coarsest level.  A smoothing step
-    is a damped s-line sweep; on a disk, whose cells near the centre couple
-    most strongly along the rings, a damped ring sweep and an exact update
-    of the centre row follow it, each on the updated residual.  The cycle
-    reads the matrix through the slots of its grid plan."""
+    correction `correct` of the restricted residual, prolongation,
+    smoothing; None on a zero pivot.  The coarse correction is the half
+    grid's factor, or the half grid's own cycle, so that the coarsest
+    level is a factor.  A smoothing step is a damped s-line sweep; on a
+    disk, whose cells near the centre couple most strongly along the
+    rings, a damped ring sweep and an exact update of the centre row
+    follow it, each on the updated residual.  The cycle reads the matrix
+    through the slots of its grid plan."""
     A = system.matrix
-    correct = coarse.factor.solve if coarse.factor is not None else _v_cycle(coarse, coarse.half)
     plan = _two_grid_plan(system.n_theta, system.n_s, system.is_disk)
     diag, up, down = np.where(plan.line_zeros, 0.0, A.data[plan.line_slots])
     *lines, info = dgttrf(down[1:], diag, up[:-1])
     has_centre = plan.centre_slots.size > 0
     # False on an annulus, None when a ring is singular
     rings = has_centre and _periodic_tridiagonal(*A.data[plan.ring_slots].reshape(3, -1, system.n_theta))
-    if correct is None or info != 0 or rings is None:
+    if info != 0 or rings is None:
         return None
     centre_row, first_ring = A.data[plan.centre_slots], plan.ring_order[:system.n_theta]
 

@@ -453,7 +453,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     # being reused, which raised peak RSS by up to 30 MB
     coarse_system, fine_system = assemble(coarse_spec), assemble(fine_spec)
     coarse_field = solve(coarse_system)
-    fine_field = solve(fine_system, coarse=coarse_system)  # uses the half grid's factor up
+    fine_field = solve(fine_system, coarse=coarse_system)  # over the configured grid's cycle
     del coarse_system, fine_system
 
     coarse_pts, _, _ = find_critical_points_report(coarse_field)

@@ -76,6 +76,10 @@ def test_traced_verify_and_render_match_reference(tmp_path):
     assert applicable and max(applicable) == 1
     assert all(s["counts"]["unknowns"] > 0 and s["counts"]["nnz"] > 0
                for s in spans if s["name"] == "solver.solve")
+    # the verify solves its two grids through the wrapped names, and the
+    # half grid inside `solve`, so that solve time stays covered
+    verify_calls = Counter(s["name"] for s in spans if s["op"] == 0)
+    assert verify_calls["solver.solve"] == verify_calls["solver.assemble"] == 2
 
     for owner, saved in zip(PATCHED, before):
         now = vars(owner)

@@ -1,5 +1,7 @@
 """Discretization, sparse solve and the bicubic interpolant."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -395,25 +397,50 @@ def direct_values(system):
     return np.concatenate((x, system.boundary))[system.node_index]
 
 
+def factored_sizes(monkeypatch):
+    """The size of each matrix `solve` factors from now on, in call order."""
+    sizes, real_splu = [], solver_mod.spla.splu
+
+    def splu(matrix, **kwargs):
+        sizes.append(matrix.shape[0])
+        return real_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(solver_mod.spla, "splu", splu)
+    return sizes
+
+
+def half_size(spec):
+    return assemble(spec.with_grid(spec.n_theta // 2, spec.n_s // 2)).size
+
+
+def keeps_its_factor(system):
+    """Whether the inverse `system` kept is its exact factor: applied to
+    the right side it gives the solution bit for bit, which a cycle does not."""
+    return np.array_equal(system.inverse(system.rhs), system.solution)
+
+
 @pytest.mark.parametrize("name, scale", [(name, 1) for name in ANNULUS_NAMES]
                          + [("counterexample2", 2), ("z_plus_inv", 2)]
                          + [(name, scale) for name in ("disk_z2", "disk_z3") for scale in (1, 2)])
-def test_two_grid_solve_matches_direct(name, scale):
+def test_two_grid_solve_matches_direct(name, scale, monkeypatch):
     """An annulus or a disk is solved over its half grid's factor, and its
     refined grid over a three-level V-cycle whose coarsest level is that
     factor; on both grids GMRES iterates fewer times than the cap to a
     residual of at most 1e-13, and the values match the direct LU of the
-    same system.  The configured system keeps its half grid, and no factor
-    of its own, until the refined solve uses it up."""
+    same system.  Only the half grid is factored; the configured system
+    keeps its solution and its cycle, not a factor, until the refined
+    solve takes them and clears them."""
     spec = builtin_spec(name)
     spec = spec.with_grid(scale * spec.n_theta, scale * spec.n_s)
     coarse, fine = assemble(spec), assemble(spec.with_grid(2 * spec.n_theta, 2 * spec.n_s))
+    factored = factored_sizes(monkeypatch)
     got = [solve(coarse)]
-    assert coarse.factor is None and coarse.half.factor is not None
-    assert (coarse.half.n_theta, coarse.half.n_s) == (spec.n_theta // 2, spec.n_s // 2)
+    assert factored == [half_size(spec)]
+    assert coarse.solution is not None and not keeps_its_factor(coarse)
     got.append(solve(fine, coarse=coarse))
-    assert coarse.half is None and coarse.factor is None and coarse.solution is None
-    assert fine.factor is None and fine.half is None
+    assert coarse.inverse is None and coarse.solution is None
+    assert factored == [half_size(spec)] and not keeps_its_factor(fine)
+    monkeypatch.undo()
     for field, system in zip(got, (coarse, fine)):
         assert field.solved_by == "two-grid" and 0 < field.iterations < solver_mod._TWO_GRID_CAP
         assert field.residual <= 1e-13
@@ -421,61 +448,63 @@ def test_two_grid_solve_matches_direct(name, scale):
         assert np.max(np.abs(field.values - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-def test_disk_keeps_its_factor_for_the_two_grid_path():
-    """A disk keeps its half grid's factor, as an annulus does, and its
-    refined grid takes the two-grid path, which frees that factor and
-    factors nothing."""
+def test_disk_keeps_its_factor_for_the_two_grid_path(monkeypatch):
+    """A disk keeps its half grid's factor, as an annulus does, under the
+    configured grid's cycle, and its refined grid takes the two-grid path
+    over that cycle, which clears it and factors nothing."""
+    factored = factored_sizes(monkeypatch)
     coarse, fine = solved_pair("disk_z2", 1)
-    assert coarse.factor is None and coarse.half.factor is not None
+    assert factored == [half_size(builtin_spec("disk_z2"))] and not keeps_its_factor(coarse)
     got = solve(fine, coarse=coarse)
     assert got.solved_by == "two-grid" and 7 <= got.iterations <= solver_mod._TWO_GRID_CAP
-    assert coarse.half is None and fine.factor is None
+    assert coarse.inverse is None and len(factored) == 1
 
 
 @pytest.mark.parametrize("grid", [(65, 32), (64, 33), (8, 2), (4, 8)])
-def test_grid_that_does_not_halve_is_factored_directly(grid):
+def test_grid_that_does_not_halve_is_factored_directly(grid, monkeypatch):
     """A grid with an odd dimension, or one whose half would have no
     interior ring or fewer than 3 nodes a ring, is factored directly and
     keeps its factor; its refined grid is then solved over that factor by
-    the two-grid cycle, which frees it.  Solved over a coarse system, the
-    refined system keeps neither a factor nor a half grid, so a grid
-    refined once more over it is factored directly."""
+    the two-grid cycle, which clears it and factors nothing.  A grid
+    refined once more is solved over the refined grid's kept cycle, a
+    three-level cycle whose coarsest level is that factor, and its values
+    match the direct LU."""
     spec = log_annulus_spec(grid)
     coarse, fine = assemble(spec), assemble(spec.with_grid(2 * grid[0], 2 * grid[1]))
+    factored = factored_sizes(monkeypatch)
     got = solve(coarse)
     assert got.solved_by == "direct" and got.iterations == 0
-    assert coarse.factor is not None and coarse.half is None
+    assert factored == [coarse.size] and keeps_its_factor(coarse)
     refined = solve(fine, coarse=coarse)
     assert refined.solved_by == "two-grid" and 0 < refined.iterations < solver_mod._TWO_GRID_CAP
-    assert coarse.factor is None and fine.factor is None and refined.residual <= 1e-13
+    assert coarse.inverse is None and len(factored) == 1 and refined.residual <= 1e-13
     finer = assemble(spec.with_grid(4 * grid[0], 4 * grid[1]))
     chained = solve(finer, coarse=fine)
-    assert chained.solved_by == "direct" and chained.residual <= 1e-13
-    assert fine.solution is None and finer.factor is not None
+    assert chained.solved_by == "two-grid" and 0 < chained.iterations < solver_mod._TWO_GRID_CAP
+    assert chained.residual <= 1e-13 and fine.solution is None and len(factored) == 1
+    monkeypatch.undo()
+    want = direct_values(finer)
+    assert np.max(np.abs(chained.values - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-class NaNFactor:
-    def solve(self, r):
-        return np.full_like(r, np.nan)
-
-
-def wrong_factor(wrong, size):
-    return spla.splu(sp.identity(size, format="csc")) if wrong == "identity" else NaNFactor()
+# a coarse correction of the wrong matrix, and one that returns NaN
+WRONG = {"identity": np.copy, "nan": lambda r: np.full_like(r, np.nan)}
 
 
 @pytest.mark.parametrize("wrong, name", [
     pytest.param(wrong, name, id=wrong if name == "z_plus_inv" else f"{wrong}-{name}")
     for name in ("z_plus_inv", "disk_z2") for wrong in ("identity", "nan")])
 def test_wrong_coarse_factor_falls_back_to_lu(wrong, name, monkeypatch):
-    """With a half-grid factor of the wrong matrix the refined grid's
+    """With a coarse correction of the wrong matrix the refined grid's
     iteration reaches the cap, with one that returns NaN it gives up at
-    once; either way the solve factors the fine system and says so."""
+    once; either way the solve factors the fine system, keeps that factor
+    and says so."""
     coarse, fine = solved_pair(name, 1)
-    monkeypatch.setattr(coarse.half, "factor", wrong_factor(wrong, coarse.half.size))
+    monkeypatch.setattr(coarse, "inverse", WRONG[wrong])
     got = solve(fine, coarse=coarse)
     assert got.solved_by == "direct after two-grid"
     assert got.iterations == (solver_mod._TWO_GRID_CAP if wrong == "identity" else 0)
-    assert coarse.half is None and fine.factor is not None
+    assert coarse.inverse is None and keeps_its_factor(fine)
     assert got.residual <= 1e-13
     assert np.array_equal(got.values, direct_values(fine))
 
@@ -486,20 +515,19 @@ def test_wrong_coarse_factor_falls_back_to_lu(wrong, name, monkeypatch):
 def test_wrong_half_factor_falls_back_to_lu_on_the_configured_grid(wrong, name, monkeypatch):
     """The same on the configured grid: with its half grid factored wrong,
     its iteration reaches the cap or gives up at once, and the configured
-    system is factored directly, keeps that factor and drops its half."""
+    system is factored directly and keeps that factor in place of its cycle."""
     real_splu, spec = spla.splu, builtin_spec(name)
-    half_size = assemble(spec.with_grid(spec.n_theta // 2, spec.n_s // 2)).size
-    factor = wrong_factor(wrong, half_size)
+    size = half_size(spec)
 
     def splu(matrix, **kwargs):
-        return factor if matrix.shape[0] == half_size else real_splu(matrix, **kwargs)
+        return SimpleNamespace(solve=WRONG[wrong]) if matrix.shape[0] == size else real_splu(matrix, **kwargs)
 
     monkeypatch.setattr(solver_mod.spla, "splu", splu)
     system = assemble(spec)
     got = solve(system)
     assert got.solved_by == "direct after two-grid"
     assert got.iterations == (solver_mod._TWO_GRID_CAP if wrong == "identity" else 0)
-    assert system.half is None and system.factor is not None
+    assert keeps_its_factor(system)
     assert got.residual <= 1e-13
     monkeypatch.undo()
     assert np.array_equal(got.values, direct_values(system))
@@ -518,7 +546,7 @@ def test_perturbed_two_grid_result_fails_residual_gate(name, monkeypatch):
 
     coarse, fine = solved_pair(name, 1)
     assert solve(fine, coarse=coarse).residual <= 1e-13
-    solve(coarse)  # the first solve used its factor up
+    solve(coarse)  # the refined solve cleared the configured system's solution and cycle
     monkeypatch.setattr(solver_mod, "_gmres", perturbed)
     with pytest.raises(NoConvergenceError):
         solve(fine, coarse=coarse)

@@ -744,17 +744,49 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
 def test_report_names_the_solve_path_of_each_grid(monkeypatch):
     """A two-grid solve that gives up falls back to `splu`, and the report's
     diagnostics say so for both grids: the configured grid factors itself
-    after its half grid's cycle gives up, and the refined grid after the
-    cycle over that factor does."""
+    after its cycle over the half grid's factor has a zero pivot, and the
+    refined grid after its cycle over that factor does."""
     import levelset_lab.solver as solver_mod
     from levelset_lab.cli import report_to_dict
 
-    monkeypatch.setattr(solver_mod, "_two_grid_solve", lambda system, coarse: (None, 0))
+    monkeypatch.setattr(solver_mod, "_v_cycle", lambda system, correct: None)
     report = run_scenario(builtin_spec("z_plus_inv").with_grid(64, 32))
     assert report_to_dict(report)["diagnostics"] == {"solves": [
         {"grid": [64, 32], "solved_by": "direct after two-grid", "iterations": 0},
         {"grid": [128, 64], "solved_by": "direct after two-grid", "iterations": 0},
     ]}
+
+
+@pytest.mark.parametrize("name, line_factors", [("z_plus_inv", 2), ("disk_z2", 4)])
+def test_one_cycle_per_level(name, line_factors, monkeypatch):
+    """A verification builds one V-cycle per grid it solves iteratively,
+    the configured and the refined grid: the refined solve reuses the
+    configured grid's cycle as its coarse correction instead of building
+    it again.  So LAPACK `dgttrf` runs once per cycle for the s-lines, and
+    once more on a disk for the rings, and `splu` factors only the half grid."""
+    import levelset_lab.solver as solver_mod
+
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_splu = solver_mod.spla.splu
+
+    def splu(matrix, **kwargs):
+        calls["splu", matrix.shape[0]] += 1
+        return real_splu(matrix, **kwargs)
+
+    spec = builtin_spec(name)
+    half = solver_mod.assemble(spec.with_grid(spec.n_theta // 2, spec.n_s // 2)).size
+    monkeypatch.setattr(solver_mod, "_v_cycle", counted("cycle", solver_mod._v_cycle))
+    monkeypatch.setattr(solver_mod, "dgttrf", counted("dgttrf", solver_mod.dgttrf))
+    monkeypatch.setattr(solver_mod.spla, "splu", splu)
+    run_scenario(spec)
+    assert calls == {"cycle": 2, "dgttrf": line_factors, ("splu", half): 1}
 
 
 @pytest.mark.parametrize("name", ["disk_z2", "z2_minus_zm2"])
