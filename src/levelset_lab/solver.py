@@ -325,7 +325,7 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     A, b, nt, ns = system.matrix, system.rhs, system.n_theta, system.n_s
     x, iterations, solved_by = None, 0, "direct"
     # the field's values before any array of the solve: allocated after the cycle that
-    # the system keeps, they sat above it on the heap, which raised peak RSS by up to 15 MB
+    # the system keeps, they sat above it on the heap, which raised peak RSS by up to 10 MB
     values = np.empty(system.node_index.shape)
     if coarse is None and _halves(nt, ns):
         # the half grid is only factored, so it needs no two-grid plan of its own
