@@ -88,14 +88,14 @@ def _axis_derivative_bounded(u: np.ndarray, h: float) -> np.ndarray:
 @dataclass
 class DiscreteSystem:
     """Sparse linear system of the interior unknowns for one scenario on
-    one grid, in nested-dissection order: matrix @ x = rhs, where
+    one grid, numbered along the s-lines: matrix @ x = rhs, where
     rhs = -couplings @ boundary moves the Dirichlet data to the right.
     node_index and the index arrays of both pieces are the grid plan's, shared and read-only."""
 
     spec: ScenarioSpec
     n_theta: int
     n_s: int
-    matrix: sp.csc_matrix     # interior rows x interior columns
+    matrix: sp.csr_matrix     # interior rows x interior columns
     couplings: sp.csr_matrix  # interior rows x Dirichlet nodes
     boundary: np.ndarray      # Dirichlet data, ring by ring (s = 0 first)
     rhs: np.ndarray
@@ -203,7 +203,7 @@ def _discretize(spec: ScenarioSpec) -> DiscreteSystem:
     # onto -0.0 a lone weight keeps its bits and repeated slots sum in stencil order
     values = np.full(nnz + plan.c_indices.size, -0.0)
     np.add.at(values, plan.slot, np.concatenate([w.ravel() for w in weights]))
-    matrix = sp.csc_matrix((values[:nnz], plan.indices, plan.indptr), shape=(n, n))
+    matrix = sp.csr_matrix((values[:nnz], plan.indices, plan.indptr), shape=(n, n))
     couplings = sp.csr_matrix((values[nnz:], plan.c_indices, plan.c_indptr), shape=(n, boundary.size))
     return DiscreteSystem(
         spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
@@ -211,7 +211,7 @@ def _discretize(spec: ScenarioSpec) -> DiscreteSystem:
     )
 
 
-# All of a system that depends only on its grid, read-only: node numbering, CSC pattern of `matrix`,
+# All of a system that depends only on its grid, read-only: node numbering, CSR pattern of `matrix`,
 # CSR pattern of `couplings`, and the slot of each `_stencil` weight in [matrix.data, couplings.data].
 _GridPlan = namedtuple("_GridPlan", "node_index indptr indices c_indptr c_indices slot")
 
@@ -219,23 +219,19 @@ _GridPlan = namedtuple("_GridPlan", "node_index indptr indices c_indptr c_indice
 # three grids (half, configured, refined) of both domain kinds
 @functools.lru_cache(maxsize=6)
 def _grid_plan(nt: int, ns: int, is_disk: bool) -> _GridPlan:
-    """The plan of one grid.  The pattern is structurally symmetric, so the
-    CSC slot of the entry that node p gives neighbour q is the CSR slot of
-    the entry that q gives p: the rank of p among q's distinct neighbours."""
-    order = nested_dissection(nt, ns, is_disk)
-    n = order.size
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
+    """The plan of one grid.  Node (i, j) of the interior rings is unknown
+    i (n_s - 1) + j - 1, so that each s-line is a block of n_s - 1
+    unknowns, and a disk's centre is the last unknown.  The slot of the
+    entry that node p gives neighbour q is indptr[p] plus the rank of q
+    among p's distinct neighbours."""
+    n = nt * (ns - 1) + is_disk
     rings = [ns] if is_disk else [0, ns]
     index = np.empty((nt, ns + 1), dtype=np.int32)
-    index[:, 0] = rank[0]  # the disk centre, or overwritten by the Dirichlet ring
-    index[:, 1:ns] = rank[int(is_disk):].reshape(ns - 1, nt).T
+    index[:, 0] = n - 1  # the disk centre, or overwritten by the Dirichlet ring
+    index[:, 1:ns] = np.arange(nt * (ns - 1), dtype=np.int32).reshape(nt, ns - 1)
     index[:, rings] = n + np.arange(len(rings) * nt, dtype=np.int32).reshape(len(rings), nt).T
-
-    def at(a, di, dj):  # a at the neighbour (i + di, j + dj) of each interior node
-        return np.roll(a, -di, axis=-2)[..., 1 + dj:ns + dj]
-
-    row, nbr = index[:, 1:ns], np.stack([at(index, di, dj) for di, dj in _STENCIL])
+    row = index[:, 1:ns]
+    nbr = np.stack([np.roll(index, -di, axis=0)[:, 1 + dj:ns + dj] for di, dj in _STENCIL])
     inner = nbr < n
     # rank of each neighbour among its node's; the one that repeats, the disk
     # centre, is the last unknown, so it shifts no other unknown's rank
@@ -246,62 +242,17 @@ def _grid_plan(nt: int, ns: int, is_disk: bool) -> _GridPlan:
     counts[0, n] += is_disk * (nt + 1)
     indptr, c_indptr = np.cumsum(counts, axis=1, dtype=np.int32)
     nnz = indptr[-1]
-    # on a disk the centre's column holds the first ring in rank order, then itself
-    padded = np.pad(pos, ((0, 0), (0, 0), (1, 1)))
-    padded[:, :, 0] = [np.roll(np.argsort(np.argsort(row[:, 0])), -di) for di, _ in _STENCIL]
-    inward = np.stack([at(padded[_STENCIL.index((-di, -dj))], di, dj) for di, dj in _STENCIL])
-    slot = np.where(inner, indptr[np.minimum(nbr, n - 1)] + inward, nnz + c_indptr[row] + pos - n_inner)
+    slot = np.where(inner, indptr[row] + pos, nnz + c_indptr[row] + pos - n_inner)
     indices = np.empty(nnz, dtype=np.int32)
-    indices[slot[inner]] = np.broadcast_to(row, nbr.shape)[inner]
+    indices[slot[inner]] = nbr[inner]
     c_indices = np.empty(c_indptr[-1], dtype=np.int32)
     c_indices[slot[~inner] - nnz] = nbr[~inner] - n
     slot = slot.ravel()
-    if is_disk:  # the centre row: its diagonal, then the last row of each first-ring column
-        centre = np.append(nnz - 1, indptr[row[:, 0] + 1] - 1)
-        indices[centre] = n - 1
-        slot = np.append(slot, centre)
+    if is_disk:  # the centre row holds the first ring, then its diagonal; its weights are over [centre, first ring]
+        centre = np.arange(nnz - nt - 1, nnz, dtype=np.int32)
+        indices[centre] = np.append(row[:, 0], n - 1)
+        slot = np.append(slot, np.roll(centre, 1))
     return _GridPlan(*_frozen(index, indptr, indices, c_indptr, c_indices, slot))
-
-
-# Nested-dissection blocks at or below this many unknowns are not cut further.
-_ND_LEAF = 64
-
-
-def _dissect(i0: int, i1: int, j0: int, j1: int, nt: int, out: list) -> None:
-    """Append the ring-major indices ``j * nt + i`` of the block
-    [i0, i1) x [j0, j1) in nested-dissection order: both halves of the
-    longer side, then the line that separates them."""
-    w, h = i1 - i0, j1 - j0
-    if w <= 0 or h <= 0:
-        return
-    if w * h <= _ND_LEAF:
-        out.append((np.arange(j0, j1)[:, None] * nt + np.arange(i0, i1)).ravel())
-    elif w >= h:
-        c = (i0 + i1) // 2
-        _dissect(i0, c, j0, j1, nt, out)
-        _dissect(c + 1, i1, j0, j1, nt, out)
-        out.append(np.arange(j0, j1) * nt + c)
-    else:
-        c = (j0 + j1) // 2
-        _dissect(i0, i1, j0, c, nt, out)
-        _dissect(i0, i1, c + 1, j1, nt, out)
-        out.append(c * nt + np.arange(i0, i1))
-
-
-def nested_dissection(n_theta: int, n_s: int, is_disk: bool) -> np.ndarray:
-    """Elimination order of the interior unknowns, as positions in their
-    ring-major numbering (rings 1 .. n_s - 1 with theta fastest, after the
-    disk centre when there is one).  The cylinder is cut at
-    theta = 0 and theta = pi, each half is dissected recursively, and the
-    two cut columns come last; on the disk the centre unknown, which
-    couples to the whole first ring, comes after them."""
-    m, half = n_s - 1, n_theta // 2
-    out = []
-    _dissect(1, half, 0, m, n_theta, out)
-    _dissect(half + 1, n_theta, 0, m, n_theta, out)
-    out += [np.arange(m) * n_theta, np.arange(m) * n_theta + half]
-    order = np.concatenate(out)
-    return np.append(order + 1, 0) if is_disk else order
 
 
 def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "SolutionField":
@@ -315,7 +266,7 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     assembles and factors.  `solve` then clears the coarse system's
     solution and inverse, so that it serves one finer solve.  A grid that
     does not halve, and a system whose iteration gives up, is factored
-    directly in the nested-dissection order `assemble` gave it.  The
+    directly, SuperLU choosing the elimination order.  The
     system keeps its solution and its inverse: the factor's solve, or the
     cycle.  The gate is the relative residual of the returned x, whose
     both sides carry the 1/h^2 scale of the stencil, against the
@@ -361,9 +312,9 @@ def _halves(nt: int, ns: int) -> bool:
 
 
 def _factor(matrix):
-    """The splu of `matrix` as given."""
+    """The splu of `matrix`, whose columns SuperLU orders by minimum degree on A^T + A."""
     try:
-        return spla.splu(matrix, permc_spec="NATURAL")
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:
         raise NoConvergenceError(0, float("inf"), f"sparse factorization failed: {err}")
 
@@ -388,12 +339,10 @@ _LINE_DAMPING = 0.7
 # All of the two-grid cycle that depends only on the grid, read-only: prolongation P from the
 # unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse nodes
 # ((i + a) // 2, (j + b) // 2), a, b in {0, 1}, and a disk's centre is the coarse centre), the
-# unknowns in s-line order with the slots in matrix.data of the diagonal, upper and lower line
-# entries and the mask of those that read 0 instead, and, empty on an annulus, the unknowns in
-# ring order with the slots of the diagonal, next and previous ring entries, then the centre
-# row's slots over [centre, first ring].
-_TwoGridPlan = namedtuple("_TwoGridPlan",
-                          "prolong rim line_order line_slots line_zeros ring_order ring_slots centre_slots")
+# slots in matrix.data of the diagonal, upper and lower line entries of each unknown and the
+# mask of those that read 0 instead, and, empty on an annulus, the slots of the diagonal, next
+# and previous ring entries in ring order, then the centre row's slots over [centre, first ring].
+_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_slots line_zeros ring_slots centre_slots")
 
 
 # the two finer grids of both domain kinds
@@ -410,19 +359,17 @@ def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     full = sp.csr_matrix((weights, (rows, cols)), shape=(n, coarse.node_index.max() + 1))
     prolong, rim = full[:, :nc], full[:, nc:]
     _frozen(*(a for m in (prolong, rim) for a in (m.data, m.indices, m.indptr)))
-    m = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
-    slots = fine.slot[:m].reshape(len(_STENCIL), nt, ns - 1)
+    k = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
+    slots = fine.slot[:k].reshape(len(_STENCIL), nt, ns - 1)
     line_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]]
     line_zeros = line_slots >= nnz  # a rim reads 0
     line_zeros[2, :, 0] = True  # and so does a disk centre, which the centre row updates
     line_slots[line_zeros] = 0
-    ring_order = fine.node_index[:, 1:ns].T.ravel()
     ring_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (1, 0), (-1, 0))]].transpose(0, 2, 1).reshape(3, -1)
     if not is_disk:  # an annulus has no ring sweep
-        ring_order, ring_slots = ring_order[:0], ring_slots[:, :0]
+        ring_slots = ring_slots[:, :0]
     return _TwoGridPlan(prolong, rim, *_frozen(
-        fine.node_index[:, 1:ns].ravel(), line_slots.reshape(3, -1), line_zeros.reshape(3, -1),
-        ring_order, ring_slots, fine.slot[m:]))
+        line_slots.reshape(3, -1), line_zeros.reshape(3, -1), ring_slots, fine.slot[k:]))
 
 
 def _periodic_tridiagonal(diag, up, down):
@@ -460,25 +407,29 @@ def _v_cycle(system: DiscreteSystem, correct):
     level is a factor.  A smoothing step is a damped s-line sweep; on a
     disk, whose cells near the centre couple most strongly along the
     rings, a damped ring sweep and an exact update of the centre row
-    follow it, each on the updated residual.  The cycle reads the matrix
-    through the slots of its grid plan."""
-    A = system.matrix
-    plan = _two_grid_plan(system.n_theta, system.n_s, system.is_disk)
+    follow it, each on the updated residual.  The s-lines are the blocks
+    of n_s - 1 unknowns, and the rings the columns of their
+    (n_theta, n_s - 1) view.  The cycle reads the matrix through the
+    slots of its grid plan."""
+    A, nt, ns = system.matrix, system.n_theta, system.n_s
+    m = nt * (ns - 1)  # the unknowns on the s-lines; a disk's centre follows them
+    plan = _two_grid_plan(nt, ns, system.is_disk)
     diag, up, down = np.where(plan.line_zeros, 0.0, A.data[plan.line_slots])
     *lines, info = dgttrf(down[1:], diag, up[:-1])
     has_centre = plan.centre_slots.size > 0
     # False on an annulus, None when a ring is singular
-    rings = has_centre and _periodic_tridiagonal(*A.data[plan.ring_slots].reshape(3, -1, system.n_theta))
+    rings = has_centre and _periodic_tridiagonal(*A.data[plan.ring_slots].reshape(3, -1, nt))
     if info != 0 or rings is None:
         return None
-    centre_row, first_ring = A.data[plan.centre_slots], plan.ring_order[:system.n_theta]
+    centre_row = A.data[plan.centre_slots]
 
     def smooth(r):
         z = np.zeros_like(r)
-        z[plan.line_order] = _LINE_DAMPING * dgttrs(*lines, r[plan.line_order])[0]
+        z[:m] = _LINE_DAMPING * dgttrs(*lines, r[:m])[0]
         if has_centre:  # the centre unknown is the last, and neither sweep has moved it
-            z[plan.ring_order] += _LINE_DAMPING * rings((r - A @ z)[plan.ring_order])
-            z[-1] = (r[-1] - np.sum(centre_row[1:] * z[first_ring])) / centre_row[0]
+            ring_view = z[:m].reshape(nt, ns - 1).T
+            ring_view += _LINE_DAMPING * rings((r - A @ z)[:m].reshape(nt, ns - 1).T.ravel()).reshape(ns - 1, nt)
+            z[-1] = (r[-1] - np.sum(centre_row[1:] * z[:m:ns - 1])) / centre_row[0]
         return z
 
     def cycle(r):

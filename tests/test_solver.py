@@ -16,7 +16,6 @@ from levelset_lab.solver import (
     SolutionField,
     assemble,
     convergence_study,
-    nested_dissection,
     solve,
     solve_scenario,
 )
@@ -158,7 +157,8 @@ def test_maximum_principle_on_m_matrix():
 
 def test_zero_pivot_reports_no_convergence():
     system = assemble(log_annulus_spec())
-    system.matrix.data[system.matrix.indices == 7] = 0.0
+    indptr = system.matrix.indptr
+    system.matrix.data[indptr[7]:indptr[8]] = 0.0  # row 7
     with pytest.raises(NoConvergenceError):
         solve(system)
 
@@ -186,63 +186,23 @@ def test_corrupted_solution_fails_residual_gate(monkeypatch):
         solve(system)
 
 
-@pytest.mark.parametrize("n_theta, n_s, disk", [
-    (64, 32, False), (65, 32, False), (64, 33, True), (37, 16, True), (512, 256, False),
-])
-def test_nested_dissection_is_a_bijection(n_theta, n_s, disk):
-    """The elimination order visits every interior unknown exactly once."""
-    order = nested_dissection(n_theta, n_s, disk)
-    n_interior = n_theta * (n_s - 1) + (1 if disk else 0)
-    assert np.array_equal(np.sort(order), np.arange(n_interior))
-    if disk:
-        assert order[-1] == 0  # the centre couples to the whole first ring
-
-
 # ------------------------------------------------------ assembly plan reference
 
-def reference_dissect(i0, i1, j0, j1, nt, out):
-    """The recursion `nested_dissection` is pinned to: both halves of the
-    longer side of the block, then the line that separates them."""
-    w, h = i1 - i0, j1 - j0
-    if w <= 0 or h <= 0:
-        return
-    if w * h <= 64:
-        out.append((np.arange(j0, j1)[:, None] * nt + np.arange(i0, i1)).ravel())
-    elif w >= h:
-        c = (i0 + i1) // 2
-        reference_dissect(i0, c, j0, j1, nt, out)
-        reference_dissect(c + 1, i1, j0, j1, nt, out)
-        out.append(np.arange(j0, j1) * nt + c)
-    else:
-        c = (j0 + j1) // 2
-        reference_dissect(i0, i1, j0, c, nt, out)
-        reference_dissect(i0, i1, c + 1, j1, nt, out)
-        out.append(c * nt + np.arange(i0, i1))
-
-
 def reference_assemble(spec):
-    """The assembly the per-grid plan replaced: node numbering from the
-    recursive dissection, every stencil entry as a COO triple, CSR to sum
-    the duplicate disk-centre entries within their row in stencil order,
-    then CSC.  The weights come from the same `_stencil`."""
+    """The assembly the per-grid plan replaced: node (i, j) numbered
+    i (n_s - 1) + j - 1 along the s-lines, the disk centre last, every
+    stencil entry as a COO triple, and CSR to sum the duplicate
+    disk-centre entries within their row in stencil order.  The weights
+    come from the same `_stencil`."""
     nt, ns = spec.grid
     is_disk = spec.domain.is_disk
     weights, boundary = solver_mod._stencil(spec)
-    m, half = ns - 1, nt // 2
-    out = []
-    reference_dissect(1, half, 0, m, nt, out)
-    reference_dissect(half + 1, nt, 0, m, nt, out)
-    order = np.concatenate(out + [np.arange(m) * nt, np.arange(m) * nt + half])
-    order = np.append(order + 1, 0) if is_disk else order
-    n = order.size
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
+    n = nt * (ns - 1) + is_disk
     rings = [ns] if is_disk else [0, ns]
     index = np.empty((nt, ns + 1), dtype=np.intp)
-    index[:, 1:ns] = rank[int(is_disk):].reshape(ns - 1, nt).T
+    index[:, 0] = n - 1
+    index[:, 1:ns] = np.arange(nt * (ns - 1)).reshape(nt, ns - 1)
     index[:, rings] = n + np.arange(len(rings) * nt).reshape(len(rings), nt).T
-    if is_disk:
-        index[:, 0] = rank[0]
     I, J = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
     rows, cols, data = [], [], []
     for (di, dj), w in zip(solver_mod._STENCIL, weights):
@@ -250,12 +210,12 @@ def reference_assemble(spec):
         cols.append(index[(I + di) % nt, J + dj].ravel())
         data.append(w.ravel())
     if is_disk:
-        rows.append(np.full(nt + 1, rank[0]))
-        cols.append(np.concatenate(([rank[0]], index[:, 1])))
+        rows.append(np.full(nt + 1, n - 1))
+        cols.append(np.concatenate(([n - 1], index[:, 1])))
         data.append(weights[-1])
     rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
     inner = cols < n
-    matrix = sp.csr_matrix((data[inner], (rows[inner], cols[inner])), shape=(n, n)).tocsc()
+    matrix = sp.csr_matrix((data[inner], (rows[inner], cols[inner])), shape=(n, n))
     couplings = sp.csr_matrix((data[~inner], (rows[~inner], cols[~inner] - n)), shape=(n, boundary.size))
     return solver_mod.DiscreteSystem(
         spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
@@ -268,13 +228,9 @@ def assert_bit_identical(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("scale", [1, 2])
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_plan_assembly_matches_reference(name, scale):
+def assert_matches_reference(spec):
     """Filling the cached plan gives the reference system bit for bit (the
     sign of every zero included) and the same solved values."""
-    spec = builtin_spec(name)
-    spec = spec.with_grid(scale * spec.n_theta, scale * spec.n_s)
     got, want = assemble(spec), reference_assemble(spec)
     for a, b in ((got.matrix, want.matrix), (got.couplings, want.couplings)):
         assert a.format == b.format and a.shape == b.shape
@@ -284,6 +240,20 @@ def test_plan_assembly_matches_reference(name, scale):
     assert_bit_identical(got.boundary, want.boundary)
     assert np.array_equal(got.node_index, want.node_index)
     assert_bit_identical(solve(got).values, solve(want).values)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_plan_assembly_matches_reference(name, scale):
+    spec = builtin_spec(name)
+    assert_matches_reference(spec.with_grid(scale * spec.n_theta, scale * spec.n_s))
+
+
+@pytest.mark.parametrize("grid, disk", [((65, 32), False), ((64, 33), True), ((37, 16), True), ((6, 2), False)])
+def test_plan_assembly_matches_reference_on_grids_that_do_not_halve(grid, disk):
+    """The same on odd grids and on a grid with one interior ring, which
+    are factored directly."""
+    assert_matches_reference(make_scenario("1", None, "x", None, grid=grid) if disk else log_annulus_spec(grid))
 
 
 def test_plan_cached_per_grid_and_read_only():
@@ -359,6 +329,20 @@ def test_plan_cache_shared_by_threads():
     assert failures == []
 
 
+# L + U nonzeros of the factors in the geometric nested-dissection order that SuperLU's own order replaced
+NESTED_DISSECTION_FILL = {("counterexample1", 64): 119402, ("counterexample1", 128): 604522,
+                          ("disk_z3", 64): 111102, ("disk_z3", 128): 566026}
+
+
+@pytest.mark.parametrize("name, n_theta", NESTED_DISSECTION_FILL)
+def test_half_grid_factor_keeps_nested_dissection_fill(name, n_theta):
+    """The half grids of the default grid and of its refinement, the only
+    grids a verify factors, keep no more nonzeros in their factors than
+    nested dissection did (COLAMD keeps 1.3-1.6 times as many)."""
+    lu = solver_mod._factor(assemble(builtin_spec(name).with_grid(n_theta, n_theta // 2)).matrix)
+    assert lu.L.nnz + lu.U.nnz <= NESTED_DISSECTION_FILL[name, n_theta]
+
+
 @pytest.mark.parametrize("name", ["z_plus_inv", "disk_z3"])
 def test_fine_grid_passes_residual_gate(name):
     """At 512x256 the reduced-system residual stays at round-off, far
@@ -393,7 +377,7 @@ def solved_pair(name, scale):
 
 def direct_values(system):
     """The grid values of the direct LU of `system`."""
-    x = spla.splu(system.matrix, permc_spec="NATURAL").solve(system.rhs)
+    x = solver_mod._factor(system.matrix).solve(system.rhs)
     return np.concatenate((x, system.boundary))[system.node_index]
 
 
@@ -599,11 +583,12 @@ def line_entries(matrix, plan):
 
 def test_line_slots_gather_the_s_line_blocks():
     """The gathered diagonal, upper and lower entries are the tridiagonal
-    part of the matrix in s-line order, with zeros where a line meets a rim."""
+    part of the matrix, whose s-lines are blocks of n_s - 1 unknowns, with
+    zeros where a line meets a rim."""
     system = assemble(builtin_spec("counterexample1").with_grid(48, 24))
     plan = solver_mod._two_grid_plan(48, 24, False)
     diag, up, down = line_entries(system.matrix, plan)
-    lines = system.matrix.toarray()[np.ix_(plan.line_order, plan.line_order)]
+    lines = system.matrix.toarray()
     assert np.array_equal(np.diag(lines), diag)
     assert np.array_equal(np.diag(lines, 1), up[:-1]) and np.array_equal(np.diag(lines, -1), down[1:])
     inside = np.arange(lines.shape[0] - 1) % 23 != 22  # (m, m + 1) on one line of 23 unknowns
@@ -633,17 +618,20 @@ def test_two_grid_operators_on_a_disk():
 
 
 def test_ring_and_centre_slots_gather_their_entries():
-    """On a disk the gathered ring entries are each ring's periodic
-    tridiagonal block of the matrix, the centre slots are the centre row
-    over [centre, first ring] and that row's only entries, and the s-line
-    entries leave out the first ring's coupling to the centre."""
+    """On a disk the s-lines are blocks of n_s - 1 unknowns and the rings
+    the columns of their (n_theta, n_s - 1) view; the gathered ring
+    entries are each ring's periodic tridiagonal block of the matrix, the
+    centre slots are the centre row over [centre, first ring] and that
+    row's only entries, and the s-line entries leave out the first ring's
+    coupling to the centre."""
     nt, ns = 48, 24
     system = assemble(builtin_spec("disk_z3").with_grid(nt, ns))
     plan = solver_mod._two_grid_plan(nt, ns, True)
     values, A = system.matrix.data, system.matrix.toarray()
     n = A.shape[0]
-    rings = plan.ring_order.reshape(ns - 1, nt)
-    assert np.array_equal(rings, solver_mod._grid_plan(nt, ns, True).node_index[:, 1:ns].T)
+    lines = np.arange(n - 1).reshape(nt, ns - 1)
+    assert np.array_equal(solver_mod._grid_plan(nt, ns, True).node_index[:, 1:ns], lines)
+    rings = lines.T
     diag, nxt, prev = values[plan.ring_slots].reshape(3, ns - 1, nt)
     i = np.arange(nt)
     for k, ring in enumerate(rings):
@@ -655,18 +643,18 @@ def test_ring_and_centre_slots_gather_their_entries():
     assert np.array_equal(values[plan.centre_slots], A[n - 1, columns])
     assert np.count_nonzero(A[n - 1]) == np.count_nonzero(A[n - 1, columns]) == nt + 1
     diag, up, down = line_entries(system.matrix, plan)
-    lines = A[np.ix_(plan.line_order, plan.line_order)]
-    assert np.array_equal(np.diag(lines), diag)
-    assert np.array_equal(np.diag(lines, 1), up[:-1]) and np.array_equal(np.diag(lines, -1), down[1:])
+    assert np.array_equal(np.diag(A)[:-1], diag)
+    assert np.array_equal(np.diag(A, 1)[:-1], up[:-1]) and np.array_equal(np.diag(A, -1)[:-1], down[1:])
     assert np.all(down.reshape(nt, ns - 1)[:, 0] == 0) and np.all(A[rings[0], n - 1] != 0)
 
 
 def test_two_grid_plan_cached_and_read_only():
     plan = solver_mod._two_grid_plan(48, 24, False)
     assert solver_mod._two_grid_plan(48, 24, False) is plan
-    line = plan.line_order.reshape(48, 23)
-    assert np.array_equal(line, solver_mod._grid_plan(48, 24, False).node_index[:, 1:24])
-    assert plan.ring_order.size == plan.ring_slots.size == plan.centre_slots.size == 0
+    lines = np.arange(48 * 23).reshape(48, 23)  # an s-line is a block of n_s - 1 unknowns
+    assert np.array_equal(solver_mod._grid_plan(48, 24, False).node_index[:, 1:24], lines)
+    assert plan.line_slots.shape == (3, lines.size)
+    assert plan.ring_slots.size == plan.centre_slots.size == 0
     disk = solver_mod._two_grid_plan(48, 24, True)
     assert disk is not plan and solver_mod._two_grid_plan(48, 24, True) is disk
     for arr in plan_arrays(plan) + plan_arrays(disk):
