@@ -249,10 +249,11 @@ def test_plan_assembly_matches_reference(name, scale):
     assert_matches_reference(spec.with_grid(scale * spec.n_theta, scale * spec.n_s))
 
 
-@pytest.mark.parametrize("grid, disk", [((65, 32), False), ((64, 33), True), ((37, 16), True), ((6, 2), False)])
-def test_plan_assembly_matches_reference_on_grids_that_do_not_halve(grid, disk):
+@pytest.mark.parametrize("n_theta, n_s, disk", [(65, 32, False), (64, 33, True), (37, 16, True), (6, 2, False)])
+def test_plan_assembly_matches_reference_on_grids_that_do_not_halve(n_theta, n_s, disk):
     """The same on odd grids and on a grid with one interior ring, which
     are factored directly."""
+    grid = (n_theta, n_s)
     assert_matches_reference(make_scenario("1", None, "x", None, grid=grid) if disk else log_annulus_spec(grid))
 
 
