@@ -359,8 +359,8 @@ def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     full = sp.csr_matrix((weights, (rows, cols)), shape=(n, coarse.node_index.max() + 1))
     prolong, rim = full[:, :nc], full[:, nc:]
     _frozen(*(a for m in (prolong, rim) for a in (m.data, m.indices, m.indptr)))
-    k = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
-    slots = fine.slot[:k].reshape(len(_STENCIL), nt, ns - 1)
+    m = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
+    slots = fine.slot[:m].reshape(len(_STENCIL), nt, ns - 1)
     line_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]]
     line_zeros = line_slots >= nnz  # a rim reads 0
     line_zeros[2, :, 0] = True  # and so does a disk centre, which the centre row updates
@@ -369,12 +369,13 @@ def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     if not is_disk:  # an annulus has no ring sweep
         ring_slots = ring_slots[:, :0]
     return _TwoGridPlan(prolong, rim, *_frozen(
-        line_slots.reshape(3, -1), line_zeros.reshape(3, -1), ring_slots, fine.slot[k:]))
+        line_slots.reshape(3, -1), line_zeros.reshape(3, -1), ring_slots, fine.slot[m:]))
 
 
 def _periodic_tridiagonal(diag, up, down):
     """Solver for the periodic tridiagonal systems along the rows of the
-    arrays: diag[k, i] x[k, i] + up[k, i] x[k, i + 1] + down[k, i] x[k, i - 1],
+    arrays, of a right side shaped like them:
+    diag[k, i] x[k, i] + up[k, i] x[k, i + 1] + down[k, i] x[k, i - 1],
     i taken modulo the row length; one LAPACK factor of all rows with the
     corners cut, and a Sherman-Morrison correction per row (Numerical
     Recipes, 2.7).  None when a cut row is singular."""
@@ -394,8 +395,8 @@ def _periodic_tridiagonal(diag, up, down):
     q /= (1.0 + q[:, 0] + v_last * q[:, -1])[:, None]
 
     def solve_rows(r):
-        y = dgttrs(*factor, r)[0].reshape(diag.shape)
-        return (y - (y[:, 0] + v_last * y[:, -1])[:, None] * q).ravel()
+        y = dgttrs(*factor, r.ravel())[0].reshape(diag.shape)
+        return y - (y[:, 0] + v_last * y[:, -1])[:, None] * q
     return solve_rows
 
 
@@ -428,7 +429,7 @@ def _v_cycle(system: DiscreteSystem, correct):
         z[:m] = _LINE_DAMPING * dgttrs(*lines, r[:m])[0]
         if has_centre:  # the centre unknown is the last, and neither sweep has moved it
             ring_view = z[:m].reshape(nt, ns - 1).T
-            ring_view += _LINE_DAMPING * rings((r - A @ z)[:m].reshape(nt, ns - 1).T.ravel()).reshape(ns - 1, nt)
+            ring_view += _LINE_DAMPING * rings((r - A @ z)[:m].reshape(nt, ns - 1).T)
             z[-1] = (r[-1] - np.sum(centre_row[1:] * z[:m:ns - 1])) / centre_row[0]
         return z
 
