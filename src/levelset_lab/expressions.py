@@ -45,56 +45,51 @@ def _byte_offset(src: str, pos: int) -> int:
     return len(src[:pos].encode("utf-8"))
 
 
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-
-    def _scan(self):
-        src = self.src
-        i = 0
-        n = len(src)
-        while i < n:
-            ch = src[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                j = i
-                seen_dot = False
-                while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                    seen_dot = seen_dot or src[j] == "."
+def _tokenize(src: str) -> list:
+    """The (kind, value, position) tokens of `src`, closed by an "end" token."""
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            seen_dot = False
+            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+                seen_dot = seen_dot or src[j] == "."
+                j += 1
+            # optional exponent
+            if j < n and src[j] in "eE" and j + 1 < n and (
+                src[j + 1].isdigit() or (src[j + 1] in "+-" and j + 2 < n and src[j + 2].isdigit())
+            ):
+                j += 2
+                while j < n and src[j].isdigit():
                     j += 1
-                # optional exponent
-                if j < n and src[j] in "eE" and j + 1 < n and (
-                    src[j + 1].isdigit() or (src[j + 1] in "+-" and j + 2 < n and src[j + 2].isdigit())
-                ):
-                    j += 2
-                    while j < n and src[j].isdigit():
-                        j += 1
-                text = src[i:j]
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ExpressionSyntaxError(f"bad number {text!r}", _byte_offset(src, i))
-                self.tokens.append(("num", value, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", src[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", _byte_offset(src, i))
-        self.tokens.append(("end", None, n))
+            text = src[i:j]
+            try:
+                value = float(text)
+            except ValueError:
+                raise ExpressionSyntaxError(f"bad number {text!r}", _byte_offset(src, i))
+            tokens.append(("num", value, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ExpressionSyntaxError(f"unexpected character {ch!r}", _byte_offset(src, i))
+    tokens.append(("end", None, n))
+    return tokens
 
 
 class _Parser:
@@ -102,7 +97,7 @@ class _Parser:
 
     def __init__(self, src: str):
         self.src = src
-        self.tokens = _Tokenizer(src).tokens
+        self.tokens = _tokenize(src)
         self.k = 0
 
     def peek(self):

@@ -338,18 +338,16 @@ _LINE_DAMPING = 0.7
 
 # All of the two-grid cycle that depends only on the grid, read-only: prolongation P from the
 # unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse nodes
-# ((i + a) // 2, (j + b) // 2), a, b in {0, 1}, and a disk's centre is the coarse centre), the
-# slots in matrix.data of the diagonal, upper and lower line entries of each unknown and the
-# mask of those that read 0 instead, and, empty on an annulus, the slots of the diagonal, next
-# and previous ring entries in ring order, then the centre row's slots over [centre, first ring].
-_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim line_slots line_zeros ring_slots centre_slots")
+# ((i + a) // 2, (j + b) // 2), a, b in {0, 1}, and a disk's centre is the coarse centre), split
+# into its part over the unknowns and its rim part over the Dirichlet nodes.
+_TwoGridPlan = namedtuple("_TwoGridPlan", "prolong rim")
 
 
 # the two finer grids of both domain kinds
 @functools.lru_cache(maxsize=4)
 def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     fine, coarse = _grid_plan(nt, ns, is_disk), _grid_plan(nt // 2, ns // 2, is_disk)
-    n, nc, nnz = fine.indptr.size - 1, coarse.indptr.size - 1, fine.indices.size
+    n, nc = fine.indptr.size - 1, coarse.indptr.size - 1
     i, j = np.meshgrid(np.arange(nt), np.arange(1, ns), indexing="ij")
     cols = np.stack([coarse.node_index[(i + a) // 2 % (nt // 2), (j + b) // 2] for a in (0, 1) for b in (0, 1)])
     rows = np.broadcast_to(fine.node_index[:, 1:ns], cols.shape).ravel()
@@ -357,19 +355,14 @@ def _two_grid_plan(nt: int, ns: int, is_disk: bool) -> _TwoGridPlan:
     if is_disk:  # the centre, the last unknown on both grids, injects
         rows, cols, weights = np.append(rows, n - 1), np.append(cols, nc - 1), np.append(weights, 1.0)
     full = sp.csr_matrix((weights, (rows, cols)), shape=(n, coarse.node_index.max() + 1))
-    prolong, rim = full[:, :nc], full[:, nc:]
-    _frozen(*(a for m in (prolong, rim) for a in (m.data, m.indices, m.indptr)))
-    m = len(_STENCIL) * nt * (ns - 1)  # the interior rows' slots; a disk's centre row follows them
-    slots = fine.slot[:m].reshape(len(_STENCIL), nt, ns - 1)
-    line_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (0, 1), (0, -1))]]
-    line_zeros = line_slots >= nnz  # a rim reads 0
-    line_zeros[2, :, 0] = True  # and so does a disk centre, which the centre row updates
-    line_slots[line_zeros] = 0
-    ring_slots = slots[[_STENCIL.index(o) for o in ((0, 0), (1, 0), (-1, 0))]].transpose(0, 2, 1).reshape(3, -1)
-    if not is_disk:  # an annulus has no ring sweep
-        ring_slots = ring_slots[:, :0]
-    return _TwoGridPlan(prolong, rim, *_frozen(
-        line_slots.reshape(3, -1), line_zeros.reshape(3, -1), ring_slots, fine.slot[m:]))
+    plan = _TwoGridPlan(full[:, :nc], full[:, nc:])
+    _frozen(*(a for m in plan for a in (m.data, m.indices, m.indptr)))
+    return plan
+
+
+def _cyclic_diagonal(A, k: int, m: int) -> np.ndarray:
+    """A[p, (p + k) mod m] for p < m, 0 < k < m, from diagonals k and k - m."""
+    return np.concatenate((A.diagonal(k)[:m - k], A.diagonal(k - m)[:k]))
 
 
 def _periodic_tridiagonal(diag, up, down):
@@ -410,27 +403,29 @@ def _v_cycle(system: DiscreteSystem, correct):
     rings, a damped ring sweep and an exact update of the centre row
     follow it, each on the updated residual.  The s-lines are the blocks
     of n_s - 1 unknowns, and the rings the columns of their
-    (n_theta, n_s - 1) view.  The cycle reads the matrix through the
-    slots of its grid plan."""
-    A, nt, ns = system.matrix, system.n_theta, system.n_s
+    (n_theta, n_s - 1) view.  The cycle reads its line entries from A's
+    diagonals 0 and +-1, which are 0 where a line ends, and a disk's ring
+    entries from diagonals +-(n_s - 1) taken cyclically."""
+    # the closures hold nothing of `system`, which keeps the cycle: a loop of references kept dropped systems until gc
+    A, nt, ns, is_disk = system.matrix, system.n_theta, system.n_s, system.is_disk
     m = nt * (ns - 1)  # the unknowns on the s-lines; a disk's centre follows them
-    plan = _two_grid_plan(nt, ns, system.is_disk)
-    diag, up, down = np.where(plan.line_zeros, 0.0, A.data[plan.line_slots])
-    *lines, info = dgttrf(down[1:], diag, up[:-1])
-    has_centre = plan.centre_slots.size > 0
+    plan = _two_grid_plan(nt, ns, is_disk)
+    diag = A.diagonal()[:m]
+    *lines, info = dgttrf(A.diagonal(-1)[:m - 1], diag, A.diagonal(1)[:m - 1])
     # False on an annulus, None when a ring is singular
-    rings = has_centre and _periodic_tridiagonal(*A.data[plan.ring_slots].reshape(3, -1, nt))
+    rings = is_disk and _periodic_tridiagonal(*(b.reshape(nt, ns - 1).T for b in (
+        diag, _cyclic_diagonal(A, ns - 1, m), _cyclic_diagonal(A, m - ns + 1, m))))
     if info != 0 or rings is None:
         return None
-    centre_row = A.data[plan.centre_slots]
+    centre_row = A.data[A.indptr[m]:]  # the first ring, then the centre's diagonal
 
     def smooth(r):
         z = np.zeros_like(r)
         z[:m] = _LINE_DAMPING * dgttrs(*lines, r[:m])[0]
-        if has_centre:  # the centre unknown is the last, and neither sweep has moved it
+        if is_disk:  # the centre unknown is the last, and neither sweep has moved it
             ring_view = z[:m].reshape(nt, ns - 1).T
             ring_view += _LINE_DAMPING * rings((r - A @ z)[:m].reshape(nt, ns - 1).T)
-            z[-1] = (r[-1] - np.sum(centre_row[1:] * z[:m:ns - 1])) / centre_row[0]
+            z[-1] = (r[-1] - np.sum(centre_row[:-1] * z[:m:ns - 1])) / centre_row[-1]
         return z
 
     def cycle(r):

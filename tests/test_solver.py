@@ -577,23 +577,31 @@ def test_two_grid_operators():
             assert np.array_equal(R[coarse.node_index[I, J]], want)
 
 
-def line_entries(matrix, plan):
-    """The diagonal, upper and lower s-line entries the cycle gathers."""
-    return np.where(plan.line_zeros, 0.0, matrix.data[plan.line_slots])
+def cycle_reads(system, monkeypatch):
+    """The arguments of the s-line factor and, on a disk, of the ring solver
+    that `_v_cycle` builds for `system`."""
+    reads = {}
+    for name in ("dgttrf", "_periodic_tridiagonal"):
+        def read(*args, name=name, original=getattr(solver_mod, name)):
+            reads.setdefault(name, args)  # the first call: the ring solver factors with dgttrf too
+            return original(*args)
+        monkeypatch.setattr(solver_mod, name, read)
+    assert solver_mod._v_cycle(system, None) is not None
+    return reads["dgttrf"], reads.get("_periodic_tridiagonal")
 
 
-def test_line_slots_gather_the_s_line_blocks():
-    """The gathered diagonal, upper and lower entries are the tridiagonal
-    part of the matrix, whose s-lines are blocks of n_s - 1 unknowns, with
-    zeros where a line meets a rim."""
+def test_line_diagonals_are_the_s_line_blocks(monkeypatch):
+    """The s-line entries the cycle factors, diagonals 0 and +-1 of the
+    matrix, are its tridiagonal part, whose s-lines are blocks of n_s - 1
+    unknowns, and read 0 exactly where a line meets a rim."""
     system = assemble(builtin_spec("counterexample1").with_grid(48, 24))
-    plan = solver_mod._two_grid_plan(48, 24, False)
-    diag, up, down = line_entries(system.matrix, plan)
+    (down, diag, up), _ = cycle_reads(system, monkeypatch)
     lines = system.matrix.toarray()
     assert np.array_equal(np.diag(lines), diag)
-    assert np.array_equal(np.diag(lines, 1), up[:-1]) and np.array_equal(np.diag(lines, -1), down[1:])
+    assert np.array_equal(np.diag(lines, 1), up) and np.array_equal(np.diag(lines, -1), down)
     inside = np.arange(lines.shape[0] - 1) % 23 != 22  # (m, m + 1) on one line of 23 unknowns
-    assert np.all(up[:-1][inside] != 0) and np.all(up[:-1][~inside] == 0)
+    assert np.all(up[inside] != 0) and np.all(up[~inside] == 0)
+    assert np.all(down[inside] != 0) and np.all(down[~inside] == 0)
 
 
 def test_two_grid_operators_on_a_disk():
@@ -618,49 +626,91 @@ def test_two_grid_operators_on_a_disk():
     assert np.array_equal(sums, np.ones(n))
 
 
-def test_ring_and_centre_slots_gather_their_entries():
+def test_ring_diagonals_and_centre_row_read_their_entries(monkeypatch):
     """On a disk the s-lines are blocks of n_s - 1 unknowns and the rings
-    the columns of their (n_theta, n_s - 1) view; the gathered ring
-    entries are each ring's periodic tridiagonal block of the matrix, the
-    centre slots are the centre row over [centre, first ring] and that
-    row's only entries, and the s-line entries leave out the first ring's
-    coupling to the centre."""
+    the columns of their (n_theta, n_s - 1) view; the ring entries the
+    cycle reads, diagonals +-(n_s - 1) taken cyclically, are each ring's
+    periodic tridiagonal block of the matrix, the centre row's entries in
+    CSR order are the first ring, then the centre, and that row's only
+    entries, which the cycle's last step solves exactly, and the s-line
+    entries leave out the first ring's coupling to the centre."""
     nt, ns = 48, 24
     system = assemble(builtin_spec("disk_z3").with_grid(nt, ns))
-    plan = solver_mod._two_grid_plan(nt, ns, True)
-    values, A = system.matrix.data, system.matrix.toarray()
+    (down, diag, up), (ring_diag, nxt, prev) = cycle_reads(system, monkeypatch)
+    A = system.matrix.toarray()
     n = A.shape[0]
     lines = np.arange(n - 1).reshape(nt, ns - 1)
     assert np.array_equal(solver_mod._grid_plan(nt, ns, True).node_index[:, 1:ns], lines)
     rings = lines.T
-    diag, nxt, prev = values[plan.ring_slots].reshape(3, ns - 1, nt)
+    assert ring_diag.shape == nxt.shape == prev.shape == (ns - 1, nt)
     i = np.arange(nt)
     for k, ring in enumerate(rings):
         block = A[np.ix_(ring, ring)]
-        assert np.array_equal(np.diag(block), diag[k])
+        assert np.array_equal(np.diag(block), ring_diag[k])
         assert np.array_equal(block[i, (i + 1) % nt], nxt[k]) and np.array_equal(block[i, (i - 1) % nt], prev[k])
         assert np.all(nxt[k] != 0) and np.all(prev[k] != 0)
-    columns = np.append(n - 1, rings[0])
-    assert np.array_equal(values[plan.centre_slots], A[n - 1, columns])
+    columns = np.append(rings[0], n - 1)
+    assert np.array_equal(system.matrix.data[system.matrix.indptr[n - 1]:], A[n - 1, columns])
     assert np.count_nonzero(A[n - 1]) == np.count_nonzero(A[n - 1, columns]) == nt + 1
-    diag, up, down = line_entries(system.matrix, plan)
+    r = np.random.default_rng(3).standard_normal(n)
+    residual = r - system.matrix @ solver_mod._v_cycle(system, np.zeros_like)(r)
+    assert abs(residual[-1]) <= 1e-12 * np.max(np.abs(residual))
     assert np.array_equal(np.diag(A)[:-1], diag)
-    assert np.array_equal(np.diag(A, 1)[:-1], up[:-1]) and np.array_equal(np.diag(A, -1)[:-1], down[1:])
-    assert np.all(down.reshape(nt, ns - 1)[:, 0] == 0) and np.all(A[rings[0], n - 1] != 0)
+    assert np.array_equal(np.diag(A, 1)[:-1], up) and np.array_equal(np.diag(A, -1)[:-1], down)
+    assert np.all(down[rings[0][1:] - 1] == 0) and np.all(A[rings[0], n - 1] != 0)
+
+
+def test_dropped_solved_system_is_freed_without_the_collector():
+    """A system solved by the two-grid path keeps its cycle as its inverse,
+    and the cycle holds no reference back, so that a dropped system is
+    freed at once and not at the next run of the cycle collector."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        for name in ("counterexample1", "disk_z3"):
+            system = assemble(builtin_spec(name).with_grid(32, 16))
+            assert solve(system).solved_by == "two-grid"
+            dropped = weakref.ref(system)
+            del system
+            assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_two_grid_plan_cached_and_read_only():
     plan = solver_mod._two_grid_plan(48, 24, False)
     assert solver_mod._two_grid_plan(48, 24, False) is plan
+    assert plan._fields == ("prolong", "rim")
     lines = np.arange(48 * 23).reshape(48, 23)  # an s-line is a block of n_s - 1 unknowns
     assert np.array_equal(solver_mod._grid_plan(48, 24, False).node_index[:, 1:24], lines)
-    assert plan.line_slots.shape == (3, lines.size)
-    assert plan.ring_slots.size == plan.centre_slots.size == 0
     disk = solver_mod._two_grid_plan(48, 24, True)
     assert disk is not plan and solver_mod._two_grid_plan(48, 24, True) is disk
     for arr in plan_arrays(plan) + plan_arrays(disk):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_periodic_tridiagonal_solves_each_row():
+    """Each row's solve matches the dense solve of its periodic tridiagonal
+    matrix, for diagonally dominant rows of length 5 and 7, and a matrix
+    with a zero column gives None."""
+    rng = np.random.default_rng(5)
+    for length in (5, 7):
+        up, down = rng.uniform(-1.0, 1.0, (2, 3, length))
+        diag = (np.abs(up) + np.abs(down) + rng.uniform(0.5, 1.5, (3, length))) * rng.choice((-1.0, 1.0), (3, length))
+        r = rng.standard_normal((3, length))
+        x = solver_mod._periodic_tridiagonal(diag, up, down)(r)
+        i = np.arange(length)
+        for k in range(3):
+            M = np.diag(diag[k])
+            M[i, (i + 1) % length] += up[k]
+            M[i, (i - 1) % length] += down[k]
+            want = np.linalg.solve(M, r[k])
+            assert np.max(np.abs(x[k] - want)) <= 1e-12 * np.max(np.abs(want))
+    diag[1, 2] = up[1, 1:3] = down[1, 2:4] = 0.0  # column 2 of row 1's matrix
+    assert solver_mod._periodic_tridiagonal(diag, up, down) is None
 
 
 # ------------------------------------------------------------- interpolation
