@@ -331,10 +331,9 @@ def _relative_residual(A, x, b) -> float:
     return residual / bnorm if bnorm > 0 else residual
 
 
-# Stop rule, GMRES iteration cap and damping of the line sweeps of the two-grid solve.
+# Stop rule and GMRES iteration cap of the two-grid solve.
 _TWO_GRID_TOL = 1e-13
 _TWO_GRID_CAP = 30
-_LINE_DAMPING = 0.7
 
 # All of the two-grid cycle that depends only on the grid, read-only: prolongation P from the
 # unknowns and Dirichlet nodes of the half grid (fine node (i, j) is the mean of coarse nodes
@@ -365,30 +364,35 @@ def _cyclic_diagonal(A, k: int, m: int) -> np.ndarray:
     return np.concatenate((A.diagonal(k)[:m - k], A.diagonal(k - m)[:k]))
 
 
+def _tridiagonal_rows(diag, up, down):
+    """Solver for the tridiagonal systems along the rows of the arrays, of a
+    right side shaped like them: diag[k, i] x[k, i] + up[k, i] x[k, i + 1]
+    + down[k, i] x[k, i - 1], up[:, -1] and down[:, 0] read as 0; one LAPACK
+    factor of all rows.  None on a zero pivot."""
+    du, dl = up.copy(), down.copy()
+    du[:, -1] = dl[:, 0] = 0.0
+    *factor, info = dgttrf(dl.ravel()[1:], diag.ravel(), du.ravel()[:-1])
+    return None if info != 0 else lambda r: dgttrs(*factor, r.ravel())[0].reshape(diag.shape)
+
+
 def _periodic_tridiagonal(diag, up, down):
-    """Solver for the periodic tridiagonal systems along the rows of the
-    arrays, of a right side shaped like them:
-    diag[k, i] x[k, i] + up[k, i] x[k, i + 1] + down[k, i] x[k, i - 1],
-    i taken modulo the row length; one LAPACK factor of all rows with the
-    corners cut, and a Sherman-Morrison correction per row (Numerical
-    Recipes, 2.7).  None when a cut row is singular."""
+    """`_tridiagonal_rows` with i taken modulo the row length: its solver
+    of the rows with the corners cut, and a Sherman-Morrison correction per
+    row (Numerical Recipes, 2.7).  None when a cut row is singular."""
     gamma, alpha, beta = -diag[:, 0], up[:, -1], down[:, 0]
     d = diag.copy()
     d[:, 0] -= gamma
     d[:, -1] -= alpha * beta / gamma
-    du, dl = up.copy(), down.copy()
-    du[:, -1] = dl[:, 0] = 0.0
-    *factor, info = dgttrf(dl.ravel()[1:], d.ravel(), du.ravel()[:-1])
-    if info != 0:
+    if (cut := _tridiagonal_rows(d, up, down)) is None:
         return None
-    u = np.zeros_like(diag)
+    u = np.zeros(diag.shape)
     u[:, 0], u[:, -1] = gamma, alpha
-    q = dgttrs(*factor, u.ravel())[0].reshape(diag.shape)
+    q = cut(u)
     v_last = beta / gamma
     q /= (1.0 + q[:, 0] + v_last * q[:, -1])[:, None]
 
     def solve_rows(r):
-        y = dgttrs(*factor, r.ravel())[0].reshape(diag.shape)
+        y = cut(r)
         return y - (y[:, 0] + v_last * y[:, -1])[:, None] * q
     return solve_rows
 
@@ -398,33 +402,42 @@ def _v_cycle(system: DiscreteSystem, correct):
     correction `correct` of the restricted residual, prolongation,
     smoothing; None on a zero pivot.  The coarse correction is the half
     grid's factor, or the half grid's own cycle, so that the coarsest
-    level is a factor.  A smoothing step is a damped s-line sweep; on a
-    disk, whose cells near the centre couple most strongly along the
-    rings, a damped ring sweep and an exact update of the centre row
-    follow it, each on the updated residual.  The s-lines are the blocks
-    of n_s - 1 unknowns, and the rings the columns of their
-    (n_theta, n_s - 1) view.  The cycle reads its line entries from A's
-    diagonals 0 and +-1, which are 0 where a line ends, and a disk's ring
-    entries from diagonals +-(n_s - 1) taken cyclically."""
+    level is a factor.  A smoothing step is an undamped zebra sweep: the
+    s-lines of even i solved exactly, then those of odd i on the updated
+    residual; on a disk, whose cells near the centre couple most strongly
+    along the rings, a zebra sweep of the rings (even j, then odd j) and an
+    exact update of the centre row follow.  Both steps take the colours in
+    this order, so that the cycle is one fixed linear map.  The s-lines are
+    the rows of the (n_theta, n_s - 1) view of the unknowns, the rings its
+    columns; the cycle reads their entries from A's diagonals 0 and +-1,
+    which are 0 where a line ends, and +-(n_s - 1) taken cyclically."""
     # the closures hold nothing of `system`, which keeps the cycle: a loop of references kept dropped systems until gc
     A, nt, ns, is_disk = system.matrix, system.n_theta, system.n_s, system.is_disk
     m = nt * (ns - 1)  # the unknowns on the s-lines; a disk's centre follows them
     plan = _two_grid_plan(nt, ns, is_disk)
-    diag = A.diagonal()[:m]
-    *lines, info = dgttrf(A.diagonal(-1)[:m - 1], diag, A.diagonal(1)[:m - 1])
-    # False on an annulus, None when a ring is singular
-    rings = is_disk and _periodic_tridiagonal(*(b.reshape(nt, ns - 1).T for b in (
-        diag, _cyclic_diagonal(A, ns - 1, m), _cyclic_diagonal(A, m - ns + 1, m))))
-    if info != 0 or rings is None:
+
+    def lines(v):  # rows the s-lines, columns the rings
+        return v[:m].reshape(nt, ns - 1)
+
+    def rings(v):
+        return lines(v).T
+
+    diag, up, down = (lines(b) for b in (
+        A.diagonal(), np.append(A.diagonal(1)[:m - 1], 0.0), np.append(0.0, A.diagonal(-1)[:m - 1])))
+    # (view, colour, solver of the colour's rows) in sweep order
+    sweeps = [(lines, c, _tridiagonal_rows(diag[c::2], up[c::2], down[c::2])) for c in (0, 1)]
+    if is_disk:
+        nxt, prev = (lines(_cyclic_diagonal(A, k, m)) for k in (ns - 1, m - ns + 1))
+        sweeps += [(rings, c, _periodic_tridiagonal(diag.T[c::2], nxt.T[c::2], prev.T[c::2])) for c in (0, 1)]
+    if any(solve_rows is None for *_, solve_rows in sweeps):
         return None
     centre_row = A.data[A.indptr[m]:]  # the first ring, then the centre's diagonal
 
     def smooth(r):
         z = np.zeros_like(r)
-        z[:m] = _LINE_DAMPING * dgttrs(*lines, r[:m])[0]
-        if is_disk:  # the centre unknown is the last, and neither sweep has moved it
-            ring_view = z[:m].reshape(nt, ns - 1).T
-            ring_view += _LINE_DAMPING * rings((r - A @ z)[:m].reshape(nt, ns - 1).T)
+        for k, (view, c, solve_rows) in enumerate(sweeps):  # the first colour reads r: z is still 0
+            view(z)[c::2] += solve_rows(view(r - A @ z if k else r)[c::2])
+        if is_disk:  # the centre unknown is the last, and no sweep has moved it
             z[-1] = (r[-1] - np.sum(centre_row[:-1] * z[:m:ns - 1])) / centre_row[-1]
         return z
 

@@ -20,7 +20,10 @@ a corpus with the package on the import path, once for each tree:
 `compare` lists every file that is missing, extra or different, and exits
 1 when there is one.  For a `report.json` that differs it names the JSON
 paths whose values differ (`grid.linear_residuals[1]`), so that a move in
-the residuals alone reads as one.  A JSON list whose items are only
+the residuals alone reads as one.  After the list it counts the files in
+which each JSON path differs, with list indices written `[*]`
+(`diagnostics.solves[*].iterations: 544 files`), so that one kind of
+move reads as one line.  A JSON list whose items are only
 permuted reads as one `<path>: reordered`, and so does a file of another
 kind (an SVG) whose lines are only permuted.
 
@@ -40,6 +43,7 @@ match.  The module is not collected as a test;
 `tests/test_report_corpus.py` tests its comparison.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -207,6 +211,17 @@ def compare(old: Path, new: Path, tolerant: bool = False) -> list:
     return out
 
 
+def path_counts(diffs: list) -> list:
+    """One `<path>: <n> files` line per JSON path in the differing reports of
+    `compare`'s list, list indices written `[*]`, most files first."""
+    counts = collections.Counter()
+    for line in diffs:
+        kind, name, *paths = line.split(": ", 2)
+        if kind == "differs" and name.endswith(".json") and paths:
+            counts.update({re.sub(r"\[\d+\]", "[*]", path) for path in paths[0].split(", ")})
+    return [f"{path}: {n} files" for path, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
+
+
 def main(argv: list) -> int:
     if len(argv) == 2 and argv[0] == "write":
         write(Path(argv[1]).resolve())
@@ -215,7 +230,7 @@ def main(argv: list) -> int:
     if len(argv) == 3 + tolerant and argv[0] == "compare":
         old, new = Path(argv[-2]), Path(argv[-1])
         diffs = compare(old, new, tolerant)
-        for line in diffs:
+        for line in diffs + path_counts(diffs):
             print(line)
         count = sum(1 for p in old.rglob("*") if p.is_file())
         print(f"{count} files in {old}, {len(diffs)} differences")

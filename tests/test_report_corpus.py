@@ -3,7 +3,7 @@
 import json
 import shutil
 
-from report_corpus import compare, json_paths
+from report_corpus import compare, json_paths, main, path_counts
 
 
 def test_json_paths_names_each_moved_value():
@@ -46,6 +46,31 @@ def test_compare_reports_reordered_svg_lines(tmp_path):
         "differs: run/levelsets.svg: reordered",
         "differs: run/report.json: p: reordered, q",
     ]
+
+
+def test_compare_counts_the_files_of_each_json_path(tmp_path, capsys):
+    """After the file list, `compare` prints how many reports differ at each
+    JSON path, list indices written [*]; the list and the exit status are
+    those of the comparison alone."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    reports = {"a": ({"solves": [{"iterations": 9}, {"iterations": 10}], "p": [1, 2]},
+                     {"solves": [{"iterations": 6}, {"iterations": 7}], "p": [2, 1]}),
+               "b": ({"solves": [{"iterations": 5}], "q": 0.5}, {"solves": [{"iterations": 4}], "q": 0.25}),
+               "c": ({"solves": [{"iterations": 5}]}, {"solves": [{"iterations": 5}]})}
+    for run, payloads in reports.items():
+        for root, payload in zip((old, new), payloads):
+            (root / run).mkdir(parents=True)
+            (root / run / "report.json").write_text(json.dumps(payload))
+    (old / "c" / "levelsets.svg").write_text("<svg>\n<a/>\n<b/>\n</svg>\n")
+    (new / "c" / "levelsets.svg").write_text("<svg>\n<b/>\n<a/>\n</svg>\n")
+    diffs = compare(old, new)
+    assert diffs == ["differs: a/report.json: solves[0].iterations, solves[1].iterations, p: reordered",
+                     "differs: b/report.json: solves[0].iterations, q",
+                     "differs: c/levelsets.svg: reordered"]
+    assert path_counts(diffs) == ["solves[*].iterations: 2 files", "p: reordered: 1 files", "q: 1 files"]
+    assert main(["compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == diffs + path_counts(diffs) + [f"4 files in {old}, 3 differences"]
+    assert path_counts([]) == [] and main(["compare", str(old), str(old)]) == 0
 
 
 TOL = {"coordinate": 1e-6, "value": 1e-4, "gate": 1e-10}

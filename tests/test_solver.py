@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
@@ -441,7 +442,9 @@ def test_disk_keeps_its_factor_for_the_two_grid_path(monkeypatch):
     coarse, fine = solved_pair("disk_z2", 1)
     assert factored == [half_size(builtin_spec("disk_z2"))] and not keeps_its_factor(coarse)
     got = solve(fine, coarse=coarse)
-    assert got.solved_by == "two-grid" and 7 <= got.iterations <= solver_mod._TWO_GRID_CAP
+    # `keeps_its_factor` above shows that the kept inverse is the cycle; the count cannot:
+    # over the configured grid's exact factor the refined grid takes as many iterations
+    assert got.solved_by == "two-grid" and 0 < got.iterations < solver_mod._TWO_GRID_CAP
     assert coarse.inverse is None and len(factored) == 1
 
 
@@ -578,28 +581,40 @@ def test_two_grid_operators():
 
 
 def cycle_reads(system, monkeypatch):
-    """The arguments of the s-line factor and, on a disk, of the ring solver
-    that `_v_cycle` builds for `system`."""
-    reads = {}
-    for name in ("dgttrf", "_periodic_tridiagonal"):
+    """The arguments of the s-line factors, even i first, and on a disk of
+    the ring solvers, even j first, that `_v_cycle` builds for `system`."""
+    reads = {"dgttrf": [], "_periodic_tridiagonal": []}
+    for name in reads:
         def read(*args, name=name, original=getattr(solver_mod, name)):
-            reads.setdefault(name, args)  # the first call: the ring solver factors with dgttrf too
+            reads[name].append(args)
             return original(*args)
         monkeypatch.setattr(solver_mod, name, read)
     assert solver_mod._v_cycle(system, None) is not None
-    return reads["dgttrf"], reads.get("_periodic_tridiagonal")
+    # the ring solvers factor their cut rows with dgttrf too, after the s-lines
+    return reads["dgttrf"][:2], list(reads["_periodic_tridiagonal"])
+
+
+def line_order(even, odd, n_theta, n_s):
+    """A band that dgttrf read for the even and for the odd s-lines, back in
+    line order; an off-diagonal, one shorter, gets its last line end's 0."""
+    out = np.zeros((n_theta, n_s - 1))
+    out[0::2].flat[:even.size], out[1::2].flat[:odd.size] = even, odd
+    return out.ravel()
 
 
 def test_line_diagonals_are_the_s_line_blocks(monkeypatch):
-    """The s-line entries the cycle factors, diagonals 0 and +-1 of the
-    matrix, are its tridiagonal part, whose s-lines are blocks of n_s - 1
-    unknowns, and read 0 exactly where a line meets a rim."""
+    """The s-line entries the cycle factors, one colour of lines at a time,
+    are the matrix's diagonals 0 and +-1, its tridiagonal part, whose
+    s-lines are blocks of n_s - 1 unknowns, and read 0 exactly where a line
+    meets a rim."""
     system = assemble(builtin_spec("counterexample1").with_grid(48, 24))
-    (down, diag, up), _ = cycle_reads(system, monkeypatch)
+    colours, _ = cycle_reads(system, monkeypatch)
+    assert [band.size for band in colours[0] + colours[1]] == [24 * 23 - 1, 24 * 23, 24 * 23 - 1] * 2
+    down, diag, up = (line_order(even, odd, 48, 24) for even, odd in zip(*colours))
     lines = system.matrix.toarray()
     assert np.array_equal(np.diag(lines), diag)
-    assert np.array_equal(np.diag(lines, 1), up) and np.array_equal(np.diag(lines, -1), down)
-    inside = np.arange(lines.shape[0] - 1) % 23 != 22  # (m, m + 1) on one line of 23 unknowns
+    assert np.array_equal(np.diag(lines, 1), up[:-1]) and np.array_equal(np.diag(lines, -1), down[:-1])
+    inside = np.arange(lines.shape[0]) % 23 != 22  # (m, m + 1) on one line of 23 unknowns
     assert np.all(up[inside] != 0) and np.all(up[~inside] == 0)
     assert np.all(down[inside] != 0) and np.all(down[~inside] == 0)
 
@@ -629,20 +644,24 @@ def test_two_grid_operators_on_a_disk():
 def test_ring_diagonals_and_centre_row_read_their_entries(monkeypatch):
     """On a disk the s-lines are blocks of n_s - 1 unknowns and the rings
     the columns of their (n_theta, n_s - 1) view; the ring entries the
-    cycle reads, diagonals +-(n_s - 1) taken cyclically, are each ring's
-    periodic tridiagonal block of the matrix, the centre row's entries in
-    CSR order are the first ring, then the centre, and that row's only
-    entries, which the cycle's last step solves exactly, and the s-line
-    entries leave out the first ring's coupling to the centre."""
+    cycle reads for the even and the odd rings, diagonals +-(n_s - 1)
+    taken cyclically, are each ring's periodic tridiagonal block of the
+    matrix, the centre row's entries in CSR order are the first ring, then
+    the centre, and that row's only entries, which the cycle's last step
+    solves exactly, and the s-line entries leave out the first ring's
+    coupling to the centre."""
     nt, ns = 48, 24
     system = assemble(builtin_spec("disk_z3").with_grid(nt, ns))
-    (down, diag, up), (ring_diag, nxt, prev) = cycle_reads(system, monkeypatch)
+    colours, ring_colours = cycle_reads(system, monkeypatch)
+    down, diag, up = (line_order(even, odd, nt, ns) for even, odd in zip(*colours))
+    assert [band.shape for bands in ring_colours for band in bands] == [(12, nt)] * 3 + [(11, nt)] * 3
+    ring_diag, nxt, prev = (np.concatenate((even, odd))[np.argsort(np.r_[0:ns - 1:2, 1:ns - 1:2])]
+                            for even, odd in zip(*ring_colours))
     A = system.matrix.toarray()
     n = A.shape[0]
     lines = np.arange(n - 1).reshape(nt, ns - 1)
     assert np.array_equal(solver_mod._grid_plan(nt, ns, True).node_index[:, 1:ns], lines)
     rings = lines.T
-    assert ring_diag.shape == nxt.shape == prev.shape == (ns - 1, nt)
     i = np.arange(nt)
     for k, ring in enumerate(rings):
         block = A[np.ix_(ring, ring)]
@@ -656,8 +675,58 @@ def test_ring_diagonals_and_centre_row_read_their_entries(monkeypatch):
     residual = r - system.matrix @ solver_mod._v_cycle(system, np.zeros_like)(r)
     assert abs(residual[-1]) <= 1e-12 * np.max(np.abs(residual))
     assert np.array_equal(np.diag(A)[:-1], diag)
-    assert np.array_equal(np.diag(A, 1)[:-1], up) and np.array_equal(np.diag(A, -1)[:-1], down)
+    assert np.array_equal(np.diag(A, 1)[:-1], up[:-1]) and np.array_equal(np.diag(A, -1)[:-1], down[:-1])
     assert np.all(down[rings[0][1:] - 1] == 0) and np.all(A[rings[0], n - 1] != 0)
+
+
+@pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])
+def test_zebra_half_sweep_solves_its_lines(name, monkeypatch):
+    """One half-sweep, the bands of one colour solved on r from z = 0,
+    leaves r - A z at round-off on the lines of that colour and not on the
+    others: the even and the odd s-lines, and on a disk the even and the
+    odd rings, so that no band is split off by one.  The cycle's own last
+    half-sweep does the same on its lines, with no coarse correction: the
+    odd s-lines of an annulus, and the odd rings of a disk, which the
+    centre update after them does not touch."""
+    nt, ns = 48, 24
+    system = assemble(builtin_spec(name).with_grid(nt, ns))
+    A, m = system.matrix, nt * (ns - 1)
+    colours, ring_colours = cycle_reads(system, monkeypatch)
+
+    def view(v, on_rings):
+        grid = v[:m].reshape(nt, ns - 1)
+        return grid.T if on_rings else grid
+
+    def line_solver(bands):
+        *factor, info = dgttrf(*bands)
+        assert info == 0
+        return lambda rows: dgttrs(*factor, rows.ravel())[0].reshape(rows.shape)
+
+    half_sweeps = [(False, c, line_solver(bands)) for c, bands in enumerate(colours)]
+    half_sweeps += [(True, c, solver_mod._periodic_tridiagonal(*bands)) for c, bands in enumerate(ring_colours)]
+    assert len(half_sweeps) == (4 if system.is_disk else 2)
+    r = np.random.default_rng(7).standard_normal(system.size)
+    scale = np.max(np.abs(r))
+    for on_rings, c, solve_rows in half_sweeps:
+        z = np.zeros_like(r)
+        view(z, on_rings)[c::2] = solve_rows(view(r, on_rings)[c::2])
+        residual = view(r - A @ z, on_rings)
+        assert np.max(np.abs(residual[c::2])) <= 1e-12 * scale
+        assert np.max(np.abs(residual[1 - c::2])) > 0.1 * scale
+    residual = view(r - A @ solver_mod._v_cycle(system, np.zeros_like)(r), system.is_disk)
+    assert np.max(np.abs(residual[1::2])) <= 1e-12 * scale < np.max(np.abs(residual[0::2]))
+
+
+@pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])
+def test_cycle_is_a_fixed_linear_map(name):
+    """Right-preconditioned GMRES needs one fixed linear preconditioner: over
+    the half grid's factor the cycle maps a r1 + r2 to a cycle(r1) + cycle(r2)."""
+    spec = builtin_spec(name).with_grid(48, 24)
+    system, half = assemble(spec), assemble(spec.with_grid(24, 12))
+    cycle = solver_mod._v_cycle(system, solver_mod._factor(half.matrix).solve)
+    r1, r2 = np.random.default_rng(11).standard_normal((2, system.size))
+    want = -3.7 * cycle(r1) + cycle(r2)
+    assert np.max(np.abs(cycle(-3.7 * r1 + r2) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_dropped_solved_system_is_freed_without_the_collector():
@@ -711,6 +780,24 @@ def test_periodic_tridiagonal_solves_each_row():
             assert np.max(np.abs(x[k] - want)) <= 1e-12 * np.max(np.abs(want))
     diag[1, 2] = up[1, 1:3] = down[1, 2:4] = 0.0  # column 2 of row 1's matrix
     assert solver_mod._periodic_tridiagonal(diag, up, down) is None
+
+
+def test_tridiagonal_rows_solves_each_row():
+    """Each row's solve matches the dense solve of its tridiagonal matrix,
+    which does not read up[:, -1] and down[:, 0], for diagonally dominant
+    rows of length 5 and 7, and a matrix with a zero column gives None."""
+    rng = np.random.default_rng(6)
+    for length in (5, 7):
+        up, down = rng.uniform(-1.0, 1.0, (2, 3, length))
+        diag = (np.abs(up) + np.abs(down) + rng.uniform(0.5, 1.5, (3, length))) * rng.choice((-1.0, 1.0), (3, length))
+        r = rng.standard_normal((3, length))
+        x = solver_mod._tridiagonal_rows(diag, up, down)(r)
+        for k in range(3):
+            M = np.diag(diag[k]) + np.diag(up[k, :-1], 1) + np.diag(down[k, 1:], -1)
+            want = np.linalg.solve(M, r[k])
+            assert np.max(np.abs(x[k] - want)) <= 1e-12 * np.max(np.abs(want))
+    diag[1, 2] = up[1, 1] = down[1, 3] = 0.0  # column 2 of row 1's matrix
+    assert solver_mod._tridiagonal_rows(diag, up, down) is None
 
 
 # ------------------------------------------------------------- interpolation

@@ -757,13 +757,14 @@ def test_report_names_the_solve_path_of_each_grid(monkeypatch):
     ]}
 
 
-@pytest.mark.parametrize("name, line_factors", [("z_plus_inv", 2), ("disk_z2", 4)])
-def test_one_cycle_per_level(name, line_factors, monkeypatch):
+@pytest.mark.parametrize("name, factors_per_cycle", [("z_plus_inv", 2), ("disk_z2", 4)])
+def test_one_cycle_per_level(name, factors_per_cycle, monkeypatch):
     """A verification builds one V-cycle per grid it solves iteratively,
     the configured and the refined grid: the refined solve reuses the
     configured grid's cycle as its coarse correction instead of building
-    it again.  So LAPACK `dgttrf` runs once per cycle for the s-lines, and
-    once more on a disk for the rings, and `splu` factors only the half grid."""
+    it again.  So LAPACK `dgttrf` runs once per colour of each cycle's
+    zebra sweeps: twice for the s-lines, and twice more on a disk for the
+    rings; and `splu` factors only the half grid."""
     import levelset_lab.solver as solver_mod
 
     calls = Counter()
@@ -786,7 +787,7 @@ def test_one_cycle_per_level(name, line_factors, monkeypatch):
     monkeypatch.setattr(solver_mod, "dgttrf", counted("dgttrf", solver_mod.dgttrf))
     monkeypatch.setattr(solver_mod.spla, "splu", splu)
     run_scenario(spec)
-    assert calls == {"cycle": 2, "dgttrf": line_factors, ("splu", half): 1}
+    assert calls == {"cycle": 2, "dgttrf": 2 * factors_per_cycle, ("splu", half): 1}
 
 
 @pytest.mark.parametrize("name", ["disk_z2", "z2_minus_zm2"])
