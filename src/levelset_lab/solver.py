@@ -372,7 +372,7 @@ def _tridiagonal_rows(diag, up, down):
     du, dl = up.copy(), down.copy()
     du[:, -1] = dl[:, 0] = 0.0
     *factor, info = dgttrf(dl.ravel()[1:], diag.ravel(), du.ravel()[:-1])
-    return None if info != 0 else lambda r: dgttrs(*factor, r.ravel())[0].reshape(diag.shape)
+    return None if info != 0 else lambda r: dgttrs(*factor, r.ravel())[0].reshape(r.shape)
 
 
 def _periodic_tridiagonal(diag, up, down):
