@@ -12,6 +12,7 @@ import csv
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -90,8 +91,13 @@ def emit_report(report_dict: dict, path) -> None:
 
 def _load(path: str, args, validate: bool = True) -> ScenarioSpec:
     """The scenario at path with the --grid and --tol-grad overrides applied,
-    validated as a whole unless the caller validates it itself."""
+    validated as a whole unless the caller validates it itself; every --t
+    must be finite."""
     spec = load_scenario(path, validate=False)
+    t = getattr(args, "t", None)
+    for v in t if isinstance(t, list) else [t]:
+        if v is not None and not math.isfinite(v):
+            raise ValidationFailure([{"check": "cli", "message": f"bad --t value {v!r}, want a finite number"}])
     if args.grid:
         try:
             nt, ns = (int(v) for v in args.grid.lower().split("x"))

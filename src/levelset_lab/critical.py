@@ -39,7 +39,6 @@ class CriticalPoint:
     multiplicity: int
     is_zero: bool
     degree_radius: float
-    grad_norm: float
     winding_raw: float
 
     def as_dict(self) -> dict:
@@ -244,7 +243,7 @@ def find_critical_points_report(field: SolutionField):
         points.append(CriticalPoint(
             x=x, y=y, value=value, multiplicity=int(m),
             is_zero=bool(abs(value) <= rt.value_zero_tol),
-            degree_radius=float(radius), grad_norm=g, winding_raw=float(raw),
+            degree_radius=float(radius), winding_raw=float(raw),
         ))
 
     firsts = distinct_levels([p.value for p in points], rt.equal_value_tol)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -43,14 +44,12 @@ class EllipticOperator:
     b2: tuple
     c: tuple | None = None
     lambda_floor: float = 1e-10
-    sources: dict = field(default_factory=dict)
 
     @staticmethod
     def laplace() -> "EllipticOperator":
         one = ex.parse_expression("1")
         zero = ex.parse_expression("0")
-        return EllipticOperator(one, zero, one, zero, zero, None,
-                                sources={"a11": "1", "a12": "0", "a22": "1", "b1": "0", "b2": "0"})
+        return EllipticOperator(one, zero, one, zero, zero, None)
 
     def coefficients_at(self, x, y) -> dict:
         env = ex.env_from_xy(x, y)
@@ -95,7 +94,6 @@ class ScenarioSpec:
     name: str = "scenario"
     reference: tuple | None = None
     notes: tuple = ()
-    sources: dict = field(default_factory=dict)
 
     @property
     def n_theta(self) -> int:
@@ -108,8 +106,13 @@ class ScenarioSpec:
     def with_grid(self, n_theta: int, n_s: int) -> "ScenarioSpec":
         return replace(self, grid=(int(n_theta), int(n_s)))
 
-    def boundary_value_expr(self, which: str):
-        return self.psi_interior if which == "interior" else self.psi_exterior
+    def rims(self) -> list:
+        """The rims the domain has, exterior first, each as (which, curve,
+        datum); an interior rim without psi_interior has the datum None."""
+        rims = [("exterior", self.domain.exterior, self.psi_exterior)]
+        if self.domain.interior is not None:
+            rims.append(("interior", self.domain.interior, self.psi_interior))
+        return rims
 
 
 # --------------------------------------------------------------------------
@@ -132,11 +135,8 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     bad: list[dict] = []
     theta = np.linspace(0.0, TWO_PI, _CURVE_SAMPLES, endpoint=False)
 
-    curves = [("exterior", spec.domain.exterior)]
-    if spec.domain.interior is not None:
-        curves.append(("interior", spec.domain.interior))
     radii = {}
-    for label, curve in curves:
+    for label, curve, _ in spec.rims():
         extra = ex.free_variables(curve.radius_expr) - {"theta"}
         if extra:
             bad.append(_violation("curve_variables", f"{label} radius may only reference theta, found {sorted(extra)}"))
@@ -158,7 +158,7 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         if abs(r0 - r2pi) > 1e-12 * max(1.0, float(np.max(np.abs(r)))):
             bad.append(_violation("curve_periodic", f"{label} radius is not 2pi-periodic", {"r(0)": r0, "r(2pi)": r2pi}))
 
-    if spec.domain.interior is not None and "interior" in radii and "exterior" in radii:
+    if "interior" in radii and "exterior" in radii:
         gap = radii["exterior"] - radii["interior"]
         gap_min = float(np.min(gap))
         needed = max(1e-12, REL_GAP_MIN * float(np.max(radii["exterior"])))
@@ -220,14 +220,13 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
                 k = int(np.argmax(co["c"]))
                 bad.append(_violation("zeroth_order_sign", "c(x) must be <= 0",
                                       {"x": float(X.flat[k]), "y": float(Y.flat[k]), "c": float(co["c"].flat[k])}))
-        for which in ("interior", "exterior"):
-            expr = spec.boundary_value_expr(which)
-            if expr is None:
+        # interior datum first; no curve check failed, so radii holds every rim
+        for which, _, datum in reversed(spec.rims()):
+            if datum is None:
                 continue
-            curve = spec.domain.interior if which == "interior" else spec.domain.exterior
-            rb = curve.radius(theta)
+            rb = radii[which]
             try:
-                ex.evaluate_xy(expr, rb * np.cos(theta), rb * np.sin(theta))
+                ex.evaluate_xy(datum, rb * np.cos(theta), rb * np.sin(theta))
             except ExpressionError as err:
                 bad.append(_violation("boundary_evaluation", f"psi_{which} failed to evaluate on its curve: {err}"))
 
@@ -247,17 +246,22 @@ def _is_number(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def _parse_field(bad, sources, path, src):
+def _parse_field(bad, path, src):
     if not isinstance(src, str):
         bad.append(_violation("schema", f"{path} must be an expression string"))
         return None
     try:
-        tree = ex.parse_expression(src)
+        return ex.parse_expression(src)
     except ExpressionError as err:
         bad.append(_violation("expression", f"{path}: {err}"))
         return None
-    sources[path] = src
-    return tree
+
+
+def _parse_curve(bad, which, data):
+    """The BoundaryCurve of ``domain.<which>``, or None after recording why not."""
+    src = data.get("radius") if isinstance(data, dict) else None
+    tree = _parse_field(bad, f"domain.{which}.radius", src)
+    return None if tree is None else BoundaryCurve(tree, src)
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
@@ -265,20 +269,15 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
     bad: list[dict] = []
     if not isinstance(data, dict):
         raise ValidationFailure([_violation("schema", "scenario root must be an object")])
-    sources: dict = {}
 
     dom = data.get("domain")
     exterior = interior = None
     if not isinstance(dom, dict) or not isinstance(dom.get("exterior"), dict):
         bad.append(_violation("schema", "domain.exterior is required"))
     else:
-        tree = _parse_field(bad, sources, "domain.exterior.radius", dom["exterior"].get("radius") if isinstance(dom["exterior"], dict) else None)
-        if tree is not None:
-            exterior = BoundaryCurve(tree, sources["domain.exterior.radius"])
+        exterior = _parse_curve(bad, "exterior", dom["exterior"])
         if dom.get("interior") is not None:
-            tree = _parse_field(bad, sources, "domain.interior.radius", dom["interior"].get("radius") if isinstance(dom["interior"], dict) else None)
-            if tree is not None:
-                interior = BoundaryCurve(tree, sources["domain.interior.radius"])
+            interior = _parse_curve(bad, "interior", dom["interior"])
 
     op_data = data.get("operator") or {}
     op = None
@@ -288,10 +287,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
         trees = {}
         for key in ("a11", "a12", "a22", "b1", "b2"):
             default = {"a11": "1", "a12": "0", "a22": "1", "b1": "0", "b2": "0"}[key]
-            trees[key] = _parse_field(bad, sources, f"operator.{key}", op_data.get(key, default))
+            trees[key] = _parse_field(bad, f"operator.{key}", op_data.get(key, default))
         c_tree = None
         if op_data.get("c") is not None:
-            c_tree = _parse_field(bad, sources, "operator.c", op_data["c"])
+            c_tree = _parse_field(bad, "operator.c", op_data["c"])
         lambda_floor = op_data.get("lambda_floor", 1e-10)
         if _is_number(lambda_floor):
             lambda_floor = float(lambda_floor)
@@ -299,17 +298,16 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
             bad.append(_violation("schema", "operator.lambda_floor must be a number"))
         if all(trees[k] is not None for k in trees):
             op = EllipticOperator(trees["a11"], trees["a12"], trees["a22"], trees["b1"], trees["b2"], c_tree,
-                                  lambda_floor=lambda_floor,
-                                  sources={k: sources.get(f"operator.{k}") for k in ("a11", "a12", "a22", "b1", "b2", "c")})
+                                  lambda_floor=lambda_floor)
 
     bc = data.get("boundary") or {}
     psi_int = psi_ext = None
     if not isinstance(bc, dict) or "psi_exterior" not in bc:
         bad.append(_violation("schema", "boundary.psi_exterior is required"))
     else:
-        psi_ext = _parse_field(bad, sources, "boundary.psi_exterior", bc["psi_exterior"])
+        psi_ext = _parse_field(bad, "boundary.psi_exterior", bc["psi_exterior"])
         if bc.get("psi_interior") is not None:
-            psi_int = _parse_field(bad, sources, "boundary.psi_interior", bc["psi_interior"])
+            psi_int = _parse_field(bad, "boundary.psi_interior", bc["psi_interior"])
 
     grid_data = data.get("grid") or {}
     grid = (128, 64)
@@ -338,13 +336,18 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
 
     reference = None
     if data.get("reference") is not None:
-        reference = _parse_field(bad, sources, "reference", data["reference"])
+        reference = _parse_field(bad, "reference", data["reference"])
 
     notes = data.get("notes")
     if notes is None:
         notes = []
     elif not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
         bad.append(_violation("schema", "notes must be a list of strings"))
+
+    # the name becomes part of output file names, so it must stay one name
+    name = str(data.get("name", name))
+    if {"/", os.sep, os.altsep, "\0"} & set(name):
+        bad.append(_violation("schema", f"name {name!r} must not contain a path separator or NUL"))
 
     if bad or exterior is None or op is None or psi_ext is None:
         if not bad:
@@ -358,10 +361,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
         psi_interior=psi_int,
         grid=grid,
         tolerances=tol,
-        name=str(data.get("name", name)),
+        name=name,
         reference=reference,
         notes=tuple(notes),
-        sources=sources,
     )
 
 

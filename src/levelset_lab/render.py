@@ -28,7 +28,8 @@ def render_svg(field: SolutionField, thresholds, points) -> str:
     """SVG document with boundary curves, one polyline group per threshold
     and one circle marker per critical point (radius scaled by multiplicity)."""
     theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-    radius = float(np.max(field.domain.exterior.radius(theta)))
+    radii = [curve.radius(theta) for _, curve, _ in field.spec.rims()]
+    radius = float(np.max(radii[0]))
     pad = 0.06 * radius
     lo, span = -(radius + pad), 2.0 * (radius + pad)
 
@@ -37,11 +38,7 @@ def render_svg(field: SolutionField, thresholds, points) -> str:
         f'viewBox="{_fmt(lo)} {_fmt(lo)} {_fmt(span)} {_fmt(span)}">',
         f'<g id="boundaries" fill="none" stroke="#000000" stroke-width="{_fmt(0.004 * span)}">',
     ]
-    curves = [field.domain.exterior]
-    if field.domain.interior is not None:
-        curves.append(field.domain.interior)
-    for curve in curves:
-        r = curve.radius(theta)
+    for r in radii:
         pts = np.stack([r * np.cos(theta), -r * np.sin(theta)], axis=1)
         parts.append(f'<path d="{_path(np.vstack([pts, pts[:1]]))}" />')
     parts.append("</g>")

@@ -40,7 +40,6 @@ class LevelComponent:
 @dataclass
 class LevelSetCensus:
     t: float
-    refine: int
     components: list
     uncertain_band: float
 
@@ -124,7 +123,7 @@ def level_census(field: SolutionField, t: float) -> LevelSetCensus:
                 extremal_value=extremal, extremal_contact_value=contact,
                 all_uncertain=bool(np.all(uncertain[sel])), euler_char=int(chi[k]),
             ))
-    return LevelSetCensus(t=t, refine=REFINE, components=comps, uncertain_band=band)
+    return LevelSetCensus(t=t, components=comps, uncertain_band=band)
 
 
 def region_components(field: SolutionField, lo: float, hi: float) -> int:
@@ -306,13 +305,11 @@ def _closure_relative(field: SolutionField, which: str, theta0: float, value: fl
     return bool(value <= float(np.min(patch)) + slack)
 
 
-def _trace_profile(field: SolutionField, which: str, rt: ResolvedTolerances) -> TraceProfile:
-    spec = field.spec
-    curve = spec.domain.interior if which == "interior" else spec.domain.exterior
-    expr = spec.psi_interior if which == "interior" else spec.psi_exterior
+def _trace_profile(field: SolutionField, which: str, curve, datum, rt: ResolvedTolerances) -> TraceProfile:
+    """The profile of datum on curve, one rim of `ScenarioSpec.rims()`."""
     theta = np.arange(_TRACE_SAMPLES) * (TWO_PI / _TRACE_SAMPLES)
     rr = curve.radius(theta)
-    values = ex.evaluate_xy(expr, rr * np.cos(theta), rr * np.sin(theta))
+    values = ex.evaluate_xy(datum, rr * np.cos(theta), rr * np.sin(theta))
 
     vmin, vmax = float(np.min(values)), float(np.max(values))
     scale = max(vmax - vmin, abs(vmax), abs(vmin), 1e-300)
@@ -343,11 +340,8 @@ def boundary_profile(field: SolutionField) -> BoundaryProfile:
     """Extrema/zero profile of both boundary traces (from the closed-form
     boundary data; the solved field supplies the interior collar test)."""
     rt = resolve_tolerances(field)
-    exterior = _trace_profile(field, "exterior", rt)
-    interior = None
-    if field.spec.domain.interior is not None:
-        interior = _trace_profile(field, "interior", rt)
-    return BoundaryProfile(exterior=exterior, interior=interior)
+    traces = {rim[0]: _trace_profile(field, *rim, rt) for rim in field.spec.rims()}
+    return BoundaryProfile(exterior=traces["exterior"], interior=traces.get("interior"))
 
 
 # --------------------------------------------------------------------------

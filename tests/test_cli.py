@@ -322,3 +322,56 @@ def test_batch_records_unexpected_exception(scen, tmp_path, monkeypatch, capsys)
     rows = {r["scenario"]: r["status"] for r in csv.DictReader((tmp_path / "out" / "batch_summary.csv").open())}
     assert rows == {"log_annulus": "ok", "z_plus_inv": "error: RuntimeError: boom"}
     assert "Traceback" in capsys.readouterr().err
+
+
+def test_disk_with_interior_datum_is_a_validation_error(tmp_path, capsys):
+    """A disk has no interior curve to carry psi_interior: verify exits 1
+    with one boundary_data line, and batch records the same violation."""
+    data = json.loads((cli.builtin_scenario_dir() / "disk_z2.json").read_text())
+    data["boundary"]["psi_interior"] = "0"
+    batch_dir = tmp_path / "in"
+    batch_dir.mkdir()
+    path = batch_dir / "disk_inner.json"
+    path.write_text(json.dumps(data))
+    message = "psi_interior must be present exactly when the domain has an interior curve"
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: boundary_data: {message}"]
+    assert cli.main(["batch", str(batch_dir), "--out", str(tmp_path / "out")]) == 1
+    rows = {r["scenario"]: r["status"] for r in csv.DictReader((tmp_path / "out" / "batch_summary.csv").open())}
+    assert rows == {"disk_inner": f"error: 1 validation error(s): {message}"}
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a\u0000b"])
+def test_scenario_name_cannot_leave_out(scen, tmp_path, capsys, name):
+    """solve, verify and batch name their files after the scenario; a name
+    with a path separator or NUL is a schema error, and nothing is written
+    outside --out."""
+    data = json.loads((scen / "log_annulus.json").read_text())
+    data["name"] = name
+    batch_dir = tmp_path / "in"
+    batch_dir.mkdir()
+    path = batch_dir / "named.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "runs" / "out"
+    message = f"name {name!r} must not contain a path separator or NUL"
+    for command in ("solve", "verify"):
+        assert cli.main([command, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: schema: {message}"]
+    assert cli.main(["batch", str(batch_dir), "--out", str(out)]) == 1
+    rows = {r["scenario"]: r["status"] for r in csv.DictReader((out / "batch_summary.csv").open())}
+    assert rows == {"named": f"error: 1 validation error(s): {message}"}
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["in/named.json", "runs/out/batch_summary.csv"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["census", "render"])
+def test_non_finite_threshold_rejected(scen, tmp_path, capsys, command, value):
+    """A threshold that is not finite has no level set: exit 1 with one
+    cli line, and no output file.  ("--t=-inf": argparse reads a bare
+    "-inf" as an option.)"""
+    path = scen / "log_annulus.json"
+    assert cli.main([command, str(path), f"--t={value}", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: cli: bad --t value {float(value)!r}, want a finite number"]
+    assert not any(tmp_path.iterdir())

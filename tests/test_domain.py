@@ -132,17 +132,55 @@ def test_violations_collected_not_first_only():
     assert len(err.value.violations) >= 3
 
 
-@given(st.dictionaries(st.sampled_from(["domain", "operator", "boundary", "grid", "tolerances", "junk"]),
-                       st.one_of(st.none(), st.integers(), st.text(max_size=10),
-                                 st.dictionaries(st.text(max_size=8), st.text(max_size=12), max_size=3))))
-@settings(max_examples=150, deadline=None)
-def test_scenario_loading_totality(data):
-    """Malformed scenario dictionaries always produce a structured error list."""
-    try:
-        spec = scenario_from_dict(data)
+def test_rims_pair_each_curve_with_its_datum():
+    """An annulus has the exterior rim, then the interior one; a disk only
+    the exterior one, whatever psi_interior holds."""
+    annulus = make_scenario("2", "1", "x", "y")
+    assert annulus.rims() == [("exterior", annulus.domain.exterior, annulus.psi_exterior),
+                              ("interior", annulus.domain.interior, annulus.psi_interior)]
+    disk = make_scenario("1", None, "x", "y")
+    assert disk.rims() == [("exterior", disk.domain.exterior, disk.psi_exterior)]
+
+
+@pytest.mark.parametrize("interior, psi_interior", [(None, "log(x - 10)"), ("1", None)],
+                         ids=["disk-with-interior-datum", "annulus-without-it"])
+def test_boundary_data_only_where_a_curve_is(interior, psi_interior):
+    """A datum without its curve, or a curve without its datum, is the one
+    boundary_data violation; the unpaired datum is never evaluated."""
+    spec = make_scenario("2", interior, "cos(2*theta)", psi_interior)
+    with pytest.raises(ValidationFailure) as err:
         validate_scenario(spec)
-    except ValidationFailure as err:
-        assert err.violations
+    assert err.value.violations == [{
+        "check": "boundary_data",
+        "message": "psi_interior must be present exactly when the domain has an interior curve"}]
+
+
+def test_boundary_data_checked_interior_first():
+    spec = make_scenario("2", "1", "log(x - 10)", "sqrt(x - 10)")
+    with pytest.raises(ValidationFailure) as err:
+        validate_scenario(spec)
+    assert [(v["check"], v["message"].split(":")[0]) for v in err.value.violations] == [
+        ("boundary_evaluation", "psi_interior failed to evaluate on its curve"),
+        ("boundary_evaluation", "psi_exterior failed to evaluate on its curve")]
+
+
+def _named(name):
+    return {"name": name, "domain": {"exterior": {"radius": "1"}}, "boundary": {"psi_exterior": "x"}}
+
+
+@pytest.mark.parametrize("name, allowed", [
+    ("sym0_k2", True), ("..", True), ("../escaped", False), ("a/b", False), ("/abs", False), ("a\u0000b", False),
+])
+def test_name_is_one_file_name(name, allowed):
+    """The name becomes part of output file names, so it may not hold a
+    path separator or NUL."""
+    if allowed:
+        assert scenario_from_dict(_named(name)).name == name
+        return
+    with pytest.raises(ValidationFailure) as err:
+        scenario_from_dict(_named(name))
+    assert err.value.violations == [
+        {"check": "schema", "message": f"name {name!r} must not contain a path separator or NUL"}]
 
 
 # ------------------------------------------------------------------ the map

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from levelset_lab.topology import (
     check_component_contact,
     level_census,
     local_structure,
+    region_components,
     trace_level_lines,
 )
 
@@ -164,6 +166,22 @@ def test_component_counts_constant_between_breakpoints():
             c1 = level_census(fld, t1)
             c2 = level_census(fld, t2)
             assert (c1.M1, c1.M2) == (c2.M1, c2.M2), (name, t1, t2)
+
+
+def test_region_components_hand_built():
+    """{lo < u < hi} on a hand-set lattice: strict bounds, 4-connectivity,
+    and the theta seam joining rows 0 and n - 1."""
+    centres = np.zeros((8, 4))
+    centres[[0, 7], 1] = 2.0   # one component across the seam
+    centres[1, 1] = 3.0        # on the upper bound: outside, so ...
+    centres[2, 1] = 2.0        # ... this cell stands alone
+    centres[[3, 4], 2] = 2.0   # one component
+    centres[5, 3] = 2.5        # touches (4, 2) only at a corner
+    centres[7, 0] = 1.0        # on the lower bound: outside
+    fake = SimpleNamespace(lattice=lambda: SimpleNamespace(centres=centres))
+    assert region_components(fake, 1.0, 3.0) == 4
+    assert region_components(fake, 0.5, 3.5) == 3   # (1, 1) and (7, 0) join the seam one
+    assert region_components(fake, 3.0, 4.0) == 0
 
 
 # ------------------------------------------------------------- level lines
@@ -593,7 +611,7 @@ def test_local_structure_regular_point():
     fld = solved_field("log_annulus", 64, 32)
     probe = CriticalPoint(x=1.6, y=0.0, value=float(fld.evaluate(1.6, 0.0)),
                           multiplicity=0, is_zero=False, degree_radius=0.2,
-                          grad_norm=1.0, winding_raw=0.0)
+                          winding_raw=0.0)
     assert local_structure(fld, probe) == (1, 1)
 
 
@@ -619,7 +637,7 @@ def test_contact_clause_not_applicable_for_equal_ranges():
 def test_contact_clause_synthetic_violation():
     fld = solved_field("counterexample1", 128, 64)
     prof = boundary_profile(fld)
-    fake = LevelSetCensus(t=math.log(6.0), refine=2, uncertain_band=0.0, components=[
+    fake = LevelSetCensus(t=math.log(6.0), uncertain_band=0.0, components=[
         LevelComponent(sign="super", label=1, cell_count=40, touches_interior=False,
                        touches_exterior=False, extremal_value=1.8,
                        extremal_contact_value=None, all_uncertain=False, euler_char=1),
@@ -650,7 +668,7 @@ def test_band_lookup_and_contact_clause(interior, exterior, expected):
     clause = {"upper": ["super->exterior"], "lower": ["sub->interior"]}
     for t, band in expected.items():
         assert prof.band(t) == band, t
-        census = LevelSetCensus(t=t, refine=2, components=[], uncertain_band=0.0)
+        census = LevelSetCensus(t=t, components=[], uncertain_band=0.0)
         report = check_component_contact(census, prof)
         assert report["applicable"] == (band in clause), t
         assert report["clause"] == clause.get(band), t
@@ -661,7 +679,7 @@ def test_unconstrained_reason_prints_no_round_off():
     digits, as census tags do, so round-off in t leaves it unchanged."""
     prof = BoundaryProfile(exterior=_trace(2.0, 3.0), interior=_trace(0.0, 1.0))
     for t in (1.2424533248940002, 1.2424533248940002 * (1.0 + 1e-13)):
-        report = check_component_contact(LevelSetCensus(t=t, refine=2, components=[], uncertain_band=0.0), prof)
+        report = check_component_contact(LevelSetCensus(t=t, components=[], uncertain_band=0.0), prof)
         assert report["reason"] == "threshold 1.24245332 falls in an unconstrained interval"
 
 

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import builtin_report, builtin_spec, make_scenario, solved_field
 from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet
-from levelset_lab.errors import UnstableCountsError
+from levelset_lab.errors import BandTooWideError, UnstableCountsError
 from levelset_lab.solver import SolutionField, resolve_tolerances, solve_scenario
 from levelset_lab.topology import (
     BoundaryExtremum,
@@ -40,7 +41,7 @@ from levelset_lab.verify import (
 
 def fake_point(x, y, value, m, zero=False):
     return CriticalPoint(x=x, y=y, value=value, multiplicity=m, is_zero=zero,
-                         degree_radius=0.1, grad_norm=0.0, winding_raw=-float(m))
+                         degree_radius=0.1, winding_raw=-float(m))
 
 
 # ------------------------------------------------------------- theorem 1.1
@@ -493,7 +494,7 @@ def _census(supers=0, subs=0, contact=None):
         comps += [_component(sign, rim) for _ in range(n)]
         comps += [_component(sign, other_rim), _component(sign, rim, chi=0),
                   _component(sign, "both", uncertain=True), _component(other_sign, rim)]
-    return LevelSetCensus(t=0.0, refine=2, components=comps, uncertain_band=0.0)
+    return LevelSetCensus(t=0.0, components=comps, uncertain_band=0.0)
 
 
 # Every clause of Lemmas 2.5-2.7, with sum_m = 2 and q = 3 so that the four
@@ -573,6 +574,79 @@ def test_identity_clause_table(monkeypatch, case, band, sep, clause, counted, rh
         assert report["holds"] is holds, (count, report)
         if counted[0] == "M1_tilde":
             assert region_calls == [(fld, t + eps, profile.z2 - eps)]
+
+
+def test_identity_lower_band_reads_band_components(monkeypatch):
+    """The separated lower-band clause counts M~1 with region_components
+    itself: on band_annulus {t + eps < u < z2 - eps} is one ring around
+    gamma_I, so M~1 = 1, and the floor M~1 >= sum_m + 1 fails."""
+    import levelset_lab.verify as verify_mod
+
+    fld = solved_field("band_annulus", 128, 64)
+    profile = boundary_profile(fld)
+    monkeypatch.setattr(verify_mod, "cluster_critical_sets", lambda *a, **k: (None, {1}))
+    monkeypatch.setattr(verify_mod, "separating_network_through", lambda *a, **k: False)
+    t, eps = 0.0, 1e-3
+    report = check_counting_identities(fld, [fake_point(1.05, 0.0, t, 1)], profile, t, eps,
+                                       _census(subs=3), _census(supers=9))
+    assert report["band"] == "lower"
+    assert report["clause"] == "band components: M~1 + M~2 = 2 sum_m + q + 1 (lower band)"
+    assert (report["details"]["M1_tilde"], report["details"]["M2_tilde"]) == (1, 3)
+    assert (report["lhs"], report["rhs"], report["holds"]) == (4, 4, False)
+
+
+def test_identity_not_applicable_reasons(monkeypatch):
+    """A critical value between the bands, unequal values in one band and a
+    failed cluster banding each leave the identity not applicable, with a
+    reason and no clause."""
+    import levelset_lab.verify as verify_mod
+
+    fld = solved_field("band_annulus", 64, 32)  # supplies only the tolerances
+
+    def reason(points, t):
+        report = check_counting_identities(fld, points, SEPARATED, t, 1e-3, _census(), _census())
+        assert (report["applicable"], report["holds"], report["clause"]) == (False, None, None)
+        return report.get("band"), report["reason"]
+
+    assert reason([fake_point(1.5, 0.0, 1.5, 1)], 1.5) == (None, "critical value 1.5 outside the lemma bands")
+    assert reason([fake_point(2.5, 0.0, 2.5, 1), fake_point(2.6, 0.0, 2.75, 1)], 2.5) == (
+        "upper", "critical values in this band are not all equal")
+
+    def too_wide(*args, **kwargs):
+        raise BandTooWideError("band 0.01 wider than the cell scale")
+
+    monkeypatch.setattr(verify_mod, "cluster_critical_sets", too_wide)
+    assert reason([fake_point(0.5, 0.0, 0.5, 1)], 0.5) == (
+        "lower", "cluster banding failed: band 0.01 wider than the cell scale")
+
+
+def test_remark_1_5_failure_branches():
+    """A counted component without boundary contact fails, and so does
+    one whose extreme passes its contact extreme by more than the slack,
+    super or sub; uncertain components and components within the slack
+    pass."""
+    fld = solved_field("log_annulus", 64, 32)
+
+    def comp(sign, rim, extreme, contact, label, uncertain=False):
+        return replace(_component(sign, rim, uncertain=uncertain), label=label,
+                       extremal_value=extreme, extremal_contact_value=contact)
+
+    census = LevelSetCensus(t=0.5, uncertain_band=0.0, components=[
+        comp("super", None, 0.9, None, 1),
+        comp("super", None, 0.9, None, 2, uncertain=True),
+        comp("super", "exterior", 100.0, 0.6, 3),
+        comp("sub", "interior", -100.0, 0.4, 4),
+        comp("super", "exterior", 0.6, 0.6, 5),
+        comp("sub", "interior", 0.4, 0.4, 6),
+    ])
+    v = check_remark_1_5(fld, [census], True)
+    assert v.applicable and v.holds is False
+    assert v.witness["failures"] == [
+        {"t": 0.5, "sign": "super", "label": 1, "issue": "no boundary contact"},
+        {"t": 0.5, "sign": "super", "label": 3, "interior_extreme": 100.0, "contact_extreme": 0.6},
+        {"t": 0.5, "sign": "sub", "label": 4, "interior_extreme": -100.0, "contact_extreme": 0.4},
+    ]
+    assert 0.0 < v.witness["slack"] < 1.0
 
 
 # ------------------------------------------------------------- run_scenario
