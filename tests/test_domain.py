@@ -132,6 +132,19 @@ def test_violations_collected_not_first_only():
     assert len(err.value.violations) >= 3
 
 
+@given(st.dictionaries(st.sampled_from(["domain", "operator", "boundary", "grid", "tolerances", "junk"]),
+                       st.one_of(st.none(), st.integers(), st.text(max_size=10),
+                                 st.dictionaries(st.text(max_size=8), st.text(max_size=12), max_size=3))))
+@settings(max_examples=150, deadline=None)
+def test_scenario_loading_totality(data):
+    """Malformed scenario dictionaries always produce a structured error list."""
+    try:
+        spec = scenario_from_dict(data)
+        validate_scenario(spec)
+    except ValidationFailure as err:
+        assert err.violations
+
+
 def test_rims_pair_each_curve_with_its_datum():
     """An annulus has the exterior rim, then the interior one; a disk only
     the exterior one, whatever psi_interior holds."""
