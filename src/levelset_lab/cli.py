@@ -265,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads "-1e-3" or "-inf" after an option as another option;
+    # joined as --t=<word>, the word is the option's value
+    words, argv = list(sys.argv[1:] if argv is None else argv), []
+    while words:
+        word = words.pop(0)
+        argv.append(f"{word}={words.pop(0)}" if word in ("--t", "--tol-grad") and words else word)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
@@ -278,14 +277,40 @@ def _marked_level_cells(field: SolutionField, t: float):
     return sign_change | near, near & ~sign_change
 
 
+def _touching_runs(starts, stops, shift, corners: bool):
+    """(a, b) pairs of runs, where run b lies in the row after run a's (a's
+    keys moved by `shift`) and shares a cell side with it, or with `corners`
+    a side or only a corner."""
+    first = np.searchsorted(stops, starts + shift, side="left" if corners else "right")
+    count = np.maximum(np.searchsorted(starts, stops + shift, side="right" if corners else "left") - first, 0)
+    a = np.repeat(np.arange(len(starts)), count)
+    return a, first[a] + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+
+
 def label_wrapped(mask: np.ndarray):
-    """4-connected labels with wrap-around along axis 0 (theta), numbered in
-    the order of the smallest ndi.label label in each component."""
-    labels, n = ndi.label(mask)
-    seam = (labels[0] > 0) & (labels[-1] > 0)
-    pairs = sp.coo_matrix((np.ones(np.count_nonzero(seam)), (labels[0][seam], labels[-1][seam])), shape=(n + 1, n + 1))
-    count, merged = connected_components(pairs, directed=False)
-    return merged[labels], count - 1
+    """4-connected components of a cell mask whose axis 0 (theta) wraps:
+    (labels, n, chi), numbered from 1 in the C order of their first cells;
+    chi[k] is the Euler characteristic of the closed cells of label k.
+
+    The cells are taken as runs along s (Rosenfeld & Pfaltz, J. ACM 13,
+    1966), keyed row * (n_s + 1) + column, with row 0 after the last row.
+    Runs are rectangles (on one row, rings that meet themselves), and runs
+    of adjacent rows meet in a segment or a point, so chi[k] is the number
+    of runs of label k less its pairs of adjacent-row runs that share a
+    side or only a corner.
+    """
+    nt, ns = mask.shape
+    edges = np.flatnonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
+    starts, stops = edges[::2], edges[1::2]
+    shift = np.where(starts < (nt - 1) * (ns + 1), ns + 1, -(nt - 1) * (ns + 1))
+    a, b = _touching_runs(starts, stops, shift, corners=False)
+    n, comp = connected_components(sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(len(starts),) * 2), directed=False)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(comp + 1, stops - starts)
+    a, b = _touching_runs(starts, stops, shift, corners=True)
+    a = a[comp[a] == comp[b]]
+    chi = np.bincount(comp + 1, minlength=n + 1) - np.bincount(comp[a] + 1, minlength=n + 1)
+    return labels, int(n), chi
 
 
 def _invert_points(field: SolutionField, points):
@@ -313,12 +338,15 @@ def cluster_critical_sets(field: SolutionField, points, t: float):
     if np.any(band_only):
         sc = marked & ~band_only
         if np.any(sc):
-            dist = ndi.distance_transform_cdt(~sc, metric="taxicab")
-            if float(np.max(dist[band_only])) > 10.0:
+            reach = np.pad(sc, 1)  # grown to the cells within 10 taxicab steps, with no theta wrap
+            for _ in range(10):
+                reach[1:-1, 1:-1] = reach[1:-1, 1:-1] | reach[:-2, 1:-1] | reach[2:, 1:-1] | \
+                    reach[1:-1, :-2] | reach[1:-1, 2:]
+            if np.any(band_only & ~reach[1:-1, 1:-1]):
                 raise BandTooWideError(
                     "level band bridges cells more than 10 cells away from the level line"
                 )
-    labels, _ = label_wrapped(marked)
+    labels, _, _ = label_wrapped(marked)
     return labels, _labels_at(labels, theta, s)
 
 
@@ -353,7 +381,7 @@ def separating_network_through(field: SolutionField, labels: np.ndarray, holding
     if field.domain.is_disk or not holding:
         return False
     passable = ~np.isin(labels, list(holding))
-    comp, _ = label_wrapped(passable)
+    comp, _, _ = label_wrapped(passable)
     inner = set(np.unique(comp[:, 0])) - {0}
     outer = set(np.unique(comp[:, -1])) - {0}
     return not (inner & outer)

@@ -55,40 +55,6 @@ class LevelSetCensus:
         return [c for c in self.components if c.sign == sign and not c.all_uncertain]
 
 
-def _euler_characteristics(labels: np.ndarray, n: int) -> np.ndarray:
-    """Euler characteristic of every labelled cell set on the theta
-    cylinder, indexed by label (entry 0 unused).
-
-    Bit-quad counting (Gray, IEEE Trans. Comput. C-20, 1971) over the 2 x 2
-    cell windows around each lattice vertex, periodic in theta and
-    zero-padded in s: per label, chi = (Q1 - Q3 - 2 QD) / 4, where Q1, Q3
-    and QD count the windows holding one cell, three cells or a diagonal
-    pair of that label.  Each label of a window is counted at its first
-    cell, so a diagonal pair of two different labels is a Q1 of each.
-    """
-    padded = np.pad(labels, ((0, 0), (1, 1)))
-    prev = np.roll(padded, 1, axis=0)
-    # the window's cells in cyclic order: 0, 2 and 1, 3 are the diagonal pairs
-    quad = (prev[:, :-1], padded[:, :-1], padded[:, 1:], prev[:, 1:])
-    # a window of one label is no Q1, Q3 or QD
-    mixed = (quad[0] != quad[1]) | (quad[1] != quad[2]) | (quad[2] != quad[3])
-    quad = [q[mixed] for q in quad]
-    q1, q3, qd = [], [], []
-    for k in range(4):
-        first = quad[k] > 0
-        for m in range(k):
-            first &= quad[m] != quad[k]
-        later = [quad[k] == quad[m] for m in range(k + 1, 4)]
-        count = sum(later, np.ones(first.shape, dtype=np.int8))[first]
-        own = quad[k][first]
-        q1.append(own[count == 1])
-        q3.append(own[count == 3])
-        if k < 2:
-            qd.append(own[(count == 2) & later[1][first]])
-    per_label = [np.bincount(np.concatenate(q), minlength=n + 1) for q in (q1, q3, qd)]
-    return (per_label[0] - per_label[1] - 2 * per_label[2]) // 4
-
-
 def level_census(field: SolutionField, t: float) -> LevelSetCensus:
     """Classify lattice cells by sign of u - t and flood-fill components.
 
@@ -103,8 +69,7 @@ def level_census(field: SolutionField, t: float) -> LevelSetCensus:
 
     comps = []
     for sign, mask in (("super", uc > t), ("sub", uc < t)):
-        labels, n = label_wrapped(mask)
-        chi = _euler_characteristics(labels, n)
+        labels, n, chi = label_wrapped(mask)
         for k in range(1, n + 1):
             sel = labels == k
             i_arr, j_arr = np.nonzero(sel)
@@ -129,7 +94,7 @@ def level_census(field: SolutionField, t: float) -> LevelSetCensus:
 def region_components(field: SolutionField, lo: float, hi: float) -> int:
     """Number of 4-connected components of {lo < u < hi} on the lattice."""
     uc = field.lattice().centres
-    _, n = label_wrapped((uc > lo) & (uc < hi))
+    _, n, _ = label_wrapped((uc > lo) & (uc < hi))
     return n
 
 
@@ -467,8 +432,8 @@ def local_structure(field: SolutionField, cp: CriticalPoint):
     vals = field.evaluate_ref(theta, s).reshape(Rg.shape)
     diff = vals - cp.value
     # wrap along the angular axis (axis 1): transpose for label_wrapped
-    _, n_sup = label_wrapped((diff > 0).T)
-    _, n_sub = label_wrapped((diff < 0).T)
+    _, n_sup, _ = label_wrapped((diff > 0).T)
+    _, n_sub, _ = label_wrapped((diff < 0).T)
     return int(n_sup), int(n_sub)
 
 

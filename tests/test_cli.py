@@ -109,6 +109,8 @@ def test_usage_error_exit_one(capsys):
     (["critical", "z_plus_inv.json", "--tol-grad", "-1"], "tolerances"),
     (["critical", "z_plus_inv.json", "--tol-grad", "nan"], "tolerances"),
     (["critical", "z_plus_inv.json", "--tol-grad", "inf"], "tolerances"),
+    (["critical", "z_plus_inv.json", "--tol-grad", "-1e-3"], "tolerances"),
+    (["verify", "log_annulus.json", "--tol-grad", "-1e-3"], "tolerances"),
 ])
 def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
     """--grid and --tol-grad values go through scenario validation: exit 1
@@ -182,6 +184,17 @@ def test_verify_validates_once(scen, tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().err.splitlines()
     assert lines and all(line.startswith(f"error: {path}: grid: ") for line in lines)
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["census", "render"])
+def test_negative_threshold_in_exponent_form(scen, tmp_path, command):
+    """A negative threshold in exponent form is the value of --t, though
+    argparse alone reads "-1e-3" as an option."""
+    assert cli.main([command, str(scen / "log_annulus.json"), "--t", "-1e-3", "--out", str(tmp_path)]) == 0
+    if command == "census":
+        assert json.loads((tmp_path / "census.json").read_text())["t"] == -0.001
+    else:
+        assert 'data-threshold="-0.001"' in (tmp_path / "levelsets.svg").read_text()
 
 
 def test_census_subcommand(scen, tmp_path):
@@ -368,10 +381,11 @@ def test_scenario_name_cannot_leave_out(scen, tmp_path, capsys, name):
 @pytest.mark.parametrize("command", ["census", "render"])
 def test_non_finite_threshold_rejected(scen, tmp_path, capsys, command, value):
     """A threshold that is not finite has no level set: exit 1 with one
-    cli line, and no output file.  ("--t=-inf": argparse reads a bare
-    "-inf" as an option.)"""
+    cli line, and no output file, whether it is written "--t=-inf" or
+    "--t -inf"."""
     path = scen / "log_annulus.json"
-    assert cli.main([command, str(path), f"--t={value}", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {path}: cli: bad --t value {float(value)!r}, want a finite number"]
-    assert not any(tmp_path.iterdir())
+    for t_words in ([f"--t={value}"], ["--t", value]):
+        assert cli.main([command, str(path), *t_words, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: cli: bad --t value {float(value)!r}, want a finite number"]
+        assert not any(tmp_path.iterdir())

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
+import levelset_lab.critical as critical_mod
 from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab.critical import (
     _MAX_NEWTON_STEPS,
@@ -19,7 +21,7 @@ from levelset_lab.critical import (
     separating_network_through,
 )
 from levelset_lab.domain import ToleranceSet
-from levelset_lab.errors import LevelSetLabError, OutsideDomainError
+from levelset_lab.errors import BandTooWideError, LevelSetLabError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI, winding_turns
 from levelset_lab.solver import ResolvedTolerances, SolutionField, solve_scenario
 from levelset_lab.verify import FINE_FACTOR
@@ -200,7 +202,6 @@ def test_cluster_rejects_off_level_points():
 
 
 def test_band_too_wide_guard():
-    from levelset_lab.errors import BandTooWideError
     spec = make_scenario("2", "1", "1", "0", grid=(64, 32), name="ramp",
                          tolerances=ToleranceSet(value_zero_tol=1.0, equal_extrema_tol=1.0))
     fld = SolutionField.from_function(spec, lambda x, y: np.hypot(x, y))
@@ -208,6 +209,53 @@ def test_band_too_wide_guard():
     probe = [(1.5, 0.0)]
     with pytest.raises(BandTooWideError):
         cluster_critical_sets(fld, probe, 1.5)
+
+
+def _guard_raises(monkeypatch, band_only, sign_change):
+    """Does cluster_critical_sets raise BandTooWideError on the given marks
+    (band-only and sign-change cells) in place of the field's?"""
+    spec = make_scenario("2", "1", "1", "0", grid=(16, 8), name="ramp",
+                         tolerances=ToleranceSet(value_zero_tol=1.0, equal_extrema_tol=1.0))
+    fld = SolutionField.from_function(spec, lambda x, y: np.hypot(x, y))
+    monkeypatch.setattr(critical_mod, "_marked_level_cells", lambda field, t: (band_only | sign_change, band_only))
+    try:
+        cluster_critical_sets(fld, [(1.5, 0.0)], 1.5)
+    except BandTooWideError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("steps", [10, 11])
+def test_band_guard_edge(monkeypatch, steps):
+    """The guard raises when a band-only cell lies more than 10 taxicab
+    steps from every sign-change cell, measured in the plane: across the
+    theta seam two rows are 2 steps apart, not 11."""
+    sign_change = np.zeros((13, 16), dtype=bool)
+    sign_change[0, 0] = True
+    band_only = np.zeros_like(sign_change)
+    band_only[0, 1:steps + 1] = True             # the farthest is `steps` cells along s
+    assert _guard_raises(monkeypatch, band_only, sign_change) == (steps > 10)
+    band_only = np.zeros_like(sign_change)
+    band_only[11:, 0] = True                     # 11 and 12 rows down, or 2 and 1 across the seam
+    assert _guard_raises(monkeypatch, band_only, sign_change)
+
+
+def test_band_guard_matches_chamfer_distance(monkeypatch):
+    """The guard raises exactly when the taxicab distance transform, with
+    no theta wrap, exceeds 10 on some band-only cell; an empty band or an
+    empty sign-change set never raises."""
+    rng = np.random.default_rng(20261020)
+    raised = unmeasured = 0
+    for k in range(300):
+        shape = tuple(rng.integers(1, 40, size=2))
+        sign_change = rng.random(shape) < rng.uniform(0.0, 0.02)
+        band_only = (rng.random(shape) < rng.uniform(0.0, 0.6)) & ~sign_change
+        far = np.any(band_only) and np.any(sign_change) and \
+            ndi.distance_transform_cdt(~sign_change, metric="taxicab")[band_only].max() > 10
+        assert _guard_raises(monkeypatch, band_only, sign_change) == far, k
+        raised += far
+        unmeasured += np.any(band_only) and not np.any(sign_change)
+    assert 50 < raised < 250 and unmeasured > 10
 
 
 # ------------------------------------------------ batched detection references

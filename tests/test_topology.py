@@ -1,7 +1,11 @@
 """Censuses, level lines, boundary profiles; brute-force cross-checks."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 import scipy.ndimage as ndi
 
 from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
+import levelset_lab
 from levelset_lab import expressions as ex
 from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
 from levelset_lab.geometry import TWO_PI, winding_turns
@@ -21,7 +26,6 @@ from levelset_lab.topology import (
     TraceProfile,
     _closure_relative,
     _count_zero_structure,
-    _euler_characteristics,
     _run_length_extrema,
     boundary_profile,
     check_component_contact,
@@ -710,10 +714,29 @@ def component_euler(i_arr, j_arr, n_theta):
     return int(np.count_nonzero(np.diff(verts)) - np.count_nonzero(np.diff(edges))) + len(i_arr)
 
 
+def _mask(rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+# masks whose runs along s meet in the ways a run labelling must tell
+# apart, each with the Euler characteristics of its components
+RUN_MASKS = [
+    (np.zeros((5, 4), dtype=bool), []),
+    (np.ones((5, 4), dtype=bool), [0]),                  # full rows round the cylinder
+    (_mask(["....", "####", "####", "...."]), [1]),      # full rows, rim to rim
+    (_mask(["##.#."]), [0, 0]),                          # one row: each run is a ring
+    (_mask(["##..", ".##."]), [0]),                      # two rows meet on both sides
+    (_mask(["#...", ".#.."]), [1, 1]),                   # ... or only at corners
+    (_mask(["##..", "..##"]), [1, 1]),
+    (_mask(["..#.", "....", ".#.."]), [1, 1]),           # ... across the seam
+    (_mask(["###.", "#.#.", "##..", "...."]), [0]),      # a hole closed at a corner
+    (_mask(["..##", "....", ".###", ".#.#"]), [0]),      # ... across the seam, mirrored in s
+]
+
+
 def _check_euler_kernel(mask):
-    """The kernel's chi of every label of the mask, against both references."""
-    labels, n = label_wrapped(mask)
-    chi = _euler_characteristics(labels, n)
+    """label_wrapped's chi of every label of the mask, against both references."""
+    labels, n, chi = label_wrapped(mask)
     assert len(chi) == n + 1
     out = []
     for k in range(1, n + 1):
@@ -738,7 +761,8 @@ def test_component_euler_matches_reference():
     core[:, 0] = True                            # the j = 0 column of a disk: chi = 0
     diagonal = np.zeros((n_theta, n_s), dtype=bool)
     diagonal[[3, 4, 23, 0], [5, 6, 1, 2]] = True  # two diagonal pairs, one across the seam
-    for mask, chis in ((ring, [0]), (frame, [0]), (blob, [1]), (core, [0]), (diagonal, [1, 1, 1, 1])):
+    cases = [(ring, [0]), (frame, [0]), (blob, [1]), (core, [0]), (diagonal, [1, 1, 1, 1])]
+    for mask, chis in cases + RUN_MASKS:
         assert [chi for chi, _ in _check_euler_kernel(mask)] == chis
 
     rng = np.random.default_rng(20261017)
@@ -756,7 +780,7 @@ def test_census_components_carry_euler_characteristics():
     census = level_census(fld, 0.5)
     uc = fld.lattice().centres
     for sign, mask in (("super", uc > 0.5), ("sub", uc < 0.5)):
-        labels, _ = label_wrapped(mask)
+        labels, _, _ = label_wrapped(mask)
         for comp in (c for c in census.components if c.sign == sign):
             i_arr, j_arr = np.nonzero(labels == comp.label)
             assert comp.euler_char == euler_by_sets(i_arr, j_arr, uc.shape[0])
@@ -805,13 +829,24 @@ def test_label_wrapped_matches_union_find():
     stripes[:3, ::2] = stripes[-2:, ::2] = True      # seam-wrapping pieces
     stripes[-1, 1] = stripes[0, 1] = True
     masks.append(stripes)
+    masks += [mask for mask, _ in RUN_MASKS]
     masks += [rng.random(rng.integers(2, 20, size=2)) < rng.uniform(0.2, 0.8) for _ in range(400)]
     wrapped = 0
     for mask in masks:
-        labels, n = label_wrapped(mask)
+        labels, n, _ = label_wrapped(mask)
         ref_labels, ref_n = label_wrapped_by_union_find(mask)
         assert n == ref_n and type(n) is int
-        assert np.array_equal(labels, ref_labels)
+        assert labels.dtype == np.int32 and np.array_equal(labels, ref_labels)
         wrapped += n < ndi.label(mask)[1]
     # the seeded masks merge components across the seam
     assert wrapped > 50
+
+
+def test_package_does_not_import_scipy_ndimage():
+    """The package labels cell sets itself: a fresh interpreter that imports
+    it has loaded no scipy.ndimage module."""
+    src = str(Path(levelset_lab.__file__).resolve().parent.parent)
+    code = "import sys, levelset_lab; print([m for m in sys.modules if m.startswith('scipy.ndimage')])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
