@@ -221,11 +221,14 @@ def _cmd_batch(args) -> int:
 
 @functools.cache  # once per process: building it takes about 1 ms of every call
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: an option is spelled in full, so that --t cannot
+    # silently stand for --tol-grad where a command has no --t
     parser = argparse.ArgumentParser(
-        prog="levelset-lab",
+        prog="levelset-lab", allow_abbrev=False,
         description="Solve planar elliptic Dirichlet problems and check critical-point counting laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, scenario_help):
         p.add_argument("scenario", help=scenario_help)
@@ -234,30 +237,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-grad", type=float, default=None, dest="tol_grad",
                        help="override the gradient-zero tolerance")
 
-    p = sub.add_parser("solve", help="solve and dump the field as CSV")
+    p = add_parser("solve", help="solve and dump the field as CSV")
     common(p, "scenario JSON file")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("critical", help="detect critical points, write critical.csv")
+    p = add_parser("critical", help="detect critical points, write critical.csv")
     common(p, "scenario JSON file")
     p.set_defaults(fn=_cmd_critical)
 
-    p = sub.add_parser("census", help="level-set census at a threshold, write census.json")
+    p = add_parser("census", help="level-set census at a threshold, write census.json")
     common(p, "scenario JSON file")
     p.add_argument("--t", type=float, required=True, help="census threshold")
     p.set_defaults(fn=_cmd_census)
 
-    p = sub.add_parser("verify", help="full verification run, write report.json")
+    p = add_parser("verify", help="full verification run, write report.json")
     common(p, "scenario JSON file")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("render", help="trace level lines into levelsets.svg")
+    p = add_parser("render", help="trace level lines into levelsets.svg")
     common(p, "scenario JSON file")
     p.add_argument("--t", type=float, action="append", default=None,
                    help="threshold (repeatable)")
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("batch", help="verify every scenario in a directory")
+    p = add_parser("batch", help="verify every scenario in a directory")
     common(p, "directory of scenario JSON files")
     p.set_defaults(fn=_cmd_batch)
     return parser

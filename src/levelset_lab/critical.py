@@ -16,16 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    BandTooWideError,
-    DegreeAmbiguousError,
-    RadiusExhaustedError,
-)
-from .geometry import TWO_PI, winding_turns
+from .errors import BandTooWideError, RadiusExhaustedError
+from .geometry import TWO_PI, winding_number
 from .solver import ResolvedTolerances, SolutionField, cell_index, resolve_tolerances
 
 _WINDING_SAMPLES = 256
-_INTEGER_SLACK = 0.05
 _MAX_NEWTON_STEPS = 50
 _MAX_RADIUS_STEPS = 8
 
@@ -38,7 +33,6 @@ class CriticalPoint:
     multiplicity: int
     is_zero: bool
     degree_radius: float
-    winding_raw: float
 
     def as_dict(self) -> dict:
         return {
@@ -52,14 +46,14 @@ class CriticalPoint:
 # winding numbers
 
 def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
-    """Multiplicity, degree radius and raw winding at a (refined) critical point.
+    """(m, radius): the negated winding number of the gradient along a
+    circle around a (refined) critical point, and the circle's radius.
 
     The circle radius starts at twice the local cell diagonal.  It halves
     while the circle leaves the domain, down to half a diagonal, and doubles
     while the gradient comes within 5 grad_zero_tol of zero on the circle.
     Fails with RadiusExhaustedError after 8 steps or when even the smallest
-    circle leaves the domain, and with DegreeAmbiguousError when the winding
-    is not near an integer.
+    circle leaves the domain.
     """
     cx, cy = point
     i, j, _, _ = cell_index(*field._invert_inside(cx, cy), field.n_theta, field.n_s)
@@ -79,11 +73,7 @@ def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
         if np.min(np.hypot(gx, gy)) <= 5.0 * tol.grad_zero_tol:
             radius *= 2.0
             continue
-        turns = winding_turns(np.arctan2(gy, gx))
-        nearest = round(turns)
-        if abs(turns - nearest) > _INTEGER_SLACK:
-            raise DegreeAmbiguousError(turns)
-        return int(-nearest), radius, turns
+        return -winding_number(np.arctan2(gy, gx)), radius
     raise RadiusExhaustedError(
         f"no admissible degree circle around ({cx:.6g}, {cy:.6g}); "
         "another critical point or a boundary is too close"
@@ -92,7 +82,7 @@ def winding_multiplicity(field: SolutionField, point, tol: ResolvedTolerances):
 
 def multiplicity(field: SolutionField, p) -> int:
     """Public multiplicity of a critical point (gradient degree, negated)."""
-    m, _, _ = winding_multiplicity(field, p, resolve_tolerances(field))
+    m, _ = winding_multiplicity(field, p, resolve_tolerances(field))
     return m
 
 
@@ -164,9 +154,8 @@ def _interior_band(field: SolutionField, tol: ResolvedTolerances):
 
 
 def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
-    """Cells flagged by sign changes of both gradient components on their
-    corners, or by a small centre gradient; restricted to the interior band.
-    Returns the flagged cell centres as physical (x, y) arrays."""
+    """Cells in the interior band on whose corners both node-gradient
+    components change sign, as their centres' physical (x, y) arrays."""
     gx, gy = field.node_gradients()
     nt, ns = field.n_theta, field.n_s
     ip1 = np.r_[1:nt, 0]
@@ -177,11 +166,10 @@ def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     cgx, cgy = corners(gx), corners(gy)
     sign_flip = (cgx.min(axis=0) <= 0) & (cgx.max(axis=0) >= 0) & \
                 (cgy.min(axis=0) <= 0) & (cgy.max(axis=0) >= 0)
-    small = np.hypot(*field.centre_gradients()) < 10.0 * tol.grad_zero_tol
 
     s_c = (np.arange(ns) + 0.5) * field.ds
     lo, hi = _interior_band(field, tol)
-    i, j = np.nonzero((sign_flip | small) & ((s_c >= lo) & (s_c <= hi)))
+    i, j = np.nonzero(sign_flip & (s_c >= lo) & (s_c <= hi))
     return field.domain.map_point((i + 0.5) * field.dtheta, s_c[j])
 
 
@@ -229,20 +217,19 @@ def find_critical_points_report(field: SolutionField):
             suspects.append({"x": x, "y": y, "s": s, "grad_norm": g})
             continue
         try:
-            m, radius, raw = winding_multiplicity(field, (x, y), rt)
-        except (DegreeAmbiguousError, RadiusExhaustedError) as err:
+            m, radius = winding_multiplicity(field, (x, y), rt)
+        except RadiusExhaustedError as err:
             warnings.append(f"critical-point candidate at ({x:.6g}, {y:.6g}) rejected: {err}")
             continue
         if m < 1:
             warnings.append(
-                f"candidate at ({x:.6g}, {y:.6g}) discarded: gradient winding {raw:+.3f} "
+                f"candidate at ({x:.6g}, {y:.6g}) discarded: gradient winding {-m:+d} "
                 "is not a saddle-type zero"
             )
             continue
         points.append(CriticalPoint(
-            x=x, y=y, value=value, multiplicity=int(m),
-            is_zero=bool(abs(value) <= rt.value_zero_tol),
-            degree_radius=float(radius), winding_raw=float(raw),
+            x=x, y=y, value=value, multiplicity=m,
+            is_zero=bool(abs(value) <= rt.value_zero_tol), degree_radius=float(radius),
         ))
 
     firsts = distinct_levels([p.value for p in points], rt.equal_value_tol)

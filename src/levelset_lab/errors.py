@@ -64,14 +64,6 @@ class OutsideDomainError(LevelSetLabError):
     """Requested point lies outside the solved domain."""
 
 
-class DegreeAmbiguousError(LevelSetLabError):
-    """Gradient winding number was not close enough to an integer."""
-
-    def __init__(self, winding: float):
-        super().__init__(f"gradient winding {winding:.4f} is not within 0.05 of an integer")
-        self.winding = winding
-
-
 class RadiusExhaustedError(LevelSetLabError):
     """No admissible circle radius found (neighbour critical point or boundary too close)."""
 

@@ -23,12 +23,13 @@ TWO_PI = 2.0 * np.pi
 _S_TOL = 1e-9
 
 
-def winding_turns(angles) -> float:
+def winding_number(angles) -> int:
     """Turns made by a closed sequence of angles (first not repeated): the
-    increments, each wrapped into [-pi, pi), summed and divided by 2 pi."""
+    increments, each wrapped into [-pi, pi), sum to 2 pi times this integer,
+    up to round-off."""
     inc = np.diff(np.concatenate([angles, angles[:1]]))
     inc = np.mod(inc + np.pi, TWO_PI) - np.pi
-    return float(np.sum(inc) / TWO_PI)
+    return round(float(np.sum(inc) / TWO_PI))
 
 
 @dataclass(frozen=True)

@@ -680,20 +680,26 @@ class SolutionField:
                        _axis_derivative_bounded(self.values, self.ds))
 
     @_once
+    def _disk_centre(self):
+        """The gradient (u_x, u_y) at the centre of a disk and the centre
+        row of u_s it implies.  Along the ray theta the radial derivative
+        at the centre is R_s(theta) (u_x cos theta + u_y sin theta); the
+        gradient is the least-squares fit of the one-sided u_s to that form."""
+        theta = np.arange(self.n_theta) * self.dtheta
+        rs = self.domain.exterior.radius(theta)
+        M = np.stack([rs * np.cos(theta), rs * np.sin(theta)], axis=1)
+        coef, *_ = np.linalg.lstsq(M, self._node_derivatives()[1][:, 0], rcond=None)
+        return _frozen(coef, M @ coef)
+
+    @_once
     def _hermite(self):
         u = self.values
         ut, us = self._node_derivatives()
         if self.domain.is_disk:
+            # the centre row takes the u_s of the one centre gradient, so the
+            # interpolated gradient is continuous through the centre
             ut, us = ut.copy(), us.copy()
-            # At the centre the radial derivative along the ray theta must be
-            # the single vector field  R_s(theta) (u_x cos + u_y sin); project
-            # the one-sided estimates onto that form so the interpolated
-            # gradient is continuous through the centre.
-            theta = np.arange(self.n_theta) * self.dtheta
-            rs = self.domain.exterior.radius(theta)
-            M = np.stack([rs * np.cos(theta), rs * np.sin(theta)], axis=1)
-            coef, *_ = np.linalg.lstsq(M, us[:, 0], rcond=None)
-            us[:, 0] = M @ coef
+            us[:, 0] = self._disk_centre()[1]
             ut[:, 0] = 0.0
         uts = _axis_derivative_periodic(us, self.dtheta)
         nt, ns = self.n_theta, self.n_s
@@ -778,25 +784,16 @@ class SolutionField:
         """Physical Hessian entries (u_xx, u_xy, u_yy) at physical points."""
         return self.hessian_ref(*self._invert_inside(x, y))
 
-    def centre_gradients(self):
-        """Physical gradient at every cell centre, (n_theta, n_s) each: the
-        reference derivatives of all cells at the local offset (1/2, 1/2)."""
-        r0, r1 = _power_rows(0.5, 1)
-        w = _cell_samples(self._hermite(), np.stack([r1, r0]), np.stack([r0, r1]))
-        theta = (np.arange(self.n_theta) + 0.5) * self.dtheta
-        s = (np.arange(self.n_s) + 0.5) * self.ds
-        return self._physical_gradient(theta[:, None], s[None, :], w[0] / self.dtheta, w[1] / self.ds)
-
     @_once
     def node_gradients(self):
-        """Physical gradient at every grid node (centre row zeroed for disks)."""
+        """Physical gradient at every grid node; on a disk the centre row
+        holds the centre gradient of the interpolant (`_disk_centre`)."""
         ut, us = self._node_derivatives()
         T, S, _, _ = self.node_positions()
         s = np.maximum(S[:1], _DISK_S_FLOOR) if self.domain.is_disk else S[:1]
         gx, gy = self._physical_gradient(T[:, :1], s, ut, us)
         if self.domain.is_disk:
-            gx[:, 0] = np.mean(gx[:, 0])
-            gy[:, 0] = np.mean(gy[:, 0])
+            gx[:, 0], gy[:, 0] = self._disk_centre()[0]
         return _frozen(gx, gy)
 
     # ----------------------------------------------------------------- io

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -98,6 +99,43 @@ def test_exit_two_on_failed_verdict(scen, tmp_path, monkeypatch, capsys):
 
 def test_usage_error_exit_one(capsys):
     assert cli.main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "z_plus_inv.json", "--t", "1e-30"],
+    ["critical", "z_plus_inv.json", "--tol", "-1e-3"],
+    ["critical", "z_plus_inv.json", "--tol=-1e-3"],
+    ["census", "log_annulus.json", "--t", "0.5", "--o"],
+    ["verify", "z_plus_inv.json", "--gr", "32x16"],
+])
+def test_options_are_spelled_in_full(scen, capsys, argv):
+    """A prefix of an option name is a usage error, not the option."""
+    command, name, *rest = argv
+    assert cli.main([command, str(scen / name), *rest]) == 1
+    assert "unrecognized arguments: " in capsys.readouterr().err
+
+
+def test_full_option_names_parse():
+    args = cli.build_parser().parse_args(["census", "s.json", "--t=-1e-3", "--tol-grad=1e-30",
+                                          "--grid", "32x16", "--out", "o"])
+    assert (args.t, args.tol_grad, args.grid, args.out) == (-1e-3, 1e-30, "32x16", "o")
+
+
+def test_numerical_error_exits_one(scen, tmp_path, capsys):
+    """A residual gate that no solve reaches is a numerical error: verify
+    prints one error line and batch records it in its row; both exit 1."""
+    data = json.loads((scen / "z_plus_inv.json").read_text())
+    data["tolerances"]["linear_residual_tol"] = 1e-30
+    path = tmp_path / "in" / "z_plus_inv.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(data))
+    message = r"two-grid solve residual above tolerance \(iterations=\d+, residual=\d\.\d{3}e-\d+\)"
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(f"error: {re.escape(str(path))}: verify: {message}", line)
+    assert cli.main(["batch", str(path.parent), "--out", str(tmp_path / "out")]) == 1
+    (row,) = csv.DictReader((tmp_path / "out" / "batch_summary.csv").open())
+    assert row["scenario"] == "z_plus_inv" and re.fullmatch(f"error: {message}", row["status"])
 
 
 @pytest.mark.parametrize("argv, check", [

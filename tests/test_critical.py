@@ -22,9 +22,9 @@ from levelset_lab.critical import (
 )
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import BandTooWideError, LevelSetLabError, OutsideDomainError
-from levelset_lab.geometry import TWO_PI, winding_turns
+from levelset_lab.geometry import TWO_PI, winding_number
 from levelset_lab.solver import ResolvedTolerances, SolutionField, solve_scenario
-from levelset_lab.verify import FINE_FACTOR
+from levelset_lab.verify import FINE_FACTOR, run_scenario
 
 
 def test_z_plus_inv_two_saddles():
@@ -86,7 +86,7 @@ def test_multiplicity_two_disk_zero():
     assert multiplicity(fld, (0.0, 0.0)) == 2
     (p,) = find_critical_points(fld)
     assert p.multiplicity == 2
-    assert abs(p.winding_raw + 2.0) <= 0.05
+    assert critical_mod.winding_multiplicity(fld, (p.x, p.y), resolve_tolerances(fld)) == (2, p.degree_radius)
 
 
 def test_multiplicity_nondegenerate_saddle():
@@ -114,7 +114,7 @@ def test_degree_additivity_along_enclosing_curve():
     ]
     curve = np.vstack(legs)
     gx, gy = fld.gradient(curve[:, 0], curve[:, 1])
-    assert winding_turns(np.arctan2(gy, gx)) == pytest.approx(-2.0, abs=0.05)
+    assert winding_number(np.arctan2(gy, gx)) == -2
 
 
 def test_order_of_equal_valued_points_ignores_round_off():
@@ -141,6 +141,76 @@ def test_refinement_stability_of_detection():
         d = min(math.hypot(b.x - a.x, b.y - a.y) for a in coarse)
         assert d <= cell
     assert sorted(p.multiplicity for p in coarse) == sorted(p.multiplicity for p in fine)
+
+
+# ------------------------------------------------------- rejection branches
+
+def annulus_field(fn, **tolerances):
+    """fn sampled on 1 < r < 3 at 64x32, with the given tolerances."""
+    spec = make_scenario("3", "1", "0", "0", grid=(64, 32), tolerances=ToleranceSet(**tolerances))
+    return SolutionField.from_function(spec, fn)
+
+
+def saddle_at(theta, s, order=2):
+    """Re (z - p)^order, with p at the reference point (theta, s) of 1 < r < 3."""
+    p = complex(*annulus_field(lambda x, y: x).domain.map_point(theta, s))
+    return lambda x, y: np.real((x + 1j * y - p) ** order)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("cell", [(10, 16), (3, 9), (40, 25)])
+def test_degenerate_point_at_a_cell_centre_found_once(cell, order):
+    """A degenerate zero at the centre of a cell is seeded from its own and
+    its neighbours' corner signs; it is found once, within a cell diagonal."""
+    i, j = cell
+    fld = annulus_field(lambda x, y: x)
+    theta, s = (i + 0.5) * fld.dtheta, (j + 0.5) * fld.ds
+    px, py = fld.domain.map_point(theta, s)
+    fld = annulus_field(saddle_at(theta, s, order))
+    (p,) = find_critical_points(fld)
+    assert p.multiplicity == order - 1
+    assert math.hypot(p.x - px, p.y - py) <= fld.cell_diagonals()[i, j]
+
+
+def test_stalled_seeds_are_counted():
+    pts, suspects, warnings = find_critical_points_report(annulus_field(saddle_at(0.3, 0.5), grad_zero_tol=1e-30))
+    assert pts == [] and suspects == []
+    (w,) = warnings
+    n = w.split()[0]
+    assert w == f"{n} of {n} Newton seed(s) stalled and were discarded" and int(n) > 0
+
+
+def test_point_in_the_margin_band_is_a_suspect():
+    """A saddle at s = 0.066, inside the margin of 0.07, is reached from a
+    seed whose cell centre lies in the band; it is reported as a suspect,
+    and `run_scenario` warns about it."""
+    pts, suspects, warnings = find_critical_points_report(
+        annulus_field(saddle_at(0.3, 0.066), interior_margin=0.07))
+    assert pts == [] and warnings == []
+    (sus,) = suspects
+    assert sus["s"] == pytest.approx(0.066, abs=1e-4)
+    psi = "(x - 1.132)^2 - y^2"  # harmonic, with its saddle at s = 0.066
+    report = run_scenario(make_scenario("3", "1", psi, psi, grid=(64, 32),
+                                        tolerances=ToleranceSet(interior_margin=0.07)))
+    assert report.points == [] and len(report.suspects) == 1
+    assert "1 near-boundary critical-point suspect(s) excluded" in report.warnings
+
+
+def test_point_half_a_cell_from_a_rim_has_no_degree_circle():
+    pts, suspects, warnings = find_critical_points_report(
+        annulus_field(saddle_at(0.3, 0.012), interior_margin=0.01))
+    assert pts == [] and suspects == []
+    (w,) = warnings
+    assert w.startswith("critical-point candidate at (") and "rejected: no admissible degree circle" in w
+
+
+def test_local_maximum_is_discarded():
+    px, py = annulus_field(lambda x, y: x).domain.map_point(0.3, 0.5)
+    pts, suspects, warnings = find_critical_points_report(
+        annulus_field(lambda x, y: -((x - px) ** 2 + (y - py) ** 2)))
+    assert pts == [] and suspects == []
+    (w,) = warnings
+    assert w.startswith("candidate at (") and w.endswith(") discarded: gradient winding +1 is not a saddle-type zero")
 
 
 # ----------------------------------------------------------------- clusters
@@ -315,8 +385,7 @@ def reference_newton_refine(field: SolutionField, x0: float, y0: float, tol: Res
 
 
 def reference_scan_cells(field: SolutionField, tol):
-    """The cell scan that the centre-gradient contraction replaced: the
-    centre gradients through `gradient_ref` on a full (theta, s) mesh."""
+    """The cell scan on a full (theta, s) mesh of cell centres."""
     gx, gy = field.node_gradients()
     nt, ns = field.n_theta, field.n_s
     ip1 = np.r_[1:nt, 0]
@@ -331,13 +400,11 @@ def reference_scan_cells(field: SolutionField, tol):
     theta_c = (np.arange(nt) + 0.5) * field.dtheta
     s_c = (np.arange(ns) + 0.5) * field.ds
     Tc, Sc = np.meshgrid(theta_c, s_c, indexing="ij")
-    gcx, gcy = field.gradient_ref(Tc, Sc)
-    small = np.hypot(gcx, gcy) < 10.0 * tol.grad_zero_tol
 
     lo = tol.interior_margin if not field.domain.is_disk else 0.0
     hi = 1.0 - tol.interior_margin
     band_ok = (Sc >= lo) & (Sc <= hi)
-    flagged = (sign_flip | small) & band_ok
+    flagged = sign_flip & band_ok
     return list(zip(*field.domain.map_point(Tc[flagged], Sc[flagged])))
 
 
@@ -427,12 +494,3 @@ def test_scan_cells_matches_reference():
         assert list(zip(*_scan_cells(fld, rt))) == reference_scan_cells(fld, rt), key
 
 
-@pytest.mark.parametrize("name", ["z2_minus_zm2", "disk_z3"])
-def test_centre_gradients_match_gradient_ref(name):
-    fld = solved_field(name, 48, 24)
-    T, S = np.meshgrid((np.arange(fld.n_theta) + 0.5) * fld.dtheta,
-                       (np.arange(fld.n_s) + 0.5) * fld.ds, indexing="ij")
-    want = np.stack(fld.gradient_ref(T, S))
-    got = np.stack(fld.centre_gradients())
-    assert got.shape == want.shape == (2, fld.n_theta, fld.n_s)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.hypot(*want))

@@ -16,7 +16,7 @@ from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 import levelset_lab
 from levelset_lab import expressions as ex
 from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
-from levelset_lab.geometry import TWO_PI, winding_turns
+from levelset_lab.geometry import TWO_PI, winding_number
 from levelset_lab.solver import SolutionField, solve_scenario
 from levelset_lab.topology import (
     _CASES,
@@ -196,7 +196,7 @@ def test_trace_circle_level_line():
     assert len(polys) == 1
     poly = polys[0]
     assert np.hypot(*(poly[0] - poly[-1])) <= 1e-9 * (1.0 + np.max(np.abs(poly)))
-    assert abs(round(winding_turns(np.arctan2(poly[:, 1], poly[:, 0])))) >= 1
+    assert abs(winding_number(np.arctan2(poly[:, 1], poly[:, 0]))) >= 1
     radii = np.hypot(poly[:, 0], poly[:, 1])
     assert np.max(np.abs(radii - math.exp(0.5))) <= 1e-2
 
@@ -614,8 +614,7 @@ def test_local_structure_regular_point():
     from levelset_lab.critical import CriticalPoint
     fld = solved_field("log_annulus", 64, 32)
     probe = CriticalPoint(x=1.6, y=0.0, value=float(fld.evaluate(1.6, 0.0)),
-                          multiplicity=0, is_zero=False, degree_radius=0.2,
-                          winding_raw=0.0)
+                          multiplicity=0, is_zero=False, degree_radius=0.2)
     assert local_structure(fld, probe) == (1, 1)
 
 

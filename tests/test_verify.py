@@ -41,7 +41,7 @@ from levelset_lab.verify import (
 
 def fake_point(x, y, value, m, zero=False):
     return CriticalPoint(x=x, y=y, value=value, multiplicity=m, is_zero=zero,
-                         degree_radius=0.1, winding_raw=-float(m))
+                         degree_radius=0.1)
 
 
 # ------------------------------------------------------------- theorem 1.1
