@@ -274,6 +274,22 @@ def _touching_runs(starts, stops, shift, corners: bool):
     return a, first[a] + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
 
 
+def _label_runs(mask: np.ndarray):
+    """`label_wrapped` without the painting: (starts, stops, comp, n, chi),
+    the keys of the runs in C order (stops exclusive), each run's label less
+    one, and n and chi as there."""
+    nt, ns = mask.shape
+    edges = np.flatnonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
+    starts, stops = edges[::2], edges[1::2]
+    shift = np.where(starts < (nt - 1) * (ns + 1), ns + 1, -(nt - 1) * (ns + 1))
+    a, b = _touching_runs(starts, stops, shift, corners=False)
+    n, comp = connected_components(sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(len(starts),) * 2), directed=False)
+    a, b = _touching_runs(starts, stops, shift, corners=True)
+    a = a[comp[a] == comp[b]]
+    chi = np.bincount(comp + 1, minlength=n + 1) - np.bincount(comp[a] + 1, minlength=n + 1)
+    return starts, stops, comp, int(n), chi
+
+
 def label_wrapped(mask: np.ndarray):
     """4-connected components of a cell mask whose axis 0 (theta) wraps:
     (labels, n, chi), numbered from 1 in the C order of their first cells;
@@ -286,18 +302,10 @@ def label_wrapped(mask: np.ndarray):
     of runs of label k less its pairs of adjacent-row runs that share a
     side or only a corner.
     """
-    nt, ns = mask.shape
-    edges = np.flatnonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
-    starts, stops = edges[::2], edges[1::2]
-    shift = np.where(starts < (nt - 1) * (ns + 1), ns + 1, -(nt - 1) * (ns + 1))
-    a, b = _touching_runs(starts, stops, shift, corners=False)
-    n, comp = connected_components(sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(len(starts),) * 2), directed=False)
+    starts, stops, comp, n, chi = _label_runs(mask)
     labels = np.zeros(mask.shape, dtype=np.int32)
     labels[mask] = np.repeat(comp + 1, stops - starts)
-    a, b = _touching_runs(starts, stops, shift, corners=True)
-    a = a[comp[a] == comp[b]]
-    chi = np.bincount(comp + 1, minlength=n + 1) - np.bincount(comp[a] + 1, minlength=n + 1)
-    return labels, int(n), chi
+    return labels, n, chi
 
 
 def _invert_points(field: SolutionField, points):
@@ -325,11 +333,11 @@ def cluster_critical_sets(field: SolutionField, points, t: float):
     if np.any(band_only):
         sc = marked & ~band_only
         if np.any(sc):
-            reach = np.pad(sc, 1)  # grown to the cells within 10 taxicab steps, with no theta wrap
+            reach = np.pad(sc, ((0, 0), (1, 1)))  # grown to the cells within 10 taxicab steps on the cylinder
             for _ in range(10):
-                reach[1:-1, 1:-1] = reach[1:-1, 1:-1] | reach[:-2, 1:-1] | reach[2:, 1:-1] | \
-                    reach[1:-1, :-2] | reach[1:-1, 2:]
-            if np.any(band_only & ~reach[1:-1, 1:-1]):
+                mid = reach[:, 1:-1]
+                reach[:, 1:-1] = mid | np.roll(mid, 1, 0) | np.roll(mid, -1, 0) | reach[:, :-2] | reach[:, 2:]
+            if np.any(band_only & ~reach[:, 1:-1]):
                 raise BandTooWideError(
                     "level band bridges cells more than 10 cells away from the level line"
                 )
@@ -367,8 +375,6 @@ def separating_network_through(field: SolutionField, labels: np.ndarray, holding
     """
     if field.domain.is_disk or not holding:
         return False
-    passable = ~np.isin(labels, list(holding))
-    comp, _, _ = label_wrapped(passable)
-    inner = set(np.unique(comp[:, 0])) - {0}
-    outer = set(np.unique(comp[:, -1])) - {0}
-    return not (inner & outer)
+    starts, stops, comp, _, _ = _label_runs(~np.isin(labels, list(holding)))
+    ns1 = labels.shape[1] + 1
+    return not np.isin(comp[starts % ns1 == 0], comp[stops % ns1 == ns1 - 1]).any()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .critical import ResolvedTolerances, label_wrapped, resolve_tolerances
+from .critical import ResolvedTolerances, _label_runs, resolve_tolerances
 from .errors import RadiusExhaustedError
 from .geometry import TWO_PI
 from .solver import REFINE, SolutionField
@@ -45,48 +45,49 @@ class LevelSetCensus:
 
     @property
     def M1(self) -> int:
-        return sum(1 for c in self.components if c.sign == "super" and not c.all_uncertain)
+        return len(self.counted("super"))
 
     @property
     def M2(self) -> int:
-        return sum(1 for c in self.components if c.sign == "sub" and not c.all_uncertain)
+        return len(self.counted("sub"))
 
     def counted(self, sign: str):
         return [c for c in self.components if c.sign == sign and not c.all_uncertain]
 
 
 def level_census(field: SolutionField, t: float) -> LevelSetCensus:
-    """Classify lattice cells by sign of u - t and flood-fill components.
+    """Classify lattice cells by sign of u - t and label their components.
 
     Cells whose centre value lies within the interpolation-error band are
     flagged uncertain; components made only of uncertain cells are excluded
     from the M1/M2 counts.  Every component carries its Euler characteristic.
+    Each component is read from the runs that labelled it: u[mask] lists the
+    cells in C order, so a run is a slice of it, starting or ending on a rim.
     """
     uc = field.lattice().centres
-    nrs = uc.shape[1]
+    ns1 = uc.shape[1] + 1
     band = field.interp_error_estimate()
     uncertain = np.abs(uc - t) <= band
 
     comps = []
-    for sign, mask in (("super", uc > t), ("sub", uc < t)):
-        labels, n, chi = label_wrapped(mask)
-        for k in range(1, n + 1):
-            sel = labels == k
-            i_arr, j_arr = np.nonzero(sel)
-            touches_i = bool(np.any(j_arr == 0)) and not field.domain.is_disk
-            touches_e = bool(np.any(j_arr == nrs - 1))
-            vals = uc[sel]
-            extremal = float(np.max(vals)) if sign == "super" else float(np.min(vals))
-            contact = None
-            contact_sel = (j_arr == 0) | (j_arr == nrs - 1) if not field.domain.is_disk else (j_arr == nrs - 1)
-            if np.any(contact_sel):
-                cv = uc[i_arr[contact_sel], j_arr[contact_sel]]
-                contact = float(np.max(cv)) if sign == "super" else float(np.min(cv))
+    for sign, mask, extreme in (("super", uc > t, np.maximum), ("sub", uc < t, np.minimum)):
+        starts, stops, comp, n, chi = _label_runs(mask)
+        size = stops - starts
+        first = np.cumsum(size) - size
+        vals = uc[mask]
+        inner = (starts % ns1 == 0) & (not field.domain.is_disk)
+        outer = stops % ns1 == ns1 - 1
+        run_extreme = extreme.reduceat(vals, first)
+        run_uncertain = np.logical_and.reduceat(uncertain[mask], first)
+        for k in range(n):
+            r = comp == k
+            contact = np.concatenate([vals[first[r & inner]], vals[(first + size - 1)[r & outer]]])
             comps.append(LevelComponent(
-                sign=sign, label=k, cell_count=int(sel.sum()),
-                touches_interior=touches_i, touches_exterior=touches_e,
-                extremal_value=extremal, extremal_contact_value=contact,
-                all_uncertain=bool(np.all(uncertain[sel])), euler_char=int(chi[k]),
+                sign=sign, label=k + 1, cell_count=int(size[r].sum()),
+                touches_interior=bool(np.any(r & inner)), touches_exterior=bool(np.any(r & outer)),
+                extremal_value=float(extreme.reduce(run_extreme[r])),
+                extremal_contact_value=float(extreme.reduce(contact)) if contact.size else None,
+                all_uncertain=bool(np.all(run_uncertain[r])), euler_char=int(chi[k + 1]),
             ))
     return LevelSetCensus(t=t, components=comps, uncertain_band=band)
 
@@ -94,8 +95,7 @@ def level_census(field: SolutionField, t: float) -> LevelSetCensus:
 def region_components(field: SolutionField, lo: float, hi: float) -> int:
     """Number of 4-connected components of {lo < u < hi} on the lattice."""
     uc = field.lattice().centres
-    _, n, _ = label_wrapped((uc > lo) & (uc < hi))
-    return n
+    return _label_runs((uc > lo) & (uc < hi))[3]
 
 
 # --------------------------------------------------------------------------
@@ -431,10 +431,8 @@ def local_structure(field: SolutionField, cp: CriticalPoint):
         raise RadiusExhaustedError("local-structure patch leaves the domain")
     vals = field.evaluate_ref(theta, s).reshape(Rg.shape)
     diff = vals - cp.value
-    # wrap along the angular axis (axis 1): transpose for label_wrapped
-    _, n_sup, _ = label_wrapped((diff > 0).T)
-    _, n_sub, _ = label_wrapped((diff < 0).T)
-    return int(n_sup), int(n_sub)
+    # wrap along the angular axis (axis 1): transpose for the run pass
+    return _label_runs((diff > 0).T)[3], _label_runs((diff < 0).T)[3]
 
 
 # --------------------------------------------------------------------------

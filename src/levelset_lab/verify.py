@@ -292,10 +292,6 @@ def check_counting_identities(field: SolutionField, points, profile: BoundaryPro
     if case is None:
         report["reason"] = ("ordering case fails: need z1 < Z1 <= z2 < Z2 or z1 < z2 < Z1 < Z2"
                             if profile.interior is not None else "domain is simply connected")
-        if (profile.interior is not None and not profile.interior.is_constant
-                and not profile.exterior.is_constant and profile.Z1 > profile.z2
-                and profile.z1 < profile.z2):
-            report["reason"] = f"ordering case fails: Z1 = {profile.Z1:.6g} > z2 = {profile.z2:.6g}"
         return report
 
     eq = rt.equal_value_tol

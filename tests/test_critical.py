@@ -298,22 +298,34 @@ def _guard_raises(monkeypatch, band_only, sign_change):
 @pytest.mark.parametrize("steps", [10, 11])
 def test_band_guard_edge(monkeypatch, steps):
     """The guard raises when a band-only cell lies more than 10 taxicab
-    steps from every sign-change cell, measured in the plane: across the
-    theta seam two rows are 2 steps apart, not 11."""
+    steps from every sign-change cell, measured on the theta cylinder:
+    across the seam two rows are 2 steps apart, not 11."""
     sign_change = np.zeros((13, 16), dtype=bool)
     sign_change[0, 0] = True
     band_only = np.zeros_like(sign_change)
     band_only[0, 1:steps + 1] = True             # the farthest is `steps` cells along s
     assert _guard_raises(monkeypatch, band_only, sign_change) == (steps > 10)
     band_only = np.zeros_like(sign_change)
-    band_only[11:, 0] = True                     # 11 and 12 rows down, or 2 and 1 across the seam
-    assert _guard_raises(monkeypatch, band_only, sign_change)
+    band_only[11:, 0] = True                     # 2 and 1 rows across the seam
+    assert not _guard_raises(monkeypatch, band_only, sign_change)
+    for cell, far in (((6, 5), True), ((6, 4), False)):  # 6 rows either way round, then 5 or 4 along s
+        band_only = np.zeros_like(sign_change)
+        band_only[cell] = True
+        assert _guard_raises(monkeypatch, band_only, sign_change) == far, cell
+
+
+def cylinder_taxicab_distance(sign_change):
+    """Reference: the taxicab distance to the nearest sign-change cell on
+    the theta cylinder, from the distance transform of the mask tiled three
+    times along theta, read on the middle copy."""
+    nt = sign_change.shape[0]
+    return ndi.distance_transform_cdt(~np.tile(sign_change, (3, 1)), metric="taxicab")[nt:2 * nt]
 
 
 def test_band_guard_matches_chamfer_distance(monkeypatch):
-    """The guard raises exactly when the taxicab distance transform, with
-    no theta wrap, exceeds 10 on some band-only cell; an empty band or an
-    empty sign-change set never raises."""
+    """The guard raises exactly when the taxicab distance on the theta
+    cylinder exceeds 10 on some band-only cell; an empty band or an empty
+    sign-change set never raises."""
     rng = np.random.default_rng(20261020)
     raised = unmeasured = 0
     for k in range(300):
@@ -321,7 +333,7 @@ def test_band_guard_matches_chamfer_distance(monkeypatch):
         sign_change = rng.random(shape) < rng.uniform(0.0, 0.02)
         band_only = (rng.random(shape) < rng.uniform(0.0, 0.6)) & ~sign_change
         far = np.any(band_only) and np.any(sign_change) and \
-            ndi.distance_transform_cdt(~sign_change, metric="taxicab")[band_only].max() > 10
+            cylinder_taxicab_distance(sign_change)[band_only].max() > 10
         assert _guard_raises(monkeypatch, band_only, sign_change) == far, k
         raised += far
         unmeasured += np.any(band_only) and not np.any(sign_change)

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario, solved_field
 import levelset_lab
 from levelset_lab import expressions as ex
 from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
 from levelset_lab.geometry import TWO_PI, winding_number
 from levelset_lab.solver import SolutionField, solve_scenario
+from levelset_lab.verify import FINE_FACTOR
 from levelset_lab.topology import (
     _CASES,
     BoundaryProfile,
@@ -122,6 +123,100 @@ def test_census_matches_brute_force(name):
         assert census.M1 == len(supers), (name, t)
         assert census.M2 == len(subs), (name, t)
         assert census_signature(census) == brute_signature(supers, subs), (name, t)
+
+
+# ------------------------------------------------- per-component reference
+
+def census_by_components(field, t):
+    """Reference: the census with one lattice scan per component of
+    label_wrapped's labels (the loop that `level_census` replaced)."""
+    uc = field.lattice().centres
+    nrs = uc.shape[1]
+    band = field.interp_error_estimate()
+    uncertain = np.abs(uc - t) <= band
+    comps = []
+    for sign, mask in (("super", uc > t), ("sub", uc < t)):
+        labels, n, chi = label_wrapped(mask)
+        for k in range(1, n + 1):
+            sel = labels == k
+            i_arr, j_arr = np.nonzero(sel)
+            vals = uc[sel]
+            extremal = float(np.max(vals)) if sign == "super" else float(np.min(vals))
+            contact = None
+            contact_sel = (j_arr == nrs - 1) | ((j_arr == 0) & (not field.domain.is_disk))
+            if np.any(contact_sel):
+                cv = uc[i_arr[contact_sel], j_arr[contact_sel]]
+                contact = float(np.max(cv)) if sign == "super" else float(np.min(cv))
+            comps.append(LevelComponent(
+                sign=sign, label=k, cell_count=int(sel.sum()),
+                touches_interior=bool(np.any(j_arr == 0)) and not field.domain.is_disk,
+                touches_exterior=bool(np.any(j_arr == nrs - 1)),
+                extremal_value=extremal, extremal_contact_value=contact,
+                all_uncertain=bool(np.all(uncertain[sel])), euler_char=int(chi[k]),
+            ))
+    return LevelSetCensus(t=t, components=comps, uncertain_band=band)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_census_matches_per_component_reference(name):
+    """level_census == census_by_components on every census level that
+    run_scenario takes, on the configured grid and on the refinement, and
+    at 20 seeded thresholds inside the range of u on each."""
+    nt, ns = builtin_spec(name).grid
+    levels = [census.t for _, census in builtin_report(name).censuses]
+    rng = np.random.default_rng(20261021)
+    for factor in (1, FINE_FACTOR):
+        field = solved_field(name, factor * nt, factor * ns)
+        for t in levels + rng.uniform(np.min(field.values), np.max(field.values), size=20).tolist():
+            assert level_census(field, t) == census_by_components(field, t), (name, factor, t)
+
+
+def _synthetic_field(fn, interior="1", band=None):
+    """A 16x8 field sampled from fn on 1 < r < 2, or on r < 2 with no
+    interior; `band` replaces the interpolation-error estimate."""
+    spec = make_scenario("2", interior, "0", "0" if interior else None, grid=(16, 8), name="synthetic")
+    fld = SolutionField.from_function(spec, fn)
+    if band is not None:
+        fld.interp_error_estimate = lambda: band
+    return fld
+
+
+def _census_pair(field, t):
+    census = level_census(field, t)
+    assert census == census_by_components(field, t)
+    return {sign: [c for c in census.components if c.sign == sign] for sign in ("super", "sub")}
+
+
+def test_census_edge_cases_match_per_component_reference():
+    """Synthetic fields for the cases a run reading must tell apart: one
+    sign empty, a component across the theta seam that meets both rims
+    with full-row runs, rings beside disk-like pieces, an all-uncertain
+    component, and a disk, whose s = 0 column is no rim."""
+    x = _synthetic_field(lambda x, y: x)
+    for t, empty in ((10.0, "super"), (-10.0, "sub")):
+        comps = _census_pair(x, t)
+        assert comps[empty] == [] and len(comps["sub" if empty == "super" else "super"]) == 1
+
+    (cap,), (rest,) = _census_pair(x, 0.5).values()   # x > 0.5 holds the seam's rows from rim to rim
+    assert cap.touches_interior and cap.touches_exterior and cap.euler_char == 1
+    assert cap.extremal_contact_value == cap.extremal_value and rest.euler_char == 1
+    mask = x.lattice().centres > 0.5
+    assert mask[0].all() and mask[-1].all()
+
+    (ring,), (inner,) = _census_pair(_synthetic_field(lambda x, y: np.hypot(x, y)), 1.5).values()
+    assert ring.euler_char == inner.euler_char == 0
+    assert ring.touches_exterior and not ring.touches_interior and ring.extremal_contact_value > 1.9
+    comps = _census_pair(_synthetic_field(lambda x, y: np.hypot(x, y) * np.cos(3 * np.arctan2(y, x))), 1.2)
+    assert [c.euler_char for c in comps["super"]] == [1, 1, 1] and [c.euler_char for c in comps["sub"]] == [0]
+
+    wide = _synthetic_field(lambda x, y: x, band=0.2)  # the cap x > 1.9 lies inside the band
+    comps = _census_pair(wide, 1.9)
+    assert [c.all_uncertain for c in comps["super"]] == [True] and [c.all_uncertain for c in comps["sub"]] == [False]
+    assert level_census(x, 1.9).M1 == 1 and level_census(wide, 1.9).M1 == 0
+
+    comps = _census_pair(_synthetic_field(lambda x, y: x, interior=None), 0.5)
+    assert not any(c.touches_interior for c in comps["super"] + comps["sub"])
+    assert all(c.touches_exterior for c in comps["super"] + comps["sub"])
 
 
 # ------------------------------------------------------------ census basics

@@ -1,5 +1,6 @@
 """Theorem/lemma verdicts: applicability gates, bounds, counting identities."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -7,9 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import builtin_report, builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario, solved_field
+from test_benchmark_reference import wl
+from levelset_lab.cli import builtin_scenario_dir
 from levelset_lab.critical import CriticalPoint, find_critical_points
-from levelset_lab.domain import ToleranceSet
+from levelset_lab.domain import ToleranceSet, scenario_from_dict
 from levelset_lab.errors import BandTooWideError, UnstableCountsError
 from levelset_lab.solver import SolutionField, resolve_tolerances, solve_scenario
 from levelset_lab.topology import (
@@ -435,6 +438,16 @@ def test_identities_ordering_case_fails_for_equal_ranges():
     assert not report["applicable"]
     assert "ordering case fails" in report["reason"]
     assert "Z1" in report["reason"]
+
+
+def test_identities_ordering_reason_for_nested_ranges():
+    """z1 < z2 < Z2 < Z1 satisfies no ordering case; the reason is the
+    generic one, which states the relation that fails (Z1 < Z2)."""
+    fld = SolutionField.from_function(make_scenario("2", "1", "0", "0", grid=(16, 8)), lambda x, y: x)
+    profile = BoundaryProfile(exterior=_trace("exterior", 1.0, 2.0, 2), interior=_trace("interior", 0.0, 3.0, 2))
+    report = check_counting_identities(fld, [], profile, 1.5, 0.1, None, None)
+    assert not report["applicable"] and profile.ordering_case() is None
+    assert report["reason"] == "ordering case fails: need z1 < Z1 <= z2 < Z2 or z1 < z2 < Z1 < Z2"
 
 
 def test_identities_no_critical_point_at_t():
@@ -917,3 +930,34 @@ def test_run_scenario_calls_no_blas_vector_product(name, monkeypatch):
     assert [f.solved_by for f in fields] == ["two-grid", "two-grid"]
     monkeypatch.undo()
     assert report.points == builtin_report(name).points
+
+
+# ------------------------------------------------------------ negation relation
+
+def _critical_points(report, sign=1.0):
+    return sorted((p.x, p.y, p.multiplicity, p.degree_radius, sign * p.value) for p in report.points)
+
+
+def _critical_counts(report):
+    return [(c.M1, c.M2) for tag, c in report.censuses if tag.startswith("critical@")]
+
+
+def test_negated_data_give_the_same_points_and_mirrored_censuses():
+    """The equation is linear, so data -psi give -u: on the built-ins and
+    the seed-0 symmetric annuli, the negated scenario has the same critical
+    points bit for bit, with negated values, and its critical-level
+    censuses come back in reverse order with M1 and M2 swapped.  Verdicts
+    are not compared: the ordering cases know only exterior data above
+    interior data, so a mirrored scenario loses lemma verdicts today
+    (ROADMAP item 22)."""
+    pairs = [(json.loads((builtin_scenario_dir() / f"{name}.json").read_text()), builtin_report(name))
+             for name in BUILTIN_NAMES]
+    pairs += [(data, run_scenario(scenario_from_dict(data, data["name"]))) for data in wl.symmetric_specs(0)]
+    compared = 0
+    for data, report in pairs:
+        negated = dict(data, boundary={k: f"-({v})" for k, v in data["boundary"].items()})
+        mirror = run_scenario(scenario_from_dict(negated, data["name"]))
+        assert _critical_points(mirror) == _critical_points(report, -1.0), data["name"]
+        assert _critical_counts(mirror)[::-1] == [(m2, m1) for m1, m2 in _critical_counts(report)], data["name"]
+        compared += len(_critical_counts(report))
+    assert compared > 20
