@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,11 +35,7 @@ class CriticalPoint:
     degree_radius: float
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x, "y": self.y, "value": self.value,
-            "multiplicity": self.multiplicity, "is_zero": self.is_zero,
-            "degree_radius": self.degree_radius,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -196,16 +192,19 @@ def find_critical_points_report(field: SolutionField):
     rt = resolve_tolerances(field)
     x0, y0 = _scan_cells(field, rt)
     xs, ys, gs, ok = _newton_refine(field, x0, y0, rt, 4.0 * field.median_cell_diag())
-    warnings = []
-    stalled = int(np.count_nonzero(~ok))
-    if stalled:
-        warnings.append(f"{stalled} of {ok.size} Newton seed(s) stalled and were discarded")
 
     # deduplicate within dedup_radius, keeping the best-converged representative
     kept = []
+
+    def far(x, y):
+        return all(math.hypot(x - kx, y - ky) > rt.dedup_radius for kx, ky, _ in kept)
+
     for g, x, y in sorted(zip(gs[ok].tolist(), xs[ok].tolist(), ys[ok].tolist())):
-        if all(math.hypot(x - kx, y - ky) > rt.dedup_radius for kx, ky, _ in kept):
+        if far(x, y):
             kept.append((x, y, g))
+    # a seed stalled beside a kept point (slow Newton at a degenerate zero) lost nothing
+    stalled = sum(map(far, xs[~ok].tolist(), ys[~ok].tolist()))
+    warnings = [f"{stalled} of {ok.size} Newton seed(s) stalled and were discarded"] if stalled else []
 
     points = []
     suspects = []
@@ -274,10 +273,11 @@ def _touching_runs(starts, stops, shift, corners: bool):
     return a, first[a] + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _label_runs(mask: np.ndarray):
-    """`label_wrapped` without the painting: (starts, stops, comp, n, chi),
-    the keys of the runs in C order (stops exclusive), each run's label less
-    one, and n and chi as there."""
+def label_runs(mask: np.ndarray):
+    """`label_wrapped` without the painting: (starts, stops, comp, n, chi,
+    inner, outer), the keys of the runs in C order (stops exclusive), each
+    run's label less one, n and chi as there, and whether each run starts
+    in column 0 (inner) and ends in the last column (outer)."""
     nt, ns = mask.shape
     edges = np.flatnonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
     starts, stops = edges[::2], edges[1::2]
@@ -287,7 +287,7 @@ def _label_runs(mask: np.ndarray):
     a, b = _touching_runs(starts, stops, shift, corners=True)
     a = a[comp[a] == comp[b]]
     chi = np.bincount(comp + 1, minlength=n + 1) - np.bincount(comp[a] + 1, minlength=n + 1)
-    return starts, stops, comp, int(n), chi
+    return starts, stops, comp, int(n), chi, starts % (ns + 1) == 0, stops % (ns + 1) == ns
 
 
 def label_wrapped(mask: np.ndarray):
@@ -302,7 +302,7 @@ def label_wrapped(mask: np.ndarray):
     of runs of label k less its pairs of adjacent-row runs that share a
     side or only a corner.
     """
-    starts, stops, comp, n, chi = _label_runs(mask)
+    starts, stops, comp, n, chi, _, _ = label_runs(mask)
     labels = np.zeros(mask.shape, dtype=np.int32)
     labels[mask] = np.repeat(comp + 1, stops - starts)
     return labels, n, chi
@@ -375,6 +375,5 @@ def separating_network_through(field: SolutionField, labels: np.ndarray, holding
     """
     if field.domain.is_disk or not holding:
         return False
-    starts, stops, comp, _, _ = _label_runs(~np.isin(labels, list(holding)))
-    ns1 = labels.shape[1] + 1
-    return not np.isin(comp[starts % ns1 == 0], comp[stops % ns1 == ns1 - 1]).any()
+    _, _, comp, _, _, inner, outer = label_runs(~np.isin(labels, list(holding)))
+    return not np.isin(comp[inner], comp[outer]).any()

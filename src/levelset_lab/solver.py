@@ -798,12 +798,9 @@ class SolutionField:
 
     # ----------------------------------------------------------------- io
     def to_csv(self, path) -> None:
-        T, S, X, Y = self.node_positions()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("theta,s,x,y,u\n")
-            for j in range(self.n_s + 1):
-                for i in range(self.n_theta):
-                    fh.write(f"{T[i, j]:.12g},{S[i, j]:.12g},{X[i, j]:.12g},{Y[i, j]:.12g},{self.values[i, j]:.12g}\n")
+        """Node table (theta, s, x, y, u), one row per node in s-major order."""
+        cols = [a.T.ravel() for a in (*self.node_positions(), self.values)]
+        np.savetxt(path, np.stack(cols, axis=1), fmt="%.12g", delimiter=",", header="theta,s,x,y,u", comments="")
 
 
 def solve_scenario(spec: ScenarioSpec) -> SolutionField:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .critical import ResolvedTolerances, _label_runs, resolve_tolerances
+from .critical import ResolvedTolerances, label_runs, resolve_tolerances
 from .errors import RadiusExhaustedError
 from .geometry import TWO_PI
 from .solver import REFINE, SolutionField
@@ -65,18 +65,16 @@ def level_census(field: SolutionField, t: float) -> LevelSetCensus:
     cells in C order, so a run is a slice of it, starting or ending on a rim.
     """
     uc = field.lattice().centres
-    ns1 = uc.shape[1] + 1
     band = field.interp_error_estimate()
     uncertain = np.abs(uc - t) <= band
 
     comps = []
     for sign, mask, extreme in (("super", uc > t, np.maximum), ("sub", uc < t, np.minimum)):
-        starts, stops, comp, n, chi = _label_runs(mask)
+        starts, stops, comp, n, chi, inner, outer = label_runs(mask)
         size = stops - starts
         first = np.cumsum(size) - size
         vals = uc[mask]
-        inner = (starts % ns1 == 0) & (not field.domain.is_disk)
-        outer = stops % ns1 == ns1 - 1
+        inner &= not field.domain.is_disk
         run_extreme = extreme.reduceat(vals, first)
         run_uncertain = np.logical_and.reduceat(uncertain[mask], first)
         for k in range(n):
@@ -95,7 +93,7 @@ def level_census(field: SolutionField, t: float) -> LevelSetCensus:
 def region_components(field: SolutionField, lo: float, hi: float) -> int:
     """Number of 4-connected components of {lo < u < hi} on the lattice."""
     uc = field.lattice().centres
-    return _label_runs((uc > lo) & (uc < hi))[3]
+    return label_runs((uc > lo) & (uc < hi))[3]
 
 
 # --------------------------------------------------------------------------
@@ -432,7 +430,7 @@ def local_structure(field: SolutionField, cp: CriticalPoint):
     vals = field.evaluate_ref(theta, s).reshape(Rg.shape)
     diff = vals - cp.value
     # wrap along the angular axis (axis 1): transpose for the run pass
-    return _label_runs((diff > 0).T)[3], _label_runs((diff < 0).T)[3]
+    return label_runs((diff > 0).T)[3], label_runs((diff < 0).T)[3]
 
 
 # --------------------------------------------------------------------------

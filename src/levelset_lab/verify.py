@@ -12,13 +12,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from . import expressions as ex
 from .critical import (
     cluster_critical_sets,
     distinct_levels,
@@ -59,12 +58,7 @@ class TheoremVerdict:
     witness: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id, "applicable": self.applicable, "holds": self.holds,
-            "lhs": self.lhs, "rhs": self.rhs,
-            "hypotheses": self.hypotheses, "reason": self.reason,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _hyp(name: str, held: bool) -> dict:
@@ -493,7 +487,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
         check_theorem_1_1(points, profile, has_zeroth),
         check_theorem_1_2(points, profile, has_zeroth),
         check_corollary_4_1(points, profile, has_zeroth),
-        check_theorem_1_3(points, profile, _constant_interior_value(spec, profile, rt.value_zero_tol)),
+        check_theorem_1_3(points, profile, _constant_interior_value(profile, rt.value_zero_tol)),
         check_theorem_1_4(points, profile),
         check_remark_5_1(points, profile),
         check_lemma_2_1(field, points),
@@ -526,16 +520,13 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     )
 
 
-def _constant_interior_value(spec: ScenarioSpec, profile: BoundaryProfile, zero_tol: float) -> float | None:
-    """The constant interior datum H, exactly 0.0 when |H| <= `zero_tol` (the
-    rule of `CriticalPoint.is_zero`); None when the interior trace is not
-    constant."""
-    if spec.psi_interior is None or profile.interior is None or not profile.interior.is_constant:
+def _constant_interior_value(profile: BoundaryProfile, zero_tol: float) -> float | None:
+    """The constant interior datum H, the mid-range of its trace, exactly 0.0
+    when |H| <= `zero_tol` (the rule of `CriticalPoint.is_zero`); None when
+    there is no interior trace or it is not constant."""
+    if profile.interior is None or not profile.interior.is_constant:
         return None
-    if ex.is_constant(spec.psi_interior):
-        H = float(ex.evaluate_env(spec.psi_interior, {}))
-    else:
-        H = 0.5 * (profile.interior.min_value + profile.interior.max_value)
+    H = 0.5 * (profile.interior.min_value + profile.interior.max_value)
     return 0.0 if abs(H) <= zero_tol else H
 
 

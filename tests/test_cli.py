@@ -7,9 +7,10 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import solved_field
+from conftest import make_scenario, solved_field
 from levelset_lab import cli, solver
 from levelset_lab.critical import find_critical_points
 from levelset_lab.render import render_svg
@@ -160,6 +161,14 @@ def test_overrides_are_validated(scen, tmp_path, capsys, argv, check):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["12", "axb"])
+def test_malformed_grid_value(scen, tmp_path, capsys, grid):
+    path = scen / "log_annulus.json"
+    assert cli.main(["solve", str(path), "--grid", grid, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: cli: bad --grid value {grid!r}, want NxM\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("lambda_floor", "tiny", "operator.lambda_floor must be a number"),
     ("lambda_floor", [1e-10], "operator.lambda_floor must be a number"),
@@ -252,6 +261,17 @@ def test_critical_subcommand(scen, tmp_path):
     assert abs(abs(float(rows[0]["x"])) - 1.0) < 5e-3
 
 
+def test_critical_subcommand_prints_warnings(scen, tmp_path, capsys):
+    """With a gradient tolerance no Newton seed reaches, the detection
+    finds nothing and says why on stderr."""
+    code = cli.main(["critical", str(scen / "z_plus_inv.json"), "--tol-grad", "1e-30", "--out", str(tmp_path)])
+    assert code == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    n = line.split()[1]
+    assert line == f"warning: {n} of {n} Newton seed(s) stalled and were discarded"
+    assert (tmp_path / "critical.csv").read_text().splitlines() == ["x,y,u,multiplicity,is_zero,degree_radius"]
+
+
 def test_solve_subcommand_csv(scen, tmp_path):
     code = cli.main(["solve", str(scen / "log_annulus.json"), "--out", str(tmp_path)])
     assert code == 0
@@ -282,6 +302,21 @@ def test_render_threshold_above_max_group_empty():
     assert '<g id="level-0"' in svg
     group = svg.split('<g id="level-0"', 1)[1].split("</g>", 1)[0]
     assert "<path" not in group
+
+
+def test_render_at_a_saddle_value_carries_a_resolution_warning():
+    """Im (z - p)^2 with p at a lattice cell centre: at the saddle's value
+    the corners of p's cell alternate in sign, and the SVG says that the
+    cell was resolved by its centre value."""
+    spec = make_scenario("3", "1", "0", "0", grid=(64, 32))
+    lat = solver.SolutionField.from_function(spec, lambda x, y: x).lattice()
+    p = complex(*spec.domain.map_point(lat.theta[:2].mean(), lat.s[10:12].mean()))
+    fld = solver.SolutionField.from_function(spec, lambda x, y: np.imag((x + 1j * y - p) ** 2))
+    (cp,) = find_critical_points(fld)
+    svg = render_svg(fld, [cp.value], [cp])
+    (line,) = [ln for ln in svg.splitlines() if "ResolutionWarning" in ln]
+    assert line.startswith("<!-- ResolutionWarning: t=") and line.endswith(
+        ": 1 saddle cell(s) resolved by centre value -->")
 
 
 def test_render_deterministic():

@@ -1,6 +1,7 @@
 """Critical-point detection, winding multiplicities, clustering."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from levelset_lab.critical import (
     multiplicity,
     resolve_tolerances,
     separating_network_through,
+    winding_multiplicity,
 )
 from levelset_lab.domain import ToleranceSet
 from levelset_lab.errors import BandTooWideError, LevelSetLabError, OutsideDomainError
@@ -180,6 +182,56 @@ def test_stalled_seeds_are_counted():
     assert w == f"{n} of {n} Newton seed(s) stalled and were discarded" and int(n) > 0
 
 
+def cell_centre_saddle(cell, order):
+    """(field, (x, y)): Re (z - p)^order with p at the centre of `cell` of
+    1 < r < 3 at 64x32."""
+    i, j = cell
+    fld = annulus_field(lambda x, y: x)
+    theta, s = (i + 0.5) * fld.dtheta, (j + 0.5) * fld.ds
+    return annulus_field(saddle_at(theta, s, order)), fld.domain.map_point(theta, s)
+
+
+@pytest.mark.parametrize("cell", [(10, 16), (3, 9), (40, 25)])
+def test_seeds_stalled_beside_a_found_point_are_not_reported(cell):
+    """Newton converges only linearly at a degenerate zero, so some seeds
+    around it stall a few hundredths away; the point is found, and those
+    seeds lost nothing, so the detection is clean."""
+    fld, _ = cell_centre_saddle(cell, 4)
+    pts, suspects, warnings = find_critical_points_report(fld)
+    assert [p.multiplicity for p in pts] == [3] and suspects == [] and warnings == []
+
+
+def test_stalled_seed_far_from_every_point_is_reported(monkeypatch):
+    """Of two extra stalled seeds, the one beside the found saddle is not
+    reported and the one across the annulus is."""
+    fld, (px, py) = cell_centre_saddle((10, 16), 2)
+    refine, seeds = critical_mod._newton_refine, []
+
+    def with_stalled_seeds(*args):
+        x, y, g, ok = refine(*args)
+        assert ok.all()
+        seeds.append(ok.size + 2)
+        return (np.append(x, [px + 0.05, -px]), np.append(y, [py, -py]),
+                np.append(g, [1.0, 1.0]), np.append(ok, [False, False]))
+
+    monkeypatch.setattr(critical_mod, "_newton_refine", with_stalled_seeds)
+    pts, suspects, warnings = find_critical_points_report(fld)
+    assert [p.multiplicity for p in pts] == [1] and suspects == []
+    assert warnings == [f"1 of {seeds[0]} Newton seed(s) stalled and were discarded"]
+
+
+def test_degree_circle_doubles_while_the_gradient_is_flat():
+    """|grad Re (z - p)^2| is 2 |z - p|: with 5 grad_zero_tol = 6 cell
+    diagonals, the first circle (radius 2 diagonals) is too flat and the
+    doubled one is not."""
+    fld, p = cell_centre_saddle((10, 16), 2)
+    diag = float(fld.cell_diagonals()[10, 16])
+    rt = replace(resolve_tolerances(fld), grad_zero_tol=1.2 * diag)
+    m, radius = winding_multiplicity(fld, p, rt)
+    assert m == 1 and radius == 4.0 * diag
+    assert winding_multiplicity(fld, p, resolve_tolerances(fld)) == (1, 2.0 * diag)
+
+
 def test_point_in_the_margin_band_is_a_suspect():
     """A saddle at s = 0.066, inside the margin of 0.07, is reached from a
     seed whose cell centre lies in the band; it is reported as a suspect,
@@ -255,6 +307,17 @@ def test_separating_network_detection():
     fld2 = solved_field("z_plus_inv", 128, 64)
     pos = [p for p in find_critical_points(fld2) if p.value > 0]
     assert not separating_network_through(fld2, *cluster_critical_sets(fld2, pos, pos[0].value))
+
+
+def test_no_separating_network_on_a_disk_or_without_clusters():
+    disk = SolutionField.from_function(make_scenario("2", None, "0", None, name="disk"),
+                                       lambda x, y: (x - 0.5) ** 2 - (y - 0.3) ** 2)
+    (p,) = find_critical_points(disk)
+    labels, holding = cluster_critical_sets(disk, [p], p.value)
+    assert holding and not separating_network_through(disk, labels, holding)
+    fld = solved_field("z2_minus_zm2", 128, 64)
+    labels, holding = cluster_critical_sets(fld, find_critical_points(fld), 0.0)
+    assert holding and not separating_network_through(fld, labels, set())
 
 
 def test_detector_is_deterministic():

@@ -100,6 +100,21 @@ def test_nonperiodic_radius_rejected():
     assert any(v["check"] == "curve_periodic" for v in err.value.violations)
 
 
+@pytest.mark.parametrize("radius, check, message", [
+    ("2 + x", "curve_variables", "exterior radius may only reference theta, found ['x']"),
+    ("log(cos(theta) - 2)", "curve_evaluation",
+     "exterior radius failed to evaluate: log() evaluated at out-of-domain argument -3.0"),
+    ("1/(1 - cos(theta))", "curve_finite", "exterior radius is non-finite"),
+])
+def test_radius_that_cannot_be_sampled_rejected(radius, check, message):
+    """A radius with another variable, one that fails to evaluate and one
+    that is infinite somewhere each give one violation, and the curve's
+    later checks are skipped."""
+    with pytest.raises(ValidationFailure) as err:
+        validate_scenario(make_scenario(radius, None, "0", None))
+    assert err.value.violations == [{"check": check, "message": message}]
+
+
 def test_grid_minimums():
     spec = make_scenario("2", "1", "1", "0", grid=(16, 8))
     with pytest.raises(ValidationFailure) as err:

@@ -61,6 +61,18 @@ def test_unknown_identifier():
         ex.parse_expression("sinh(x)")
 
 
+@pytest.mark.parametrize("src, names", [
+    ("2.5", set()),
+    ("-(x + 1)", {"x"}),
+    ("sin(-theta) * y", {"theta", "y"}),
+    ("-(-2) ^ r", {"r"}),
+])
+def test_free_variables_through_every_node_kind(src, names):
+    expr = ex.parse_expression(src)
+    assert ex.free_variables(expr) == names
+    assert ex.is_constant(expr) == (not names)
+
+
 def test_xy_product():
     assert ev("x*y", 2.0, 3.0) == 6.0
 

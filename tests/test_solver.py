@@ -916,6 +916,24 @@ def test_field_csv_dump(tmp_path):
     assert len(lines) == 1 + fld.n_theta * (fld.n_s + 1)
 
 
+def csv_by_loop(field, path):
+    """Reference: the node table written one row at a time, s-major."""
+    T, S, X, Y = field.node_positions()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("theta,s,x,y,u\n")
+        for j in range(field.n_s + 1):
+            for i in range(field.n_theta):
+                fh.write(f"{T[i, j]:.12g},{S[i, j]:.12g},{X[i, j]:.12g},{Y[i, j]:.12g},{field.values[i, j]:.12g}\n")
+
+
+@pytest.mark.parametrize("name", ["log_annulus", "disk_z3"])
+def test_field_csv_matches_row_loop(tmp_path, name):
+    fld = solved_field(name, 64, 32)
+    fld.to_csv(tmp_path / "field.csv")
+    csv_by_loop(fld, tmp_path / "reference.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 # ------------------------------------------------------------ cached derivatives
 
 def test_derived_quantities_cached_and_read_only():

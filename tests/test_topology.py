@@ -1,10 +1,12 @@
 """Censuses, level lines, boundary profiles; brute-force cross-checks."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
 from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +18,7 @@ from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario,
 import levelset_lab
 from levelset_lab import expressions as ex
 from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
+from levelset_lab.errors import RadiusExhaustedError
 from levelset_lab.geometry import TWO_PI, winding_number
 from levelset_lab.solver import SolutionField, solve_scenario
 from levelset_lab.verify import FINE_FACTOR
@@ -713,6 +716,13 @@ def test_local_structure_regular_point():
     assert local_structure(fld, probe) == (1, 1)
 
 
+def test_local_structure_patch_outside_the_domain_raises():
+    fld = solved_field("z_plus_inv", 128, 64)
+    probe = replace(find_critical_points(fld)[0], degree_radius=1.0)
+    with pytest.raises(RadiusExhaustedError, match="local-structure patch leaves the domain"):
+        local_structure(fld, probe)
+
+
 # --------------------------------------------------------- contact clauses
 
 def test_contact_clause_counterexample1():
@@ -770,6 +780,18 @@ def test_band_lookup_and_contact_clause(interior, exterior, expected):
         report = check_component_contact(census, prof)
         assert report["applicable"] == (band in clause), t
         assert report["clause"] == clause.get(band), t
+
+
+@pytest.mark.parametrize("interior, exterior", [
+    ((0.0, 3.0), (1.0, 2.0)),   # nested ranges
+    ((1.0, 2.0), (0.0, 3.0)),
+    ((1.0, 3.0), (0.0, 2.0)),   # the interior range on top
+])
+def test_no_bands_without_an_ordering_case(interior, exterior):
+    prof = BoundaryProfile(exterior=_trace(*exterior), interior=_trace(*interior))
+    assert prof.ordering_case() is None and prof.bands() == []
+    assert [prof.band(t) for t in (0.5, 1.0, 1.5, 2.0, 2.5)] == [None] * 5
+    assert BoundaryProfile(exterior=_trace(*exterior), interior=None).bands() == []
 
 
 def test_unconstrained_reason_prints_no_round_off():
@@ -934,6 +956,18 @@ def test_label_wrapped_matches_union_find():
         wrapped += n < ndi.label(mask)[1]
     # the seeded masks merge components across the seam
     assert wrapped > 50
+
+
+def test_package_imports_no_private_name_of_another_module():
+    """A name that one module of the package uses from another is public:
+    no `from .module import _name` in any of them."""
+    package = Path(levelset_lab.__file__).resolve().parent
+    private = [(path.name, node.module, alias.name)
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_package_does_not_import_scipy_ndimage():

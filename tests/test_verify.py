@@ -10,6 +10,7 @@ import pytest
 
 from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario, solved_field
 from test_benchmark_reference import wl
+from levelset_lab import expressions as ex
 from levelset_lab.cli import builtin_scenario_dir
 from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet, scenario_from_dict
@@ -158,6 +159,16 @@ def test_zero_interior_datum_up_to_round_off_reads_as_zero():
     assert want[3] == ("thm_1_3", True, True, 0, 1, want[3][5], None, {"H": 0.0, "N_tilde": 4})
     assert verdicts("x^2 + y^2 - 1") == want
     assert verdicts("r - 1") == want
+
+
+@pytest.mark.parametrize("psi_interior", ["1/3", "-0.7 * pi"])
+def test_constant_interior_datum_is_its_expression_bit_for_bit(psi_interior):
+    """H is read off the interior trace, whose samples of a constant
+    expression are all the expression's own float."""
+    report = run_scenario(make_scenario("3", "1", "sin(2*theta)", psi_interior, grid=(64, 32), name="h"))
+    v = report.verdict("thm_1_3")
+    assert v.applicable
+    assert v.witness["H"] == ex.evaluate_env(ex.parse_expression(psi_interior), {})
 
 
 # ------------------------------------------------------------- theorem 1.4
@@ -402,6 +413,19 @@ def test_lemma_and_remark_not_applicable_reasons():
                            {"name": "at least one census computed", "held": bool(censuses)}],
             "reason": f"hypothesis failed: {failed}", "witness": {},
         }
+
+
+def test_lemma_2_1_records_a_patch_outside_the_domain_as_an_error():
+    """A point whose local-structure patch leaves the domain is an error
+    entry of the witness, and the lemma does not hold."""
+    fld = solved_field("z_plus_inv", 128, 64)
+    good = find_critical_points(fld)[0]
+    bad = replace(good, degree_radius=10.0)
+    v = check_lemma_2_1(fld, [good, bad])
+    assert v.applicable and v.holds is False
+    first, second = v.witness["points"]
+    assert first == {"point": good.as_dict(), "supers": 2, "subs": 2, "expected": 2, "holds": True}
+    assert second == {"point": bad.as_dict(), "error": "local-structure patch leaves the domain"}
 
 
 # ------------------------------------------------------ counting identities
@@ -667,6 +691,11 @@ def test_remark_1_5_failure_branches():
 def test_report_enumerates_every_check_once():
     rep = builtin_report("counterexample1")
     assert tuple(v.id for v in rep.verdicts) == VERDICT_IDS
+
+
+def test_unknown_verdict_id_raises_key_error():
+    with pytest.raises(KeyError):
+        builtin_report("counterexample1").verdict("thm_9_9")
 
 
 def test_counterexample_reports_no_critical_points():
