@@ -8,7 +8,6 @@ of degree m + 1, whose gradient has winding number -m.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import asdict, dataclass
 
@@ -169,21 +168,24 @@ def _scan_cells(field: SolutionField, tol: ResolvedTolerances):
     return field.domain.map_point((i + 0.5) * field.dtheta, s_c[j])
 
 
-def distinct_levels(values, tol: float) -> list:
-    """The first value of each class of `values`, increasing: taken in
-    sorted order, a value more than `tol` above the first value of its class
-    starts a new class."""
-    firsts = []
-    for v in sorted(values):
-        if not firsts or v - firsts[-1] > tol:
-            firsts.append(v)
-    return firsts
+def value_classes(points, tol: float) -> list:
+    """The classes of `points` by value, increasing, as (level, members):
+    taken in order of value, a point more than `tol` above the first value
+    of its class starts a new class.  The level is that first value, or
+    0.0 when every member lies within `tol` of 0."""
+    classes = []
+    for p in sorted(points, key=lambda p: p.value):
+        if classes and p.value - classes[-1][0].value <= tol:
+            classes[-1].append(p)
+        else:
+            classes.append([p])
+    return [(0.0 if all(abs(p.value) <= tol for p in c) else c[0].value, c) for c in classes]
 
 
 def find_critical_points_report(field: SolutionField):
     """Full detector: (points, near_boundary_suspects, warnings).
 
-    Points are ordered by value class (`distinct_levels` with the equal-value
+    Points are ordered by value class (`value_classes` with the equal-value
     tolerance), then by polar angle in [0, 2 pi), then by radius, so that
     round-off in the values of equal-valued points cannot reorder them.  A
     point within round-off of the theta = 0 ray can still move to the other
@@ -231,9 +233,8 @@ def find_critical_points_report(field: SolutionField):
             is_zero=bool(abs(value) <= rt.value_zero_tol), degree_radius=float(radius),
         ))
 
-    firsts = distinct_levels([p.value for p in points], rt.equal_value_tol)
-    points.sort(key=lambda p: (bisect.bisect_right(firsts, p.value), np.mod(math.atan2(p.y, p.x), TWO_PI),
-                               math.hypot(p.x, p.y)))
+    points = [p for _, members in value_classes(points, rt.equal_value_tol)
+              for p in sorted(members, key=lambda p: (np.mod(math.atan2(p.y, p.x), TWO_PI), math.hypot(p.x, p.y)))]
     return points, suspects, warnings
 
 

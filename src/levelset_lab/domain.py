@@ -29,8 +29,8 @@ REL_GAP_MIN = 0.02
 # the operator on a square (theta, s) patch with this many points a side.
 _CURVE_SAMPLES = 4096
 _INTERIOR_SAMPLES = 256
-# Relative size below which b and c count as zero in is_pure_diffusion.
-_PURE_DIFFUSION_TOL = 1e-13
+# Relative size below which b and c count as absent in lower_order_terms.
+_LOWER_ORDER_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -42,33 +42,31 @@ class EllipticOperator:
     a22: tuple
     b1: tuple
     b2: tuple
-    c: tuple | None = None
+    c: tuple
     lambda_floor: float = 1e-10
 
     @staticmethod
     def laplace() -> "EllipticOperator":
         one = ex.parse_expression("1")
         zero = ex.parse_expression("0")
-        return EllipticOperator(one, zero, one, zero, zero, None)
+        return EllipticOperator(one, zero, one, zero, zero, zero)
 
     def coefficients_at(self, x, y) -> dict:
         env = ex.env_from_xy(x, y)
         shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
         out = {}
-        for name in ("a11", "a12", "a22", "b1", "b2"):
+        for name in ("a11", "a12", "a22", "b1", "b2", "c"):
             val = ex.evaluate_env(getattr(self, name), env)
             out[name] = np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
-        if self.c is not None:
-            out["c"] = np.broadcast_to(np.asarray(ex.evaluate_env(self.c, env), dtype=float), shape).copy()
-        else:
-            out["c"] = np.zeros(shape)
         return out
 
-    def is_pure_diffusion(self, x, y) -> bool:
-        """True when b == 0 and c == 0 on the given sample."""
-        co = self.coefficients_at(x, y)
-        scale = max(float(np.max(np.abs(co["a11"]))), float(np.max(np.abs(co["a22"]))), 1.0)
-        return all(float(np.max(np.abs(co[k]))) <= _PURE_DIFFUSION_TOL * scale for k in ("b1", "b2", "c"))
+    def lower_order_terms(self, x, y) -> tuple:
+        """(first-order term present, zeroth-order term present) on the
+        sample (x, y): b or c is present where it exceeds _LOWER_ORDER_TOL
+        times the largest of |a11|, |a22| and 1 on the sample."""
+        size = {k: float(np.max(np.abs(v))) for k, v in self.coefficients_at(x, y).items()}
+        floor = _LOWER_ORDER_TOL * max(size["a11"], size["a22"], 1.0)
+        return max(size["b1"], size["b2"]) > floor, size["c"] > floor
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,12 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         try:
             co = spec.operator.coefficients_at(X, Y)
         except ExpressionError as err:
-            co = None
+            co = {}
             bad.append(_violation("operator_evaluation", f"operator coefficients failed to evaluate: {err}"))
-        if co is not None:
+        nonfinite = [k for k, v in co.items() if not np.all(np.isfinite(v))]
+        if nonfinite:
+            bad.append(_violation("operator_finite", f"operator coefficient(s) {', '.join(nonfinite)} non-finite"))
+        elif co:
             a11, a12, a22 = co["a11"], co["a12"], co["a22"]
             det = a11 * a22 - a12 * a12
             if np.min(a11) <= 0.0:
@@ -216,7 +217,7 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
                 k = int(np.argmin(det))
                 bad.append(_violation("ellipticity", f"a11*a22 - a12^2 = {float(det.flat[k]):.6g} below floor {spec.operator.lambda_floor:.3g}",
                                       {"x": float(X.flat[k]), "y": float(Y.flat[k]), "det": float(det.flat[k])}))
-            if spec.operator.c is not None and np.max(co["c"]) > 0.0:
+            if np.max(co["c"]) > 0.0:
                 k = int(np.argmax(co["c"]))
                 bad.append(_violation("zeroth_order_sign", "c(x) must be <= 0",
                                       {"x": float(X.flat[k]), "y": float(Y.flat[k]), "c": float(co["c"].flat[k])}))
@@ -285,20 +286,15 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
         bad.append(_violation("schema", "operator must be an object"))
     else:
         trees = {}
-        for key in ("a11", "a12", "a22", "b1", "b2"):
-            default = {"a11": "1", "a12": "0", "a22": "1", "b1": "0", "b2": "0"}[key]
+        for key, default in {"a11": "1", "a12": "0", "a22": "1", "b1": "0", "b2": "0", "c": "0"}.items():
             trees[key] = _parse_field(bad, f"operator.{key}", op_data.get(key, default))
-        c_tree = None
-        if op_data.get("c") is not None:
-            c_tree = _parse_field(bad, "operator.c", op_data["c"])
         lambda_floor = op_data.get("lambda_floor", 1e-10)
         if _is_number(lambda_floor):
             lambda_floor = float(lambda_floor)
         else:
             bad.append(_violation("schema", "operator.lambda_floor must be a number"))
         if all(trees[k] is not None for k in trees):
-            op = EllipticOperator(trees["a11"], trees["a12"], trees["a22"], trees["b1"], trees["b2"], c_tree,
-                                  lambda_floor=lambda_floor)
+            op = EllipticOperator(**trees, lambda_floor=lambda_floor)
 
     bc = data.get("boundary") or {}
     psi_int = psi_ext = None

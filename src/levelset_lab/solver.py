@@ -139,24 +139,23 @@ def _stencil(spec: ScenarioSpec):
     is_disk = spec.domain.is_disk
 
     T, S = _grid_nodes(spec)
-    S_eval = np.maximum(S, _DISK_S_FLOOR) if is_disk else S
-    met = spec.domain.metric(T, S_eval)
-    X, Y = met["x"], met["y"]
-    co = spec.operator.coefficients_at(X, Y)
+    full = spec.domain.metric(T, np.maximum(S, _DISK_S_FLOOR) if is_disk else S)
+    X, Y = full["x"], full["y"]
+    # coefficients and metric at the interior nodes, each checked before any product of them
+    met = {k: v[:, 1:ns] for k, v in full.items()}
+    co = spec.operator.coefficients_at(met["x"], met["y"])
+    for kind, values in (("coefficient", co), ("metric term", met)):
+        for label, arr in values.items():
+            if not np.all(np.isfinite(arr)):
+                raise AssemblyError(f"non-finite {kind} {label} at a grid node")
 
     a11, a12, a22 = co["a11"], co["a12"], co["a22"]
     t_x, t_y, s_x, s_y = met["t_x"], met["t_y"], met["s_x"], met["s_y"]
-    A_tt = a11 * t_x ** 2 + 2.0 * a12 * t_x * t_y + a22 * t_y ** 2
-    A_ts = a11 * t_x * s_x + a12 * (t_x * s_y + t_y * s_x) + a22 * t_y * s_y
-    A_ss = a11 * s_x ** 2 + 2.0 * a12 * s_x * s_y + a22 * s_y ** 2
-    B_t = a11 * met["t_xx"] + 2.0 * a12 * met["t_xy"] + a22 * met["t_yy"] + co["b1"] * t_x + co["b2"] * t_y
-    B_s = a11 * met["s_xx"] + 2.0 * a12 * met["s_xy"] + a22 * met["s_yy"] + co["b1"] * s_x + co["b2"] * s_y
-
-    terms = [a[:, 1:ns] for a in (A_tt, A_ts, A_ss, B_t, B_s, co["c"])]
-    for arr, label in zip(terms, ("A_tt", "A_ts", "A_ss", "B_t", "B_s", "c")):
-        if not np.all(np.isfinite(arr)):
-            raise AssemblyError(f"non-finite metric/coefficient term {label}")
-    att, ats, ass, bt, bs, c0 = terms
+    att = a11 * t_x ** 2 + 2.0 * a12 * t_x * t_y + a22 * t_y ** 2
+    ats = a11 * t_x * s_x + a12 * (t_x * s_y + t_y * s_x) + a22 * t_y * s_y
+    ass = a11 * s_x ** 2 + 2.0 * a12 * s_x * s_y + a22 * s_y ** 2
+    bt = a11 * met["t_xx"] + 2.0 * a12 * met["t_xy"] + a22 * met["t_yy"] + co["b1"] * t_x + co["b2"] * t_y
+    bs = a11 * met["s_xx"] + 2.0 * a12 * met["s_xy"] + a22 * met["s_yy"] + co["b1"] * s_x + co["b2"] * s_y
     weights = [
         att / dtheta ** 2 + bt / (2.0 * dtheta),
         att / dtheta ** 2 - bt / (2.0 * dtheta),
@@ -166,7 +165,7 @@ def _stencil(spec: ScenarioSpec):
         ats / (2.0 * dtheta * ds),
         -ats / (2.0 * dtheta * ds),
         -ats / (2.0 * dtheta * ds),
-        -2.0 * att / dtheta ** 2 - 2.0 * ass / ds ** 2 + c0,
+        -2.0 * att / dtheta ** 2 - 2.0 * ass / ds ** 2 + co["c"],
     ]
     if is_disk:
         # centre row: weights over {centre} + first ring matching L on quadratics

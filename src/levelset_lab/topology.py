@@ -116,7 +116,7 @@ class BoundaryExtremum:
 @dataclass
 class TraceProfile:
     which: str                 # "interior" | "exterior"
-    is_constant: bool
+    constant_value: float | None  # H of a constant trace, else None
     min_value: float
     max_value: float
     maxima: list
@@ -125,6 +125,10 @@ class TraceProfile:
     tangential_zeros: int
     equal_maxima: bool | None
     equal_minima: bool | None
+
+    @property
+    def is_constant(self) -> bool:
+        return self.constant_value is not None
 
     @property
     def maxima_count(self):
@@ -279,11 +283,15 @@ def _trace_profile(field: SolutionField, which: str, curve, datum, rt: ResolvedT
     flat_tol = rt.equal_extrema_tol * scale
     # a datum constant up to round-off (x^2 + y^2 - 1 on r = 1) is constant;
     # the field's tolerance decides only that, since extrema found at the
-    # field's scale would move the extrema counts of ordinary traces
-    is_constant = (vmax - vmin) <= max(flat_tol, rt.equal_value_tol)
+    # field's scale would move the extrema counts of ordinary traces; its
+    # value H is the mid-range, exactly 0.0 within value_zero_tol (the rule
+    # of `CriticalPoint.is_zero`)
+    H = 0.5 * (vmin + vmax) if (vmax - vmin) <= max(flat_tol, rt.equal_value_tol) else None
+    if H is not None and abs(H) <= rt.value_zero_tol:
+        H = 0.0
 
     maxima, minima, equal_max, equal_min = [], [], None, None
-    if not is_constant:
+    if H is None:
         found = _run_length_extrema(values, flat_tol)
         maxima, minima = ([BoundaryExtremum(float(theta[k]), v, kind,
                                             _closure_relative(field, which, float(theta[k]), v, kind, rt))
@@ -293,7 +301,7 @@ def _trace_profile(field: SolutionField, which: str, curve, datum, rt: ResolvedT
 
     crossings, touches = _count_zero_structure(values, rt.value_zero_tol)
     return TraceProfile(
-        which=which, is_constant=is_constant, min_value=vmin, max_value=vmax,
+        which=which, constant_value=H, min_value=vmin, max_value=vmax,
         maxima=maxima, minima=minima, sign_changes=crossings, tangential_zeros=touches,
         equal_maxima=equal_max, equal_minima=equal_min,
     )

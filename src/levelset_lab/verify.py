@@ -9,7 +9,6 @@ code 2), never an assertion baked into the pipeline.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
@@ -20,10 +19,10 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .critical import (
     cluster_critical_sets,
-    distinct_levels,
     find_critical_points_report,
     resolve_tolerances,
     separating_network_through,
+    value_classes,
 )
 from .domain import ScenarioSpec, validate_scenario
 from .errors import BandTooWideError, LevelSetLabError, UnstableCountsError
@@ -161,12 +160,12 @@ def check_corollary_4_1(points, profile: BoundaryProfile, has_zeroth_order: bool
                        points, profile, has_zeroth_order)
 
 
-def check_theorem_1_3(points, profile: BoundaryProfile, h_value: float | None) -> TheoremVerdict:
+def check_theorem_1_3(points, profile: BoundaryProfile) -> TheoremVerdict:
     """Critical zero points against half the exterior sign-change count,
-    minus one when the constant interior datum vanishes."""
+    minus one when the constant interior datum H vanishes."""
     def evaluate():
         n_tilde = profile.exterior.sign_changes
-        H = h_value if h_value is not None else profile.interior.min_value
+        H = profile.interior.constant_value
         witness = {"H": H, "N_tilde": n_tilde}
         if n_tilde % 2:
             witness["warning"] = "odd exterior sign-change count"
@@ -420,13 +419,13 @@ def fingerprint_scenario(path_or_text) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _stable_points(coarse, fine, cell: float):
+def _stable_points(coarse, fine, drift: float):
     """Same count, and a one-to-one match with equal multiplicities within
-    one coarse cell of drift (a perfect bipartite matching, whatever the
-    order of the points)."""
+    `drift` of each other (a perfect bipartite matching, whatever the order
+    of the points); `run_scenario` allows two median coarse-cell diagonals."""
     if len(coarse) != len(fine):
         return False
-    allowed = [[math.hypot(a.x - b.x, a.y - b.y) <= cell and a.multiplicity == b.multiplicity
+    allowed = [[math.hypot(a.x - b.x, a.y - b.y) <= drift and a.multiplicity == b.multiplicity
                 for b in fine] for a in coarse]
     graph = sp.csr_matrix(np.array(allowed, dtype=bool).reshape(len(coarse), len(fine)))
     return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
@@ -449,8 +448,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     coarse_pts, _, _ = find_critical_points_report(coarse_field)
     points, suspects, warnings = find_critical_points_report(fine_field)
 
-    coarse_diag = 2.0 * coarse_field.median_cell_diag()
-    if not _stable_points(coarse_pts, points, coarse_diag):
+    if not _stable_points(coarse_pts, points, 2.0 * coarse_field.median_cell_diag()):
         raise UnstableCountsError(coarse_pts, points)
 
     field = fine_field
@@ -458,25 +456,21 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     profile = boundary_profile(field)
 
     T, S, X, Y = field.node_positions()
-    pure_diffusion = spec.operator.is_pure_diffusion(X, Y)
-    has_zeroth = spec.operator.c is not None
+    has_first, has_zeroth = spec.operator.lower_order_terms(X, Y)
 
-    # censuses at critical values +/- epsilon, plus mid-band probes; a class
-    # that holds a critical zero point sits at 0, not at its round-off
+    # censuses at the levels of the value classes +/- epsilon, plus mid-band probes
     censuses = []
     eq = rt.equal_value_tol
-    distinct_values = distinct_levels([p.value for p in points], eq)
-    zero_classes = {bisect.bisect_right(distinct_values, p.value) - 1 for p in points if p.is_zero}
-    distinct_values = [0.0 if k in zero_classes else t for k, t in enumerate(distinct_values)]
+    levels = [t for t, _ in value_classes(points, eq)]
     identity_levels = []
-    for t in distinct_values:
+    for t in levels:
         eps = _census_offset(t, points, profile, eq)
         below, above = level_census(field, t - eps), level_census(field, t + eps)
         censuses += [(f"critical@{t:.9g}-eps", below), (f"critical@{t:.9g}+eps", above)]
         identity_levels.append((t, eps, below, above))
     for tag, lo, hi in _probe_intervals(profile):
         tmid = 0.5 * (lo + hi)
-        if all(abs(tmid - v) > eq for v in distinct_values):
+        if all(abs(tmid - v) > eq for v in levels):
             censuses.append((f"probe:{tag}@{tmid:.9g}", level_census(field, tmid)))
 
     contact_reports = [dict(check_component_contact(c, profile), tag=tag) for tag, c in censuses]
@@ -487,14 +481,14 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
         check_theorem_1_1(points, profile, has_zeroth),
         check_theorem_1_2(points, profile, has_zeroth),
         check_corollary_4_1(points, profile, has_zeroth),
-        check_theorem_1_3(points, profile, _constant_interior_value(profile, rt.value_zero_tol)),
+        check_theorem_1_3(points, profile),
         check_theorem_1_4(points, profile),
         check_remark_5_1(points, profile),
         check_lemma_2_1(field, points),
         _aggregate_contact_verdict(contact_reports),
         check_lemma_2_4(points, profile, delta=eq),
         _aggregate_identity_verdict(identity_reports),
-        check_remark_1_5(field, [c for _, c in censuses], pure_diffusion),
+        check_remark_1_5(field, [c for _, c in censuses], not (has_first or has_zeroth)),
     ]
 
     if suspects:
@@ -518,16 +512,6 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
         solves=[{"grid": [f.n_theta, f.n_s], "solved_by": f.solved_by, "iterations": f.iterations}
                 for f in (coarse_field, fine_field)],
     )
-
-
-def _constant_interior_value(profile: BoundaryProfile, zero_tol: float) -> float | None:
-    """The constant interior datum H, the mid-range of its trace, exactly 0.0
-    when |H| <= `zero_tol` (the rule of `CriticalPoint.is_zero`); None when
-    there is no interior trace or it is not constant."""
-    if profile.interior is None or not profile.interior.is_constant:
-        return None
-    H = 0.5 * (profile.interior.min_value + profile.interior.max_value)
-    return 0.0 if abs(H) <= zero_tol else H
 
 
 def _probe_intervals(profile: BoundaryProfile):

@@ -4,6 +4,7 @@ import functools
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from levelset_lab import expressions as ex
 from levelset_lab.cli import builtin_scenario_dir
@@ -16,6 +17,12 @@ from levelset_lab.domain import (
 from levelset_lab.geometry import BoundaryCurve, DomainSpec
 from levelset_lab.solver import solve_scenario
 from levelset_lab.verify import run_scenario
+
+# The property tests draw the same examples on every run and keep no
+# example database, so a run's outcome depends only on the code; each test
+# keeps its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 BUILTIN_NAMES = (
     "counterexample1", "counterexample2", "log_annulus", "z_plus_inv",

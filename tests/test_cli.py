@@ -189,11 +189,12 @@ def test_malformed_grid_value(scen, tmp_path, capsys, grid):
     pytest.param("grid.n_theta", 128.7, "grid.n_theta / grid.n_s must be integers", id="n_theta-fraction"),
     pytest.param("grid.n_theta", "128", "grid.n_theta / grid.n_s must be integers", id="n_theta-string"),
     pytest.param("grid.n_s", True, "grid.n_theta / grid.n_s must be integers", id="n_s-true"),
+    pytest.param("operator.a11", 1, "operator.a11 must be an expression string", id="a11-number"),
 ])
 def test_schema_type_errors_are_structured(scen, tmp_path, capsys, key, value, message):
-    """A mistyped or non-finite number, or a mistyped notes entry, is a
-    schema violation: exit 1 with one structured error line and no
-    traceback."""
+    """A mistyped or non-finite number, a mistyped notes entry or an
+    expression field that is not a string is a schema violation: exit 1
+    with one structured error line and no traceback."""
     data = json.loads((scen / "z_plus_inv.json").read_text())
     if key == "lambda_floor":
         data["operator"] = dict(data["operator"], lambda_floor=value)
@@ -366,6 +367,11 @@ def test_batch_rejects_malformed_thread_count(scen, tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {scen}: cli: ") and "LEVELSET_LAB_THREADS" in lines[0]
+
+
+def test_batch_over_an_empty_directory(tmp_path, capsys):
+    assert cli.main(["batch", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"no scenario files in {tmp_path}\n"
 
 
 def test_unwritable_output_path(scen, tmp_path, capsys):

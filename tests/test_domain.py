@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario
 from levelset_lab import expressions as ex
+from levelset_lab.cli import builtin_scenario_dir
 from levelset_lab.domain import scenario_from_dict, validate_scenario
 from levelset_lab.errors import OutsideDomainError, ValidationFailure
 from levelset_lab.geometry import TWO_PI, BoundaryCurve, DomainSpec
@@ -113,6 +114,32 @@ def test_radius_that_cannot_be_sampled_rejected(radius, check, message):
     with pytest.raises(ValidationFailure) as err:
         validate_scenario(make_scenario(radius, None, "0", None))
     assert err.value.violations == [{"check": check, "message": message}]
+
+
+BAND_ANNULUS = json.loads((builtin_scenario_dir() / "band_annulus.json").read_text())
+
+
+@pytest.mark.parametrize("data, violation", [
+    ([], {"check": "schema", "message": "scenario root must be an object"}),
+    (dict(BAND_ANNULUS, operator={"a11": "1 +"}),
+     {"check": "expression", "message": "operator.a11: unexpected end of input (byte offset 3)"}),
+    (dict(BAND_ANNULUS, operator={"a11": "sqrt(x - 10)"}),
+     {"check": "operator_evaluation",
+      "message": "operator coefficients failed to evaluate: sqrt() evaluated at out-of-domain argument -12.0"}),
+    (dict(BAND_ANNULUS, operator={"a11": "1 + (r - r)/(r - r)"}),
+     {"check": "operator_finite", "message": "operator coefficient(s) a11 non-finite"}),
+    (dict(BAND_ANNULUS, operator={"a11": "-1", "a22": "-1"}),
+     {"check": "ellipticity", "message": "a11 not strictly positive", "witness": {"x": 1.0, "y": 0.0, "a11": -1.0}}),
+    (dict(BAND_ANNULUS, tolerances={"interior_margin": 0.5}),
+     {"check": "tolerances", "message": "interior_margin 0.5 outside (0, 0.25]"}),
+], ids=["root", "malformed", "evaluation", "non-finite", "a11-sign", "interior-margin"])
+def test_one_malformed_input_gives_one_violation(data, violation):
+    """A scenario with one bad part fails loading or validation with that
+    one violation; a NaN coefficient is rejected although every
+    ellipticity comparison with it is false."""
+    with pytest.raises(ValidationFailure) as err:
+        validate_scenario(scenario_from_dict(data))
+    assert err.value.violations == [violation]
 
 
 def test_grid_minimums():

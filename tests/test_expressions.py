@@ -66,6 +66,7 @@ def test_unknown_identifier():
     ("-(x + 1)", {"x"}),
     ("sin(-theta) * y", {"theta", "y"}),
     ("-(-2) ^ r", {"r"}),
+    ("2.5E+0 * x", {"x"}),
 ])
 def test_free_variables_through_every_node_kind(src, names):
     expr = ex.parse_expression(src)
@@ -181,6 +182,9 @@ def test_parser_totality(src):
     ("exp(cos(theta))", lambda t: -math.sin(t) * math.exp(math.cos(t))),
     ("1/(2 + cos(theta))", lambda t: math.sin(t) / (2.0 + math.cos(t)) ** 2),
     ("sqrt(4 + sin(theta))", lambda t: 0.5 * math.cos(t) / math.sqrt(4.0 + math.sin(t))),
+    ("tan(theta)", lambda t: 1.0 / math.cos(t) ** 2),
+    ("log(2 + cos(theta))", lambda t: -math.sin(t) / (2.0 + math.cos(t))),
+    ("abs(cos(theta))", lambda t: -math.sin(t) * math.copysign(1.0, math.cos(t))),
 ])
 def test_differentiate_theta(src, dsrc_at):
     d = ex.differentiate(ex.parse_expression(src), "theta")

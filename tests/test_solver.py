@@ -1,5 +1,6 @@
 """Discretization, sparse solve and the bicubic interpolant."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
 from levelset_lab import expressions as ex
 from levelset_lab import solver as solver_mod
-from levelset_lab.errors import NoConvergenceError, OutsideDomainError
+from levelset_lab.domain import validate_scenario
+from levelset_lab.errors import AssemblyError, NoConvergenceError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI
 from levelset_lab.solver import (
     SolutionField,
@@ -61,6 +63,17 @@ def test_row_sums_match_zeroth_order_coefficient():
     spec = make_scenario("2", "1", "1", "0", operator=op, name="with_c")
     system = assemble(spec)
     assert np.max(np.abs(row_sums(system) - (-1.0))) <= 1e-12 * system_scale(system)
+
+
+def test_a_coefficient_infinite_at_a_node_is_named_before_use():
+    """a11 = 1 + 1/(r - 1.5)^2 is infinite on band_annulus's s = 0.5 ring,
+    which the validation sample misses; assembly names the coefficient
+    before any product of it could warn."""
+    spec = builtin_spec("band_annulus")
+    spec = replace(spec, operator=replace(spec.operator, a11=ex.parse_expression("1 + 1/(r - 1.5)^2")))
+    validate_scenario(spec)
+    with pytest.raises(AssemblyError, match="^non-finite coefficient a11 at a grid node$"):
+        assemble(spec)
 
 
 def test_truncation_error_second_order():

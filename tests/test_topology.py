@@ -756,7 +756,7 @@ def test_contact_clause_synthetic_violation():
 
 
 def _trace(lo, hi):
-    return TraceProfile(which="fake", is_constant=False, min_value=lo, max_value=hi,
+    return TraceProfile(which="fake", constant_value=None, min_value=lo, max_value=hi,
                         maxima=[], minima=[], sign_changes=0, tangential_zeros=0,
                         equal_maxima=None, equal_minima=None)
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario, solved_field
 from test_benchmark_reference import wl
 from levelset_lab import expressions as ex
-from levelset_lab.cli import builtin_scenario_dir
+from levelset_lab.cli import builtin_scenario_dir, report_to_dict
 from levelset_lab.critical import CriticalPoint, find_critical_points
 from levelset_lab.domain import ToleranceSet, scenario_from_dict
 from levelset_lab.errors import BandTooWideError, UnstableCountsError
@@ -123,7 +123,7 @@ def test_thm_1_3_zero_h_separated_solution():
     spec = make_scenario("2", "1", "cos(2*theta)", "0", grid=(128, 64), name="t13a")
     fld = solve_scenario(spec)
     pts = find_critical_points(fld)
-    verdict = check_theorem_1_3(pts, boundary_profile(fld), h_value=0.0)
+    verdict = check_theorem_1_3(pts, boundary_profile(fld))
     assert verdict.applicable and verdict.holds
     assert verdict.lhs == 0 and verdict.rhs == 1
 
@@ -132,14 +132,25 @@ def test_thm_1_3_nonzero_h_bound():
     spec = make_scenario("2", "1", "2*cos(2*theta)", "1", grid=(128, 64), name="t13b")
     fld = solve_scenario(spec)
     pts = find_critical_points(fld)
-    verdict = check_theorem_1_3(pts, boundary_profile(fld), h_value=1.0)
+    verdict = check_theorem_1_3(pts, boundary_profile(fld))
     assert verdict.applicable and verdict.holds
     assert verdict.rhs == 2
 
 
+def test_thm_1_3_reads_h_within_value_zero_tol_as_zero():
+    """A constant interior datum within value_zero_tol of 0 (4e-3 here) is
+    H = 0, so the bound is N~/2 - 1, as for the datum 0."""
+    fld = solve_scenario(make_scenario("2", "1", "cos(2*theta)", "1e-3", grid=(64, 32), name="t13z"))
+    profile = boundary_profile(fld)
+    assert profile.interior.constant_value == 0.0
+    verdict = check_theorem_1_3(find_critical_points(fld), profile)
+    assert verdict.applicable and (verdict.lhs, verdict.rhs) == (0, 1)
+    assert verdict.witness == {"H": 0.0, "N_tilde": 4}
+
+
 def test_thm_1_3_not_applicable_nonconstant_interior():
     fld = solved_field("z2_minus_zm2", 128, 64)
-    verdict = check_theorem_1_3(find_critical_points(fld), boundary_profile(fld), None)
+    verdict = check_theorem_1_3(find_critical_points(fld), boundary_profile(fld))
     assert not verdict.applicable
     assert "constant" in verdict.reason
 
@@ -244,7 +255,7 @@ def _trace(which, lo, hi, n_max=0, n_min=None, sign_changes=0, closure=True):
         return [BoundaryExtremum(theta=k + 0.5 * (kind == "min"), value=value, kind=kind,
                                  relative_to_closure=closure) for k in range(n)]
 
-    return TraceProfile(which=which, is_constant=const, min_value=lo, max_value=hi,
+    return TraceProfile(which=which, constant_value=lo if const else None, min_value=lo, max_value=hi,
                         maxima=[] if const else ext(n_max, hi, "max"),
                         minima=[] if const else ext(n_min, lo, "min"),
                         sign_changes=sign_changes, tangential_zeros=0,
@@ -331,7 +342,7 @@ def _constant_interior(h, n_tilde):
 def test_thm_1_3_arithmetic(h, n_tilde, rhs, excess):
     """lhs counts only critical zero points; rhs is N~/2, less one when H = 0."""
     points = _points_summing_to(rhs + excess, zero=True) + [fake_point(2.5, 0.0, 0.7, 3)]
-    v = check_theorem_1_3(points, _constant_interior(h, n_tilde), h_value=h)
+    v = check_theorem_1_3(points, _constant_interior(h, n_tilde))
     assert v.as_dict() == {
         "id": "thm_1_3", "applicable": True, "holds": not excess, "lhs": rhs + excess, "rhs": rhs,
         "hypotheses": [{"name": "domain is multiply connected", "held": True},
@@ -342,15 +353,15 @@ def test_thm_1_3_arithmetic(h, n_tilde, rhs, excess):
 
 
 def test_thm_1_3_h_from_trace_and_odd_count_warning():
-    v = check_theorem_1_3([], _constant_interior(0.25, 5), h_value=None)
+    v = check_theorem_1_3([], _constant_interior(0.25, 5))
     assert v.applicable and v.holds and (v.lhs, v.rhs) == (0, 2)
     assert v.witness == {"H": 0.25, "N_tilde": 5, "warning": "odd exterior sign-change count"}
     assert list(v.witness) == ["H", "N_tilde", "warning"]
-    v = check_theorem_1_3([], _constant_interior(0.0, 5), h_value=0.0)
+    v = check_theorem_1_3([], _constant_interior(0.0, 5))
     assert (v.lhs, v.rhs, v.witness["warning"]) == (0, 1, "odd exterior sign-change count")
-    v = check_theorem_1_3([], _constant_interior(0.0, 0), h_value=0.0)
+    v = check_theorem_1_3([], _constant_interior(0.0, 0))
     assert (v.applicable, v.reason) == (False, "hypothesis failed: exterior trace sign-changing")
-    v = check_theorem_1_3([], SEPARATED, h_value=None)
+    v = check_theorem_1_3([], SEPARATED)
     assert (v.applicable, v.reason) == (False, "hypothesis failed: interior trace constant")
 
 
@@ -990,3 +1001,42 @@ def test_negated_data_give_the_same_points_and_mirrored_censuses():
         assert _critical_counts(mirror)[::-1] == [(m2, m1) for m1, m2 in _critical_counts(report)], data["name"]
         compared += len(_critical_counts(report))
     assert compared > 20
+
+
+# ------------------------------------------------- relations that keep every count
+
+# seed 0's sym0_k2 of the symmetric_annuli benchmark, written out
+SYM0_K2 = {
+    "name": "sym0_k2",
+    "domain": {"interior": {"radius": "1.1378*(1 + 0.1258*cos(2*theta))"},
+               "exterior": {"radius": "2.9365*(1 + 0.0304*cos(4*theta))"}},
+    "boundary": {"psi_interior": "0.1784*cos(2*theta)", "psi_exterior": "1.0023 + 0.7215*cos(2*theta)"},
+}
+
+
+def test_shifted_data_keep_the_identity_check():
+    """A constant added to both data is added to u and changes no count.
+    Shifted by -0.3193224694521817, sym0_k2's saddle pair sits at
+    u = 9.51e-4: a critical zero point (value_zero_tol 3.8e-3) more than
+    equal_value_tol (1.9e-4) from 0, so its value class is censused on
+    both sides of 9.51e-4, not of 0, and checked by the same clause."""
+    shifted = dict(SYM0_K2, boundary={k: f"{v} + (-0.3193224694521817)" for k, v in SYM0_K2["boundary"].items()})
+    want, got = (run_scenario(scenario_from_dict(data)) for data in (SYM0_K2, shifted))
+    values = [p.value for p in got.points]
+    assert len(values) == 2 and all(p.is_zero and abs(p.value - 9.51e-4) < 1e-9 for p in got.points)
+    below, above = (c.t for tag, c in got.censuses if tag.startswith("critical@"))
+    assert below < min(values) <= max(values) < above
+    (w,), (g,) = want.identity_reports, got.identity_reports
+    keys = ("applicable", "clause", "lhs", "rhs", "holds")
+    assert {k: g[k] for k in keys} == {k: w[k] for k in keys}
+    assert g["applicable"] and g["holds"]
+
+
+@pytest.mark.parametrize("name", ["band_annulus", "counterexample2", "disk_z3"])
+def test_a_zeroth_order_term_written_as_zero_changes_no_report(name):
+    """"c": "0" is the default written out: no zeroth-order term for the
+    trichotomy theorems, and pure diffusion for Remark 1.5."""
+    data = json.loads((builtin_scenario_dir() / f"{name}.json").read_text())
+    data["operator"] = dict(data["operator"], c="0")
+    got = run_scenario(scenario_from_dict(data, name))
+    assert report_to_dict(got, timestamp="") == report_to_dict(builtin_report(name), timestamp="")
