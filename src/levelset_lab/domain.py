@@ -201,26 +201,26 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
         except ExpressionError as err:
             co = {}
             bad.append(_violation("operator_evaluation", f"operator coefficients failed to evaluate: {err}"))
-        nonfinite = [k for k, v in co.items() if not np.all(np.isfinite(v))]
-        if nonfinite:
-            bad.append(_violation("operator_finite", f"operator coefficient(s) {', '.join(nonfinite)} non-finite"))
-        elif co:
-            a11, a12, a22 = co["a11"], co["a12"], co["a22"]
-            det = a11 * a22 - a12 * a12
-            if np.min(a11) <= 0.0:
-                k = int(np.argmin(a11))
-                bad.append(_violation("ellipticity", "a11 not strictly positive",
-                                      {"x": float(X.flat[k]), "y": float(Y.flat[k]), "a11": float(a11.flat[k])}))
-            if not math.isfinite(spec.operator.lambda_floor):
-                bad.append(_violation("ellipticity", "lambda_floor must be finite"))
-            elif np.min(det) < spec.operator.lambda_floor:
+        # each check reads only coefficients finite on the sample, so one bad coefficient hides no other violation
+        ok = {k: v for k, v in co.items() if np.all(np.isfinite(v))}
+        if len(ok) < len(co):
+            bad.append(_violation("operator_finite", f"operator coefficient(s) {', '.join(k for k in co if k not in ok)} non-finite"))
+        if "a11" in ok and np.min(ok["a11"]) <= 0.0:
+            k = int(np.argmin(ok["a11"]))
+            bad.append(_violation("ellipticity", "a11 not strictly positive",
+                                  {"x": float(X.flat[k]), "y": float(Y.flat[k]), "a11": float(ok["a11"].flat[k])}))
+        if not math.isfinite(spec.operator.lambda_floor):
+            bad.append(_violation("ellipticity", "lambda_floor must be finite"))
+        elif {"a11", "a12", "a22"} <= ok.keys():
+            det = ok["a11"] * ok["a22"] - ok["a12"] * ok["a12"]
+            if np.min(det) < spec.operator.lambda_floor:
                 k = int(np.argmin(det))
                 bad.append(_violation("ellipticity", f"a11*a22 - a12^2 = {float(det.flat[k]):.6g} below floor {spec.operator.lambda_floor:.3g}",
                                       {"x": float(X.flat[k]), "y": float(Y.flat[k]), "det": float(det.flat[k])}))
-            if np.max(co["c"]) > 0.0:
-                k = int(np.argmax(co["c"]))
-                bad.append(_violation("zeroth_order_sign", "c(x) must be <= 0",
-                                      {"x": float(X.flat[k]), "y": float(Y.flat[k]), "c": float(co["c"].flat[k])}))
+        if "c" in ok and np.max(ok["c"]) > 0.0:
+            k = int(np.argmax(ok["c"]))
+            bad.append(_violation("zeroth_order_sign", "c(x) must be <= 0",
+                                  {"x": float(X.flat[k]), "y": float(Y.flat[k]), "c": float(ok["c"].flat[k])}))
         # interior datum first; no curve check failed, so radii holds every rim
         for which, _, datum in reversed(spec.rims()):
             if datum is None:

@@ -142,6 +142,20 @@ def test_one_malformed_input_gives_one_violation(data, violation):
     assert err.value.violations == [violation]
 
 
+def test_a_non_finite_coefficient_hides_no_other_violation():
+    """A NaN b1 is reported together with a positive c and an infinite
+    ellipticity floor, each checked on its own."""
+    spec = scenario_from_dict(dict(BAND_ANNULUS, operator={"b1": "(r - r)/(r - r)", "c": "1"}))
+    spec = replace(spec, operator=replace(spec.operator, lambda_floor=math.inf))
+    with pytest.raises(ValidationFailure) as err:
+        validate_scenario(spec)
+    assert [(v["check"], v["message"]) for v in err.value.violations] == [
+        ("operator_finite", "operator coefficient(s) b1 non-finite"),
+        ("ellipticity", "lambda_floor must be finite"),
+        ("zeroth_order_sign", "c(x) must be <= 0"),
+    ]
+
+
 def test_grid_minimums():
     spec = make_scenario("2", "1", "1", "0", grid=(16, 8))
     with pytest.raises(ValidationFailure) as err:
