@@ -12,7 +12,6 @@ from .critical import (
     cluster_critical_sets,
     find_critical_points,
     find_critical_points_report,
-    find_critical_zero_points,
     multiplicity,
     resolve_tolerances,
 )

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BandTooWideError, RadiusExhaustedError
+from .errors import BandTooWideError, NotAnAnnulusError, RadiusExhaustedError
 from .geometry import TWO_PI, winding_number
 from .solver import ResolvedTolerances, SolutionField, cell_index, resolve_tolerances
 
@@ -244,11 +244,6 @@ def find_critical_points(field: SolutionField) -> list:
     return find_critical_points_report(field)[0]
 
 
-def find_critical_zero_points(field: SolutionField) -> list:
-    """Critical points with |u| below the zero threshold."""
-    return [p for p in find_critical_points(field) if p.is_zero]
-
-
 # --------------------------------------------------------------------------
 # clustering
 
@@ -320,7 +315,10 @@ def cluster_critical_sets(field: SolutionField, points, t: float):
     """The level network u = t and the clusters of the given critical
     points on it: (labels, holding), where labels numbers the connected
     components of the marked lattice cells and holding is the set of labels
-    that contain at least one of the points (the cluster count is its size)."""
+    that contain at least one of the points (the cluster count is its size).
+    A disk, which has no second rim to separate, is refused."""
+    if field.domain.is_disk:
+        raise NotAnAnnulusError("level-network clusters are counted on an annulus, not on a disk")
     rt = resolve_tolerances(field)
     theta, s = _invert_points(field, points)
     for k, p in enumerate(points):

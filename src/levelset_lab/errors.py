@@ -72,6 +72,10 @@ class BandTooWideError(LevelSetLabError):
     """Level-band width exceeds what the grid resolution can separate."""
 
 
+class NotAnAnnulusError(LevelSetLabError):
+    """A question that needs two rims (level-network clusters) was asked of a disk."""
+
+
 class UnstableCountsError(LevelSetLabError):
     """Critical-point counts disagree between the two finest grids."""
 

@@ -36,12 +36,13 @@ _M_MATRIX_TOL = 1e-12
 # each direction.
 REFINE = 2
 
-# Hermite-to-monomial matrix: p(xi) = [1, xi, xi^2, xi^3] . (A @ [f0, f1, m0, m1])
+# p(xi) = [1, xi, xi^2, xi^3] . (A @ [f0, f1 - f0, m0, m1]) on a unit interval with end
+# values f and derivatives m; f1 - f0, not f1, so derivatives do not cancel f0 against f1
 _HERMITE_A = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 1.0, 0.0],
-    [-3.0, 3.0, -2.0, -1.0],
-    [2.0, -2.0, 1.0, 1.0],
+    [0.0, 3.0, -2.0, -1.0],
+    [0.0, -2.0, 1.0, 1.0],
 ])
 
 # d^k/dx^k x^n = _FALLING[k, n] * x^_DROP[k, n], for k = 0, 1, 2 and n = 0..3
@@ -49,10 +50,10 @@ _FALLING = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0,
 _DROP = np.maximum(np.arange(4) - np.arange(3)[:, None], 0)
 
 
-def _power_rows(x, order: int) -> np.ndarray:
-    """The monomial row [1, x, x^2, x^3] and its first `order` derivatives
-    at each x, shaped x.shape + (order + 1, 4)."""
-    return _FALLING[:order + 1] * np.asarray(x, dtype=float)[..., None, None] ** _DROP[:order + 1]
+def _basis(x, order: int) -> np.ndarray:
+    """The Hermite basis weights of the data (f0, f1 - f0, m0, m1) and their
+    first `order` derivatives at each x, shaped x.shape + (order + 1, 4)."""
+    return _FALLING[:order + 1] * np.asarray(x, dtype=float)[..., None, None] ** _DROP[:order + 1] @ _HERMITE_A
 
 
 def fd_weights(offsets, order: int) -> np.ndarray:
@@ -559,33 +560,22 @@ def _frozen(*arrays):
     return arrays
 
 
-def _kernels(rows_theta, rows_s) -> np.ndarray:
-    """rows_theta[..., a] * rows_s[..., b], flattened to the 16 weights of
-    a Hermite block."""
-    k = rows_theta[..., :, None] * rows_s[..., None, :]
-    return k.reshape(*k.shape[:-2], 16)
-
-
-def _cell_samples(blocks, rows_theta, rows_s) -> np.ndarray:
-    """Every Hermite block at fixed local offsets, one sample per pair of
-    power rows: rows_theta[k] . block . rows_s[k], shaped
-    (len(rows_theta),) + blocks.shape[:-2]."""
-    kernels = _kernels(rows_theta, rows_s)
-    # einsum, not matmul: a product this size would wake the BLAS thread
-    # pool, whose spinning threads then slowed the lattice and census work
-    # that follows (about 2x on a 2-vCPU host).
-    return np.einsum("nk,jk->jn", blocks.reshape(-1, 16), kernels).reshape(-1, *blocks.shape[:-2])
+def _contract(weights, terms):
+    """sum_k weights[k] * terms[k] in the order of k, scalar weights of 0 left out: the one
+    sum of `lattice` and `evaluate_ref`, so a lattice sample is its point's value bit for bit."""
+    return functools.reduce(np.add, (w * t for w, t in zip(weights, terms) if np.ndim(w) or w))
 
 
 class SolutionField:
     """Discrete solution on the reference grid plus a C^1 interpolant.
 
-    Everything derived from the solved values (interpolant coefficients,
-    node geometry, refined lattice, default tolerances) is computed on
-    first use and cached with the field; cached arrays are read-only.
-    The interpolant is one Hermite block per cell, gathered from the nodal
-    data at once; fixed-offset samples contract all blocks in
-    `_cell_samples`, and scattered queries read their own cells' blocks.
+    Everything derived from the solved values (nodal corner data, node
+    geometry, refined lattice, default tolerances) is computed on first use
+    and cached with the field; cached arrays are read-only.  No per-cell
+    coefficients are kept: a sample is the corner data of its cell
+    contracted with the Hermite basis weights, along s and then along
+    theta (`_contract`).  The lattice reads the corner data as shifted
+    slices, and scattered queries gather only their own cells' corners.
     """
 
     def __init__(self, spec: ScenarioSpec, values: np.ndarray, residual: float = 0.0,
@@ -646,22 +636,26 @@ class SolutionField:
 
     @_once
     def lattice(self) -> RefinedLattice:
-        """u on the refined lattice that every level-set routine reads,
-        evaluated once per field: every solve cell at its fixed local
-        offsets, nodes and centres in one contraction."""
-        nt, ns, nrt, nrs = self.n_theta, self.n_s, REFINE * self.n_theta, REFINE * self.n_s
-        C, at, mid = self._hermite(), np.arange(REFINE) / REFINE, (np.arange(REFINE) + 0.5) / REFINE
-        offsets = [(a, b) for a in at for b in at] + [(a, b) for a in mid for b in mid]
-        w = _cell_samples(C, *_power_rows(np.transpose(offsets), 0)[:, :, 0])
-        w = w.reshape(2, REFINE, REFINE, nt, ns).transpose(0, 3, 1, 4, 2)
-        nodes = np.empty((nrt + 1, nrs + 1))
-        nodes[:-1, :-1] = w[0].reshape(nrt, nrs)
-        # the s = 1 rim from the last cell of each column; ones are the power row of offset 1
-        rows = _power_rows(at, 0)[:, 0]
-        nodes[:-1, -1] = _cell_samples(C[:, -1], rows, np.ones_like(rows)).T.ravel()
+        """u on the refined lattice that every level-set routine reads, once per
+        field: at fixed offsets the basis weights are fixed, so each sample is a
+        weighted sum of shifted slices of the corner data, along s, then theta."""
+        nrt, nrs = REFINE * self.n_theta, REFINE * self.n_s
+        U, T = self._corner_data()
+        # node rows of the theta data (f0, f1 - f0, m0, m1); rows i and i + 1 of T are m0 and m1
+        rows = (U[:, :-1], U[:, 1:] - U[:, :-1], T)
+        along_s = [(X[0, :, :-1], X[0, :, 1:] - X[0, :, :-1], X[1, :, :-1], X[1, :, 1:]) for X in rows]
+        nodes, centres = np.empty((nrt + 1, nrs + 1)), np.empty((nrt, nrs))
+        at, mid = np.arange(REFINE) / REFINE, (np.arange(REFINE) + 0.5) / REFINE
+        for out, offsets in ((nodes, at), (centres, mid)):
+            for n, eta in enumerate(offsets):
+                # at eta = 0 only f0 is weighted: the node columns, so solve nodes keep their values
+                f, df, t = ((X[0] for X in rows) if eta == 0 else
+                            (_contract(_basis(eta, 0)[0], d) for d in along_s))
+                for m, xi in enumerate(offsets):
+                    out[m:nrt:REFINE, n::REFINE] = _contract(_basis(xi, 0)[0], (f, df, t[:-1], t[1:]))
         nodes[-1] = nodes[0]
         theta, s = np.arange(nrt + 1) * (TWO_PI / nrt), np.arange(nrs + 1) / nrs
-        return RefinedLattice(*_frozen(theta, s, nodes, w[1].reshape(nrt, nrs)))
+        return RefinedLattice(*_frozen(theta, s, nodes, centres))
 
     @_once
     def interp_error_estimate(self) -> float:
@@ -691,7 +685,9 @@ class SolutionField:
         return _frozen(coef, M @ coef)
 
     @_once
-    def _hermite(self):
+    def _corner_data(self):
+        """N[a, b, i, j] = d^a/dxi^a d^b/deta^b of u at node (i, j) in cell units, with
+        row n_theta repeating row 0 so that the corners of every cell are slices."""
         u = self.values
         ut, us = self._node_derivatives()
         if self.domain.is_disk:
@@ -701,25 +697,23 @@ class SolutionField:
             us[:, 0] = self._disk_centre()[1]
             ut[:, 0] = 0.0
         uts = _axis_derivative_periodic(us, self.dtheta)
-        nt, ns = self.n_theta, self.n_s
-        # N[i, j, a, b]: d^a/dxi^a d^b/deta^b of u at node (i, j), in cell units
-        N = np.stack([u, self.ds * us, self.dtheta * ut, (self.dtheta * self.ds) * uts], axis=-1)
-        N = N.reshape(nt, ns + 1, 2, 2)
-        # F[i, j, 2a + p, 2b + q] is N[a, b] at the corner (i + p, j + q) of cell (i, j)
-        r = np.arange(4)
-        F = N[(np.arange(nt)[:, None, None, None] + r[:, None] % 2) % nt,
-              np.arange(ns)[:, None, None] + r % 2, r[:, None] // 2, r // 2]
-        return _frozen(_HERMITE_A @ F @ _HERMITE_A.T)[0]
+        N = np.stack([u, self.ds * us, self.dtheta * ut, (self.dtheta * self.ds) * uts])
+        N = N.reshape(2, 2, self.n_theta, self.n_s + 1)
+        return _frozen(np.concatenate([N, N[:, :, :1]], axis=2))[0]
 
     def evaluate_ref(self, theta, s, derivatives: bool = False):
         """Interpolated u at reference points; with `derivatives`, a dict of
         u and its reference derivatives ut, us, utt, uts and uss."""
         i, j, xi, eta = cell_index(theta, s, self.n_theta, self.n_s)
         order = 2 if derivatives else 0
-        kernels = _kernels(_power_rows(xi, order)[..., :, None, :], _power_rows(eta, order)[..., None, :, :])
-        # w[a, b] = d^a/dxi^a d^b/deta^b of the cell polynomial at each point, the same
-        # einsum over 16 products as `_cell_samples`: a lattice sample is its point's value
-        w = np.einsum("...k,...abk->ab...", self._hermite()[i, j].reshape(*np.shape(i), 16), kernels)
+        # c[a, b, p, q] = N[a, b, i + p, j + q]: the corner data of each point's cell
+        c = self._corner_data()[:, :, np.add.outer((0, 1), i)[:, None], np.add.outer((0, 1), j)[None, :]]
+        # the data and sums of `lattice`, along s, then along theta
+        ws, wt = np.moveaxis(_basis(eta, order), -1, 0), np.moveaxis(_basis(xi, order), -1, 0)
+        h = [_contract(ws, [d[..., None] for d in (X[0, 0], X[0, 1] - X[0, 0], X[1, 0], X[1, 1])])
+             for X in (c[0, :, 0], c[0, :, 1] - c[0, :, 0], c[1, :, 0], c[1, :, 1])]
+        # w[a, b] = d^a/dxi^a d^b/deta^b of the cell polynomial at each point
+        w = np.moveaxis(_contract(wt[..., None], [x[..., None, :] for x in h]), (-2, -1), (0, 1))
         if not derivatives:
             return w[0, 0]
         dt, ds = self.dtheta, self.ds

@@ -16,14 +16,13 @@ from levelset_lab.critical import (
     cluster_critical_sets,
     find_critical_points,
     find_critical_points_report,
-    find_critical_zero_points,
     multiplicity,
     resolve_tolerances,
     separating_network_through,
     winding_multiplicity,
 )
 from levelset_lab.domain import ToleranceSet
-from levelset_lab.errors import BandTooWideError, LevelSetLabError, OutsideDomainError
+from levelset_lab.errors import BandTooWideError, LevelSetLabError, NotAnAnnulusError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI, winding_number
 from levelset_lab.solver import ResolvedTolerances, SolutionField, solve_scenario
 from levelset_lab.verify import FINE_FACTOR, run_scenario
@@ -53,7 +52,7 @@ def test_z2m_four_critical_zero_points():
         assert math.hypot(p.x - best[0], p.y - best[1]) <= 1e-3
         assert p.multiplicity == 1
         assert p.is_zero
-    zeros = find_critical_zero_points(fld)
+    zeros = [p for p in find_critical_points(fld) if p.is_zero]
     assert sum(p.multiplicity for p in zeros) == 4
 
 
@@ -281,8 +280,9 @@ def test_cluster_connected_zero_network():
 
 def test_cluster_two_disjoint_loops():
     """Synthetic sampled field: two localized saddle patterns with disjoint
-    zero loops in a positive background give q = 2."""
-    spec = make_scenario("6", None, "0", None, grid=(128, 64), name="synthetic",
+    zero loops in a positive background give q = 2 (on an annulus, since a
+    disk is refused)."""
+    spec = make_scenario("6", "1", "0", "0", grid=(128, 64), name="synthetic",
                          tolerances=ToleranceSet(value_zero_tol=0.05))
     cx = 3.0
 
@@ -313,11 +313,24 @@ def test_no_separating_network_on_a_disk_or_without_clusters():
     disk = SolutionField.from_function(make_scenario("2", None, "0", None, name="disk"),
                                        lambda x, y: (x - 0.5) ** 2 - (y - 0.3) ** 2)
     (p,) = find_critical_points(disk)
-    labels, holding = cluster_critical_sets(disk, [p], p.value)
-    assert holding and not separating_network_through(disk, labels, holding)
+    with pytest.raises(NotAnAnnulusError):
+        cluster_critical_sets(disk, [p], p.value)
+    labels = np.ones(disk.lattice().centres.shape, dtype=np.int32)
+    assert not separating_network_through(disk, labels, {1})
     fld = solved_field("z2_minus_zm2", 128, 64)
     labels, holding = cluster_critical_sets(fld, find_critical_points(fld), 0.0)
     assert holding and not separating_network_through(fld, labels, set())
+
+
+@pytest.mark.parametrize("name", ["disk_z2", "disk_z3"])
+def test_cluster_refuses_a_disk(name):
+    """Clustering a built-in disk at its own critical value is refused by
+    name; the band guard, which raised BandTooWideError there, is not
+    reached."""
+    fld = solved_field(name, 128, 64)
+    pts = find_critical_points(fld)
+    with pytest.raises(NotAnAnnulusError, match="not on a disk"):
+        cluster_critical_sets(fld, pts, pts[0].value)
 
 
 def test_detector_is_deterministic():

@@ -958,14 +958,14 @@ def test_derived_quantities_cached_and_read_only():
     assert fld.median_cell_diag() is fld.median_cell_diag()
     assert fld.interp_error_estimate() is fld.interp_error_estimate()
     assert fld.node_gradients() is fld.node_gradients()
-    assert fld._hermite() is fld._hermite()
+    assert fld._corner_data() is fld._corner_data()
     assert fld._node_derivatives() is fld._node_derivatives()
     lat = fld.lattice()
     assert lat is fld.lattice()
     nrt, nrs = REFINE * fld.n_theta, REFINE * fld.n_s
     assert lat.nodes.shape == (nrt + 1, nrs + 1) and lat.centres.shape == (nrt, nrs)
     for arr in (*fld.node_positions(), fld.cell_diagonals(), lat.nodes, lat.centres,
-                *fld.node_gradients(), fld._hermite(), *fld._node_derivatives()):
+                *fld.node_gradients(), fld._corner_data(), *fld._node_derivatives()):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -986,7 +986,7 @@ def test_one_derivative_pass_per_field(monkeypatch):
         monkeypatch.setattr(solver_mod, name, counted(name))
     fld = solve_scenario(builtin_spec("disk_z2").with_grid(64, 32))
     calls.clear()
-    fld._hermite()
+    fld._corner_data()
     fld.node_gradients()
     nodal = [(name, fld.values.shape) for name in ("_axis_derivative_periodic", "_axis_derivative_bounded")]
     # the third call is the mixed derivative u_ts, from the projected u_s
@@ -1023,18 +1023,20 @@ def test_lattice_matches_pointwise_evaluation():
 def reference_evaluate_ref(fld, theta, s):
     """The per-point evaluator that `SolutionField.evaluate_ref` replaced:
     four hand-built power stacks and six separate einsum contractions over
-    the field's cell coefficients.  Returns u and its five reference
-    derivatives."""
-    C = fld._hermite()
+    the reference cell coefficients, here in long double (`reference_hermite`)
+    so that the reference's own round-off stays far below the bounds it is
+    held to.  Returns u and its five reference derivatives."""
+    C = reference_hermite(fld, np.longdouble)
     i, j, xi, eta = np.atleast_1d(*solver_mod.cell_index(theta, s, fld.n_theta, fld.n_s))
     cells = C[i, j]  # (K, 4, 4)
+    xi, eta = xi.astype(np.longdouble), eta.astype(np.longdouble)
     X0 = np.stack([np.ones_like(xi), xi, xi ** 2, xi ** 3], axis=-1)
     E0 = np.stack([np.ones_like(eta), eta, eta ** 2, eta ** 3], axis=-1)
     X1 = np.stack([np.zeros_like(xi), np.ones_like(xi), 2.0 * xi, 3.0 * xi ** 2], axis=-1)
     X2 = np.stack([np.zeros_like(xi), np.zeros_like(xi), 2.0 * np.ones_like(xi), 6.0 * xi], axis=-1)
     E1 = np.stack([np.zeros_like(eta), np.ones_like(eta), 2.0 * eta, 3.0 * eta ** 2], axis=-1)
     E2 = np.stack([np.zeros_like(eta), np.zeros_like(eta), 2.0 * np.ones_like(eta), 6.0 * eta], axis=-1)
-    return {
+    d = {
         "u": np.einsum("ka,kab,kb->k", X0, cells, E0),
         "ut": np.einsum("ka,kab,kb->k", X1, cells, E0) / fld.dtheta,
         "us": np.einsum("ka,kab,kb->k", X0, cells, E1) / fld.ds,
@@ -1042,6 +1044,7 @@ def reference_evaluate_ref(fld, theta, s):
         "uts": np.einsum("ka,kab,kb->k", X1, cells, E1) / (fld.dtheta * fld.ds),
         "uss": np.einsum("ka,kab,kb->k", X0, cells, E2) / fld.ds ** 2,
     }
+    return {key: v.astype(float) for key, v in d.items()}
 
 
 @pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])
@@ -1065,10 +1068,20 @@ def test_evaluate_ref_matches_reference(name):
         assert np.ndim(one[key]) == 0 and abs(one[key] - want[key][3]) <= bound, key
 
 
-def reference_hermite(fld):
-    """The cell coefficients C = A F A^T as `SolutionField._hermite` built
-    them before the single gather: F stacked corner by corner and block by
-    block from the (projected) nodal values and derivatives."""
+# Hermite-to-monomial matrix of the data (f0, f1, m0, m1) of a unit interval
+HERMITE_A = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [-3.0, 3.0, -2.0, -1.0],
+    [2.0, -2.0, 1.0, 1.0],
+])
+
+
+def reference_hermite(fld, dtype=float):
+    """The Hermite cell coefficients C = A F A^T of every cell, with F
+    stacked corner by corner and block by block from the (projected) nodal
+    values and derivatives: the interpolant that the basis-weight
+    contractions of `SolutionField` must reproduce, in `dtype`."""
     u = fld.values
     ut, us = fld._node_derivatives()
     if fld.domain.is_disk:
@@ -1081,7 +1094,7 @@ def reference_hermite(fld):
         ut[:, 0] = 0.0
     uts = solver_mod._axis_derivative_periodic(us, fld.dtheta)
     nt, ns = fld.n_theta, fld.n_s
-    F = np.empty((nt, ns, 4, 4))
+    F = np.empty((nt, ns, 4, 4), dtype=dtype)
     ip1 = np.r_[1:nt, 0]
 
     def corner(arr, scale):
@@ -1095,7 +1108,8 @@ def reference_hermite(fld):
     F[:, :, 0:2, 2:4] = corner(us, fld.ds)
     F[:, :, 2:4, 0:2] = corner(ut, fld.dtheta)
     F[:, :, 2:4, 2:4] = corner(uts, fld.dtheta * fld.ds)
-    return solver_mod._HERMITE_A @ F @ solver_mod._HERMITE_A.T
+    A = HERMITE_A.astype(dtype)
+    return A @ F @ A.T
 
 
 def reference_cell_samples(C, rows_theta, rows_s):
@@ -1110,13 +1124,13 @@ def reference_lattice(fld):
     from levelset_lab.solver import REFINE
     C = reference_hermite(fld)
     nrt, nrs = REFINE * fld.n_theta, REFINE * fld.n_s
-    rows = solver_mod._power_rows(np.arange(REFINE + 1) / REFINE, 0)[:, 0]
+    rows = np.vander(np.arange(REFINE + 1) / REFINE, 4, increasing=True)
     at_nodes = reference_cell_samples(C, rows[:-1], rows)
     nodes = np.empty((nrt + 1, nrs + 1))
     nodes[:-1, :-1] = at_nodes[..., :-1].transpose(0, 2, 1, 3).reshape(nrt, nrs)
     nodes[:-1, -1] = at_nodes[:, -1, :, -1].ravel()
     nodes[-1] = nodes[0]
-    rows = solver_mod._power_rows((np.arange(REFINE) + 0.5) / REFINE, 0)[:, 0]
+    rows = np.vander((np.arange(REFINE) + 0.5) / REFINE, 4, increasing=True)
     centres = reference_cell_samples(C, rows, rows).transpose(0, 2, 1, 3).reshape(nrt, nrs)
     return nodes, centres
 
@@ -1124,12 +1138,11 @@ def reference_lattice(fld):
 @pytest.mark.parametrize("configured", [False, True])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_hermite_kernel_matches_reference(name, configured):
-    """The gathered cell coefficients equal the corner-stacked ones bit for
-    bit; the lattice nodes and centres from the one contraction agree with
-    the matmul references within round-off, off a power of two and at the
-    configured grid, disks included."""
+    """The lattice nodes and centres from the basis-weight contractions
+    agree with the matmul references over the cell coefficients within
+    round-off, off a power of two and at the configured grid, disks
+    included."""
     fld = solved_field(name, *(builtin_spec(name).grid if configured else (48, 24)))
-    assert np.array_equal(fld._hermite(), reference_hermite(fld))
     bound = 1e-13 * fld.u_range()
     lat, (nodes, centres) = fld.lattice(), reference_lattice(fld)
     assert np.max(np.abs(lat.nodes - nodes)) <= bound
@@ -1147,3 +1160,28 @@ def test_lattice_matches_evaluate_ref_off_power_of_two(name):
     assert np.max(np.abs(lat.nodes - fld.evaluate_ref(T, S))) <= bound
     T, S = np.meshgrid(0.5 * (lat.theta[1:] + lat.theta[:-1]), 0.5 * (lat.s[1:] + lat.s[:-1]), indexing="ij")
     assert np.max(np.abs(lat.centres - fld.evaluate_ref(T, S))) <= bound
+
+
+@pytest.mark.parametrize("name", ["counterexample1", "disk_z3"])
+def test_no_whole_field_blocks(name):
+    """After detection and the lattice on a 256x128 field, no cached array
+    holds a 16-entry block per cell; the lattice nodes on solve nodes are
+    the solved values bit for bit, and scattered values still agree with
+    the reference evaluator.  (Derivatives are held to the same bound at
+    48x24 in `test_evaluate_ref_matches_reference`; at 256x128 the
+    double-precision floor of u_ss alone, about |u_s| eps / ds, is of the
+    bound's size.)"""
+    from levelset_lab.critical import find_critical_points
+    fld = solved_field(name, 256, 128)
+    find_critical_points(fld)
+    lat = fld.lattice()
+    cached = [a for v in fld.__dict__.values()
+              for a in (v if isinstance(v, tuple) else vars(v).values() if hasattr(v, "__dataclass_fields__") else (v,))
+              if isinstance(a, np.ndarray)]
+    assert any(a is fld._corner_data() for a in cached) and any(a is lat.centres for a in cached)
+    assert all(a.size < fld.n_theta * fld.n_s * 16 for a in cached)
+    assert np.array_equal(lat.nodes[:-1:solver_mod.REFINE, ::solver_mod.REFINE], fld.values)
+    rng = np.random.default_rng(36)
+    theta, s = rng.uniform(0.0, TWO_PI, 400), rng.uniform(0.0, 1.0, 400)
+    want = reference_evaluate_ref(fld, theta, s)["u"]
+    assert np.max(np.abs(fld.evaluate_ref(theta, s) - want)) <= 1e-13 * fld.u_range()
