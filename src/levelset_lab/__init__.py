@@ -23,7 +23,7 @@ from .domain import (
     scenario_from_dict,
     validate_scenario,
 )
-from .expressions import evaluate_expr, parse_expression
+from .expressions import parse_expression
 from .geometry import BoundaryCurve, DomainSpec
 from .render import render_svg
 from .solver import (

@@ -19,18 +19,23 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import ExpressionError, ValidationFailure
-from .geometry import TWO_PI, BoundaryCurve, DomainSpec
+from .geometry import DISK_S_FLOOR, TWO_PI, BoundaryCurve, DomainSpec
 
 # Conservative relative separation margin between the two boundary curves;
 # a channel thinner than this fraction of the outer radius cannot be
 # resolved by the admissible grids.
 REL_GAP_MIN = 0.02
-# validate_scenario samples each boundary curve at this many angles, and
-# the operator on a square (theta, s) patch with this many points a side.
+# validate_scenario samples each boundary curve at this many angles.
 _CURVE_SAMPLES = 4096
-_INTERIOR_SAMPLES = 256
-# Relative size below which b and c count as absent in lower_order_terms.
+# run_scenario solves on the configured grid and on this refinement of it,
+# and validate_scenario samples the operator at the refinement's nodes.
+FINE_FACTOR = 2
+# Relative size below which b and c count as absent (OperatorSample.lower_order).
 _LOWER_ORDER_TOL = 1e-13
+_COEFFICIENTS = ("a11", "a12", "a22", "b1", "b2", "c")
+# The coefficients of the operator in reference coordinates,
+# a_tt u_tt + 2 a_ts u_ts + a_ss u_ss + b_t u_t + b_s u_s + c u.
+TERMS = ("a_tt", "a_ts", "a_ss", "b_t", "b_s", "c")
 
 
 @dataclass(frozen=True)
@@ -45,28 +50,88 @@ class EllipticOperator:
     c: tuple
     lambda_floor: float = 1e-10
 
-    @staticmethod
-    def laplace() -> "EllipticOperator":
-        one = ex.parse_expression("1")
-        zero = ex.parse_expression("0")
-        return EllipticOperator(one, zero, one, zero, zero, zero)
-
     def coefficients_at(self, x, y) -> dict:
         env = ex.env_from_xy(x, y)
         shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
         out = {}
-        for name in ("a11", "a12", "a22", "b1", "b2", "c"):
+        for name in _COEFFICIENTS:
             val = ex.evaluate_env(getattr(self, name), env)
             out[name] = np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
         return out
 
-    def lower_order_terms(self, x, y) -> tuple:
-        """(first-order term present, zeroth-order term present) on the
-        sample (x, y): b or c is present where it exceeds _LOWER_ORDER_TOL
-        times the largest of |a11|, |a22| and 1 on the sample."""
-        size = {k: float(np.max(np.abs(v))) for k, v in self.coefficients_at(x, y).items()}
+
+def _scale(a11, a22) -> float:
+    """The power of two at or below the largest |a11|, |a22|: dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(float(max(np.max(np.abs(a11)), np.max(np.abs(a22)))))[1] - 1)
+
+
+def grid_nodes(n_theta: int, n_s: int):
+    """(theta, s) at the nodes of an n_theta x n_s grid, each (n_theta, n_s + 1)."""
+    theta = np.arange(n_theta) * (TWO_PI / n_theta)
+    s = np.arange(n_s + 1) / n_s
+    return np.meshgrid(theta, s, indexing="ij")
+
+
+def _node_values(spec: "ScenarioSpec", grid):
+    """The one evaluation of the map and the operator: (metric, coefficients,
+    x, y), the metric at every node of `grid`, each (n_theta, n_s + 1), on a
+    disk with s = 0 taken at DISK_S_FLOOR, where it is finite; the
+    coefficients at the points x, y, which are the nodes, flattened, and
+    then a disk's centre."""
+    T, S = grid_nodes(*grid)
+    # theta a column and s a row, which the metric broadcasts: each radius is evaluated once per angle
+    metric = spec.domain.metric(T[:, :1], np.maximum(S[:1], DISK_S_FLOOR) if spec.domain.is_disk else S[:1])
+    x, y = metric["x"].ravel(), metric["y"].ravel()
+    if spec.domain.is_disk:
+        x, y = np.append(x, 0.0), np.append(y, 0.0)
+    return metric, spec.operator.coefficients_at(x, y), x, y
+
+
+@dataclass(frozen=True)
+class OperatorSample:
+    """The operator at every node of one grid, as assembly reads it.
+
+    `source` is the (domain, operator) sampled.  `nodes` holds the node
+    positions x and y and the TERMS, the operator's coefficients in
+    reference coordinates, each (n_theta, n_s + 1), and `centre` a disk
+    centre's a11 ... c.  Both are divided by the power of two at or below
+    the largest |a11|, |a22| of the sample, which leaves the discrete
+    problem the same to the last bit and keeps every stencil weight formed
+    from them finite.  `lower_order` is (first-order term present,
+    zeroth-order term present), read from the unscaled coefficients: b or c
+    is present where it exceeds _LOWER_ORDER_TOL times the largest of
+    |a11|, |a22| and 1 on the sample."""
+
+    source: tuple
+    grid: tuple
+    nodes: dict
+    centre: dict | None
+    lower_order: tuple
+
+    @classmethod
+    def build(cls, spec: "ScenarioSpec", met, co) -> "OperatorSample":
+        """The sample of the metric and coefficients that `_node_values`
+        gives, whose coefficient arrays it divides in place; a value that is
+        not finite stays so, without a warning, for assembly to name."""
+        size = {k: float(np.max(np.abs(v))) for k, v in co.items()}
         floor = _LOWER_ORDER_TOL * max(size["a11"], size["a22"], 1.0)
-        return max(size["b1"], size["b2"]) > floor, size["c"] > floor
+        scale = _scale(co["a11"], co["a22"])
+        shape, n = met["x"].shape, met["x"].size
+        centre = {k: float(v[n]) / scale for k, v in co.items()} if co["a11"].size > n else None
+        a11, a12, a22, b1, b2, c = (np.divide(co[k][:n], scale, out=co[k][:n]).reshape(shape) for k in _COEFFICIENTS)
+        t_x, t_y, s_x, s_y = met["t_x"], met["t_y"], met["s_x"], met["s_y"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (
+                a11 * t_x ** 2 + 2.0 * a12 * t_x * t_y + a22 * t_y ** 2,
+                a11 * t_x * s_x + a12 * (t_x * s_y + t_y * s_x) + a22 * t_y * s_y,
+                a11 * s_x ** 2 + 2.0 * a12 * s_x * s_y + a22 * s_y ** 2,
+                a11 * met["t_xx"] + 2.0 * a12 * met["t_xy"] + a22 * met["t_yy"] + b1 * t_x + b2 * t_y,
+                a11 * met["s_xx"] + 2.0 * a12 * met["s_xy"] + a22 * met["s_yy"] + b1 * s_x + b2 * s_y,
+                c,
+            )
+        nodes = {"x": met["x"], "y": met["y"], **dict(zip(TERMS, terms))}
+        return cls((spec.domain, spec.operator), (shape[0], shape[1] - 1), nodes, centre,
+                   (max(size["b1"], size["b2"]) > floor, size["c"] > floor))
 
 
 @dataclass(frozen=True)
@@ -92,6 +157,8 @@ class ScenarioSpec:
     name: str = "scenario"
     reference: tuple | None = None
     notes: tuple = ()
+    # the operator sample of validate_scenario, at the nodes of FINE_FACTOR times the validated grid
+    sample: OperatorSample | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_theta(self) -> int:
@@ -112,6 +179,20 @@ class ScenarioSpec:
             rims.append(("interior", self.domain.interior, self.psi_interior))
         return rims
 
+    def operator_sample(self) -> OperatorSample:
+        """The operator at the nodes of this grid: every k-th node of the
+        validated sample, copied, when it was taken of this domain and
+        operator on a grid k times this one, k a power of two, so that the
+        nodes are the same to the last bit; otherwise (a spec that was not
+        validated, another grid, or another operator or domain put in with
+        `replace`) sampled here."""
+        sample, (nt, ns) = self.sample, self.grid
+        k = sample.grid[0] // nt if sample is not None and sample.source == (self.domain, self.operator) else 0
+        if k < 1 or k & (k - 1) or sample.grid != (k * nt, k * ns):
+            return OperatorSample.build(self, *_node_values(self, self.grid)[:2])
+        return sample if k == 1 else replace(sample, grid=self.grid,
+                                             nodes={n: v[::k, ::k].copy() for n, v in sample.nodes.items()})
+
 
 # --------------------------------------------------------------------------
 # validation
@@ -124,11 +205,13 @@ def _violation(check: str, message: str, witness=None) -> dict:
 
 
 def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
-    """Check every scenario invariant on dense samples.
+    """Check every scenario invariant: the curves on dense samples, the
+    operator at the nodes of the grid that `run_scenario` refines to.
 
-    Returns the spec unchanged when everything holds, otherwise raises
-    ValidationFailure carrying the complete list of violations (with witness
-    points).  Never aborts on the first failure.
+    Returns the spec with that OperatorSample when everything holds, for
+    every assembly to read, otherwise raises ValidationFailure carrying the
+    complete list of violations (with witness points).  Never aborts on the
+    first failure.
     """
     bad: list[dict] = []
     theta = np.linspace(0.0, TWO_PI, _CURVE_SAMPLES, endpoint=False)
@@ -190,37 +273,41 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     if math.isfinite(tol.interior_margin) and not (0.0 < tol.interior_margin <= 0.25):
         bad.append(_violation("tolerances", f"interior_margin {tol.interior_margin} outside (0, 0.25]"))
 
-    # interior sample for operator checks (skip if curves already broken)
-    if not any(v["check"].startswith("curve") or v["check"] == "curves_separated" for v in bad):
-        ts = np.linspace(0.0, TWO_PI, _INTERIOR_SAMPLES, endpoint=False)
-        ss = np.linspace(0.0, 1.0, _INTERIOR_SAMPLES)
-        T, S = np.meshgrid(ts, ss, indexing="ij")
-        X, Y = spec.domain.map_point(T, S)
+    # the operator at the nodes that are assembled, which a broken curve or an empty grid does not have
+    curves_ok = not any(v["check"].startswith("curve") or v["check"] == "curves_separated" for v in bad)
+    if curves_ok and min(nt, ns) > 0:
         try:
-            co = spec.operator.coefficients_at(X, Y)
+            metric, co, X, Y = _node_values(spec, (FINE_FACTOR * nt, FINE_FACTOR * ns))
         except ExpressionError as err:
             co = {}
             bad.append(_violation("operator_evaluation", f"operator coefficients failed to evaluate: {err}"))
         # each check reads only coefficients finite on the sample, so one bad coefficient hides no other violation
         ok = {k: v for k, v in co.items() if np.all(np.isfinite(v))}
         if len(ok) < len(co):
-            bad.append(_violation("operator_finite", f"operator coefficient(s) {', '.join(k for k in co if k not in ok)} non-finite"))
+            k = int(np.argmin(np.all([np.isfinite(v) for v in co.values()], axis=0)))
+            bad.append(_violation("operator_finite", f"operator coefficient(s) {', '.join(k for k in co if k not in ok)} non-finite",
+                                  {"x": float(X[k]), "y": float(Y[k])}))
         if "a11" in ok and np.min(ok["a11"]) <= 0.0:
             k = int(np.argmin(ok["a11"]))
             bad.append(_violation("ellipticity", "a11 not strictly positive",
-                                  {"x": float(X.flat[k]), "y": float(Y.flat[k]), "a11": float(ok["a11"].flat[k])}))
+                                  {"x": float(X[k]), "y": float(Y[k]), "a11": float(ok["a11"][k])}))
         if not math.isfinite(spec.operator.lambda_floor):
             bad.append(_violation("ellipticity", "lambda_floor must be finite"))
         elif {"a11", "a12", "a22"} <= ok.keys():
-            det = ok["a11"] * ok["a22"] - ok["a12"] * ok["a12"]
-            if np.min(det) < spec.operator.lambda_floor:
+            # the determinant over scale^2, which does not overflow where a11, a22 are large
+            scale = _scale(ok["a11"], ok["a22"])
+            a11, a12, a22 = (ok[k] / scale for k in ("a11", "a12", "a22"))
+            det = a11 * a22 - a12 * a12
+            if np.min(det) < spec.operator.lambda_floor / scale / scale:
                 k = int(np.argmin(det))
-                bad.append(_violation("ellipticity", f"a11*a22 - a12^2 = {float(det.flat[k]):.6g} below floor {spec.operator.lambda_floor:.3g}",
-                                      {"x": float(X.flat[k]), "y": float(Y.flat[k]), "det": float(det.flat[k])}))
+                d = float(det[k]) * scale * scale
+                bad.append(_violation("ellipticity", f"a11*a22 - a12^2 = {d:.6g} below floor {spec.operator.lambda_floor:.3g}",
+                                      {"x": float(X[k]), "y": float(Y[k]), "det": d}))
         if "c" in ok and np.max(ok["c"]) > 0.0:
             k = int(np.argmax(ok["c"]))
             bad.append(_violation("zeroth_order_sign", "c(x) must be <= 0",
-                                  {"x": float(X.flat[k]), "y": float(Y.flat[k]), "c": float(ok["c"].flat[k])}))
+                                  {"x": float(X[k]), "y": float(Y[k]), "c": float(ok["c"][k])}))
+    if curves_ok:
         # interior datum first; no curve check failed, so radii holds every rim
         for which, _, datum in reversed(spec.rims()):
             if datum is None:
@@ -233,7 +320,7 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
 
     if bad:
         raise ValidationFailure(bad)
-    return spec
+    return replace(spec, sample=OperatorSample.build(spec, metric, co))
 
 
 # --------------------------------------------------------------------------
@@ -370,6 +457,4 @@ def load_scenario(path, validate: bool = True) -> ScenarioSpec:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValidationFailure([_violation("file", f"cannot read scenario {path}: {err}")])
     spec = scenario_from_dict(data, name=path.stem)
-    if validate:
-        validate_scenario(spec)
-    return spec
+    return validate_scenario(spec) if validate else spec

@@ -263,13 +263,6 @@ def env_from_xy(x, y) -> dict:
     return {"x": x, "y": y, "r": np.hypot(x, y), "theta": np.arctan2(y, x)}
 
 
-def evaluate_expr(expr, point) -> float:
-    """Evaluate at a physical point ``(x, y)``; returns an IEEE double."""
-    x, y = point
-    out = evaluate_env(expr, env_from_xy(x, y))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def evaluate_xy(expr, x, y):
     """Vectorized evaluation at physical coordinates."""
     out = evaluate_env(expr, env_from_xy(x, y))
@@ -372,35 +365,3 @@ def differentiate(expr, var: str = "theta"):
     inner = _add(_mul(db, ("call", "log", a)), _div(_mul(b, da), a))
     return _mul(expr, inner)
 
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_string(expr) -> str:
-    """Render a tree back to parseable text (round-trips through the parser)."""
-
-    def render(node, parent_prec: int, rightmost: bool) -> str:
-        kind = node[0]
-        if kind == "num":
-            v = node[1]
-            text = repr(float(v))
-            if v < 0:
-                text = f"({text})"
-            return text
-        if kind == "var":
-            return node[1]
-        if kind == "call":
-            return f"{node[1]}({render(node[2], 0, True)})"
-        if kind == "neg":
-            inner = render(node[1], _PRECEDENCE["neg"], True)
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
-        op = node[1]
-        prec = _PRECEDENCE[op]
-        left = render(node[2], prec if op != "^" else prec + 1, False)
-        # -/ / are left-associative: parenthesize equal-precedence right children
-        right = render(node[3], prec + (1 if op in "-/" else 0) if op != "^" else prec, True)
-        text = f"{left} {op} {right}"
-        return f"({text})" if prec < parent_prec or (prec == parent_prec and not rightmost) else text
-
-    return render(expr, 0, True)

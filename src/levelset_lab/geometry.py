@@ -21,6 +21,8 @@ from . import expressions as ex
 TWO_PI = 2.0 * np.pi
 # DomainSpec.reference counts points up to this far outside s in [0, 1] as inside.
 _S_TOL = 1e-9
+# On a disk, the map's derivatives are read at s >= DISK_S_FLOOR, off the singular centre.
+DISK_S_FLOOR = 1e-9
 
 
 def winding_number(angles) -> int:
@@ -55,10 +57,6 @@ class BoundaryCurve:
     @property
     def _d2(self):
         return ex.differentiate(self._d1, "theta")
-
-    @staticmethod
-    def from_source(src: str) -> "BoundaryCurve":
-        return BoundaryCurve(ex.parse_expression(src), src)
 
 
 _ZERO_CURVE = BoundaryCurve(("num", 0.0), "0")

@@ -23,14 +23,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import expressions as ex
-from .domain import ScenarioSpec
+from .domain import TERMS, ScenarioSpec, grid_nodes
 from .errors import AssemblyError, NoConvergenceError, OutsideDomainError
-from .geometry import TWO_PI
-
-_DISK_S_FLOOR = 1e-9
-# Off-diagonal entries of -A up to this fraction of its largest entry count
-# as non-positive in is_m_matrix.
-_M_MATRIX_TOL = 1e-12
+from .geometry import DISK_S_FLOOR, TWO_PI
 
 # Level-set routines read u on the solve grid refined this many times in
 # each direction.
@@ -109,23 +104,6 @@ class DiscreteSystem:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def is_m_matrix(self) -> bool:
-        """True when every row of -A has a positive diagonal and non-positive
-        off-diagonal entries, Dirichlet couplings included (discrete maximum
-        principle)."""
-        A, coupled = self.matrix.tocoo(), self.couplings.data
-        off = np.concatenate((A.data[A.row != A.col], coupled))
-        scale = float(np.max(np.abs(np.concatenate((A.data, coupled))))) or 1.0
-        return bool(np.all(A.diagonal() < 0) and not np.any(-off > _M_MATRIX_TOL * scale))
-
-
-def _grid_nodes(spec: ScenarioSpec):
-    nt, ns = spec.grid
-    theta = np.arange(nt) * (TWO_PI / nt)
-    s = np.arange(ns + 1) / ns
-    T, S = np.meshgrid(theta, s, indexing="ij")
-    return T, S
-
 
 # Stencil offsets (di, dj), in the order a node's weights are summed.
 _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1), (0, 0))
@@ -134,29 +112,18 @@ _STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)
 def _stencil(spec: ScenarioSpec):
     """The weights of the interior rows, one (n_theta, n_s - 1) array per
     _STENCIL offset, then on a disk the centre row over [centre, first
-    ring]; and the Dirichlet data, ring by ring."""
+    ring]; and the Dirichlet data, ring by ring.  They are formed from the
+    operator sample of the grid (`ScenarioSpec.operator_sample`), whose
+    terms are checked, each once, before any weight is."""
     nt, ns = spec.grid
     dtheta, ds = TWO_PI / nt, 1.0 / ns
     is_disk = spec.domain.is_disk
-
-    T, S = _grid_nodes(spec)
-    full = spec.domain.metric(T, np.maximum(S, _DISK_S_FLOOR) if is_disk else S)
-    X, Y = full["x"], full["y"]
-    # coefficients and metric at the interior nodes, each checked before any product of them
-    met = {k: v[:, 1:ns] for k, v in full.items()}
-    co = spec.operator.coefficients_at(met["x"], met["y"])
-    for kind, values in (("coefficient", co), ("metric term", met)):
-        for label, arr in values.items():
-            if not np.all(np.isfinite(arr)):
-                raise AssemblyError(f"non-finite {kind} {label} at a grid node")
-
-    a11, a12, a22 = co["a11"], co["a12"], co["a22"]
-    t_x, t_y, s_x, s_y = met["t_x"], met["t_y"], met["s_x"], met["s_y"]
-    att = a11 * t_x ** 2 + 2.0 * a12 * t_x * t_y + a22 * t_y ** 2
-    ats = a11 * t_x * s_x + a12 * (t_x * s_y + t_y * s_x) + a22 * t_y * s_y
-    ass = a11 * s_x ** 2 + 2.0 * a12 * s_x * s_y + a22 * s_y ** 2
-    bt = a11 * met["t_xx"] + 2.0 * a12 * met["t_xy"] + a22 * met["t_yy"] + co["b1"] * t_x + co["b2"] * t_y
-    bs = a11 * met["s_xx"] + 2.0 * a12 * met["s_xy"] + a22 * met["s_yy"] + co["b1"] * s_x + co["b2"] * s_y
+    sample = spec.operator_sample()
+    X, Y = sample.nodes["x"], sample.nodes["y"]
+    att, ats, ass, bt, bs, c = terms = [sample.nodes[k][:, 1:ns] for k in TERMS]
+    for label, term in zip(TERMS, terms):
+        if not np.all(np.isfinite(term)):
+            raise AssemblyError(f"non-finite stencil term {label} at a grid node")
     weights = [
         att / dtheta ** 2 + bt / (2.0 * dtheta),
         att / dtheta ** 2 - bt / (2.0 * dtheta),
@@ -166,15 +133,14 @@ def _stencil(spec: ScenarioSpec):
         ats / (2.0 * dtheta * ds),
         -ats / (2.0 * dtheta * ds),
         -ats / (2.0 * dtheta * ds),
-        -2.0 * att / dtheta ** 2 - 2.0 * ass / ds ** 2 + co["c"],
+        -2.0 * att / dtheta ** 2 - 2.0 * ass / ds ** 2 + c,
     ]
     if is_disk:
         # centre row: weights over {centre} + first ring matching L on quadratics
-        cc = spec.operator.coefficients_at(np.array([0.0]), np.array([0.0]))
+        cc = sample.centre
         px, py = np.concatenate(([0.0], X[:, 1])), np.concatenate(([0.0], Y[:, 1]))
         M = np.stack([np.ones_like(px), px, py, px ** 2, px * py, py ** 2])
-        target = np.array([cc["c"][0], cc["b1"][0], cc["b2"][0],
-                           2.0 * cc["a11"][0], 2.0 * cc["a12"][0], 2.0 * cc["a22"][0]], dtype=float)
+        target = np.array([cc["c"], cc["b1"], cc["b2"], 2.0 * cc["a11"], 2.0 * cc["a12"], 2.0 * cc["a22"]])
         weights.append(np.linalg.lstsq(M, target, rcond=None)[0])
 
     psi = {0: spec.psi_interior, ns: spec.psi_exterior}
@@ -594,17 +560,6 @@ class SolutionField:
         self.dtheta = TWO_PI / nt
         self.ds = 1.0 / ns
 
-    # ------------------------------------------------------------ builders
-    @classmethod
-    def from_function(cls, spec: ScenarioSpec, fn) -> "SolutionField":
-        """Sample ``fn(x, y)`` at the grid nodes (for oracles and synthetic tests)."""
-        T, S = _grid_nodes(spec)
-        X, Y = spec.domain.map_point(T, S)
-        vals = np.asarray(fn(X, Y), dtype=float)
-        if spec.domain.is_disk:
-            vals[:, 0] = float(np.mean(vals[:, 0]))
-        return cls(spec, vals)
-
     # ------------------------------------------------------------ geometry
     @property
     def domain(self):
@@ -613,7 +568,7 @@ class SolutionField:
     @_once
     def node_positions(self):
         """(theta, s, x, y) at the grid nodes, each (n_theta, n_s + 1)."""
-        T, S = _grid_nodes(self.spec)
+        T, S = grid_nodes(self.n_theta, self.n_s)
         return _frozen(T, S, *self.domain.map_point(T, S))
 
     def u_range(self) -> float:
@@ -732,7 +687,7 @@ class SolutionField:
         gives them; on a disk s stays off the singular centre."""
         theta, s, inside = self.domain.reference(x, y)
         if self.domain.is_disk:
-            s = np.maximum(s, _DISK_S_FLOOR)
+            s = np.maximum(s, DISK_S_FLOOR)
         return theta, s, inside
 
     def _invert_inside(self, x, y):
@@ -741,10 +696,6 @@ class SolutionField:
         if not np.all(inside):
             raise OutsideDomainError("point outside domain")
         return theta, s
-
-    def evaluate(self, x, y):
-        """Interpolated u at physical points; OutsideDomainError when outside."""
-        return self.evaluate_ref(*self._invert_inside(x, y))
 
     def gradient_ref(self, theta, s):
         """Physical gradient (u_x, u_y) at reference points."""
@@ -783,7 +734,7 @@ class SolutionField:
         holds the centre gradient of the interpolant (`_disk_centre`)."""
         ut, us = self._node_derivatives()
         T, S, _, _ = self.node_positions()
-        s = np.maximum(S[:1], _DISK_S_FLOOR) if self.domain.is_disk else S[:1]
+        s = np.maximum(S[:1], DISK_S_FLOOR) if self.domain.is_disk else S[:1]
         gx, gy = self._physical_gradient(T[:, :1], s, ut, us)
         if self.domain.is_disk:
             gx[:, 0], gy[:, 0] = self._disk_centre()[0]

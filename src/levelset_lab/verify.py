@@ -24,7 +24,7 @@ from .critical import (
     separating_network_through,
     value_classes,
 )
-from .domain import ScenarioSpec, validate_scenario
+from .domain import FINE_FACTOR, ScenarioSpec, validate_scenario
 from .errors import BandTooWideError, LevelSetLabError, UnstableCountsError
 from .solver import SolutionField, assemble, solve
 from .topology import (
@@ -35,9 +35,6 @@ from .topology import (
     local_structure,
     region_components,
 )
-
-# run_scenario solves on the configured grid and on this refinement of it.
-FINE_FACTOR = 2
 
 VERDICT_IDS = (
     "thm_1_1", "thm_1_2", "cor_4_1", "thm_1_3", "thm_1_4", "rem_5_1",
@@ -432,8 +429,9 @@ def _stable_points(coarse, fine, drift: float):
 
 
 def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationReport:
-    """Solve, detect, census and check one scenario on its grid and one refinement."""
-    validate_scenario(spec)
+    """Solve, detect, census and check one scenario on its grid and one
+    refinement, both assembled from the operator sample of its validation."""
+    spec = validate_scenario(spec)
     coarse_spec = spec
     fine_spec = spec.with_grid(FINE_FACTOR * spec.n_theta, FINE_FACTOR * spec.n_s)
 
@@ -455,8 +453,7 @@ def run_scenario(spec: ScenarioSpec, fingerprint: str = "") -> VerificationRepor
     rt = resolve_tolerances(field)
     profile = boundary_profile(field)
 
-    T, S, X, Y = field.node_positions()
-    has_first, has_zeroth = spec.operator.lower_order_terms(X, Y)
+    has_first, has_zeroth = spec.sample.lower_order
 
     # censuses at the levels of the value classes +/- epsilon, plus mid-band probes
     censuses = []

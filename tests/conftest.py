@@ -3,6 +3,7 @@
 import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -12,10 +13,11 @@ from levelset_lab.domain import (
     EllipticOperator,
     ScenarioSpec,
     ToleranceSet,
+    grid_nodes,
     load_scenario,
 )
 from levelset_lab.geometry import BoundaryCurve, DomainSpec
-from levelset_lab.solver import solve_scenario
+from levelset_lab.solver import SolutionField, solve_scenario
 from levelset_lab.verify import run_scenario
 
 # The property tests draw the same examples on every run and keep no
@@ -30,16 +32,41 @@ BUILTIN_NAMES = (
 )
 
 
+def curve(src: str) -> BoundaryCurve:
+    """The boundary curve r = src."""
+    return BoundaryCurve(ex.parse_expression(src), src)
+
+
+def laplace() -> EllipticOperator:
+    one, zero = ex.parse_expression("1"), ex.parse_expression("0")
+    return EllipticOperator(one, zero, one, zero, zero, zero)
+
+
+def field_from_function(spec: ScenarioSpec, fn) -> SolutionField:
+    """fn(x, y) sampled at the grid nodes, for oracles and synthetic fields;
+    on a disk the centre row holds the mean of its samples."""
+    T, S = grid_nodes(*spec.grid)
+    vals = np.asarray(fn(*spec.domain.map_point(T, S)), dtype=float)
+    if spec.domain.is_disk:
+        vals[:, 0] = float(np.mean(vals[:, 0]))
+    return SolutionField(spec, vals)
+
+
+def value_at(field: SolutionField, x, y):
+    """Interpolated u at physical points; OutsideDomainError when one is outside."""
+    return field.evaluate_ref(*field._invert_inside(x, y))
+
+
 def make_scenario(exterior, interior, psi_exterior, psi_interior,
                   grid=(64, 32), name="test", operator=None, tolerances=None,
                   reference=None):
     dom = DomainSpec(
-        exterior=BoundaryCurve.from_source(exterior),
-        interior=BoundaryCurve.from_source(interior) if interior else None,
+        exterior=curve(exterior),
+        interior=curve(interior) if interior else None,
     )
     return ScenarioSpec(
         domain=dom,
-        operator=operator or EllipticOperator.laplace(),
+        operator=operator or laplace(),
         psi_exterior=ex.parse_expression(psi_exterior),
         psi_interior=ex.parse_expression(psi_interior) if psi_interior else None,
         grid=grid,

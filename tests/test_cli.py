@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scenario, solved_field
+from conftest import field_from_function, make_scenario, solved_field
 from levelset_lab import cli, solver
 from levelset_lab.critical import find_critical_points
 from levelset_lab.render import render_svg
@@ -310,9 +310,9 @@ def test_render_at_a_saddle_value_carries_a_resolution_warning():
     the corners of p's cell alternate in sign, and the SVG says that the
     cell was resolved by its centre value."""
     spec = make_scenario("3", "1", "0", "0", grid=(64, 32))
-    lat = solver.SolutionField.from_function(spec, lambda x, y: x).lattice()
+    lat = field_from_function(spec, lambda x, y: x).lattice()
     p = complex(*spec.domain.map_point(lat.theta[:2].mean(), lat.s[10:12].mean()))
-    fld = solver.SolutionField.from_function(spec, lambda x, y: np.imag((x + 1j * y - p) ** 2))
+    fld = field_from_function(spec, lambda x, y: np.imag((x + 1j * y - p) ** 2))
     (cp,) = find_critical_points(fld)
     svg = render_svg(fld, [cp.value], [cp])
     (line,) = [ln for ln in svg.splitlines() if "ResolutionWarning" in ln]

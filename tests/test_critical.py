@@ -8,7 +8,7 @@ import pytest
 import scipy.ndimage as ndi
 
 import levelset_lab.critical as critical_mod
-from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_spec, field_from_function, make_scenario, solved_field
 from levelset_lab.critical import (
     _MAX_NEWTON_STEPS,
     _newton_refine,
@@ -149,7 +149,7 @@ def test_refinement_stability_of_detection():
 def annulus_field(fn, **tolerances):
     """fn sampled on 1 < r < 3 at 64x32, with the given tolerances."""
     spec = make_scenario("3", "1", "0", "0", grid=(64, 32), tolerances=ToleranceSet(**tolerances))
-    return SolutionField.from_function(spec, fn)
+    return field_from_function(spec, fn)
 
 
 def saddle_at(theta, s, order=2):
@@ -293,7 +293,7 @@ def test_cluster_two_disjoint_loops():
         q2 = ((x + cx) ** 2 - y ** 2) / 4.0
         return w1 * q1 + w2 * q2 + (1.0 - w1 - w2) * 0.5
 
-    fld = SolutionField.from_function(spec, f)
+    fld = field_from_function(spec, f)
     _, holding = cluster_critical_sets(fld, [(cx, 0.0), (-cx, 0.0)], 0.0)
     assert len(holding) == 2
 
@@ -310,8 +310,8 @@ def test_separating_network_detection():
 
 
 def test_no_separating_network_on_a_disk_or_without_clusters():
-    disk = SolutionField.from_function(make_scenario("2", None, "0", None, name="disk"),
-                                       lambda x, y: (x - 0.5) ** 2 - (y - 0.3) ** 2)
+    disk = field_from_function(make_scenario("2", None, "0", None, name="disk"),
+                               lambda x, y: (x - 0.5) ** 2 - (y - 0.3) ** 2)
     (p,) = find_critical_points(disk)
     with pytest.raises(NotAnAnnulusError):
         cluster_critical_sets(disk, [p], p.value)
@@ -350,7 +350,7 @@ def test_cluster_rejects_off_level_points():
 def test_band_too_wide_guard():
     spec = make_scenario("2", "1", "1", "0", grid=(64, 32), name="ramp",
                          tolerances=ToleranceSet(value_zero_tol=1.0, equal_extrema_tol=1.0))
-    fld = SolutionField.from_function(spec, lambda x, y: np.hypot(x, y))
+    fld = field_from_function(spec, lambda x, y: np.hypot(x, y))
     fld.interp_error_estimate = lambda: 0.225  # the level band is twice this: 0.45
     probe = [(1.5, 0.0)]
     with pytest.raises(BandTooWideError):
@@ -362,7 +362,7 @@ def _guard_raises(monkeypatch, band_only, sign_change):
     (band-only and sign-change cells) in place of the field's?"""
     spec = make_scenario("2", "1", "1", "0", grid=(16, 8), name="ramp",
                          tolerances=ToleranceSet(value_zero_tol=1.0, equal_extrema_tol=1.0))
-    fld = SolutionField.from_function(spec, lambda x, y: np.hypot(x, y))
+    fld = field_from_function(spec, lambda x, y: np.hypot(x, y))
     monkeypatch.setattr(critical_mod, "_marked_level_cells", lambda field, t: (band_only | sign_change, band_only))
     try:
         cluster_critical_sets(fld, [(1.5, 0.0)], 1.5)

@@ -9,25 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import curve, field_from_function, make_scenario, value_at
 from levelset_lab import expressions as ex
 from levelset_lab.cli import builtin_scenario_dir
 from levelset_lab.domain import scenario_from_dict, validate_scenario
 from levelset_lab.errors import OutsideDomainError, ValidationFailure
-from levelset_lab.geometry import TWO_PI, BoundaryCurve, DomainSpec
-from levelset_lab.solver import SolutionField
+from levelset_lab.geometry import TWO_PI, DomainSpec
 
 
 def counterexample_domain(r2: float) -> DomainSpec:
     return DomainSpec(
-        exterior=BoundaryCurve.from_source(f"{r2} + sin(4*theta)"),
-        interior=BoundaryCurve.from_source("2 + sin(3*theta)"),
+        exterior=curve(f"{r2} + sin(4*theta)"),
+        interior=curve("2 + sin(3*theta)"),
     )
 
 
 def test_counterexample1_geometry_valid():
     spec = make_scenario("6 + sin(4*theta)", "2 + sin(3*theta)", "log(r)", "log(r)")
-    assert validate_scenario(spec) is spec
+    checked = validate_scenario(spec)
+    assert checked == spec and checked.sample.grid == (128, 64)
 
 
 def test_touching_curves_rejected():
@@ -42,7 +42,8 @@ def test_touching_curves_rejected():
 def test_counterexample2_overlapping_ranges_accepted():
     # same-phase curves: radial ranges overlap but the pointwise gap is 1
     spec = make_scenario("4 + sin(3*theta)", "3 + sin(3*theta)", "log(r)", "log(r)")
-    assert validate_scenario(spec) is spec
+    checked = validate_scenario(spec)
+    assert checked == spec and checked.sample.grid == (128, 64)
 
 
 def test_ellipticity_violation():
@@ -127,7 +128,7 @@ BAND_ANNULUS = json.loads((builtin_scenario_dir() / "band_annulus.json").read_te
      {"check": "operator_evaluation",
       "message": "operator coefficients failed to evaluate: sqrt() evaluated at out-of-domain argument -12.0"}),
     (dict(BAND_ANNULUS, operator={"a11": "1 + (r - r)/(r - r)"}),
-     {"check": "operator_finite", "message": "operator coefficient(s) a11 non-finite"}),
+     {"check": "operator_finite", "message": "operator coefficient(s) a11 non-finite", "witness": {"x": 1.0, "y": 0.0}}),
     (dict(BAND_ANNULUS, operator={"a11": "-1", "a22": "-1"}),
      {"check": "ellipticity", "message": "a11 not strictly positive", "witness": {"x": 1.0, "y": 0.0, "a11": -1.0}}),
     (dict(BAND_ANNULUS, tolerances={"interior_margin": 0.5}),
@@ -255,8 +256,8 @@ def test_name_is_one_file_name(name, allowed):
 # ------------------------------------------------------------------ the map
 
 def test_map_circular_blend():
-    dom = DomainSpec(exterior=BoundaryCurve.from_source("2"),
-                     interior=BoundaryCurve.from_source("1"))
+    dom = DomainSpec(exterior=curve("2"),
+                     interior=curve("1"))
     assert dom.map_point(0.0, 0.5) == pytest.approx((1.5, 0.0))
     assert abs(dom.metric(0.0, 0.5)["det"]) > 0
 
@@ -268,7 +269,7 @@ def test_map_wavy_sample():
 
 
 def test_disk_center_singular():
-    dom = DomainSpec(exterior=BoundaryCurve.from_source("1"))
+    dom = DomainSpec(exterior=curve("1"))
     # R = 0 at s = 0, so the Jacobian determinant -R * R_s vanishes there
     assert dom.blend(0.3, 0.0)[0] == 0.0
     # the centre point itself is still well-defined through map_point
@@ -292,7 +293,7 @@ def test_reference_inside_rule():
     farther out, or not finite, are outside, and a field query rejects any
     batch holding one."""
     dom = counterexample_domain(6.0)
-    fld = SolutionField.from_function(
+    fld = field_from_function(
         make_scenario("6.0 + sin(4*theta)", "2 + sin(3*theta)", "log(r)", "log(r)"), lambda x, y: x)
     s = np.array([-2e-9, -5e-10, 0.3, 1.0 + 5e-10, 1.0 + 2e-9])
     theta = np.full_like(s, 0.7)
@@ -304,7 +305,7 @@ def test_reference_inside_rule():
     assert fld._invert_inside(x[1:4], y[1:4])[1].tolist() == S[1:4].tolist()
     for k in (0, 4):
         with pytest.raises(OutsideDomainError):
-            fld.evaluate(x[k], y[k])
+            value_at(fld, x[k], y[k])
 
 
 def test_metric_inverse_consistency():

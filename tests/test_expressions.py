@@ -17,7 +17,7 @@ from levelset_lab.errors import (
 
 
 def ev(src, x=0.0, y=0.0):
-    return ex.evaluate_expr(ex.parse_expression(src), (x, y))
+    return float(ex.evaluate_xy(ex.parse_expression(src), x, y))
 
 
 def test_sin_three_theta():
@@ -106,17 +106,50 @@ def test_vectorized_matches_scalar():
     ys = np.linspace(0.5, 3.0, 17)
     vec = ex.evaluate_xy(tree, xs, ys)
     for k in range(len(xs)):
-        assert vec[k] == ex.evaluate_expr(tree, (xs[k], ys[k]))  # bit-identical
+        assert vec[k] == ex.evaluate_xy(tree, float(xs[k]), float(ys[k]))  # bit-identical
 
 
 def test_deterministic_evaluation():
     tree = ex.parse_expression("exp(sin(x*y) - sqrt(abs(y))) / (2 + cos(theta))")
-    a = ex.evaluate_expr(tree, (0.7, -1.3))
-    b = ex.evaluate_expr(tree, (0.7, -1.3))
+    a = ex.evaluate_xy(tree, 0.7, -1.3)
+    b = ex.evaluate_xy(tree, 0.7, -1.3)
     assert a == b
 
 
 # ---------------------------------------------------------------- round trip
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def to_string(expr) -> str:
+    """Render a tree back to parseable text, for the print/parse round trip."""
+
+    def render(node, parent_prec: int, rightmost: bool) -> str:
+        kind = node[0]
+        if kind == "num":
+            v = node[1]
+            text = repr(float(v))
+            if v < 0:
+                text = f"({text})"
+            return text
+        if kind == "var":
+            return node[1]
+        if kind == "call":
+            return f"{node[1]}({render(node[2], 0, True)})"
+        if kind == "neg":
+            inner = render(node[1], _PRECEDENCE["neg"], True)
+            text = f"-{inner}"
+            return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
+        op = node[1]
+        prec = _PRECEDENCE[op]
+        left = render(node[2], prec if op != "^" else prec + 1, False)
+        # -/ / are left-associative: parenthesize equal-precedence right children
+        right = render(node[3], prec + (1 if op in "-/" else 0) if op != "^" else prec, True)
+        text = f"{left} {op} {right}"
+        return f"({text})" if prec < parent_prec or (prec == parent_prec and not rightmost) else text
+
+    return render(expr, 0, True)
+
 
 def _random_tree(rng, depth):
     if depth <= 0 or rng.random() < 0.3:
@@ -148,7 +181,7 @@ def test_print_parse_round_trip_thousand():
     checked = 0
     while checked < 1000:
         tree = _random_tree(rng, 4)
-        text = ex.to_string(tree)
+        text = to_string(tree)
         reparsed = ex.parse_expression(text)
         # random trees overflow exp and then subtract inf from inf; only the
         # finite values are compared
@@ -286,7 +319,7 @@ def test_folded_second_derivative_is_smaller():
     """The radii of sym0_k2 carry no zero subtrees in their folded d2."""
     from levelset_lab.geometry import BoundaryCurve
     for src in SYMMETRIC_SEED0_RADII[:2]:
-        curve = BoundaryCurve.from_source(src)
+        curve = BoundaryCurve(ex.parse_expression(src), src)
         unfolded = differentiate_unfolded(differentiate_unfolded(curve.radius_expr))
         assert tree_size(curve._d2) < tree_size(unfolded)
         assert ("num", 0.0) not in _subtrees(curve._d2)

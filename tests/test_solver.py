@@ -9,14 +9,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from conftest import BUILTIN_NAMES, builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_spec, field_from_function, make_scenario, solved_field, value_at
 from levelset_lab import expressions as ex
 from levelset_lab import solver as solver_mod
 from levelset_lab.domain import validate_scenario
-from levelset_lab.errors import AssemblyError, NoConvergenceError, OutsideDomainError
+from levelset_lab.errors import AssemblyError, NoConvergenceError, OutsideDomainError, ValidationFailure
 from levelset_lab.geometry import TWO_PI
 from levelset_lab.solver import (
-    SolutionField,
     assemble,
     convergence_study,
     solve,
@@ -39,6 +38,21 @@ def row_sums(system):
 
 def system_scale(system):
     return max(np.max(np.abs(system.matrix.data)), np.max(np.abs(system.couplings.data)))
+
+
+# Off-diagonal entries of -A up to this fraction of its largest entry count
+# as non-positive in is_m_matrix.
+M_MATRIX_TOL = 1e-12
+
+
+def is_m_matrix(system) -> bool:
+    """True when every row of -A has a positive diagonal and non-positive
+    off-diagonal entries, Dirichlet couplings included (discrete maximum
+    principle)."""
+    A, coupled = system.matrix.tocoo(), system.couplings.data
+    off = np.concatenate((A.data[A.row != A.col], coupled))
+    scale = float(np.max(np.abs(np.concatenate((A.data, coupled))))) or 1.0
+    return bool(np.all(A.diagonal() < 0) and not np.any(-off > M_MATRIX_TOL * scale))
 
 
 def test_interior_rows_at_most_nine_nonzeros():
@@ -67,12 +81,17 @@ def test_row_sums_match_zeroth_order_coefficient():
 
 def test_a_coefficient_infinite_at_a_node_is_named_before_use():
     """a11 = 1 + 1/(r - 1.5)^2 is infinite on band_annulus's s = 0.5 ring,
-    which the validation sample misses; assembly names the coefficient
-    before any product of it could warn."""
+    a ring of the nodes that validation samples and assembly reads:
+    validation names a11 with the first node on that ring, and assembling
+    the spec unvalidated names the stencil term before any weight is formed
+    from it, with no warning."""
     spec = builtin_spec("band_annulus")
     spec = replace(spec, operator=replace(spec.operator, a11=ex.parse_expression("1 + 1/(r - 1.5)^2")))
-    validate_scenario(spec)
-    with pytest.raises(AssemblyError, match="^non-finite coefficient a11 at a grid node$"):
+    with pytest.raises(ValidationFailure) as err:
+        validate_scenario(spec)
+    assert err.value.violations == [{"check": "operator_finite", "message": "operator coefficient(s) a11 non-finite",
+                                     "witness": {"x": 1.5, "y": 0.0}}]
+    with pytest.raises(AssemblyError, match="^non-finite stencil term a_tt at a grid node$"):
         assemble(spec)
 
 
@@ -109,21 +128,21 @@ def test_m_matrix_rejects_positive_off_diagonal():
     """A positive off-diagonal entry of -A fails the check, whether it sits
     among the interior columns or in a Dirichlet coupling."""
     system = assemble(log_annulus_spec())
-    assert system.is_m_matrix()
+    assert is_m_matrix(system)
     matrix, couplings = system.matrix, system.couplings
     A = matrix.tocoo()
     k = np.argmax(np.where(A.row != A.col, A.data, -np.inf))
     flipped = A.data.copy()
     flipped[k] = -flipped[k]
     system.matrix = sp.csc_matrix((flipped, (A.row, A.col)), shape=A.shape)
-    assert not system.is_m_matrix()
+    assert not is_m_matrix(system)
     system.matrix = matrix
     system.couplings = couplings.copy()
     k = np.argmax(couplings.data)
     system.couplings.data[k] = -couplings.data[k]
-    assert not system.is_m_matrix()
+    assert not is_m_matrix(system)
     system.couplings = couplings
-    assert system.is_m_matrix()
+    assert is_m_matrix(system)
 
 
 # -------------------------------------------------------------------- solve
@@ -163,7 +182,7 @@ def test_constant_data_reproduced_exactly():
 
 def test_maximum_principle_on_m_matrix():
     system = assemble(log_annulus_spec())
-    assert system.is_m_matrix()
+    assert is_m_matrix(system)
     fld = solve(system)
     assert np.min(fld.values) >= 0.0 - 1e-12
     assert np.max(fld.values) <= 1.0 + 1e-12
@@ -841,7 +860,7 @@ def test_interpolant_c1_across_edges():
 
 def test_point_evaluation_log_annulus():
     fld = solved_field("log_annulus", 256, 128)
-    assert float(fld.evaluate(1.5, 0.0)) == pytest.approx(np.log(1.5), abs=1e-4)
+    assert float(value_at(fld, 1.5, 0.0)) == pytest.approx(np.log(1.5), abs=1e-4)
     gx, gy = fld.gradient(1.5, 0.0)
     assert float(gx) == pytest.approx(1.0 / 1.5, abs=1e-3)
     assert float(gy) == pytest.approx(0.0, abs=1e-3)
@@ -850,16 +869,16 @@ def test_point_evaluation_log_annulus():
 def test_outside_domain_rejected():
     fld = solved_field("log_annulus", 64, 32)
     with pytest.raises(OutsideDomainError):
-        fld.evaluate(3.0, 0.0)
+        value_at(fld, 3.0, 0.0)
     with pytest.raises(OutsideDomainError):
-        fld.evaluate(0.5, 0.0)
+        value_at(fld, 0.5, 0.0)
 
 
 def test_cubic_in_s_reproduced_exactly():
     # derivative estimates are exact on cubics, so the Hermite interpolant
     # reproduces a cubic-in-s field up to rounding
     spec = log_annulus_spec((64, 32))
-    fld = SolutionField.from_function(spec, lambda x, y: (np.hypot(x, y) - 1.0) ** 3)
+    fld = field_from_function(spec, lambda x, y: (np.hypot(x, y) - 1.0) ** 3)
     th = np.linspace(0.0, TWO_PI, 23)
     ss = np.linspace(0.0, 1.0, 29)
     T, S = np.meshgrid(th, ss, indexing="ij")
@@ -1002,8 +1021,8 @@ def test_disk_centre_node_gradient_is_the_gradient(exterior):
     """On a circular and a wavy disk, u = 2x + 3y has the node gradient
     (2, 3) at the centre, as on the ring around it (up to the error of the
     theta differences there)."""
-    fld = SolutionField.from_function(make_scenario(exterior, None, "0", None, grid=(64, 32)),
-                                      lambda x, y: 2.0 * x + 3.0 * y)
+    fld = field_from_function(make_scenario(exterior, None, "0", None, grid=(64, 32)),
+                              lambda x, y: 2.0 * x + 3.0 * y)
     g = np.stack(fld.node_gradients()) - np.array([2.0, 3.0])[:, None, None]
     assert np.max(np.abs(g[:, :, 0])) <= 1e-12
     assert np.max(np.abs(g[:, :, 1])) <= 1e-2

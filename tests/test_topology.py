@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, deque
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, field_from_function, make_scenario, solved_field, value_at
 import levelset_lab
 from levelset_lab import expressions as ex
 from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
@@ -178,7 +179,7 @@ def _synthetic_field(fn, interior="1", band=None):
     """A 16x8 field sampled from fn on 1 < r < 2, or on r < 2 with no
     interior; `band` replaces the interpolation-error estimate."""
     spec = make_scenario("2", interior, "0", "0" if interior else None, grid=(16, 8), name="synthetic")
-    fld = SolutionField.from_function(spec, fn)
+    fld = field_from_function(spec, fn)
     if band is not None:
         fld.interp_error_estimate = lambda: band
     return fld
@@ -324,7 +325,7 @@ def test_trace_endpoints_on_level():
     polys, _ = trace_level_lines(fld, t)
     tol = 5.0 * fld.interp_error_estimate() + 1e-9
     for poly in polys:
-        vals = fld.evaluate(poly[:, 0], poly[:, 1])
+        vals = value_at(fld, poly[:, 0], poly[:, 1])
         assert np.max(np.abs(vals - t)) <= tol
 
 
@@ -711,7 +712,7 @@ def test_local_structure_multiplicity_two():
 def test_local_structure_regular_point():
     from levelset_lab.critical import CriticalPoint
     fld = solved_field("log_annulus", 64, 32)
-    probe = CriticalPoint(x=1.6, y=0.0, value=float(fld.evaluate(1.6, 0.0)),
+    probe = CriticalPoint(x=1.6, y=0.0, value=float(value_at(fld, 1.6, 0.0)),
                           multiplicity=0, is_zero=False, degree_radius=0.2)
     assert local_structure(fld, probe) == (1, 1)
 
@@ -968,6 +969,28 @@ def test_package_imports_no_private_name_of_another_module():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_public_function_has_a_reader():
+    """A public function or method of the package is read by name
+    somewhere in the package, in `perfbench/`, or in README's "Library
+    entry points": one that only tests read is a test helper, and lives
+    under `tests/`."""
+    package = Path(levelset_lab.__file__).resolve().parent
+    root = package.parent.parent
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if path.parent == package:
+            for node in tree.body:
+                body = node.body if isinstance(node, ast.ClassDef) else [node]
+                defined += [(path.name, fn.name) for fn in body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    entry_points = (root / "README.md").read_text(encoding="utf-8").split("## Library entry points")[1]
+    read |= set(re.findall(r"\w+", entry_points.split("\n## ")[0]))
+    assert [(module, name) for module, name in defined if name not in read] == []
 
 
 def test_package_does_not_import_scipy_ndimage():

@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, make_scenario, solved_field
+from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, field_from_function, make_scenario, solved_field
 from test_benchmark_reference import wl
 from levelset_lab import expressions as ex
 from levelset_lab.cli import builtin_scenario_dir, report_to_dict
 from levelset_lab.critical import CriticalPoint, find_critical_points
-from levelset_lab.domain import ToleranceSet, scenario_from_dict
+from levelset_lab.domain import EllipticOperator, ToleranceSet, scenario_from_dict
 from levelset_lab.errors import BandTooWideError, UnstableCountsError
 from levelset_lab.solver import SolutionField, resolve_tolerances, solve_scenario
 from levelset_lab.topology import (
@@ -478,7 +478,7 @@ def test_identities_ordering_case_fails_for_equal_ranges():
 def test_identities_ordering_reason_for_nested_ranges():
     """z1 < z2 < Z2 < Z1 satisfies no ordering case; the reason is the
     generic one, which states the relation that fails (Z1 < Z2)."""
-    fld = SolutionField.from_function(make_scenario("2", "1", "0", "0", grid=(16, 8)), lambda x, y: x)
+    fld = field_from_function(make_scenario("2", "1", "0", "0", grid=(16, 8)), lambda x, y: x)
     profile = BoundaryProfile(exterior=_trace("exterior", 1.0, 2.0, 2), interior=_trace("interior", 0.0, 3.0, 2))
     report = check_counting_identities(fld, [], profile, 1.5, 0.1, None, None)
     assert not report["applicable"] and profile.ordering_case() is None
@@ -816,15 +816,20 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     counts all read one lattice evaluation of the solved field; node
     geometry and default tolerances are computed once per field.  Each
     level is censused once, and the identity check marks and labels its
-    level network once."""
+    level network once.  The operator is sampled once, at the refined
+    grid's nodes: one evaluation of the coefficients and one of the
+    map's metric on a grid serve validation, the three assemblies (half,
+    configured and refined grid) and the lower-order test."""
     import levelset_lab.critical as critical_mod
     import levelset_lab.solver as solver_mod
     import levelset_lab.verify as verify_mod
+    from levelset_lab.domain import EllipticOperator
     from levelset_lab.geometry import DomainSpec
     from levelset_lab.solver import REFINE, SolutionField
 
     seen = Counter()
     real_lattice, real_range, real_map = solver_mod.RefinedLattice, SolutionField.u_range, DomainSpec.map_point
+    real_metric, real_coefficients = DomainSpec.metric, EllipticOperator.coefficients_at
 
     def refined_lattice(theta, *arrays):
         # keyed by the solve grid's n_theta, as the other counts are
@@ -839,9 +844,19 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
         seen["nodes", np.shape(theta)] += 1
         return real_map(self, theta, s)
 
+    def metric(self, theta, s):
+        seen["metric", np.broadcast(theta, s).shape] += 1
+        return real_metric(self, theta, s)
+
+    def coefficients_at(self, x, y):
+        seen["coefficients"] += 1
+        return real_coefficients(self, x, y)
+
     monkeypatch.setattr(solver_mod, "RefinedLattice", refined_lattice)
     monkeypatch.setattr(SolutionField, "u_range", u_range)
     monkeypatch.setattr(DomainSpec, "map_point", map_point)
+    monkeypatch.setattr(DomainSpec, "metric", metric)
+    monkeypatch.setattr(EllipticOperator, "coefficients_at", coefficients_at)
     census_levels, real_census = [], verify_mod.level_census
     real_marked = critical_mod._marked_level_cells
 
@@ -866,6 +881,10 @@ def test_run_scenario_derives_field_quantities_once(monkeypatch):
     assert seen["lattice", 64] == 0 and seen["lattice", 128] == 1
     assert seen["tolerances", 64] == seen["tolerances", 128] == 1
     assert seen["nodes", (64, 33)] == seen["nodes", (128, 65)] == 1
+    assert seen["nodes", (256, 256)] == 0
+    assert seen["coefficients"] == 1
+    assert [key[1] for key in seen if key[0] == "metric" and len(key[1]) == 2] == [(128, 65)]
+    assert seen["metric", (128, 65)] == 1
 
 
 def test_report_names_the_solve_path_of_each_grid(monkeypatch):
@@ -1040,3 +1059,44 @@ def test_a_zeroth_order_term_written_as_zero_changes_no_report(name):
     data["operator"] = dict(data["operator"], c="0")
     got = run_scenario(scenario_from_dict(data, name))
     assert report_to_dict(got, timestamp="") == report_to_dict(builtin_report(name), timestamp="")
+
+
+# item 1's wavy annulus, with an anisotropic principal part and a first-order term
+WAVY_OPERATOR = {"a11": "2", "a12": "0.5", "a22": "1", "b1": "-4", "b2": "0", "c": "0"}
+
+
+def _report(spec):
+    """The report of `spec` without its scenario block and timestamp."""
+    out = report_to_dict(run_scenario(spec), timestamp="")
+    del out["scenario"]
+    return out
+
+
+@pytest.mark.parametrize("name", ["z_plus_inv", "disk_z3", "wavy"])
+def test_operator_times_a_power_of_two_changes_no_report(name):
+    """The equation is homogeneous in the operator and a power of two
+    scales exactly, so every coefficient times 2, or times 0.25, gives the
+    same report bit for bit: an annulus and a disk built-in, and a wavy
+    annulus whose operator is not the Laplacian."""
+    if name == "wavy":
+        op = EllipticOperator(*map(ex.parse_expression, WAVY_OPERATOR.values()))
+        spec = make_scenario("1.5 + 0.2*cos(4*theta)", "0.5 + 0.1*sin(3*theta)", "exp(x + y)", "exp(x + y)",
+                             grid=(64, 32), operator=op, name="wavy")
+    else:
+        spec = builtin_spec(name)
+    want = _report(spec)
+    assert want["verdicts"]
+    for factor in (2.0, 0.25):
+        scaled = {k: ("bin", "*", ("num", factor), getattr(spec.operator, k)) for k in ("a11", "a12", "a22", "b1", "b2", "c")}
+        assert _report(replace(spec, operator=replace(spec.operator, **scaled))) == want
+
+
+def test_a_large_operator_verifies_as_its_unit_multiple():
+    """a11 = a22 = 1e306 on band_annulus is divided by a power of two
+    before any stencil weight is formed, so no weight overflows (a numpy
+    RuntimeWarning fails the suite): the report has the points, censuses
+    and verdicts of a11 = a22 = 1."""
+    spec = builtin_spec("band_annulus")
+    big = ex.parse_expression("1e306")
+    got = report_to_dict(run_scenario(replace(spec, operator=replace(spec.operator, a11=big, a22=big))))
+    assert wl.verify_summary(got) == wl.verify_summary(report_to_dict(builtin_report("band_annulus")))
