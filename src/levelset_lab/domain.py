@@ -314,9 +314,13 @@ def validate_scenario(spec: ScenarioSpec) -> ScenarioSpec:
                 continue
             rb = radii[which]
             try:
-                ex.evaluate_xy(datum, rb * np.cos(theta), rb * np.sin(theta))
+                finite = np.isfinite(ex.evaluate_xy(datum, rb * np.cos(theta), rb * np.sin(theta)))
             except ExpressionError as err:
                 bad.append(_violation("boundary_evaluation", f"psi_{which} failed to evaluate on its curve: {err}"))
+                continue
+            if not finite.all():
+                k = int(np.argmin(finite))
+                bad.append(_violation("boundary_finite", f"psi_{which} non-finite on its curve", {"theta": float(theta[k])}))
 
     if bad:
         raise ValidationFailure(bad)
@@ -432,9 +436,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioSpec:
     if {"/", os.sep, os.altsep, "\0"} & set(name):
         bad.append(_violation("schema", f"name {name!r} must not contain a path separator or NUL"))
 
-    if bad or exterior is None or op is None or psi_ext is None:
-        if not bad:
-            bad.append(_violation("schema", "incomplete scenario"))
+    # exterior, op and psi_ext are None only where a violation says why
+    if bad:
         raise ValidationFailure(bad)
 
     return ScenarioSpec(

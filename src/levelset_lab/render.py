@@ -19,9 +19,7 @@ def _fmt(v: float) -> str:
 
 
 def _path(points: np.ndarray) -> str:
-    head = f"M {_fmt(points[0, 0])} {_fmt(points[0, 1])}"
-    rest = " ".join(f"L {_fmt(x)} {_fmt(y)}" for x, y in points[1:])
-    return f"{head} {rest}" if len(points) > 1 else head
+    return "M " + " L ".join(["%.6f %.6f" % (x, y) for x, y in points.tolist()])
 
 
 def render_svg(field: SolutionField, thresholds, points) -> str:

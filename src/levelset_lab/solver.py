@@ -89,14 +89,11 @@ class DiscreteSystem:
     node_index and the index arrays of both pieces are the grid plan's, shared and read-only."""
 
     spec: ScenarioSpec
-    n_theta: int
-    n_s: int
     matrix: sp.csr_matrix     # interior rows x interior columns
     couplings: sp.csr_matrix  # interior rows x Dirichlet nodes
     boundary: np.ndarray      # Dirichlet data, ring by ring (s = 0 first)
     rhs: np.ndarray
     node_index: np.ndarray    # (n_theta, n_s + 1) position of each node in [x, boundary]
-    is_disk: bool
     solution: np.ndarray | None = None  # x, once solved; a finer grid's solve starts from it
     inverse: object = None              # r -> approximate A^-1 r, once solved: a finer grid's coarse correction
 
@@ -172,8 +169,8 @@ def _discretize(spec: ScenarioSpec) -> DiscreteSystem:
     matrix = sp.csr_matrix((values[:nnz], plan.indices, plan.indptr), shape=(n, n))
     couplings = sp.csr_matrix((values[nnz:], plan.c_indices, plan.c_indptr), shape=(n, boundary.size))
     return DiscreteSystem(
-        spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
-        rhs=-(couplings @ boundary), node_index=plan.node_index, is_disk=spec.domain.is_disk,
+        spec=spec, matrix=matrix, couplings=couplings, boundary=boundary,
+        rhs=-(couplings @ boundary), node_index=plan.node_index,
     )
 
 
@@ -239,7 +236,7 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     scenario's linear_residual_tol; the boundary values of u are the
     Dirichlet data exactly.
     """
-    A, b, nt, ns = system.matrix, system.rhs, system.n_theta, system.n_s
+    A, b, (nt, ns) = system.matrix, system.rhs, system.spec.grid
     x, iterations, solved_by = None, 0, "direct"
     # the field's values before any array of the solve: allocated after the cycle that
     # the system keeps, they sat above it on the heap, which raised peak RSS by up to 10 MB
@@ -252,7 +249,7 @@ def solve(system: DiscreteSystem, coarse: DiscreteSystem | None = None) -> "Solu
     if coarse is not None:
         system.inverse = _v_cycle(system, coarse.inverse)
         if system.inverse is not None:
-            plan = _two_grid_plan(nt, ns, system.is_disk)
+            plan = _two_grid_plan(nt, ns, system.spec.domain.is_disk)
             x0 = plan.prolong @ coarse.solution + plan.rim @ coarse.boundary
             x, iterations = _gmres(A, b, x0, system.inverse)
         solved_by = "two-grid" if x is not None else "direct after two-grid"
@@ -378,7 +375,7 @@ def _v_cycle(system: DiscreteSystem, correct):
     columns; the cycle reads their entries from A's diagonals 0 and +-1,
     which are 0 where a line ends, and +-(n_s - 1) taken cyclically."""
     # the closures hold nothing of `system`, which keeps the cycle: a loop of references kept dropped systems until gc
-    A, nt, ns, is_disk = system.matrix, system.n_theta, system.n_s, system.is_disk
+    A, (nt, ns), is_disk = system.matrix, system.spec.grid, system.spec.domain.is_disk
     m = nt * (ns - 1)  # the unknowns on the s-lines; a disk's centre follows them
     plan = _two_grid_plan(nt, ns, is_disk)
 

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .critical import ResolvedTolerances, label_runs, resolve_tolerances
+from .critical import label_runs
 from .errors import RadiusExhaustedError
 from .geometry import TWO_PI
-from .solver import REFINE, SolutionField
+from .solver import REFINE, ResolvedTolerances, SolutionField, resolve_tolerances
 
 
 # --------------------------------------------------------------------------

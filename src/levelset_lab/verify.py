@@ -20,13 +20,12 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from .critical import (
     cluster_critical_sets,
     find_critical_points_report,
-    resolve_tolerances,
     separating_network_through,
     value_classes,
 )
 from .domain import FINE_FACTOR, ScenarioSpec, validate_scenario
 from .errors import BandTooWideError, LevelSetLabError, UnstableCountsError
-from .solver import SolutionField, assemble, solve
+from .solver import SolutionField, assemble, resolve_tolerances, solve
 from .topology import (
     BoundaryProfile,
     boundary_profile,
@@ -411,8 +410,7 @@ class VerificationReport:
         return [v for v in self.verdicts if v.applicable and v.holds is False]
 
 
-def fingerprint_scenario(path_or_text) -> str:
-    data = path_or_text if isinstance(path_or_text, bytes) else str(path_or_text).encode("utf-8")
+def fingerprint_scenario(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 

@@ -79,6 +79,18 @@ def test_exit_one_on_ellipticity_violation(tmp_path, capsys):
     assert "ellipticity" in capsys.readouterr().err
 
 
+def test_exit_one_names_a_non_finite_boundary_datum(tmp_path, capsys):
+    """A datum that division makes infinite on its rim is a validation
+    error that names the datum, not a non-finite solve."""
+    data = json.loads((cli.builtin_scenario_dir() / "band_annulus.json").read_text())
+    data["boundary"]["psi_exterior"] = "1/y"
+    path = tmp_path / "band_annulus.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {path}: boundary_finite: psi_exterior non-finite on its curve"
+
+
 def test_exit_two_on_failed_verdict(scen, tmp_path, monkeypatch, capsys):
     """A doctored report with a failed applicable check maps to exit code 2."""
     import levelset_lab.cli as cli_mod

@@ -17,15 +17,14 @@ from levelset_lab.critical import (
     find_critical_points,
     find_critical_points_report,
     multiplicity,
-    resolve_tolerances,
     separating_network_through,
     winding_multiplicity,
 )
-from levelset_lab.domain import ToleranceSet
+from levelset_lab.domain import FINE_FACTOR, ToleranceSet
 from levelset_lab.errors import BandTooWideError, LevelSetLabError, NotAnAnnulusError, OutsideDomainError
 from levelset_lab.geometry import TWO_PI, winding_number
-from levelset_lab.solver import ResolvedTolerances, SolutionField, solve_scenario
-from levelset_lab.verify import FINE_FACTOR, run_scenario
+from levelset_lab.solver import ResolvedTolerances, SolutionField, resolve_tolerances, solve_scenario
+from levelset_lab.verify import run_scenario
 
 
 def test_z_plus_inv_two_saddles():

@@ -133,11 +133,17 @@ BAND_ANNULUS = json.loads((builtin_scenario_dir() / "band_annulus.json").read_te
      {"check": "ellipticity", "message": "a11 not strictly positive", "witness": {"x": 1.0, "y": 0.0, "a11": -1.0}}),
     (dict(BAND_ANNULUS, tolerances={"interior_margin": 0.5}),
      {"check": "tolerances", "message": "interior_margin 0.5 outside (0, 0.25]"}),
-], ids=["root", "malformed", "evaluation", "non-finite", "a11-sign", "interior-margin"])
+    (dict(BAND_ANNULUS, boundary=dict(BAND_ANNULUS["boundary"], psi_exterior="1/y")),
+     {"check": "boundary_finite", "message": "psi_exterior non-finite on its curve", "witness": {"theta": 0.0}}),
+    (dict(BAND_ANNULUS, boundary=dict(BAND_ANNULUS["boundary"], psi_interior="0/(x - x)")),
+     {"check": "boundary_finite", "message": "psi_interior non-finite on its curve", "witness": {"theta": 0.0}}),
+], ids=["root", "malformed", "evaluation", "non-finite", "a11-sign", "interior-margin",
+        "datum-infinite", "datum-nan"])
 def test_one_malformed_input_gives_one_violation(data, violation):
     """A scenario with one bad part fails loading or validation with that
     one violation; a NaN coefficient is rejected although every
-    ellipticity comparison with it is false."""
+    ellipticity comparison with it is false, and so is a boundary datum
+    that division makes infinite or NaN without an evaluation error."""
     with pytest.raises(ValidationFailure) as err:
         validate_scenario(scenario_from_dict(data))
     assert err.value.violations == [violation]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from levelset_lab.errors import (
     ExpressionSyntaxError,
     UnknownIdentifierError,
 )
+from levelset_lab.geometry import BoundaryCurve
 
 
 def ev(src, x=0.0, y=0.0):
@@ -54,11 +56,24 @@ def test_trailing_garbage_offset():
     assert err.value.offset == 6
 
 
+@pytest.mark.parametrize("src, message", [
+    ("sin(x", "expected ')', found end of input (byte offset 5)"),
+    ("(x y)", "expected ')', found 'y' (byte offset 3)"),
+    (b"x", "expression source must be text (byte offset 0)"),
+])
+def test_syntax_error_names_what_was_expected(src, message):
+    with pytest.raises(ExpressionSyntaxError, match=re.escape(message) + "$"):
+        ex.parse_expression(src)
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError):
         ex.parse_expression("foo + 1")
     with pytest.raises(UnknownIdentifierError):
         ex.parse_expression("sinh(x)")
+    # a curve of x, which validation's curve_variables check keeps out of scenario files
+    with pytest.raises(UnknownIdentifierError):
+        BoundaryCurve(ex.parse_expression("x"), "x").radius(np.array([0.0]))
 
 
 @pytest.mark.parametrize("src, names", [
@@ -81,6 +96,8 @@ def test_xy_product():
 def test_sqrt_negative_is_error():
     with pytest.raises(ExpressionDomainError):
         ev("sqrt(x)", -1.0, 0.0)
+    with pytest.raises(ExpressionDomainError):
+        ev("x^0.5", -1.0, 0.0)
 
 
 def test_log_nonpositive_is_error():
@@ -224,6 +241,20 @@ def test_differentiate_theta(src, dsrc_at):
     for t in (0.3, 1.1, 2.9, 4.2):
         got = float(ex.evaluate_env(d, {"theta": np.asarray(t)}))
         assert got == pytest.approx(dsrc_at(t), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("src", [
+    "2 + 0.1*abs(sin(theta))",
+    "2 + 0.1*(1.5 + cos(theta))^(1 + 0.5*sin(theta))",
+])
+def test_curve_derivatives_match_central_differences(src):
+    """The sign rule (the second derivative of abs) and a variable exponent,
+    away from the kinks of abs(sin(theta)) at 0 and pi."""
+    curve = BoundaryCurve(ex.parse_expression(src), src)
+    t, h = np.array([0.3, 1.1, 2.6, 4.2]), 1e-4
+    r_minus, r_mid, r_plus = (curve.radius(t + d) for d in (-h, 0.0, h))
+    assert np.allclose(curve.radius_d1(t), (r_plus - r_minus) / (2 * h), rtol=0, atol=1e-8)
+    assert np.allclose(curve.radius_d2(t), (r_plus - 2 * r_mid + r_minus) / h ** 2, rtol=0, atol=1e-6)
 
 
 def differentiate_unfolded(expr, var="theta"):

@@ -116,7 +116,7 @@ def test_boundary_data_and_rhs():
     rhs is minus the couplings applied to them."""
     spec = log_annulus_spec()
     system = assemble(spec)
-    nt, ns = system.n_theta, system.n_s
+    nt, ns = system.spec.grid
     rings = system.node_index[:, [0, ns]] - system.size
     assert np.array_equal(rings, np.arange(2 * nt).reshape(2, nt).T)
     assert np.all(system.node_index[:, 1:ns] < system.size)
@@ -251,8 +251,8 @@ def reference_assemble(spec):
     matrix = sp.csr_matrix((data[inner], (rows[inner], cols[inner])), shape=(n, n))
     couplings = sp.csr_matrix((data[~inner], (rows[~inner], cols[~inner] - n)), shape=(n, boundary.size))
     return solver_mod.DiscreteSystem(
-        spec=spec, n_theta=nt, n_s=ns, matrix=matrix, couplings=couplings, boundary=boundary,
-        rhs=-(couplings @ boundary), node_index=index, is_disk=is_disk,
+        spec=spec, matrix=matrix, couplings=couplings, boundary=boundary,
+        rhs=-(couplings @ boundary), node_index=index,
     )
 
 
@@ -736,7 +736,7 @@ def test_zebra_half_sweep_solves_its_lines(name, monkeypatch):
 
     half_sweeps = [(False, c, line_solver(bands)) for c, bands in enumerate(colours)]
     half_sweeps += [(True, c, solver_mod._periodic_tridiagonal(*bands)) for c, bands in enumerate(ring_colours)]
-    assert len(half_sweeps) == (4 if system.is_disk else 2)
+    assert len(half_sweeps) == (4 if system.spec.domain.is_disk else 2)
     r = np.random.default_rng(7).standard_normal(system.size)
     scale = np.max(np.abs(r))
     for on_rings, c, solve_rows in half_sweeps:
@@ -745,7 +745,7 @@ def test_zebra_half_sweep_solves_its_lines(name, monkeypatch):
         residual = view(r - A @ z, on_rings)
         assert np.max(np.abs(residual[c::2])) <= 1e-12 * scale
         assert np.max(np.abs(residual[1 - c::2])) > 0.1 * scale
-    residual = view(r - A @ solver_mod._v_cycle(system, np.zeros_like)(r), system.is_disk)
+    residual = view(r - A @ solver_mod._v_cycle(system, np.zeros_like)(r), system.spec.domain.is_disk)
     assert np.max(np.abs(residual[1::2])) <= 1e-12 * scale < np.max(np.abs(residual[0::2]))
 
 
@@ -921,11 +921,11 @@ def test_disk_center_row_reduces_to_polar_average():
     lo, hi = A.indptr[row], A.indptr[row + 1]
     cols, vals = A.indices[lo:hi], A.data[lo:hi]
     assert np.array_equal(np.sort(cols[cols != row]), np.sort(system.node_index[:, 1]))
-    h = 1.0 / system.n_s
+    h = 1.0 / system.spec.n_s
     centre = vals[cols == row][0]
     ring = vals[cols != row]
     assert centre == pytest.approx(-4.0 / h ** 2, rel=1e-8)
-    assert np.allclose(ring, 4.0 / (system.n_theta * h ** 2), rtol=1e-8)
+    assert np.allclose(ring, 4.0 / (system.spec.n_theta * h ** 2), rtol=1e-8)
 
 
 def test_disk_solution_and_gradient():

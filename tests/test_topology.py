@@ -9,7 +9,7 @@ import sys
 from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +18,11 @@ import scipy.ndimage as ndi
 from conftest import BUILTIN_NAMES, builtin_report, builtin_spec, field_from_function, make_scenario, solved_field, value_at
 import levelset_lab
 from levelset_lab import expressions as ex
-from levelset_lab.critical import find_critical_points, label_wrapped, resolve_tolerances
+from levelset_lab.critical import find_critical_points, label_wrapped
+from levelset_lab.domain import FINE_FACTOR
 from levelset_lab.errors import RadiusExhaustedError
 from levelset_lab.geometry import TWO_PI, winding_number
-from levelset_lab.solver import SolutionField, solve_scenario
-from levelset_lab.verify import FINE_FACTOR
+from levelset_lab.solver import SolutionField, resolve_tolerances, solve_scenario
 from levelset_lab.topology import (
     _CASES,
     BoundaryProfile,
@@ -969,6 +969,36 @@ def test_package_imports_no_private_name_of_another_module():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_package_root_exports_the_readme_entry_points():
+    """The root's public names, modules aside, are the names of README's
+    `from levelset_lab import (...)` block: every other name is imported
+    from the module that defines it."""
+    readme = (Path(levelset_lab.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("from levelset_lab import (")[1].split(")")[0]
+    exported = {name for name, value in vars(levelset_lab).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert exported == set(re.findall(r"\w+", block))
+
+
+def test_package_imports_each_name_from_its_defining_module():
+    """Outside `__init__.py`, every `from .module import name` in the package
+    names a def, class or assignment at the top level of that module: no
+    module forwards a name it imported itself."""
+    package = Path(levelset_lab.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    defined = {}
+    for module, tree in trees.items():
+        targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+        targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+        defined[module] = ({node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+                           | {name.id for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)})
+    forwarded = [(module, node.module, alias.name)
+                 for module, tree in trees.items() if module != "__init__"
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                 for alias in node.names if alias.name not in defined[node.module]]
+    assert forwarded == []
 
 
 def test_every_public_function_has_a_reader():
